@@ -11,8 +11,9 @@ studies end to end.
 from .splines import KnotVector, SplineSpace, make_open_uniform
 from .geometry import (Patch, TrimMask, MultipatchTopology, catalog,
                        classify_elements, rotated_square_region)
-from .assembly import (AssembledPair, assemble_single_patch,
-                       assemble_multipatch, assemble_trimmed, jacobi_rescale)
+from .assembly import (AssembledPair, QuadratureGrid, assemble_single_patch,
+                       assemble_multipatch, assemble_trimmed, jacobi_rescale,
+                       quadrature_grid)
 from .lumping import (HierBandedMatrix, lump_rowsum, block_lump,
                       block_lumped_family, hierarchical_lump,
                       multipatch_lump, pad_lump_trim)
@@ -29,8 +30,9 @@ __all__ = [
     'KnotVector', 'SplineSpace', 'make_open_uniform',
     'Patch', 'TrimMask', 'MultipatchTopology', 'catalog',
     'classify_elements', 'rotated_square_region',
-    'AssembledPair', 'assemble_single_patch', 'assemble_multipatch',
-    'assemble_trimmed', 'jacobi_rescale',
+    'AssembledPair', 'QuadratureGrid', 'assemble_single_patch',
+    'assemble_multipatch', 'assemble_trimmed', 'jacobi_rescale',
+    'quadrature_grid',
     'HierBandedMatrix', 'lump_rowsum', 'block_lump', 'block_lumped_family',
     'hierarchical_lump', 'multipatch_lump', 'pad_lump_trim',
     'FactorizedOperator', 'banded_cholesky', 'woodbury_solve',

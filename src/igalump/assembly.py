@@ -7,7 +7,10 @@ spline space, with entries
 
 in the parametric domain, where c and G carry density, diffusivity and the
 geometry pullback. Quadrature is Gauss-Legendre with p+1 points per
-direction per element, exact for the polynomial case.
+direction per element, exact for the polynomial case. A QuadratureGrid
+holds the basis tables and the pullback of one space on one patch; the
+assembly, load vectors and L2 errors all evaluate through it, and it lives
+only as long as its caller keeps it.
 """
 
 import itertools
@@ -17,7 +20,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import TrimMask
+from .geometry import TrimMask, _tensor_apply
 from .lumping import HierBandedMatrix, _as_csr
 from .splines import eval_basis
 
@@ -44,13 +47,41 @@ def gauss_rule(npoints):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _quad_grid(space, nquad=None):
-    """Per direction: quadrature points, weights, and basis tables.
+@dataclass
+class QuadratureGrid:
+    """Gauss tables and geometry pullback of one space on one patch.
 
-    Returns lists indexed by direction with points (nel*nq,), weights
-    (nel*nq,), values and derivatives (numdofs, nel*nq) and the first
-    active dof per element. nquad overrides the default p+1 points, for
-    rational geometries where the default rule is not exact.
+    Per direction l: points pts[l] and weights wts[l], shape (nel*nq,);
+    basis values vals[l] and derivatives ders[l], shape (numdofs, nel*nq);
+    firsts[l], the first active dof of each element; nqs[l], the points
+    per element. On the tensor grid of points: coords, the physical
+    coordinates with shape (d,) + grid; J, shape grid + (d, d); and
+    adet = |det J|, shape grid.
+    """
+    space: object
+    pts: list
+    wts: list
+    vals: list
+    ders: list
+    firsts: list
+    nqs: tuple
+    coords: np.ndarray
+    J: np.ndarray
+    adet: np.ndarray
+
+    def weights(self):
+        """Tensor-product quadrature weights, shape grid."""
+        return reduce(np.multiply.outer, self.wts)
+
+
+def quadrature_grid(space, patch, nquad=None):
+    """Basis tables and pullback of space on patch, evaluated once.
+
+    nquad overrides the default p+1 Gauss points per direction and
+    element, for rational geometries where the default rule is not exact.
+
+    Raises:
+        ValueError: if the Jacobian is singular at a quadrature point.
     """
     pts, wts, vals, ders, firsts, nqs = [], [], [], [], [], []
     for kv in space.kvs:
@@ -74,16 +105,21 @@ def _quad_grid(space, nquad=None):
         ders.append(D)
         firsts.append(first)
         nqs.append(nq)
-    return pts, wts, vals, ders, firsts, tuple(nqs)
+    coords, J, adet = _pullback(patch, pts)
+    return QuadratureGrid(space, pts, wts, vals, ders, firsts, tuple(nqs),
+                          coords, J, adet)
 
 
-def _pullback_grids(patch, pts, rho, kappa):
-    """Evaluate c = rho |detJ| and G = kappa |detJ| (J^T J)^-1 on a grid."""
+def _pullback(patch, pts):
+    """Physical coordinates (d,) + grid, J and |detJ| on a tensor grid."""
     F, J, det = patch.grid_eval(pts)
     if np.min(np.abs(det)) < 1e-14:
         raise ValueError('singular jacobian on the quadrature grid')
-    coords = np.moveaxis(F, -1, 0)
-    adet = np.abs(det)
+    return np.moveaxis(F, -1, 0), J, np.abs(det)
+
+
+def _coefficients(coords, J, adet, rho, kappa):
+    """c = rho |detJ| and G = kappa |detJ| (J^T J)^-1 on a pulled-back grid."""
     c = np.asarray(rho(*coords), dtype=float) * adet
     Ginv = np.linalg.inv(np.swapaxes(J, -1, -2) @ J)
     kap = np.asarray(kappa(*coords), dtype=float)
@@ -95,31 +131,40 @@ def _kron_rows(factors):
     return reduce(np.kron, factors)
 
 
-def _element_tables(space, vals, ders, firsts, el, nqs):
-    """Local value and gradient tables for one element.
+def _tensor_tables(Vs, Ds):
+    """Local value and gradient tables from per-direction ones.
 
     Bv has shape (nloc, nq) with nloc = prod(p+1) local functions; Bg[l]
     carries the parametric derivative in direction l.
     """
-    d = space.ndim
-    Vs, Ds = [], []
-    for l in range(d):
-        kv = space.kvs[l]
-        sl = slice(el[l] * nqs[l], (el[l] + 1) * nqs[l])
-        f = firsts[l][el[l]]
-        Vs.append(vals[l][f:f + kv.p + 1, sl])
-        Ds.append(ders[l][f:f + kv.p + 1, sl])
+    d = len(Vs)
     Bv = _kron_rows(Vs)
     Bg = [_kron_rows([Ds[l] if m == l else Vs[l] for l in range(d)])
           for m in range(d)]
     return Bv, Bg
 
 
-def _element_dofs(space, firsts, el):
-    d = space.ndim
-    idx = np.array([0])
+def _element_matrices(grid, c, G, el):
+    """Local mass and stiffness of one whole element, from the grid."""
+    d = grid.space.ndim
+    sl = tuple(slice(e * nq, (e + 1) * nq) for e, nq in zip(el, grid.nqs))
+    Vs, Ds = [], []
     for l in range(d):
-        f = firsts[l][el[l]]
+        f = grid.firsts[l][el[l]]
+        rows = slice(f, f + grid.space.kvs[l].p + 1)
+        Vs.append(grid.vals[l][rows, sl[l]])
+        Ds.append(grid.ders[l][rows, sl[l]])
+    Bv, Bg = _tensor_tables(Vs, Ds)
+    wq = _kron_rows([grid.wts[l][sl[l]] for l in range(d)])
+    return _local_matrices(Bv, Bg, wq, c[sl].ravel(),
+                           G[sl].reshape(-1, d, d), d)
+
+
+def _element_dofs(grid, el):
+    space = grid.space
+    idx = np.array([0])
+    for l in range(space.ndim):
+        f = grid.firsts[l][el[l]]
         stride = int(np.prod(space.dims[l + 1:], dtype=int))
         idx = (idx[:, None]
                + (f + np.arange(space.kvs[l].p + 1)) * stride).ravel()
@@ -169,6 +214,11 @@ class _Accumulator:
         return M, K
 
 
+def _elements(space):
+    """Element multi-indices in canonical (lexicographic) order."""
+    return itertools.product(*[range(kv.numspans) for kv in space.kvs])
+
+
 def _finish_pair(space, M, K):
     bw = tuple(min(kv.p, n - 1) for kv, n in zip(space.kvs, space.free_dims))
     return AssembledPair(
@@ -180,19 +230,14 @@ def _finish_pair(space, M, K):
 
 def assemble_single_patch(space, patch, rho, kappa, nquad=None):
     """Mass and stiffness of one patch, canonical element order."""
-    d = space.ndim
-    pts, wts, vals, ders, firsts, nq = _quad_grid(space, nquad)
-    c, G = _pullback_grids(patch, pts, rho, kappa)
+    grid = quadrature_grid(space, patch, nquad)
+    c, G = _coefficients(grid.coords, grid.J, grid.adet, rho, kappa)
     acc = _Accumulator(space.full_to_free(), space.num_free)
-    nel = tuple(kv.numspans for kv in space.kvs)
-    for el in itertools.product(*[range(m) for m in nel]):
-        Bv, Bg = _element_tables(space, vals, ders, firsts, el, nq)
-        sl = tuple(slice(el[l] * nq[l], (el[l] + 1) * nq[l])
-                   for l in range(d))
-        wq = _kron_rows([wts[l][sl[l]] for l in range(d)])
-        Mloc, Kloc = _local_matrices(Bv, Bg, wq, c[sl].ravel(),
-                                     G[sl].reshape(-1, d, d), d)
-        acc.add(_element_dofs(space, firsts, el), Mloc, Kloc)
+    for el in _elements(space):
+        acc.add(_element_dofs(grid, el), *_element_matrices(grid, c, G, el))
+    # the triplet merge sets the peak memory of a large assembly, and
+    # needs neither the tables nor the coefficients
+    del grid, c, G
     M, K = acc.matrices()
     return _finish_pair(space, M, K)
 
@@ -237,14 +282,18 @@ def assemble_trimmed(space, patch, mask, rho, kappa, subdepth=3, nquad=None):
     activity test yet miss every retained subcell; such dofs have an exactly
     zero mass row and are pruned from the system, keeping the mass diagonal
     strictly positive.
+
+    Raises:
+        ValueError: if no element or no subcell is retained, so that the
+            system would have no dofs.
     """
     if not isinstance(mask, TrimMask):
         raise TypeError('mask must be a TrimMask')
     if not np.any(mask.element_class >= 0):
-        raise ValueError('trim region excludes every element')
-    d = space.ndim
-    pts, wts, vals, ders, firsts, nq = _quad_grid(space, nquad)
-    c, G = _pullback_grids(patch, pts, rho, kappa)
+        raise ValueError('trim region excludes every element '
+                         '(n_active = 0)')
+    grid = quadrature_grid(space, patch, nquad)
+    c, G = _coefficients(grid.coords, grid.J, grid.adet, rho, kappa)
 
     active_free = np.asarray(mask.active).ravel()[space.free_to_full()]
     embedding = np.flatnonzero(active_free)
@@ -255,28 +304,24 @@ def assemble_trimmed(space, patch, mask, rho, kappa, subdepth=3, nquad=None):
     full_to_sys = np.where(f2f >= 0, sys_of_free[np.maximum(f2f, 0)], -1)
 
     acc = _Accumulator(full_to_sys, n_sys)
-    nel = tuple(kv.numspans for kv in space.kvs)
     nsub = 2 ** subdepth
-    for el in itertools.product(*[range(m) for m in nel]):
+    for el in _elements(space):
         cls = mask.element_class[el]
         if cls < 0:
             continue
-        dofs = _element_dofs(space, firsts, el)
         if cls > 0:
-            Bv, Bg = _element_tables(space, vals, ders, firsts, el, nq)
-            sl = tuple(slice(el[l] * nq[l], (el[l] + 1) * nq[l])
-                       for l in range(d))
-            wq = _kron_rows([wts[l][sl[l]] for l in range(d)])
-            Mloc, Kloc = _local_matrices(Bv, Bg, wq, c[sl].ravel(),
-                                         G[sl].reshape(-1, d, d), d)
-            acc.add(dofs, Mloc, Kloc)
+            Mloc, Kloc = _element_matrices(grid, c, G, el)
         else:
             Mloc, Kloc = _cut_element(space, patch, mask.region, rho, kappa,
-                                      el, nsub, nq)
-            acc.add(dofs, Mloc, Kloc)
+                                      el, nsub, grid.nqs)
+        acc.add(_element_dofs(grid, el), Mloc, Kloc)
+    del grid, c, G
     M, K = acc.matrices()
     diag = M.diagonal()
-    keep = diag > 1e-12 * np.max(diag)
+    keep = diag > 1e-12 * np.max(diag, initial=0.0)
+    if not np.any(keep):
+        raise ValueError('trim region retains no quadrature subcell '
+                         '(n_active = 0)')
     if not np.all(keep):
         sel = np.flatnonzero(keep)
         M = M[np.ix_(sel, sel)].tocsr()
@@ -310,7 +355,7 @@ def _cut_element(space, patch, region, rho, kappa, el, nsub, nq):
             center.append(a + 0.5 * h)
         if region(*patch.map_eval(center)) <= 0:
             continue
-        cg, Gg = _pullback_grids(patch, sub_pts, rho, kappa)
+        cg, Gg = _coefficients(*_pullback(patch, sub_pts), rho, kappa)
         Vs, Ds = [], []
         for l in range(d):
             kv = space.kvs[l]
@@ -324,9 +369,7 @@ def _cut_element(space, patch, region, rho, kappa, el, nsub, nq):
                 D[:, g] = table[1]
             Vs.append(V)
             Ds.append(D)
-        Bv = _kron_rows(Vs)
-        Bg = [_kron_rows([Ds[l] if m == l else Vs[l] for l in range(d)])
-              for m in range(d)]
+        Bv, Bg = _tensor_tables(Vs, Ds)
         wq = _kron_rows(sub_wts)
         dM, dK = _local_matrices(Bv, Bg, wq, cg.ravel(),
                                  Gg.reshape(-1, d, d), d)
@@ -335,20 +378,16 @@ def _cut_element(space, patch, region, rho, kappa, el, nsub, nq):
     return Mloc, Kloc
 
 
-def load_vector(space, patch, g, nquad=None):
+def load_vector(grid, g):
     """L2 load vector of the scalar field g over the free dofs.
 
     Entry q is the integral of g against the q-th free basis function on
-    the physical patch. Same quadrature rule as the matrix assembly.
+    the physical patch, with the rule and pullback of the QuadratureGrid.
     """
-    from .geometry import _tensor_apply
-    pts, wts, vals, _ders, _firsts, _nqs = _quad_grid(space, nquad)
-    F, _J, detJ = patch.grid_eval(pts)
-    coords = np.moveaxis(F, -1, 0)
-    density = np.asarray(g(*coords), dtype=float) * np.abs(detJ)
-    density = density * reduce(np.multiply.outer, wts)
-    full = _tensor_apply(density, vals).ravel()
-    return full[space.free_to_full()]
+    density = np.asarray(g(*grid.coords), dtype=float) * grid.adet
+    density = density * grid.weights()
+    full = _tensor_apply(density, grid.vals).ravel()
+    return full[grid.space.free_to_full()]
 
 
 def jacobi_rescale(A, B):

@@ -8,11 +8,10 @@ never raised.
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .assembly import _quad_grid, assemble_single_patch, load_vector
+from .assembly import assemble_single_patch, load_vector, quadrature_grid
 from .geometry import _tensor_apply
 from .linalg import FactorizedOperator, banded_cholesky
 from .spectral import critical_timestep
@@ -104,23 +103,20 @@ def central_difference(M_solve, K_apply, f, u0, v0, dt, T):
     return Trajectory(dt, times, samples, stable, blown_up_at)
 
 
-def l2_error(space, patch, coeffs, exact, t=None, nquad=None):
+def l2_error(grid, coeffs, exact, t=None):
     """Quadrature L2 distance between the spline field and exact.
 
-    exact is called with physical coordinate arrays, plus t when given.
-    The rule matches assembly (p+1 Gauss points per direction) unless
-    nquad overrides it.
+    coeffs lives on the free dofs of grid.space, and the QuadratureGrid
+    supplies the rule and the pullback. exact is called with physical
+    coordinate arrays, plus t when given.
     """
-    pts, wts, vals, _ders, _firsts, _nqs = _quad_grid(space, nquad)
-    F, _J, detJ = patch.grid_eval(pts)
-    coords = np.moveaxis(F, -1, 0)
-    ref = exact(*coords) if t is None else exact(*coords, t)
+    space = grid.space
+    ref = exact(*grid.coords) if t is None else exact(*grid.coords, t)
     full = np.zeros(space.numdofs)
     full[space.free_to_full()] = np.asarray(coeffs, dtype=float)
-    uh = _tensor_apply(full.reshape(space.dims), [V.T for V in vals])
-    diff2 = (uh - ref) ** 2 * np.abs(detJ)
-    w = reduce(np.multiply.outer, wts)
-    return math.sqrt(float(np.sum(diff2 * w)))
+    uh = _tensor_apply(full.reshape(space.dims), [V.T for V in grid.vals])
+    diff2 = (uh - ref) ** 2 * grid.adet
+    return math.sqrt(float(np.sum(diff2 * grid.weights())))
 
 
 # ----------------------------------------------------- manufactured problem
@@ -145,6 +141,7 @@ class WaveProblem:
     space: SplineSpace
     patch: object
     pair: object        # consistent AssembledPair with rho = kappa = 1
+    grid: object        # QuadratureGrid of the loads and of l2_error
     f: object           # time -> load vector on the free dofs
     u0: np.ndarray
     v0: np.ndarray
@@ -160,6 +157,7 @@ def manufactured_wave_problem(patch, p, subdivisions, nquad=None):
     five polynomial factors vanish on the plate boundary, so homogeneous
     Dirichlet conditions apply on every side. The load comes from the
     closed-form Laplacian; initial data are consistent-mass L2 projections.
+    The loads and the stored grid use the assembly's quadrature rule.
     """
     kv = make_open_uniform(subdivisions, p, p - 1)
     space = SplineSpace([kv, kv], dirichlet=((True, True), (True, True)))
@@ -167,29 +165,27 @@ def manufactured_wave_problem(patch, p, subdivisions, nquad=None):
     pair = assemble_single_patch(space, patch, one, one, nquad=nquad)
     mass = banded_cholesky(pair.M, pair.M.scalar_bandwidth())
 
+    grid = quadrature_grid(space, patch, nquad)
+
     two_pi = 2.0 * math.pi
     f_const = load_vector(
-        space, patch, lambda x, y: -2.0 * plate_deflection_laplacian(x, y),
-        nquad=nquad)
+        grid, lambda x, y: -2.0 * plate_deflection_laplacian(x, y))
     f_wave = load_vector(
-        space, patch,
-        lambda x, y: -two_pi ** 2 * plate_deflection(x, y)
-        - plate_deflection_laplacian(x, y),
-        nquad=nquad)
+        grid, lambda x, y: -two_pi ** 2 * plate_deflection(x, y)
+        - plate_deflection_laplacian(x, y))
 
     def f(t):
         return f_const + math.sin(two_pi * t) * f_wave
 
     u0 = mass.solve(load_vector(
-        space, patch, lambda x, y: 2.0 * plate_deflection(x, y), nquad=nquad))
+        grid, lambda x, y: 2.0 * plate_deflection(x, y)))
     v0 = mass.solve(load_vector(
-        space, patch, lambda x, y: two_pi * plate_deflection(x, y),
-        nquad=nquad))
+        grid, lambda x, y: two_pi * plate_deflection(x, y)))
 
     def exact(x, y, t):
         return plate_deflection(x, y) * (2.0 + np.sin(two_pi * t))
 
-    return WaveProblem(space, patch, pair, f, u0, v0, exact,
+    return WaveProblem(space, patch, pair, grid, f, u0, v0, exact,
                        rho=one, kappa=one)
 
 

@@ -192,6 +192,9 @@ def _validate(cfg):
     if cfg.kind == 'convergence':
         require(cfg.levels >= 3, 'levels',
                 'a convergence study needs at least 3 refinement levels')
+        require(cfg.dirichlet is not False, 'dirichlet',
+                'the smallest frequency needs Dirichlet conditions '
+                '(dirichlet = false leaves K singular)')
     require(cfg.safeguard > 0 and cfg.safeguard <= 1, 'safeguard',
             'safeguard must lie in (0, 1]')
     require(cfg.tspan > 0, 'tspan', 'time span must be positive')
@@ -234,7 +237,7 @@ def _validate(cfg):
             raise ConfigError('%s: unknown geometry id %r'
                               % (cfg.where('geometry'), cfg.geometry)) \
                 from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError('%s: bad geometry parameters: %s'
                               % (cfg.where('geometry'), exc)) from None
     if cfg.kind == 'simulate':
@@ -322,14 +325,20 @@ def _assemble_trimmed_at(cfg, angle):
     kvs = [make_open_uniform(n, cfg.p, cfg.p - 1) for n in subs]
     space = SplineSpace(kvs)
     params = cfg.geometry_params
+    half_side = params.get('half_side', 0.35)
     region = rotated_square_region(
         center=(params.get('cx', 0.5), params.get('cy', 0.5)),
-        angle=angle, half_side=params.get('half_side', 0.35))
+        angle=angle, half_side=half_side)
     mask = classify_elements(space, patches[0], region)
-    pair = assemble_trimmed(space, patches[0], mask,
-                            _density_field(cfg.density), _ONE,
-                            nquad=cfg.nquad)
-    return pair
+    try:
+        return assemble_trimmed(space, patches[0], mask,
+                                _density_field(cfg.density), _ONE,
+                                nquad=cfg.nquad)
+    except ValueError as exc:
+        # on the unit square only an empty trimmed system raises here
+        raise ConfigError('%s: angle %.6g, half_side %g: %s'
+                          % (cfg.where('geometry'), angle, half_side, exc)) \
+            from None
 
 
 def _mass_variant(cfg, pair, label, topo=None, locs=None):
@@ -589,10 +598,8 @@ def run_simulate(cfg):
         errs = []
         for i in idx:
             t = traj.times[i]
-            num = l2_error(prob.space, prob.patch, traj.samples[i],
-                           prob.exact, t=t, nquad=cfg.nquad)
-            den = l2_error(prob.space, prob.patch, zeros, prob.exact, t=t,
-                           nquad=cfg.nquad)
+            num = l2_error(prob.grid, traj.samples[i], prob.exact, t=t)
+            den = l2_error(prob.grid, zeros, prob.exact, t=t)
             errs.append(num / den)
         sub = Trajectory(dt=traj.dt, times=traj.times[idx],
                          samples=traj.samples[idx], stable=traj.stable)

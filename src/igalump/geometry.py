@@ -329,8 +329,19 @@ def stretched_square():
     return Patch(space, np.array(pts, dtype=float))
 
 
+def _check_radii(rin, rout):
+    if not 0 < rin < rout:
+        raise ValueError('radii must satisfy 0 < rin < rout, got rin=%g, '
+                         'rout=%g' % (rin, rout))
+
+
 def quarter_annulus(rin=1.0, rout=2.0):
-    """Exact quarter annulus; first direction radial, second angular."""
+    """Exact quarter annulus; first direction radial, second angular.
+
+    Raises:
+        ValueError: unless 0 < rin < rout.
+    """
+    _check_radii(rin, rout)
     kv_ang = KnotVector([0, 0, 0, 1, 1, 1], 2)
     kv_rad = _linear_kv()
     space = SplineSpace([kv_rad, kv_ang])
@@ -380,7 +391,13 @@ def magnet(rin=1.0, rout=2.0, thickness=0.5):
 
     Directions are (radial, angular, thickness); the semicircle is a single
     C1 rational quadratic with an interior knot.
+
+    Raises:
+        ValueError: unless 0 < rin < rout and thickness > 0.
     """
+    _check_radii(rin, rout)
+    if not thickness > 0:
+        raise ValueError('thickness must be positive, got %g' % thickness)
     kv_ang = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
     space = SplineSpace([_linear_kv(), kv_ang, _linear_kv()])
     arc = np.array([(1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)])
@@ -396,6 +413,8 @@ def magnet(rin=1.0, rout=2.0, thickness=0.5):
 
 def twisted_box(total_angle=math.pi / 4.0, npatches=3):
     """Stack of trilinear boxes whose square section twists with height."""
+    if npatches < 1:
+        raise ValueError('npatches must be at least 1, got %g' % npatches)
     patches = []
     angles = np.linspace(0.0, total_angle, npatches + 1)
     zs = np.linspace(0.0, 1.0, npatches + 1)

@@ -8,13 +8,17 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
 
+import igalump.assembly
+import igalump.geometry
+import igalump.splines
 from igalump.assembly import (assemble_multipatch, assemble_single_patch,
                               assemble_trimmed, jacobi_rescale, load_vector,
-                              read_triplets, write_triplets)
+                              quadrature_grid, read_triplets, write_triplets)
 from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
                               plate_quarter_hole, pullback_coeffs,
                               quarter_annulus, magnet, rotated_square_region,
                               unit_square)
+from igalump.dynamics import l2_error
 from igalump.splines import KnotVector, SplineSpace, eval_basis, \
     make_open_uniform
 
@@ -303,6 +307,17 @@ def test_trimmed_all_outside_raises():
         assemble_trimmed(space, patch, mask, ONE, ONE)
 
 
+def test_trimmed_without_retained_subcell_raises():
+    # a tiny square centred on an element corner keeps no subcell centre
+    space = square_space(4, 2)
+    patch = unit_square()
+    region = rotated_square_region(center=(0.5, 0.5), half_side=0.001)
+    mask = classify_elements(space, patch, region)
+    assert np.any(mask.element_class == 0)
+    with pytest.raises(ValueError, match='n_active = 0'):
+        assemble_trimmed(space, patch, mask, ONE, ONE)
+
+
 # ------------------------------------------------------------ jacobi rescale
 
 def test_jacobi_rescale_diagonal_to_identity():
@@ -337,7 +352,7 @@ def test_jacobi_rescale_rejects_nonpositive_diagonal():
 def test_load_vector_of_one_is_mass_row_sum():
     space = square_space(3, 2)
     pair = assemble_single_patch(space, unit_square(), ONE, ONE)
-    b = load_vector(space, unit_square(), ONE)
+    b = load_vector(quadrature_grid(space, unit_square()), ONE)
     np.testing.assert_allclose(b, pair.M @ np.ones(space.num_free),
                                atol=1e-14)
 
@@ -345,15 +360,15 @@ def test_load_vector_of_one_is_mass_row_sum():
 def test_load_vector_total_is_rational_measure():
     kv = make_open_uniform(2, 2, 1)
     space = SplineSpace([kv, kv])
-    b = load_vector(space, quarter_annulus(), ONE, nquad=10)
+    b = load_vector(quadrature_grid(space, quarter_annulus(), nquad=10), ONE)
     assert np.sum(b) == pytest.approx(3 * np.pi / 4, rel=1e-10)
 
 
 def test_load_vector_respects_dirichlet():
     space = square_space(3, 2, dirichlet=((True, True), (True, True)))
-    b = load_vector(space, unit_square(), lambda x, y: x + y)
+    b = load_vector(quadrature_grid(space, unit_square()), lambda x, y: x + y)
     assert b.shape == (space.num_free,)
-    full = load_vector(SplineSpace(space.kvs), unit_square(),
+    full = load_vector(quadrature_grid(SplineSpace(space.kvs), unit_square()),
                        lambda x, y: x + y)
     np.testing.assert_allclose(
         b, full[space.free_to_full()], atol=1e-15)
@@ -366,3 +381,97 @@ def test_triplet_roundtrip(tmp_path):
     write_triplets(path, pair.M)
     back = read_triplets(path)
     assert (back != pair.M.mat).nnz == 0
+
+
+# ------------------------------------------------------------ quadrature grid
+
+def _smooth_field(x, y):
+    return np.sin(2.0 * x + 0.5) * np.cos(y) + x * y * y
+
+
+# load_vector and l2_error (plain and at t = 1.5) of _smooth_field with
+# nquad = 10 on the p = 2, 2 x 2 element space, recorded when every call
+# still rebuilt its own basis tables and pullback
+RECORDED = {
+    'unit_square': (
+        [0.018418067879644884, 0.035175184199888146, 0.03253543250457341,
+         0.014531611419485283, 0.049060447177239445, 0.09721459258204355,
+         0.0960443490238371, 0.04749883260523261, 0.05122222307404665,
+         0.1054372874126688, 0.11077833548081391, 0.0594347889156102,
+         0.021538142929593215, 0.04728212239036546, 0.05443857135389101,
+         0.03235636259321571],
+        0.951191699135091, 1.38592108770683),
+    'quarter_annulus': (
+        [0.022462339643384243, 0.08428909382724908, 0.09519665982007981,
+         0.02792122844244407, 0.009429226329625694, 0.19989492535100994,
+         0.2754881385754479, 0.07460664874821914, -0.030436739864413188,
+         0.26489278344106365, 0.41053929656126553, 0.10255173536847054,
+         -0.03210867972211437, 0.19477019027552317, 0.30980199688969157,
+         0.07233061596707341],
+        1.9884522813751568, 2.904700914392869),
+}
+
+
+@pytest.mark.parametrize('name', sorted(RECORDED))
+def test_grid_reproduces_recorded_values(name):
+    space = square_space(2, 2)
+    patch = {'unit_square': unit_square,
+             'quarter_annulus': quarter_annulus}[name]()
+    grid = quadrature_grid(space, patch, nquad=10)
+    coeffs = np.cos(np.arange(space.num_free) * 0.7)
+    load, err, err_t = RECORDED[name]
+    np.testing.assert_allclose(load_vector(grid, _smooth_field), load,
+                               rtol=1e-13, atol=0.0)
+    assert l2_error(grid, coeffs, _smooth_field) \
+        == pytest.approx(err, rel=1e-13, abs=0.0)
+    assert l2_error(grid, coeffs,
+                    lambda x, y, t: t * _smooth_field(x, y), t=1.5) \
+        == pytest.approx(err_t, rel=1e-13, abs=0.0)
+
+
+def test_grid_holds_pullback_of_patch():
+    space = square_space(3, 2)
+    patch = quarter_annulus()
+    grid = quadrature_grid(space, patch)
+    F, J, det = patch.grid_eval(grid.pts)
+    np.testing.assert_array_equal(grid.coords, np.moveaxis(F, -1, 0))
+    np.testing.assert_array_equal(grid.J, J)
+    np.testing.assert_array_equal(grid.adet, np.abs(det))
+    assert grid.nqs == (3, 3)
+    assert grid.weights().shape == grid.adet.shape
+    assert np.sum(grid.weights() * grid.adet) \
+        == pytest.approx(3 * np.pi / 4, rel=1e-4)
+
+
+def test_grid_rejects_singular_jacobian():
+    kv = KnotVector([0.0, 0.0, 1.0, 1.0], 1)
+    flat = Patch(SplineSpace([kv, kv]),
+                 np.array([(0, 0), (0, 1), (0, 0), (0, 1)], dtype=float))
+    with pytest.raises(ValueError, match='singular jacobian'):
+        quadrature_grid(square_space(2, 2), flat)
+
+
+def test_grid_tables_are_not_rebuilt(monkeypatch):
+    space = square_space(3, 2)
+    grid = quadrature_grid(space, quarter_annulus())
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (igalump.assembly, igalump.geometry, igalump.splines):
+        monkeypatch.setattr(mod, 'eval_basis',
+                            counted('eval_basis', mod.eval_basis))
+    monkeypatch.setattr(Patch, 'grid_eval',
+                        counted('grid_eval', Patch.grid_eval))
+    coeffs = np.linspace(-1.0, 1.0, space.num_free)
+    for t in (0.0, 0.5, 1.0):
+        l2_error(grid, coeffs, lambda x, y, t: t * x * y, t=t)
+    load_vector(grid, ONE)
+    assert calls == []
+    # the counters see a fresh build, so the check above is not vacuous
+    quadrature_grid(space, quarter_annulus())
+    assert {'eval_basis', 'grid_eval'} <= set(calls)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from igalump.cli import main
 
@@ -73,3 +74,29 @@ def test_simulate_csv_has_error_column(tmp_path, capsys):
                          delimiter=',', names=True)
     assert set(rows.dtype.names) == {'t', 'norm', 'l2_error'}
     assert rows['t'][0] == 0.0
+
+
+@pytest.mark.parametrize('kind, body, names', [
+    ('trimmed-sweep', 'geometry = rotated_square\ngeometry.half_side = 0.001'
+     '\nsubdivisions = 4\nnangles = 3\n',
+     ('exp.cfg:2:', 'angle 0,', 'half_side 0.001', 'n_active = 0')),
+    ('spectrum', 'geometry = quarter_annulus\ngeometry.rin = -1\n',
+     ('exp.cfg:2:', 'geometry', 'rin=-1')),
+    ('spectrum', 'geometry = quarter_annulus\ngeometry.rin = 3\n'
+     'geometry.rout = 1\n', ('exp.cfg:2:', 'geometry', 'rin=3', 'rout=1')),
+    ('spectrum', 'geometry = magnet\ngeometry.thickness = 0\n',
+     ('exp.cfg:2:', 'geometry', 'thickness')),
+    ('spectrum', 'geometry = twisted_box\ngeometry.npatches = 0\n',
+     ('exp.cfg:2:', 'geometry', 'npatches')),
+    ('convergence', 'dirichlet = false\n',
+     ('exp.cfg:2:', 'dirichlet = false', 'Dirichlet conditions')),
+])
+def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
+                                                  body, names):
+    cfg = write_cfg(tmp_path, 'kind = %s\n%sout = %s\n'
+                    % (kind, body, tmp_path / 'o'))
+    assert main([kind, '--config', cfg]) in (2, 3)
+    err = capsys.readouterr().err
+    assert 'Traceback' not in err
+    for name in names:
+        assert name in err, (name, err)

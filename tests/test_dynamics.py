@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import sympy
 
-from igalump.assembly import assemble_single_patch, load_vector
+from igalump.assembly import (assemble_single_patch, load_vector,
+                              quadrature_grid)
 from igalump.dynamics import (Trajectory, central_difference, l2_error,
                               manufactured_wave_problem, plate_deflection,
                               plate_deflection_laplacian, stability_boundary,
@@ -129,7 +130,7 @@ def test_l2_error_reproduces_own_spline():
             vals[i] = tx[0] @ block @ ty[0]
         return vals.reshape(np.shape(x))
 
-    err = l2_error(space, unit_square(), coeffs, exact)
+    err = l2_error(quadrature_grid(space, unit_square()), coeffs, exact)
     assert err <= 1e-12
 
 
@@ -137,8 +138,9 @@ def test_l2_error_zero_and_unit_fields():
     kv = make_open_uniform(3, 2, 1)
     space = SplineSpace([kv, kv])
     zero = np.zeros(space.num_free)
-    assert l2_error(space, unit_square(), zero, lambda x, y: 0.0) == 0.0
-    assert l2_error(space, unit_square(), zero, lambda x, y: 1.0) \
+    grid = quadrature_grid(space, unit_square())
+    assert l2_error(grid, zero, lambda x, y: 0.0) == 0.0
+    assert l2_error(grid, zero, lambda x, y: 1.0) \
         == pytest.approx(1.0, abs=1e-13)
 
 
@@ -146,7 +148,8 @@ def test_l2_error_linear_field_exact():
     kv = make_open_uniform(3, 1, 0)
     space = SplineSpace([kv, kv])
     zero = np.zeros(space.num_free)
-    err = l2_error(space, unit_square(), zero, lambda x, y: x)
+    err = l2_error(quadrature_grid(space, unit_square()), zero,
+                   lambda x, y: x)
     assert err == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
 
 
@@ -154,8 +157,8 @@ def test_l2_error_rational_measure():
     kv = make_open_uniform(2, 2, 1)
     space = SplineSpace([kv, kv])
     zero = np.zeros(space.num_free)
-    err = l2_error(space, quarter_annulus(), zero, lambda x, y: 1.0,
-                   nquad=10)
+    err = l2_error(quadrature_grid(space, quarter_annulus(), nquad=10),
+                   zero, lambda x, y: 1.0)
     assert err == pytest.approx(math.sqrt(3.0 * math.pi / 4.0), rel=1e-10)
 
 
@@ -163,7 +166,8 @@ def test_l2_error_with_time_argument():
     kv = make_open_uniform(3, 2, 1)
     space = SplineSpace([kv, kv])
     zero = np.zeros(space.num_free)
-    err = l2_error(space, unit_square(), zero, lambda x, y, t: t, t=2.0)
+    err = l2_error(quadrature_grid(space, unit_square()), zero,
+                   lambda x, y, t: t, t=2.0)
     assert err == pytest.approx(2.0, abs=1e-12)
 
 
@@ -202,10 +206,11 @@ def test_manufactured_problem_fields():
                       + math.sin(2.0 * math.pi * t)
                       * (-(2.0 * math.pi) ** 2 * plate_deflection(x, y)
                          - plate_deflection_laplacian(x, y)))
-    direct = load_vector(prob.space, prob.patch, g)
+    grid = quadrature_grid(prob.space, prob.patch)
+    direct = load_vector(grid, g)
     np.testing.assert_allclose(prob.f(t), direct, rtol=1e-12, atol=1e-13)
     # velocity projection: d/dt at 0 equals 2 pi times the deflection
-    ref = load_vector(prob.space, prob.patch,
+    ref = load_vector(grid,
                       lambda x, y: 2.0 * math.pi * plate_deflection(x, y))
     mass = banded_cholesky(prob.pair.M, prob.pair.M.scalar_bandwidth())
     np.testing.assert_allclose(prob.v0, mass.solve(ref), atol=1e-11)
@@ -215,11 +220,10 @@ def test_manufactured_projection_error_shrinks():
     errs = []
     for sub in (2, 4, 8):
         prob = manufactured_wave_problem(plate_quarter_hole(), 3, sub)
-        errs.append(l2_error(prob.space, prob.patch, prob.u0, prob.exact,
-                             t=0.0, nquad=6))
+        grid = quadrature_grid(prob.space, prob.patch, nquad=6)
+        errs.append(l2_error(grid, prob.u0, prob.exact, t=0.0))
     assert errs[2] < errs[1] < errs[0]
-    norm = l2_error(prob.space, prob.patch, np.zeros_like(prob.u0),
-                    prob.exact, t=0.0, nquad=6)
+    norm = l2_error(grid, np.zeros_like(prob.u0), prob.exact, t=0.0)
     assert errs[2] <= 2e-3 * norm
 
 
@@ -231,10 +235,10 @@ def test_manufactured_short_run_tracks_exact():
     traj = central_difference(mass, prob.pair.K, prob.f, prob.u0, prob.v0,
                               dt, 0.25)
     assert traj.stable
-    err = l2_error(prob.space, prob.patch, traj.samples[-1], prob.exact,
-                   t=traj.times[-1], nquad=6)
-    norm = l2_error(prob.space, prob.patch, np.zeros_like(prob.u0),
-                    prob.exact, t=traj.times[-1], nquad=6)
+    grid = quadrature_grid(prob.space, prob.patch, nquad=6)
+    err = l2_error(grid, traj.samples[-1], prob.exact, t=traj.times[-1])
+    norm = l2_error(grid, np.zeros_like(prob.u0), prob.exact,
+                    t=traj.times[-1])
     assert err <= 0.05 * norm
 
 

@@ -346,3 +346,23 @@ def test_read_rejects_other_files(tmp_path):
     path.write_text('hello world\n')
     with pytest.raises(ValueError):
         read_geometry(path)
+
+
+@pytest.mark.parametrize('params', [{'rin': -1.0}, {'rin': 0.0},
+                                    {'rin': 3.0, 'rout': 1.0},
+                                    {'rin': 2.0, 'rout': 2.0}])
+def test_annulus_radii_are_validated(params):
+    with pytest.raises(ValueError, match='0 < rin < rout'):
+        quarter_annulus(**params)
+    with pytest.raises(ValueError, match='0 < rin < rout'):
+        magnet(**params)
+
+
+def test_magnet_thickness_must_be_positive():
+    with pytest.raises(ValueError, match='thickness'):
+        magnet(thickness=0.0)
+
+
+def test_twisted_box_needs_a_patch():
+    with pytest.raises(ValueError, match='npatches'):
+        twisted_box(npatches=0)
