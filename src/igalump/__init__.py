@@ -23,7 +23,8 @@ from .spectral import (LanczosConfig, LanczosResult, ScaledPencil, lanczos,
                        deflate, scaled_mass_solve, critical_timestep,
                        cfl_gain)
 from .dynamics import (Trajectory, WaveProblem, central_difference,
-                       manufactured_wave_problem, l2_error, step_count)
+                       manufactured_wave_problem, l2_error, l2_norm,
+                       step_count)
 from .experiments import ConfigError, ExperimentConfig, parse_config
 
 __all__ = [
@@ -40,6 +41,6 @@ __all__ = [
     'LanczosConfig', 'LanczosResult', 'ScaledPencil', 'lanczos', 'deflate',
     'scaled_mass_solve', 'critical_timestep', 'cfl_gain',
     'Trajectory', 'WaveProblem', 'central_difference',
-    'manufactured_wave_problem', 'l2_error', 'step_count',
+    'manufactured_wave_problem', 'l2_error', 'l2_norm', 'step_count',
     'ConfigError', 'ExperimentConfig', 'parse_config',
 ]

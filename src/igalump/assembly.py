@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .geometry import TrimMask, _tensor_apply
 from .lumping import HierBandedMatrix, _as_csr
-from .splines import eval_basis
+from .splines import _dense_tables, eval_basis
 
 
 @dataclass
@@ -90,20 +90,12 @@ def quadrature_grid(space, patch, nquad=None):
         lo, hi = kv.span_bounds()
         x = (lo[:, None] + (hi - lo)[:, None] * xg[None, :]).ravel()
         w = ((hi - lo)[:, None] * wg[None, :]).ravel()
-        V = np.zeros((kv.numdofs, len(x)))
-        D = np.zeros_like(V)
-        first = np.zeros(kv.numspans, dtype=int)
-        for g, xq in enumerate(x):
-            f, table = eval_basis(kv, xq, deriv_order=1)
-            V[f:f + kv.p + 1, g] = table[0]
-            D[f:f + kv.p + 1, g] = table[1]
-            if g % nq == 0:
-                first[g // nq] = f
+        first, V, D = _dense_tables(kv, x)
         pts.append(x)
         wts.append(w)
         vals.append(V)
         ders.append(D)
-        firsts.append(first)
+        firsts.append(first[::nq])
         nqs.append(nq)
     coords, J, adet = _pullback(patch, pts)
     return QuadratureGrid(space, pts, wts, vals, ders, firsts, tuple(nqs),
@@ -113,9 +105,14 @@ def quadrature_grid(space, patch, nquad=None):
 def _pullback(patch, pts):
     """Physical coordinates (d,) + grid, J and |detJ| on a tensor grid."""
     F, J, det = patch.grid_eval(pts)
-    if np.min(np.abs(det)) < 1e-14:
+    adet = np.abs(det)
+    _require_regular(adet)
+    return np.moveaxis(F, -1, 0), J, adet
+
+
+def _require_regular(adet):
+    if np.min(adet, initial=np.inf) < 1e-14:
         raise ValueError('singular jacobian on the quadrature grid')
-    return np.moveaxis(F, -1, 0), J, np.abs(det)
 
 
 def _coefficients(coords, J, adet, rho, kappa):
@@ -334,48 +331,41 @@ def assemble_trimmed(space, patch, mask, rho, kappa, subdepth=3, nquad=None):
 
 
 def _cut_element(space, patch, region, rho, kappa, el, nsub, nq):
-    """Subcell quadrature of one cut element, center-inside retention."""
+    """Subcell quadrature of one cut element, center-inside retention.
+
+    The element is split into nsub subcells per direction, and the points
+    of all of them form one composite tensor rule of nsub*nq[l] points in
+    direction l. A subcell whose center lies outside the region drops out
+    with its points, as if its weights were 0.
+    """
     d = space.ndim
-    bounds = []
+    pts, wts, centers = [], [], []
+    for l, kv in enumerate(space.kvs):
+        lo, hi = (b[el[l]] for b in kv.span_bounds())
+        h = (hi - lo) / nsub
+        a = lo + np.arange(nsub) * h
+        xg, wg = gauss_rule(nq[l])
+        pts.append((a[:, None] + h * xg).ravel())
+        wts.append(np.tile(h * wg, nsub))
+        centers.append(a + 0.5 * h)
+    F, _, _ = patch.grid_eval(centers)
+    kept = region(*np.moveaxis(F, -1, 0)) > 0
     for l in range(d):
-        lo, hi = space.kvs[l].span_bounds()
-        bounds.append((lo[el[l]], hi[el[l]]))
-    nloc = int(np.prod([kv.p + 1 for kv in space.kvs]))
-    Mloc = np.zeros((nloc, nloc))
-    Kloc = np.zeros((nloc, nloc))
-    for sub in itertools.product(*[range(nsub)] * d):
-        sub_pts, sub_wts, center = [], [], []
-        for l in range(d):
-            lo, hi = bounds[l]
-            h = (hi - lo) / nsub
-            a = lo + sub[l] * h
-            xg, wg = gauss_rule(nq[l])
-            sub_pts.append(a + h * xg)
-            sub_wts.append(h * wg)
-            center.append(a + 0.5 * h)
-        if region(*patch.map_eval(center)) <= 0:
-            continue
-        cg, Gg = _coefficients(*_pullback(patch, sub_pts), rho, kappa)
-        Vs, Ds = [], []
-        for l in range(d):
-            kv = space.kvs[l]
-            # subcell points stay inside the element, so the active window
-            # is the element's own
-            V = np.zeros((kv.p + 1, len(sub_pts[l])))
-            D = np.zeros_like(V)
-            for g, xq in enumerate(sub_pts[l]):
-                _, table = eval_basis(kv, xq, deriv_order=1)
-                V[:, g] = table[0]
-                D[:, g] = table[1]
-            Vs.append(V)
-            Ds.append(D)
-        Bv, Bg = _tensor_tables(Vs, Ds)
-        wq = _kron_rows(sub_wts)
-        dM, dK = _local_matrices(Bv, Bg, wq, cg.ravel(),
-                                 Gg.reshape(-1, d, d), d)
-        Mloc += dM
-        Kloc += dK
-    return Mloc, Kloc
+        kept = np.repeat(kept, nq[l], axis=l)
+    kept = kept.ravel()
+    F, J, det = patch.grid_eval(pts)
+    adet = np.abs(det).ravel()[kept]
+    _require_regular(adet)
+    c, G = _coefficients(F.reshape(-1, d)[kept].T,
+                         J.reshape(-1, d, d)[kept], adet, rho, kappa)
+    # subcell points stay inside the element, so the active window is the
+    # element's own
+    tables = [eval_basis(kv, x, deriv_order=1)[1]
+              for kv, x in zip(space.kvs, pts)]
+    Bv, Bg = _tensor_tables([t[0] for t in tables], [t[1] for t in tables])
+    wq = _kron_rows(wts)[kept]
+    return _local_matrices(Bv[:, kept], [B[:, kept] for B in Bg], wq, c, G,
+                           d)
 
 
 def load_vector(grid, g):

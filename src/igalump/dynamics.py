@@ -111,12 +111,19 @@ def l2_error(grid, coeffs, exact, t=None):
     coordinate arrays, plus t when given.
     """
     space = grid.space
-    ref = exact(*grid.coords) if t is None else exact(*grid.coords, t)
     full = np.zeros(space.numdofs)
     full[space.free_to_full()] = np.asarray(coeffs, dtype=float)
     uh = _tensor_apply(full.reshape(space.dims), [V.T for V in grid.vals])
-    diff2 = (uh - ref) ** 2 * grid.adet
-    return math.sqrt(float(np.sum(diff2 * grid.weights())))
+    return l2_norm(grid, lambda *args: uh - exact(*args), t)
+
+
+def l2_norm(grid, field, t=None):
+    """Quadrature L2 norm of field on the patch of the QuadratureGrid.
+
+    field is called with physical coordinate arrays, plus t when given.
+    """
+    f = field(*grid.coords) if t is None else field(*grid.coords, t)
+    return math.sqrt(float(np.sum(f ** 2 * grid.adet * grid.weights())))
 
 
 # ----------------------------------------------------- manufactured problem

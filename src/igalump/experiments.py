@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (assemble_multipatch, assemble_single_patch,
                        assemble_trimmed, jacobi_rescale)
-from .dynamics import (central_difference, l2_error,
+from .dynamics import (central_difference, l2_error, l2_norm,
                        manufactured_wave_problem, step_count,
                        write_trajectory_csv, Trajectory)
 from .geometry import (MultipatchTopology, catalog, classify_elements,
@@ -384,8 +384,11 @@ def _eig_all(K, Mvar, rescale=False):
     return w
 
 
-def _extreme_eigenvalue(K, Mvar, which, seed=0):
-    """Smallest or largest generalized eigenvalue, dense below the cap."""
+def _extreme_eigenvalue(K, Mvar, which, label, seed=0):
+    """Smallest or largest generalized eigenvalue, dense below the cap.
+
+    label names the mass pencil in a failure message.
+    """
     n = K.shape[0]
     if n <= _DENSE_CAP:
         w = _eig_all(K, Mvar)
@@ -398,14 +401,16 @@ def _extreme_eigenvalue(K, Mvar, which, seed=0):
         return float(vals[0])
     res = lanczos(n, K, _mass_factor(Mvar), Mvar,
                   LanczosConfig(k=1, tol=1e-8), seed=seed)
-    _require_converged(res, 'largest eigenvalue')
+    _require_converged(res, 'pencil %s, largest eigenvalue' % label, n)
     return float(res.values[0])
 
 
-def _require_converged(res, what):
+def _require_converged(res, what, n):
     if not np.all(res.converged):
-        raise ValueError('eigensolver failed to converge for %s '
-                         '(residuals %s)' % (what, res.residuals))
+        raise ValueError('eigensolver failed to converge for %s (n = %d, '
+                         'k = %d, worst relative residual %.3g)'
+                         % (what, n, len(res.converged),
+                            np.max(res.residuals)))
 
 
 def _ensure_out(cfg):
@@ -429,6 +434,9 @@ def run_spectrum(cfg):
     dirichlet = False if cfg.dirichlet is None else cfg.dirichlet
     pair, topo, locs = _assemble(cfg, dirichlet)
     n = pair.K.shape[0]
+    if cfg.k is not None and cfg.k > n:
+        raise ConfigError('%s: k = %d exceeds the system size n = %d'
+                          % (cfg.where('k'), cfg.k, n))
     if cfg.k is None and n > _DENSE_CAP:
         raise ConfigError('%s: %d dofs exceed the dense oracle cap %d; '
                           'set k for a Lanczos-only spectrum'
@@ -442,7 +450,7 @@ def run_spectrum(cfg):
         if cfg.k is not None:
             res = lanczos(n, pair.K, _mass_factor(Mvar), Mvar,
                           LanczosConfig(k=cfg.k), seed=cfg.seed)
-            _require_converged(res, 'pencil %s' % label)
+            _require_converged(res, 'pencil %s' % label, n)
             vals = np.sort(res.values)
         else:
             vals = _eig_all(pair.K, Mvar)
@@ -533,7 +541,7 @@ def run_convergence(cfg):
     def omega1(pair, label):
         Mvar = _mass_variant(cfg, pair, label)
         return math.sqrt(_extreme_eigenvalue(pair.K, Mvar, 'smallest',
-                                             seed=cfg.seed))
+                                             label, seed=cfg.seed))
 
     hs, errors = [], {label: [] for label in cfg.pencils}
     ref_subs = tuple(n * 2 ** (cfg.levels + 1) for n in base)
@@ -585,10 +593,9 @@ def run_simulate(cfg):
     prob = manufactured_wave_problem(patches[0], cfg.p, subs[0],
                                      nquad=cfg.nquad)
     K = prob.pair.K
-    lam_M = _extreme_eigenvalue(K, prob.pair.M, 'largest', seed=cfg.seed)
+    lam_M = _extreme_eigenvalue(K, prob.pair.M, 'largest', 'M',
+                                seed=cfg.seed)
     dt_shared = cfg.safeguard * critical_timestep(lam_M)
-
-    zeros = np.zeros(K.shape[0])
 
     def rel_error_curve(traj):
         stride = max(1, traj.nsteps // 240)
@@ -599,8 +606,7 @@ def run_simulate(cfg):
         for i in idx:
             t = traj.times[i]
             num = l2_error(prob.grid, traj.samples[i], prob.exact, t=t)
-            den = l2_error(prob.grid, zeros, prob.exact, t=t)
-            errs.append(num / den)
+            errs.append(num / l2_norm(prob.grid, prob.exact, t=t))
         sub = Trajectory(dt=traj.dt, times=traj.times[idx],
                          samples=traj.samples[idx], stable=traj.stable)
         return sub, errs
@@ -609,7 +615,7 @@ def run_simulate(cfg):
     for label in cfg.pencils:
         Mvar = _mass_variant(cfg, prob.pair, label)
         lam = lam_M if label == 'M' else \
-            _extreme_eigenvalue(K, Mvar, 'largest', seed=cfg.seed)
+            _extreme_eigenvalue(K, Mvar, 'largest', label, seed=cfg.seed)
         factor = _mass_factor(Mvar)
         for tag, dt in (('shared', dt_shared),
                         ('critical', cfg.safeguard * critical_timestep(lam))):
@@ -653,7 +659,7 @@ def run_deflate_ratio(cfg):
                               % (cfg.where('ranks'), r, r + 1, n))
         res = lanczos(n, pair.K, factor, Mvar, LanczosConfig(k=r + 1),
                       seed=cfg.seed)
-        _require_converged(res, 'rank %d' % r)
+        _require_converged(res, 'pencil %s, rank %d' % (label, r), n)
         lam_n, lam_cut = float(res.values[0]), float(res.values[r])
         per_rank.append((r, lam_n, lam_cut, res.n_iter, res.n_matvec))
 

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .splines import KnotVector, SplineSpace, eval_basis, make_open_uniform
+from .splines import (KnotVector, SplineSpace, _dense_tables, eval_basis,
+                      make_open_uniform)
 
 __all__ = [
     'Patch', 'MultipatchTopology', 'TrimMask', 'jacobian', 'pullback_coeffs',
@@ -35,11 +36,16 @@ class Patch:
     def __init__(self, space, points, weights=None):
         points = np.asarray(points, dtype=float)
         d = space.ndim
-        assert points.shape == (space.numdofs, d), points.shape
+        if points.shape != (space.numdofs, d):
+            raise ValueError('control points must have shape %s, got %s'
+                             % ((space.numdofs, d), points.shape))
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
-            assert weights.shape == (space.numdofs,)
-            assert np.all(weights > 0), 'weights must be positive'
+            if weights.shape != (space.numdofs,):
+                raise ValueError('weights must have shape %s, got %s'
+                                 % ((space.numdofs,), weights.shape))
+            if not np.all(weights > 0):
+                raise ValueError('weights must be positive')
         self.space = space
         self.points = points
         self.weights = weights
@@ -99,17 +105,10 @@ class Patch:
         d = self.ndim
         H = self.homogeneous()
         V, D = [], []
-        for l, pts in enumerate(pts_per_dir):
-            kv = self.space.kvs[l]
-            n = kv.numdofs
-            Vl = np.zeros((len(pts), n))
-            Dl = np.zeros((len(pts), n))
-            for a, x in enumerate(pts):
-                first, table = eval_basis(kv, x, 1)
-                Vl[a, first:first + kv.p + 1] = table[0]
-                Dl[a, first:first + kv.p + 1] = table[1]
-            V.append(Vl)
-            D.append(Dl)
+        for kv, pts in zip(self.space.kvs, pts_per_dir):
+            _, Vl, Dl = _dense_tables(kv, pts)
+            V.append(Vl.T)
+            D.append(Dl.T)
         T = _tensor_apply(H, V)
         grads = []
         for l in range(d):
@@ -265,24 +264,18 @@ def classify_elements(space, patch, region, subdepth=3):
     support contains at least one non-outside element.
     """
     d = space.ndim
-    spans = [space.kvs[l].span_bounds() for l in range(d)]
-    nel = tuple(len(s[0]) for s in spans)
     m = 2 ** subdepth + 1
-    element_class = np.empty(nel, dtype=int)
-    for el in np.ndindex(*nel):
-        pts = []
-        for l in range(d):
-            lo, hi = spans[l][0][el[l]], spans[l][1][el[l]]
-            pts.append(np.linspace(lo, hi, m))
-        F, _, _ = patch.grid_eval(pts)
-        signs = region(*np.moveaxis(F, -1, 0))
-        has_pos, has_neg = np.any(signs > 0), np.any(signs < 0)
-        if has_pos and has_neg:
-            element_class[el] = 0
-        elif has_pos:
-            element_class[el] = 1
-        else:
-            element_class[el] = -1
+    # one grid of all element lattices side by side, shared nodes repeated,
+    # so that axis pair (2l, 2l+1) of the signs is (element, node)
+    pts = [np.linspace(*kv.span_bounds(), m, axis=-1).ravel()
+           for kv in space.kvs]
+    F, _, _ = patch.grid_eval(pts)
+    signs = region(*np.moveaxis(F, -1, 0))
+    signs = signs.reshape([s for kv in space.kvs for s in (kv.numspans, m)])
+    nodes = tuple(range(1, 2 * d, 2))
+    has_pos = np.any(signs > 0, axis=nodes)
+    has_neg = np.any(signs < 0, axis=nodes)
+    element_class = np.where(has_pos, np.where(has_neg, 0, 1), -1)
     active = np.zeros(space.dims, dtype=bool)
     for dof in np.ndindex(*space.dims):
         sup = [space.kvs[l].support_elements(dof[l]) for l in range(d)]

@@ -28,12 +28,17 @@ class KnotVector:
 
     def __init__(self, knots, p):
         knots = np.ascontiguousarray(knots, dtype=float)
-        assert knots.ndim == 1
-        assert p >= 0
-        assert len(knots) >= 2 * (p + 1)
-        assert np.all(np.diff(knots) >= 0.0), 'knots must be nondecreasing'
-        assert knots[0] == knots[p] and knots[-1] == knots[-p - 1], \
-            'knot vector must be open'
+        if knots.ndim != 1:
+            raise ValueError('knots must be a 1D sequence')
+        if p < 0:
+            raise ValueError('degree must be nonnegative, got %d' % p)
+        if len(knots) < 2 * (p + 1):
+            raise ValueError('degree %d needs at least %d knots, got %d'
+                             % (p, 2 * (p + 1), len(knots)))
+        if not np.all(np.diff(knots) >= 0.0):
+            raise ValueError('knots must be nondecreasing')
+        if not (knots[0] == knots[p] and knots[-1] == knots[-p - 1]):
+            raise ValueError('knot vector must be open')
         self.knots = knots
         self.p = p
 
@@ -64,23 +69,14 @@ class KnotVector:
         """Index i into knots with knots[i] <= x < knots[i+1].
 
         Ties at interior knots resolve to the right-closed span; at the
-        right end of the domain the last nonempty span is returned.
+        right end of the domain the last nonempty span is returned. x may
+        be one point or an array of points.
         """
         k = self.knots
-        p = self.p
-        n = self.numdofs
-        if x >= k[n]:
-            # right end: last nonempty span
-            i = n - 1
-            while k[i] == k[i + 1]:
-                i -= 1
-            return i
-        if x <= k[p]:
-            i = p
-            while k[i] == k[i + 1]:
-                i += 1
-            return i
-        return int(np.searchsorted(k, x, side='right') - 1)
+        first = np.searchsorted(k, k[self.p], side='right') - 1
+        last = np.searchsorted(k, k[self.numdofs], side='left') - 1
+        span = np.clip(np.searchsorted(k, x, side='right') - 1, first, last)
+        return span if np.ndim(x) else int(span)
 
     def support_elements(self, i):
         """Indices of the nonempty spans where basis function i is nonzero."""
@@ -126,94 +122,64 @@ def eval_basis(kv, x, deriv_order=0):
     """Evaluate the p+1 basis functions that may be nonzero at x.
 
     Cox-de Boor triangular recursion; derivatives by the standard
-    difference formula applied to the lower-degree table.
+    difference formula applied to the lower-degree table. x is one point or
+    a 1D array of points, and each point gets the same float operations
+    either way.
 
     Args:
         kv: KnotVector.
-        x: evaluation point inside the knot range.
+        x: evaluation point(s) inside the knot range.
         deriv_order: highest derivative to return.
 
     Returns:
         (first, ders) where first is the index of the first active basis
         function and ders has shape (deriv_order+1, p+1); row q holds the
-        q-th derivatives of functions first..first+p at x.
+        q-th derivatives of functions first..first+p at x. For an array of
+        n points, first has shape (n,) and ders (deriv_order+1, p+1, n).
 
     Raises:
-        ValueError: if x lies outside the knot range.
+        ValueError: if a point lies outside the knot range.
     """
+    pts = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = kv.domain
-    if x < lo or x > hi:
-        raise ValueError('point %r outside knot range [%r, %r]' % (x, lo, hi))
+    bad = (pts < lo) | (pts > hi)
+    if np.any(bad):
+        raise ValueError('point %r outside knot range [%r, %r]'
+                         % (float(pts[bad][0]), lo, hi))
     p = kv.p
     U = kv.knots
-    span = kv.find_span(x)
-    # ndu[j][r]: degree-j basis values, plus the knot differences needed
-    # for the derivative formula (NURBS-book style all-derivatives table)
-    ndu = np.zeros((p + 1, p + 1))
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
-    ndu[0, 0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = x - U[span + 1 - j]
-        right[j] = U[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            denom = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / denom
-            ndu[j, r] = denom      # store knot difference
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-    nd = deriv_order
-    ders = np.zeros((nd + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    if nd >= 1:
-        _fill_derivatives(kv, x, span, ders, nd)
+    span = kv.find_span(pts)
+    ders = np.zeros((deriv_order + 1, p + 1, len(pts)))
+    for q in range(min(deriv_order, p) + 1):
+        # q-th derivatives: the degree-(p-q) values, raised back to degree
+        # p by q applications of the derivative formula
+        vals = _basis_values(U, span, pts, p - q)
+        for deg in range(p - q + 1, p + 1):
+            vals = _derivative_step(U, span, vals, deg)
+        ders[q] = vals
+    if np.ndim(x) == 0:
+        return int(span[0]) - p, ders[..., 0]
     return span - p, ders
 
 
-def _fill_derivatives(kv, x, span, ders, nd):
-    # q-th derivative via repeated application of
-    # B'_{i,p} = p * (B_{i,p-1}/(U[i+p]-U[i]) - B_{i+1,p-1}/(U[i+p+1]-U[i+1]))
-    p = kv.p
-    U = kv.knots
-    for q in range(1, nd + 1):
-        if q > p:
-            ders[q, :] = 0.0
-            continue
-        # values of the degree-(p-q) functions active at x, from a fresh
-        # low-degree recursion (simple and robust at the small q used here)
-        lowvals = _basis_lower_degree(U, p, span, x, p - q)
-        # climb back up q times with the derivative formula
-        vals = lowvals
-        for deg in range(p - q + 1, p + 1):
-            fac = deg
-            new = np.zeros(len(vals) + 1)
-            # function indices at this stage: span-deg .. span
-            for idx in range(len(vals) + 1):
-                i = span - deg + idx
-                acc = 0.0
-                if idx > 0:
-                    d = U[i + deg] - U[i]
-                    if d > 0:
-                        acc += vals[idx - 1] / d
-                if idx < len(vals):
-                    d = U[i + deg + 1] - U[i + 1]
-                    if d > 0:
-                        acc -= vals[idx] / d
-                new[idx] = fac * acc
-            vals = new
-        ders[q, :] = vals
+def _dense_tables(kv, x):
+    """Dense value and first-derivative tables of all functions at x.
+
+    Returns (first, V, D): the first active index per point, and V and D of
+    shape (numdofs, len(x)), zero outside each point's active window.
+    """
+    first, ders = eval_basis(kv, x, 1)
+    tables = np.zeros((2, kv.numdofs, len(x)))
+    tables[:, first + np.arange(kv.p + 1)[:, None], np.arange(len(x))] = ders
+    return first, tables[0], tables[1]
 
 
-def _basis_lower_degree(U, p, span, x, deg):
-    """Values of the degree-`deg` basis functions span-deg..span at x."""
-    if deg == 0:
-        return np.array([1.0])
-    left = np.zeros(deg + 1)
-    right = np.zeros(deg + 1)
-    N = np.zeros(deg + 1)
+def _basis_values(U, span, x, deg):
+    """Values of the degree-`deg` functions span-deg..span, shape (deg+1, n)."""
+    N = np.zeros((deg + 1, len(x)))
     N[0] = 1.0
+    left = np.zeros_like(N)
+    right = np.zeros_like(N)
     for j in range(1, deg + 1):
         left[j] = x - U[span + 1 - j]
         right[j] = U[span + j] - x
@@ -224,6 +190,22 @@ def _basis_lower_degree(U, p, span, x, deg):
             saved = left[j - r] * temp
         N[j] = saved
     return N
+
+
+def _derivative_step(U, span, vals, deg):
+    # B'_{i,deg} = deg * (B_{i,deg-1}/(U[i+deg]-U[i])
+    #                     - B_{i+1,deg-1}/(U[i+deg+1]-U[i+1])),
+    # a term dropped where its knot difference vanishes; the leading 0.0
+    # turns -0.0 into 0.0 as the scalar accumulator starting at 0.0 did
+    i = span - deg + np.arange(deg + 1)[:, None]
+    zero = np.zeros_like(vals[:1])
+    lower = np.concatenate([zero, vals])
+    upper = np.concatenate([vals, zero])
+    d1 = U[i + deg] - U[i]
+    d2 = U[i + deg + 1] - U[i + 1]
+    t1 = np.divide(lower, d1, out=np.zeros_like(lower), where=d1 > 0)
+    t2 = np.divide(upper, d2, out=np.zeros_like(upper), where=d2 > 0)
+    return deg * (0.0 + t1 - t2)
 
 
 class SplineSpace:
@@ -240,7 +222,9 @@ class SplineSpace:
         d = len(self.kvs)
         if dirichlet is None:
             dirichlet = ((False, False),) * d
-        assert len(dirichlet) == d
+        if len(dirichlet) != d:
+            raise ValueError('need one Dirichlet pair per direction: got '
+                             '%d for %d directions' % (len(dirichlet), d))
         self.dirichlet = tuple((bool(a), bool(b)) for (a, b) in dirichlet)
 
     @property

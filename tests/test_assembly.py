@@ -318,6 +318,51 @@ def test_trimmed_without_retained_subcell_raises():
         assemble_trimmed(space, patch, mask, ONE, ONE)
 
 
+# n, nnz, trace, Frobenius norm and x^T A x with x_i = cos(1.3 i) of the
+# trimmed pair on the p = 2, 20 x 20 mesh at angle 2 pi / 3, recorded when
+# each subcell of a cut element was integrated on its own
+RECORDED_TRIMMED = {
+    'M': (312, 6580, 0.14816262015576165, 0.013467487711319804,
+          0.12097410266605926),
+    'K': (312, 6580, 215.60098915100116, 15.517898213284246,
+          126.72045529441887),
+}
+
+
+def test_trimmed_rotated_square_reproduces_recorded_pair():
+    space = square_space(20, 2)
+    patch = unit_square()
+    region = rotated_square_region(angle=2 * np.pi / 3, half_side=0.35)
+    pair = assemble_trimmed(space, patch,
+                            classify_elements(space, patch, region), ONE, ONE)
+    assert int(pair.embedding.sum()) == 75348
+    assert int((pair.embedding ** 2).sum()) == 22073632
+    for name, A in (('M', pair.M.mat), ('K', pair.K.mat)):
+        n, nnz, trace, frob, quad = RECORDED_TRIMMED[name]
+        A = sp.csr_matrix(A)
+        x = np.cos(1.3 * np.arange(n))
+        assert A.shape == (n, n) and A.nnz == nnz
+        np.testing.assert_allclose(
+            [A.diagonal().sum(), np.sqrt(np.sum(A.data ** 2)), x @ (A @ x)],
+            [trace, frob, quad], rtol=1e-13, atol=0.0, err_msg=name)
+
+
+def test_singular_jacobian_on_rejected_subcell_is_ignored():
+    # x(u) stalls at 0.5 on u in [0.6, 0.7]: no Gauss point of the element
+    # rule lands there, but composite points of rejected subcells do
+    kvu = KnotVector([0.0, 0.0, 0.6, 0.7, 1.0, 1.0], 1)
+    kvv = KnotVector([0.0, 0.0, 1.0, 1.0], 1)
+    pts = [(x, y) for x in (0.0, 0.5, 0.5, 1.0) for y in (0.0, 1.0)]
+    patch = Patch(SplineSpace([kvu, kvv]), np.array(pts, dtype=float))
+    space = square_space(2, 2)
+    mask = classify_elements(space, patch, lambda x, y: x - 0.6)
+    assert mask.element_class[1].tolist() == [0, 0]
+    pair = assemble_trimmed(space, patch, mask, ONE, ONE)
+    e = np.ones(pair.M.shape[0])
+    # the retained part is x > 0.6 of the unit square
+    assert e @ (pair.M @ e) == pytest.approx(0.4, rel=0.05)
+
+
 # ------------------------------------------------------------ jacobi rescale
 
 def test_jacobi_rescale_diagonal_to_identity():

@@ -90,6 +90,8 @@ def test_simulate_csv_has_error_column(tmp_path, capsys):
      ('exp.cfg:2:', 'geometry', 'npatches')),
     ('convergence', 'dirichlet = false\n',
      ('exp.cfg:2:', 'dirichlet = false', 'Dirichlet conditions')),
+    ('spectrum', 'subdivisions = 4\nk = 1000\n',
+     ('config error', 'exp.cfg:3:', 'k = 1000', 'n = 36')),
 ])
 def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
                                                   body, names):

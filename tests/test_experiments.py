@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from igalump.experiments import (ConfigError, apply_overrides, parse_config,
+from igalump.experiments import (ConfigError, _require_converged,
+                                 apply_overrides, parse_config,
                                  run_bandwidth_report, run_convergence,
                                  run_deflate_ratio, run_simulate,
                                  run_spectrum, run_trimmed_sweep)
-from igalump.spectral import read_spectrum_csv
+from igalump.spectral import LanczosResult, read_spectrum_csv
 
 
 def write_cfg(tmp_path, text, name='exp.cfg'):
@@ -153,6 +154,29 @@ def test_spectrum_dense_cap_needs_k(tmp_path):
         'subdivisions = 70\nout = %s\n' % (tmp_path / 'big'))))
     with pytest.raises(ConfigError, match='dense oracle cap'):
         run_spectrum(cfg)
+
+
+def test_spectrum_k_above_system_size_is_config_error(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, (
+        'kind = spectrum\ngeometry = unit_square\np = 2\n'
+        'subdivisions = 4\nk = 1000\nout = %s\n' % (tmp_path / 'k'))))
+    with pytest.raises(ConfigError,
+                       match=r'exp\.cfg:5: k = 1000 exceeds the system '
+                             r'size n = 36'):
+        run_spectrum(cfg)
+
+
+def test_unconverged_eigensolve_names_pencil_sizes_and_worst_residual():
+    res = LanczosResult(values=np.ones(3), vectors=np.eye(50, 3),
+                        residuals=np.array([1e-10, 0.25, 3e-3]),
+                        converged=np.array([True, False, True]),
+                        n_iter=40, n_matvec=40, n_restarts=2)
+    with pytest.raises(ValueError) as info:
+        _require_converged(res, 'pencil P1', 50)
+    msg = str(info.value)
+    for part in ('pencil P1', 'n = 50', 'k = 3', 'residual 0.25'):
+        assert part in msg, msg
+    assert '[' not in msg
 
 
 def test_trimmed_spectrum_writes_one_csv_per_angle(tmp_path):

@@ -244,6 +244,40 @@ def test_rotated_square_cuts():
     assert 0 < int(mask.active.sum()) < space.numdofs
 
 
+# classes of the p = 2, 20 x 20 element mesh against the axis-aligned
+# square of half side 0.35, recorded when every element still had its own
+# lattice evaluation: '+' inside, '0' cut, '-' outside. The right and top
+# sides lie on the knot lines 0.85 up to roundoff, which cuts those rows.
+RECORDED_CLASSES = (['-' * 20] * 3
+                    + ['---' + '+' * 13 + '0---'] * 13
+                    + ['---' + '0' * 14 + '---']
+                    + ['-' * 20] * 3)
+
+
+def test_classify_reproduces_recorded_classes_on_knot_lines():
+    space = _square_space(20, 2)
+    mask = classify_elements(space, unit_square(),
+                             rotated_square_region(half_side=0.35))
+    symbol = {-1: '-', 0: '0', 1: '+'}
+    rows = [''.join(symbol[c] for c in row) for row in mask.element_class]
+    assert rows == RECORDED_CLASSES
+    assert int(mask.active.sum()) == 256
+
+
+def test_patch_validation_does_not_rest_on_assert(rejections):
+    names = rejections(
+        'import numpy as np\n'
+        'from igalump.geometry import Patch, unit_square\n'
+        'sq = unit_square()', [
+            'Patch(sq.space, sq.points[:3])',
+            'Patch(sq.space, sq.points[:, :1])',
+            'Patch(sq.space, sq.points, np.ones(3))',
+            'Patch(sq.space, sq.points, np.array([1.0, 1.0, 0.0, 1.0]))',
+            'Patch(sq.space, sq.points, np.ones(4))',
+        ])
+    assert names == ['ValueError'] * 4 + ['accepted']
+
+
 # ------------------------------------------------------------------ topology
 
 def test_two_patch_share_counts():

@@ -151,6 +151,111 @@ def test_derivative_sums_to_zero():
         assert abs(ders[1].sum()) < 1e-10
 
 
+def loop_eval_basis(kv, x, deriv_order):
+    """One point at a time, the scalar loops eval_basis replaced. Oracle.
+
+    The array path must repeat these float operations exactly.
+    """
+    p, U = kv.p, kv.knots
+    span = int(kv.find_span(x))
+    N = [1.0]
+    for deg in range(1, p + 1):
+        N = _loop_raise(U, span, x, N, deg)
+    ders = np.zeros((deriv_order + 1, p + 1))
+    ders[0] = N
+    for q in range(1, min(deriv_order, p) + 1):
+        vals = [1.0]
+        for deg in range(1, p - q + 1):
+            vals = _loop_raise(U, span, x, vals, deg)
+        for deg in range(p - q + 1, p + 1):
+            new = np.zeros(len(vals) + 1)
+            for idx in range(len(vals) + 1):
+                i = span - deg + idx
+                acc = 0.0
+                if idx > 0 and U[i + deg] - U[i] > 0:
+                    acc += vals[idx - 1] / (U[i + deg] - U[i])
+                if idx < len(vals) and U[i + deg + 1] - U[i + 1] > 0:
+                    acc -= vals[idx] / (U[i + deg + 1] - U[i + 1])
+                new[idx] = deg * acc
+            vals = new
+        ders[q] = vals
+    return span - p, ders
+
+
+def _loop_raise(U, span, x, N, j):
+    # degree j-1 values -> degree j values, Cox-de Boor triangle step
+    out = np.zeros(j + 1)
+    saved = 0.0
+    for r in range(j):
+        right = U[span + r + 1] - x
+        left = x - U[span + 1 - j + r]
+        temp = N[r] / (right + left)
+        out[r] = saved + right * temp
+        saved = left * temp
+    out[j] = saved
+    return out
+
+
+REPEATED_KNOTS = [
+    ([0, 0, 1, 1], 1),
+    ([0, 0, 0, 0.3, 0.3, 0.7, 1, 1, 1], 2),
+    ([0, 0, 0, 0, 0.2, 0.2, 0.2, 0.5, 0.9, 1, 1, 1, 1], 3),
+    ([0] * 5 + [0.25, 0.5, 0.5, 0.5, 0.75] + [1] * 5, 4),
+    ([-1, -1, -1, 2, 2, 2], 2),
+]
+
+
+@pytest.mark.parametrize('knots,p', REPEATED_KNOTS)
+def test_array_evaluation_matches_scalar_calls(knots, p):
+    kv = KnotVector(knots, p)
+    lo, hi = kv.domain
+    rng = np.random.default_rng(len(knots))
+    x = np.concatenate([rng.uniform(lo, hi, 60), kv.breakpoints,
+                        [np.nextafter(lo, hi), np.nextafter(hi, lo)]])
+    for order in (0, 1, p + 1):
+        first, ders = eval_basis(kv, x, order)
+        assert first.shape == x.shape
+        assert ders.shape == (order + 1, p + 1, len(x))
+        for g, xg in enumerate(x):
+            f1, d1 = eval_basis(kv, xg, order)
+            f2, d2 = loop_eval_basis(kv, xg, order)
+            assert f1 == f2 == first[g]
+            # bit for bit, signed zeros included
+            assert np.ascontiguousarray(d1).tobytes() \
+                == d2.tobytes() == ders[..., g].tobytes()
+
+
+def test_array_evaluation_rejects_outside_point():
+    kv = make_open_uniform(3, 2, 1)
+    with pytest.raises(ValueError, match='point 1.5 outside'):
+        eval_basis(kv, np.array([0.2, 1.5, 0.3]))
+    with pytest.raises(ValueError, match='point -0.25 outside'):
+        eval_basis(kv, [0.0, -0.25])
+
+
+def test_knot_vector_validation_does_not_rest_on_assert(rejections):
+    names = rejections('from igalump.splines import KnotVector', [
+        'KnotVector([[0, 0], [1, 1]], 1)',
+        'KnotVector([0, 0, 1, 1], -1)',
+        'KnotVector([0, 0, 1], 1)',
+        'KnotVector([0, 0, 0.6, 0.4, 1, 1], 1)',
+        'KnotVector([0, 0.5, 1, 1], 1)',
+        'KnotVector([0, 0, 1, 1], 1)',
+    ])
+    assert names == ['ValueError'] * 5 + ['accepted']
+
+
+def test_spline_space_validation_does_not_rest_on_assert(rejections):
+    names = rejections(
+        'from igalump.splines import SplineSpace, make_open_uniform\n'
+        'kv = make_open_uniform(2, 2, 1)', [
+            'SplineSpace([kv, kv], dirichlet=[(True, True)])',
+            'SplineSpace([kv], dirichlet=[(True, True)] * 3)',
+            'SplineSpace([kv, kv], dirichlet=[(True, False)] * 2)',
+        ])
+    assert names == ['ValueError', 'ValueError', 'accepted']
+
+
 # ------------------------------------------------------------- tensor indexing
 
 def test_linear_index_bijection():
