@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import TrimMask, _tensor_apply
-from .lumping import HierBandedMatrix, _as_csr
+from .lumping import HierBandedMatrix, _as_csr, _csr, _scatter
 from .splines import _dense_tables, eval_basis
 
 
@@ -201,13 +201,8 @@ class _Accumulator:
     def matrices(self):
         rows = np.concatenate(self.rows)
         cols = np.concatenate(self.cols)
-        shape = (self.n, self.n)
-        M = sp.coo_matrix((np.concatenate(self.mv), (rows, cols)),
-                          shape=shape).tocsr()
-        K = sp.coo_matrix((np.concatenate(self.kv), (rows, cols)),
-                          shape=shape).tocsr()
-        M.sum_duplicates()
-        K.sum_duplicates()
+        M = _csr(rows, cols, np.concatenate(self.mv), self.n)
+        K = _csr(rows, cols, np.concatenate(self.kv), self.n)
         return M, K
 
 
@@ -250,22 +245,12 @@ def assemble_multipatch(topology, patches, rho, kappa, nquad=None):
         local_pairs.append(
             assemble_single_patch(space, patch, rho, kappa, nquad))
 
-    def scatter(pick):
-        rows, cols, vals = [], [], []
-        for pair, l2g in zip(local_pairs, topology.l2g):
-            coo = pick(pair).mat.tocoo()
-            rows.append(l2g[coo.row])
-            cols.append(l2g[coo.col])
-            vals.append(coo.data)
-        shape = (topology.n_global, topology.n_global)
-        out = sp.coo_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=shape).tocsr()
-        out.sum_duplicates()
-        return out
+    def scatter(mats):
+        return HierBandedMatrix(
+            _scatter(mats, topology.l2g, topology.n_global))
 
-    glob = AssembledPair(K=HierBandedMatrix(scatter(lambda p: p.K)),
-                         M=HierBandedMatrix(scatter(lambda p: p.M)))
+    glob = AssembledPair(K=scatter([p.K for p in local_pairs]),
+                         M=scatter([p.M for p in local_pairs]))
     return glob, local_pairs
 
 
@@ -393,25 +378,3 @@ def jacobi_rescale(A, B):
     d = 1.0 / np.sqrt(diag)
     D = sp.diags(d)
     return (D @ Ac @ D).tocsr(), (D @ Bc @ D).tocsr(), d
-
-
-def write_triplets(path, matrix):
-    """Plain-text sparse export: one `row col value` line per entry."""
-    coo = _as_csr(matrix).tocoo()
-    with open(path, 'w') as f:
-        f.write('%d %d %d\n' % (coo.shape[0], coo.shape[1], coo.nnz))
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            f.write('%d %d %.17g\n' % (r, c, v))
-
-
-def read_triplets(path):
-    with open(path) as f:
-        header = f.readline().split()
-        nr, nc, nnz = (int(t) for t in header)
-        rows = np.empty(nnz, dtype=int)
-        cols = np.empty(nnz, dtype=int)
-        vals = np.empty(nnz)
-        for k in range(nnz):
-            r, c, v = f.readline().split()
-            rows[k], cols[k], vals[k] = int(r), int(c), float(v)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nr, nc)).tocsr()

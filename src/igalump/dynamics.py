@@ -13,7 +13,7 @@ import numpy as np
 
 from .assembly import assemble_single_patch, load_vector, quadrature_grid
 from .geometry import _tensor_apply
-from .linalg import FactorizedOperator, banded_cholesky
+from .linalg import FactorizedOperator, _as_operator, banded_cholesky
 from .spectral import critical_timestep
 from .splines import SplineSpace, make_open_uniform
 
@@ -43,20 +43,6 @@ class Trajectory:
         return np.linalg.norm(self.samples, axis=1)
 
 
-def _as_solve(op):
-    if isinstance(op, FactorizedOperator):
-        return op.solve
-    if callable(op):
-        return op
-    raise TypeError('mass solve must be a FactorizedOperator or callable')
-
-
-def _as_matvec(op):
-    if callable(op) and not hasattr(op, 'shape'):
-        return op
-    return lambda x: op @ x
-
-
 def central_difference(M_solve, K_apply, f, u0, v0, dt, T):
     """Integrate M u'' + K u = f from (u0, v0) with step dt up to T.
 
@@ -67,8 +53,10 @@ def central_difference(M_solve, K_apply, f, u0, v0, dt, T):
     """
     if dt <= 0 or T <= 0:
         raise ValueError('step size and horizon must be positive')
-    solve = _as_solve(M_solve)
-    K = _as_matvec(K_apply)
+    if not (isinstance(M_solve, FactorizedOperator) or callable(M_solve)):
+        raise TypeError('mass solve must be a FactorizedOperator or callable')
+    solve = _as_operator(M_solve)
+    K = _as_operator(K_apply)
     load = (lambda t: None) if f is None else f
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)

@@ -349,15 +349,14 @@ def _mass_variant(cfg, pair, label, topo=None, locs=None):
     if label == 'rowsum':
         return lump_rowsum(M)
     fam, idx = label[0], int(label[1:])
+    kw = {'i': idx} if fam == 'P' else {'level': idx}
     try:
         if pair.embedding is not None:
             bandwidths = (cfg.p,) * len(pair.background_dims)
-            kw = {'i': idx} if fam == 'P' else {'level': idx}
             return pad_lump_trim(M, pair.embedding, pair.background_dims,
                                  bandwidths, **kw)
         if topo is not None:
             mats = [loc.M for loc in locs]
-            kw = {'i': idx} if fam == 'P' else {'level': idx}
             return multipatch_lump(mats, topo.l2g, topo.n_global, **kw)
         if fam == 'P':
             return block_lumped_family(M, idx)
@@ -376,11 +375,8 @@ def _mass_factor(Mvar):
     return banded_cholesky(A, _measured_bandwidth(A))
 
 
-def _eig_all(K, Mvar, rescale=False):
-    A, B = K, Mvar
-    if rescale:
-        A, B, _d = jacobi_rescale(K, Mvar)
-    w, _U = dense_generalized_eig(A, B)
+def _eig_all(K, Mvar):
+    w, _U = dense_generalized_eig(K, Mvar)
     return w
 
 
@@ -430,7 +426,22 @@ def run_spectrum(cfg):
     """Full (or top-k) spectra of (K, M~) for each selected pencil."""
     _ensure_out(cfg)
     if cfg.geometry == 'rotated_square':
-        return _run_spectrum_trimmed(cfg)
+        angles, results = _trimmed_sweep(cfg)
+        written = []
+        for idx, (_n, spectra) in enumerate(results):
+            path = os.path.join(cfg.out, 'spectrum_ang%03d.csv' % idx)
+            write_spectrum_csv(path, spectra)
+            written.append(path)
+        summary = os.path.join(cfg.out, 'sweep_summary.csv')
+        with open(summary, 'w') as f:
+            f.write('angle,n_active,label,lambda_max\n')
+            for angle, (n, spectra) in zip(angles, results):
+                for label, vals in spectra:
+                    f.write('%.17g,%d,%s,%.17g\n'
+                            % (angle, n, label, vals[-1]))
+        written.append(summary)
+        written.append(_plot_lambda_max(cfg, angles, results, 'sweep.svg'))
+        return written
     dirichlet = False if cfg.dirichlet is None else cfg.dirichlet
     pair, topo, locs = _assemble(cfg, dirichlet)
     n = pair.K.shape[0]
@@ -482,41 +493,6 @@ def run_spectrum(cfg):
     svg = os.path.join(cfg.out, 'spectrum.svg')
     plot.save(svg)
     return [csv, svg]
-
-
-def _run_spectrum_trimmed(cfg):
-    angles = [2.0 * math.pi * i / cfg.nangles for i in range(cfg.nangles)]
-
-    def one(item):
-        idx, angle = item
-        pair = _assemble_trimmed_at(cfg, angle)
-        spectra = []
-        for label in cfg.pencils:
-            Mvar = _mass_variant(cfg, pair, label)
-            spectra.append((label, _eig_all(pair.K, Mvar, rescale=True)))
-        path = os.path.join(cfg.out, 'spectrum_ang%03d.csv' % idx)
-        write_spectrum_csv(path, spectra)
-        return path, pair.K.shape[0], [(lb, v[-1]) for lb, v in spectra]
-
-    results = _run_sweep(cfg, one, list(enumerate(angles)))
-    written = [r[0] for r in results]
-
-    summary = os.path.join(cfg.out, 'sweep_summary.csv')
-    with open(summary, 'w') as f:
-        f.write('angle,n_active,label,lambda_max\n')
-        for (path, n, tops), angle in zip(results, angles):
-            for label, lam in tops:
-                f.write('%.17g,%d,%s,%.17g\n' % (angle, n, label, lam))
-    written.append(summary)
-
-    plot = LinePlot(title='trimmed rotated square, p=%d' % cfg.p,
-                    xlabel='rotation angle', ylabel='lambda_max', ylog=True)
-    for j, label in enumerate(cfg.pencils):
-        plot.add(angles, [r[2][j][1] for r in results], label)
-    svg = os.path.join(cfg.out, 'sweep.svg')
-    plot.save(svg)
-    written.append(svg)
-    return written
 
 
 def run_convergence(cfg):
@@ -701,44 +677,51 @@ def run_deflate_ratio(cfg):
     return [csv, svg]
 
 
-def run_trimmed_sweep(cfg):
-    """lambda_max of each pencil over a sweep of trim rotation angles."""
-    _ensure_out(cfg)
+def _trimmed_sweep(cfg):
+    """Angles and, per angle, (n_active, [(label, ascending spectrum)]).
+
+    Each pencil is solved on its Jacobi-rescaled pair, where every lumped
+    mass also passes the banded Cholesky definiteness check.
+    """
     angles = [2.0 * math.pi * i / cfg.nangles for i in range(cfg.nangles)]
 
     def one(angle):
         pair = _assemble_trimmed_at(cfg, angle)
-        out = []
+        spectra = []
         for label in cfg.pencils:
             Mvar = _mass_variant(cfg, pair, label)
+            A, B, _d = jacobi_rescale(pair.K, Mvar)
             if label != 'M':
-                # definiteness check on the rescaled lumped mass
-                _mass_factor(_rescaled_mass(pair.K, Mvar))
-            w = _eig_all(pair.K, Mvar, rescale=True)
-            out.append((label, float(w[-1])))
-        return pair.K.shape[0], out
+                _mass_factor(B)
+            spectra.append((label, _eig_all(A, B)))
+        return pair.K.shape[0], spectra
 
-    results = _run_sweep(cfg, one, angles)
+    return angles, _run_sweep(cfg, one, angles)
 
-    csv = os.path.join(cfg.out, 'trimmed_sweep.csv')
-    with open(csv, 'w') as f:
-        f.write('angle,n_active,label,lambda_max,spd\n')
-        for angle, (n, tops) in zip(angles, results):
-            for label, lam in tops:
-                f.write('%.17g,%d,%s,%.17g,1\n' % (angle, n, label, lam))
 
+def _plot_lambda_max(cfg, angles, results, name):
+    """lambda_max of each pencil over the trim angles, saved as name."""
     plot = LinePlot(title='trimmed rotated square, p=%d' % cfg.p,
                     xlabel='rotation angle', ylabel='lambda_max', ylog=True)
     for j, label in enumerate(cfg.pencils):
-        plot.add(angles, [res[1][j][1] for res in results], label)
-    svg = os.path.join(cfg.out, 'trimmed_sweep.svg')
+        plot.add(angles, [spectra[j][1][-1] for _n, spectra in results],
+                 label)
+    svg = os.path.join(cfg.out, name)
     plot.save(svg)
-    return [csv, svg]
+    return svg
 
 
-def _rescaled_mass(K, Mvar):
-    _A, B, _d = jacobi_rescale(K, Mvar)
-    return B
+def run_trimmed_sweep(cfg):
+    """lambda_max of each pencil over a sweep of trim rotation angles."""
+    _ensure_out(cfg)
+    angles, results = _trimmed_sweep(cfg)
+    csv = os.path.join(cfg.out, 'trimmed_sweep.csv')
+    with open(csv, 'w') as f:
+        f.write('angle,n_active,label,lambda_max,spd\n')
+        for angle, (n, spectra) in zip(angles, results):
+            for label, vals in spectra:
+                f.write('%.17g,%d,%s,%.17g,1\n' % (angle, n, label, vals[-1]))
+    return [csv, _plot_lambda_max(cfg, angles, results, 'trimmed_sweep.svg')]
 
 
 def run_bandwidth_report(cfg):

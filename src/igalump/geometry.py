@@ -3,23 +3,22 @@
 A Patch is a tensor-product B-spline or NURBS map from the parametric unit
 cube to physical space. This module provides Jacobians, the pullback
 coefficients used in assembly, a catalog of built-in geometries, knot
-insertion and patch splitting, trim-region classification, conforming
-multipatch topologies, and a plain-text geometry file format.
+insertion and patch splitting, trim-region classification, and conforming
+multipatch topologies.
 """
 
 import math
 
 import numpy as np
 
-from .splines import (KnotVector, SplineSpace, _dense_tables, eval_basis,
-                      make_open_uniform)
+from .splines import KnotVector, SplineSpace, _dense_tables, eval_basis
 
 __all__ = [
     'Patch', 'MultipatchTopology', 'TrimMask', 'jacobian', 'pullback_coeffs',
     'classify_elements', 'knot_insert', 'split_patch', 'unit_square',
     'unit_cube', 'stretched_square', 'quarter_annulus', 'plate_quarter_hole',
     'plate_quarter_hole_2patch', 'magnet', 'twisted_box', 'patch_grid',
-    'rotated_square_region', 'catalog', 'write_geometry', 'read_geometry',
+    'rotated_square_region', 'catalog',
 ]
 
 
@@ -131,7 +130,7 @@ class Patch:
 
 
 def _tensor_apply(H, mats):
-    # contract dims axes of H (dims + (d+1,)) with per-direction matrices
+    # contract the leading axes of H with per-direction matrices, one each
     T = H
     for l, M in enumerate(mats):
         T = np.moveaxis(np.tensordot(M, T, axes=(1, l)), 0, l)
@@ -181,7 +180,9 @@ def knot_insert(kv, coeffs, value):
     U = kv.knots
     p = kv.p
     lo, hi = kv.domain
-    assert lo < value < hi
+    if not lo < value < hi:
+        raise ValueError('knot %r lies outside the open domain (%r, %r)'
+                         % (value, lo, hi))
     span = kv.find_span(value)
     new = np.zeros((coeffs.shape[0] + 1, coeffs.shape[1]))
     new[:span - p + 1] = coeffs[:span - p + 1]
@@ -248,10 +249,6 @@ class TrimMask:
         self.element_class = element_class
         self.active = active
 
-    @property
-    def any_inside(self):
-        return bool(np.any(self.element_class >= 0))
-
 
 def classify_elements(space, patch, region, subdepth=3):
     """Classify the elements of a discretization mesh against a trim region.
@@ -276,13 +273,15 @@ def classify_elements(space, patch, region, subdepth=3):
     has_pos = np.any(signs > 0, axis=nodes)
     has_neg = np.any(signs < 0, axis=nodes)
     element_class = np.where(has_pos, np.where(has_neg, 0, 1), -1)
-    active = np.zeros(space.dims, dtype=bool)
-    for dof in np.ndindex(*space.dims):
-        sup = [space.kvs[l].support_elements(dof[l]) for l in range(d)]
-        grid = np.ix_(*sup)
-        if np.any(element_class[grid] >= 0):
-            active[dof] = True
-    return TrimMask(region, element_class, active)
+    # support[i, e]: basis function i is nonzero on element e
+    support = []
+    for kv in space.kvs:
+        t = kv.knots
+        lo, hi = kv.span_bounds()
+        support.append((hi[None, :] > t[:kv.numdofs, None])
+                       & (lo[None, :] < t[kv.p + 1:, None]))
+    live = _tensor_apply((element_class >= 0).astype(float), support)
+    return TrimMask(region, element_class, live > 0)
 
 
 def rotated_square_region(center=(0.5, 0.5), angle=0.0, half_side=0.5):
@@ -626,98 +625,3 @@ class MultipatchTopology:
             gids = self.l2g[r][local_free]
             out.append((gids, tuple(len(rg) for rg in ranges)))
         return out, self.interface_globals()
-
-
-# ------------------------------------------------------------ file format
-
-def write_geometry(path, patches, interfaces=(), dirichlet=()):
-    """Write patches and topology as structured text, lossless for floats.
-
-    dirichlet: iterable of (patch, direction, side) outer faces.
-    """
-    lines = ['igalump-geometry 1']
-    lines.append('npatches %d' % len(patches))
-    for ip, patch in enumerate(patches):
-        d = patch.ndim
-        lines.append('patch %d' % ip)
-        lines.append('degrees %s' % ' '.join(
-            str(p) for p in patch.space.degrees))
-        for l in range(d):
-            kv = patch.space.kvs[l]
-            lines.append('knots %d %d %s' % (
-                l, len(kv.knots),
-                ' '.join('%.17g' % t for t in kv.knots)))
-        lines.append('points %d %d' % (patch.space.numdofs, d))
-        for row in patch.points:
-            lines.append(' '.join('%.17g' % x for x in row))
-        if patch.weights is not None:
-            lines.append('weights %d' % patch.space.numdofs)
-            for w in patch.weights:
-                lines.append('%.17g' % w)
-    lines.append('topology %d' % len(interfaces))
-    for (a, fa, b, fb, orientation) in interfaces:
-        lines.append('interface %d %d %d %d %d %d %s' % (
-            a, fa[0], fa[1], b, fb[0], fb[1],
-            ' '.join(str(int(o)) for o in orientation)))
-    for (p, direction, side) in dirichlet:
-        lines.append('dirichlet %d %d %d' % (p, direction, side))
-    with open(path, 'w') as f:
-        f.write('\n'.join(lines) + '\n')
-
-
-def read_geometry(path):
-    """Inverse of write_geometry.
-
-    Returns (patches, interfaces, dirichlet).
-    """
-    with open(path) as f:
-        toks = [line.split() for line in f if line.strip()]
-    pos = 0
-
-    def take():
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
-        return t
-
-    head = take()
-    if head[0] != 'igalump-geometry':
-        raise ValueError('%s: not a geometry file' % path)
-    npatches = int(take()[1])
-    patches = []
-    for _ in range(npatches):
-        t = take()
-        assert t[0] == 'patch'
-        degrees = [int(x) for x in take()[1:]]
-        d = len(degrees)
-        kvs = [None] * d
-        for _ in range(d):
-            t = take()
-            assert t[0] == 'knots'
-            l, cnt = int(t[1]), int(t[2])
-            kvs[l] = KnotVector([float(x) for x in t[3:3 + cnt]], degrees[l])
-        t = take()
-        assert t[0] == 'points'
-        npts = int(t[1])
-        pts = np.array([[float(x) for x in take()] for _ in range(npts)])
-        weights = None
-        if pos < len(toks) and toks[pos][0] == 'weights':
-            take()
-            weights = np.array([float(take()[0]) for _ in range(npts)])
-        patches.append(Patch(SplineSpace(kvs), pts, weights))
-    interfaces = []
-    dirichlet = []
-    if pos < len(toks):
-        t = take()
-        assert t[0] == 'topology'
-        for _ in range(int(t[1])):
-            t = take()
-            assert t[0] == 'interface'
-            vals = [int(x) for x in t[1:]]
-            interfaces.append((vals[0], (vals[1], vals[2]), vals[3],
-                               (vals[4], vals[5]), tuple(vals[6:])))
-        while pos < len(toks):
-            t = take()
-            assert t[0] == 'dirichlet'
-            dirichlet.append((int(t[1]), int(t[2]), int(t[3])))
-    return patches, interfaces, dirichlet

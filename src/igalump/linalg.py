@@ -9,9 +9,8 @@ several threads on distinct right-hand sides.
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .lumping import HierBandedMatrix, _as_csr
+from .lumping import _as_csr
 
 
 def hier_bandwidth(b, n):
@@ -52,6 +51,19 @@ class FactorizedOperator:
         return self._apply(rhs)
 
 
+def _as_operator(op):
+    """The function x -> op x, or x -> op^-1 x for a FactorizedOperator.
+
+    A callable without a shape is taken to be that function already; any
+    other operand is applied as op @ x.
+    """
+    if isinstance(op, FactorizedOperator):
+        return op.solve
+    if callable(op) and not hasattr(op, 'shape'):
+        return op
+    return lambda x: op @ x
+
+
 def _banded_storage(A, bandwidth):
     """Upper banded storage ab[u + i - j, j] = A[i, j] for scipy."""
     A = _as_csr(A).tocoo()
@@ -83,9 +95,7 @@ def banded_cholesky(A, bandwidth):
     def apply_solve(rhs):
         return sla.cho_solve_banded((cb, False), rhs)
 
-    op = FactorizedOperator(ab.shape[1], apply_solve, payload=cb)
-    op.bandwidth = int(bandwidth)
-    return op
+    return FactorizedOperator(ab.shape[1], apply_solve, payload=cb)
 
 
 def _measured_bandwidth(A):
@@ -207,8 +217,6 @@ def dense_generalized_eig(A, B):
 
 
 def _to_dense(A):
-    if isinstance(A, HierBandedMatrix):
-        return A.toarray()
-    if sp.issparse(A):
+    if hasattr(A, 'toarray'):
         return A.toarray()
     return np.asarray(A, dtype=float)

@@ -22,6 +22,11 @@ def _as_csr(B):
     return sp.csr_matrix(np.asarray(B, dtype=float))
 
 
+def _strides(dims):
+    return tuple(int(np.prod(dims[k + 1:], dtype=int))
+                 for k in range(len(dims)))
+
+
 @dataclass
 class HierBandedMatrix:
     """Symmetric sparse matrix tagged with its tensor block structure.
@@ -49,8 +54,7 @@ class HierBandedMatrix:
     @property
     def strides(self):
         """Block sizes r_k below each level; the last one is 1."""
-        return tuple(int(np.prod(self.dims[k + 1:], dtype=int))
-                     for k in range(len(self.dims)))
+        return _strides(self.dims)
 
     def scalar_bandwidth(self):
         """Predicted bandwidth sum(b_k * r_k) of the flat matrix."""
@@ -91,11 +95,53 @@ def lump_rowsum(B):
     return out
 
 
-def _rebuild(B, rows, cols, vals, bandwidths):
-    n = B.mat.shape[0]
+def _csr(rows, cols, vals, n):
+    """n x n CSR matrix of the triplets, duplicates summed."""
     out = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     out.sum_duplicates()
-    return HierBandedMatrix(out, B.dims, bandwidths)
+    return out
+
+
+def _scatter(mats, maps, n):
+    """Sum local matrices into an n x n global one through l2g maps."""
+    rows, cols, vals = [], [], []
+    for B, l2g in zip(mats, maps):
+        coo = _as_csr(B).tocoo()
+        l2g = np.asarray(l2g)
+        rows.append(l2g[coo.row])
+        cols.append(l2g[coo.col])
+        vals.append(coo.data)
+    return _csr(np.concatenate(rows), np.concatenate(cols),
+                np.concatenate(vals), n)
+
+
+def _lumped_cols(rows, cols, dims, i=None, level=None):
+    """Columns the entries (rows, cols) of a tensor matrix move to.
+
+    With i, entries whose top-level blocks lie i or more apart move into
+    the diagonal block of their row; with level, the per-level move is
+    applied down that many levels.
+    """
+    strides = _strides(dims)
+    if i is not None:
+        if not 1 <= i <= dims[0]:
+            raise ValueError('band index out of range')
+        r1 = strides[0]
+        bi, bj = rows // r1, cols // r1
+        return np.where(np.abs(bi - bj) < i, cols, bi * r1 + cols % r1)
+    if not 1 <= level <= len(dims):
+        raise ValueError('level out of range')
+    for s in strides[:level]:
+        cols = (rows // s) * s + cols % s
+    return cols
+
+
+def _rebuild(B, bandwidths, **which):
+    """B with its entries moved by _lumped_cols, tagged with bandwidths."""
+    coo = B.mat.tocoo()
+    cols = _lumped_cols(coo.row, coo.col, B.dims, **which)
+    return HierBandedMatrix(_csr(coo.row, cols, coo.data, B.shape[0]),
+                            B.dims, bandwidths)
 
 
 def block_lump(B):
@@ -104,11 +150,7 @@ def block_lump(B):
     Plain sums, no absolute values: for matrices with positive semidefinite
     blocks the diagonal block sums stay positive definite.
     """
-    B._structured()
-    r1 = B.strides[0]
-    coo = B.mat.tocoo()
-    cols = (coo.row // r1) * r1 + coo.col % r1
-    return _rebuild(B, coo.row, cols, coo.data, (0,) + B.bandwidths[1:])
+    return block_lumped_family(B, 1)
 
 
 def block_lumped_family(B, i):
@@ -118,16 +160,8 @@ def block_lumped_family(B, i):
     family decreases monotonically in the Loewner order as i grows.
     """
     B._structured()
-    n1 = B.dims[0]
-    if not 1 <= i <= n1:
-        raise ValueError('band index out of range')
-    r1 = B.strides[0]
-    coo = B.mat.tocoo()
-    bi, bj = coo.row // r1, coo.col // r1
-    keep = np.abs(bi - bj) < i
-    cols = np.where(keep, coo.col, bi * r1 + coo.col % r1)
-    return _rebuild(B, coo.row, cols, coo.data,
-                    (min(i - 1, B.bandwidths[0]),) + B.bandwidths[1:])
+    return _rebuild(B, (min(i - 1, B.bandwidths[0]),) + B.bandwidths[1:],
+                    i=i)
 
 
 def hierarchical_lump(B, k):
@@ -141,16 +175,7 @@ def hierarchical_lump(B, k):
     depth d also needs nonnegative entries, which mass matrices have.
     """
     B._structured()
-    d = len(B.dims)
-    if not 1 <= k <= d:
-        raise ValueError('level out of range')
-    strides = B.strides
-    coo = B.mat.tocoo()
-    rows, cols = coo.row, coo.col
-    for level in range(k):
-        s = strides[level]
-        cols = (rows // s) * s + cols % s
-    return _rebuild(B, rows, cols, coo.data, (0,) * k + B.bandwidths[k:])
+    return _rebuild(B, (0,) * k + B.bandwidths[k:], level=k)
 
 
 def multipatch_lump(local_mats, maps, n_global, i=None, level=None):
@@ -162,22 +187,13 @@ def multipatch_lump(local_mats, maps, n_global, i=None, level=None):
     """
     if (i is None) == (level is None):
         raise ValueError('pass exactly one of i or level')
-    rows, cols, vals = [], [], []
+    lumped = []
     for B, l2g in zip(local_mats, maps):
         if B.shape[0] != len(l2g):
             raise ValueError('map does not match local matrix')
-        P = (block_lumped_family(B, i) if i is not None
-             else hierarchical_lump(B, level))
-        coo = P.mat.tocoo()
-        l2g = np.asarray(l2g)
-        rows.append(l2g[coo.row])
-        cols.append(l2g[coo.col])
-        vals.append(coo.data)
-    out = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n_global, n_global)).tocsr()
-    out.sum_duplicates()
-    return out
+        lumped.append(block_lumped_family(B, i) if i is not None
+                      else hierarchical_lump(B, level))
+    return _scatter(lumped, maps, n_global)
 
 
 def pad_lump_trim(M_trimmed, embedding, dims, bandwidths, i=None, level=None):
@@ -198,63 +214,8 @@ def pad_lump_trim(M_trimmed, embedding, dims, bandwidths, i=None, level=None):
         raise ValueError('embedding is not injective')
     inverse = np.full(n_full, -1, dtype=int)
     inverse[embedding] = np.arange(len(embedding))
-
     rows = embedding[A.row]
-    cols = embedding[A.col]
-    strides = [int(np.prod(dims[k + 1:], dtype=int))
-               for k in range(len(dims))]
-    if i is not None:
-        if not 1 <= i <= dims[0]:
-            raise ValueError('band index out of range')
-        r1 = strides[0]
-        bi, bj = rows // r1, cols // r1
-        cols = np.where(np.abs(bi - bj) < i, cols, bi * r1 + cols % r1)
-    else:
-        if not 1 <= level <= len(dims):
-            raise ValueError('level out of range')
-        for l in range(level):
-            s = strides[l]
-            cols = (rows // s) * s + cols % s
+    cols = _lumped_cols(rows, embedding[A.col], dims, i, level)
     keep = inverse[cols] >= 0
-    n = len(embedding)
-    out = sp.coo_matrix((A.data[keep],
-                         (inverse[rows[keep]], inverse[cols[keep]])),
-                        shape=(n, n)).tocsr()
-    out.sum_duplicates()
-    return out
-
-
-def random_structured_spd(dims, bandwidths, rng, nsamples=None, shift=1e-3,
-                          nonneg=False):
-    """Random SPD matrix with the structure the lumping theory assumes.
-
-    Sums rank-one tensor-window contributions outer(w, w) with
-    w = v_1 x ... x v_d, mimicking element assembly. Nonnegative factors on
-    all but the last direction keep every block down the hierarchy positive
-    semidefinite while allowing mixed-sign entries; a small diagonal shift
-    makes the total positive definite. With nonneg=True the last factor is
-    nonnegative too, which full-depth hierarchical lumping needs (at the
-    deepest level the blocks are scalars, and a scalar is semidefinite only
-    when it is nonnegative).
-    """
-    dims = tuple(int(n) for n in dims)
-    bandwidths = tuple(int(b) for b in bandwidths)
-    n = int(np.prod(dims))
-    if nsamples is None:
-        nsamples = 3 * n
-    A = np.zeros((n, n))
-    d = len(dims)
-    for _ in range(nsamples):
-        idx = np.array([0])
-        w = np.array([1.0])
-        for l in range(d):
-            width = min(bandwidths[l] + 1, dims[l])
-            t = rng.integers(0, dims[l] - width + 1)
-            mixed = l == d - 1 and not nonneg
-            v = rng.normal(size=width) if mixed else rng.random(width)
-            stride = int(np.prod(dims[l + 1:], dtype=int))
-            idx = (idx[:, None] + (t + np.arange(width)) * stride).ravel()
-            w = np.outer(w, v).ravel()
-        A[np.ix_(idx, idx)] += np.outer(w, w)
-    A += shift * np.trace(A) / n * np.eye(n)
-    return HierBandedMatrix(sp.csr_matrix(A), dims, bandwidths)
+    return _csr(inverse[rows[keep]], inverse[cols[keep]], A.data[keep],
+                len(embedding))

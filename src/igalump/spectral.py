@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import FactorizedOperator, woodbury_solve
+from .linalg import _as_operator, _to_dense, woodbury_solve
 
 
 @dataclass
@@ -24,7 +24,6 @@ class LanczosConfig:
     m: int = None
     tol: float = 1e-3
     max_restarts: int = 200
-    full_reorth: bool = True
 
     def __post_init__(self):
         self.k = int(self.k)
@@ -41,19 +40,11 @@ class LanczosConfig:
 class LanczosResult:
     values: np.ndarray      # Ritz values, descending
     vectors: np.ndarray     # B-orthonormal columns matching values
-    residuals: np.ndarray   # relative residuals |Au - lam Bu| / (lam |Bu|)
+    residuals: np.ndarray   # |Au - lam Bu| / (max(|lam|, floor) |Bu|)
     converged: np.ndarray   # per-pair flags
     n_iter: int             # recurrence steps over all restarts
     n_matvec: int           # stiffness applies (one mass solve each)
     n_restarts: int
-
-
-def _as_apply(op):
-    if callable(op) and not hasattr(op, 'solve'):
-        return op
-    if isinstance(op, FactorizedOperator):
-        return op.solve
-    return lambda x: op @ x
 
 
 def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
@@ -65,9 +56,9 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
     Returns a LanczosResult; pairs that failed to reach config.tol within
     config.max_restarts come back flagged unconverged instead of raising.
     """
-    A_apply = _as_apply(A_apply)
-    B_solve = _as_apply(B_solve)
-    B_apply = _as_apply(B_apply)
+    A_apply = _as_operator(A_apply)
+    B_solve = _as_operator(B_solve)
+    B_apply = _as_operator(B_apply)
     rng = np.random.default_rng(seed)
     n = int(n)
     k = min(config.k, n)
@@ -152,10 +143,12 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
         AY = AV[:, :cnt] @ S[:, order]
         BY = BV[:, :cnt] @ S[:, order]
         lam = theta[order]
+        # near-zero Ritz values are measured against the relative floor
+        # split_zero_modes uses, so a kernel mode can converge too
+        floor = max(1e-8 * np.max(np.abs(theta)), np.finfo(float).tiny)
         res = np.empty(k)
         for j in range(k):
-            denom = max(abs(lam[j]), np.finfo(float).tiny) \
-                * np.linalg.norm(BY[:, j])
+            denom = max(abs(lam[j]), floor) * np.linalg.norm(BY[:, j])
             res[j] = np.linalg.norm(AY[:, j] - lam[j] * BY[:, j]) / denom
         conv = res <= config.tol
 
@@ -230,18 +223,12 @@ class ScaledPencil:
 
     def dense_pair(self):
         """Explicit (A_bar, B_bar); oracle use only."""
-        A = _to_dense_local(self.A).copy()
-        B = _to_dense_local(self.B).copy()
+        A = _to_dense(self.A).copy()
+        B = _to_dense(self.B).copy()
         if self.r:
             A += self.V @ np.diag(self.fD2) @ self.V.T
             B += self.V @ np.diag(self.gD2) @ self.V.T
         return A, B
-
-
-def _to_dense_local(M):
-    if hasattr(M, 'toarray'):
-        return M.toarray()
-    return np.asarray(M, dtype=float)
 
 
 def deflate(A, B, r, mode, eigendata):

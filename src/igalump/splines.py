@@ -1,17 +1,13 @@
 """Univariate and tensor-product B-spline spaces.
 
-Knot vectors, basis evaluation by the Cox-de Boor recursion, dimension
-bookkeeping for tensor-product spaces with per-face Dirichlet constraints,
-and the approximation constant for smooth spline projection.
+Knot vectors, basis evaluation by the Cox-de Boor recursion, and dimension
+bookkeeping for tensor-product spaces with per-face Dirichlet constraints.
 """
-
-import math
 
 import numpy as np
 
 __all__ = [
     'KnotVector', 'SplineSpace', 'make_open_uniform', 'eval_basis',
-    'approximation_constant',
 ]
 
 
@@ -77,12 +73,6 @@ class KnotVector:
         last = np.searchsorted(k, k[self.numdofs], side='left') - 1
         span = np.clip(np.searchsorted(k, x, side='right') - 1, first, last)
         return span if np.ndim(x) else int(span)
-
-    def support_elements(self, i):
-        """Indices of the nonempty spans where basis function i is nonzero."""
-        lo, hi = self.knots[i], self.knots[i + self.p + 1]
-        slo, shi = self.span_bounds()
-        return np.nonzero((shi > lo) & (slo < hi))[0]
 
     def __eq__(self, other):
         return (isinstance(other, KnotVector) and self.p == other.p
@@ -285,29 +275,5 @@ class SplineSpace:
         out[self.free_to_full()] = np.arange(self.num_free)
         return out
 
-    def eval_basis(self, direction, x, deriv_order=0):
-        """Univariate basis evaluation along one direction."""
-        return eval_basis(self.kvs[direction], x, deriv_order)
-
     def __repr__(self):
         return 'SplineSpace(p=%s, dims=%s)' % (self.degrees, self.dims)
-
-
-def approximation_constant(p, k, r):
-    """Constant in the spline L2 projection error bound, three-branch form.
-
-    Args:
-        p: degree, k: smoothness (0 <= k <= p-1), r: Sobolev order
-        (1 <= r <= p+1).
-    """
-    if not (0 <= k <= p - 1):
-        raise ValueError('need 0 <= k <= p-1, got p=%d, k=%d' % (p, k))
-    if not (1 <= r <= p + 1):
-        raise ValueError('need 1 <= r <= p+1, got r=%d' % r)
-    if k == p - 1:
-        return (1.0 / math.pi) ** r
-    base = 1.0 / math.sqrt((p - k) * (p - k + 1))
-    if k >= r - 2:
-        return 0.5 ** r * base ** r
-    ratio = math.factorial(p + 1 - r) / math.factorial(p - 1 + r - 2 * k)
-    return 0.5 ** r * base ** (k + 1) * math.sqrt(ratio)

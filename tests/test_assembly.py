@@ -13,7 +13,7 @@ import igalump.geometry
 import igalump.splines
 from igalump.assembly import (assemble_multipatch, assemble_single_patch,
                               assemble_trimmed, jacobi_rescale, load_vector,
-                              quadrature_grid, read_triplets, write_triplets)
+                              quadrature_grid)
 from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
                               plate_quarter_hole, pullback_coeffs,
                               quarter_annulus, magnet, rotated_square_region,
@@ -417,15 +417,6 @@ def test_load_vector_respects_dirichlet():
                        lambda x, y: x + y)
     np.testing.assert_allclose(
         b, full[space.free_to_full()], atol=1e-15)
-
-
-def test_triplet_roundtrip(tmp_path):
-    space = square_space(3, 2)
-    pair = assemble_single_patch(space, quarter_annulus(), ONE, ONE)
-    path = tmp_path / 'm.txt'
-    write_triplets(path, pair.M)
-    back = read_triplets(path)
-    assert (back != pair.M.mat).nnz == 0
 
 
 # ------------------------------------------------------------ quadrature grid

@@ -20,6 +20,21 @@ def test_spectrum_exit_zero_and_files(tmp_path, capsys):
     assert (tmp_path / 'out' / 'spectrum.csv').exists()
 
 
+def test_spectrum_with_k_equal_to_system_size_exits_zero(tmp_path, capsys):
+    # every pair of the 36-dof Neumann square, the kernel mode included
+    cfg = write_cfg(tmp_path, (
+        'kind = spectrum\ngeometry = unit_square\np = 2\nsubdivisions = 4\n'
+        'k = 36\nout = %s\n' % (tmp_path / 'out')))
+    assert main(['spectrum', '--config', cfg]) == 0
+    capsys.readouterr()
+    rows = np.genfromtxt(tmp_path / 'out' / 'spectrum.csv', delimiter=',',
+                         names=True, dtype=None, encoding='utf-8')
+    for label in ('M', 'P1'):
+        lam = rows['lambda'][rows['label'] == label]
+        assert len(lam) == 36
+        assert abs(lam[0]) <= 1e-8 * lam[-1]
+
+
 def test_bad_config_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, 'kind = spectrum\ngeometry = nosuch\n')
     assert main(['spectrum', '--config', cfg]) == 2

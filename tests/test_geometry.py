@@ -9,10 +9,9 @@ from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
                               catalog, jacobian, knot_insert, magnet,
                               outer_faces, patch_grid, plate_quarter_hole,
                               plate_quarter_hole_2patch, pullback_coeffs,
-                              quarter_annulus, read_geometry,
-                              rotated_square_region, split_patch,
-                              stretched_square, twisted_box, unit_cube,
-                              unit_square, write_geometry)
+                              quarter_annulus, rotated_square_region,
+                              split_patch, stretched_square, twisted_box,
+                              unit_square)
 from igalump.splines import SplineSpace, make_open_uniform
 
 
@@ -264,6 +263,58 @@ def test_classify_reproduces_recorded_classes_on_knot_lines():
     assert int(mask.active.sum()) == 256
 
 
+def loop_active(space, element_class):
+    """Per-dof activity by a loop over each dof's support; oracle."""
+    active = np.zeros(space.dims, dtype=bool)
+    for dof in np.ndindex(*space.dims):
+        support = []
+        for kv, i in zip(space.kvs, dof):
+            lo, hi = kv.span_bounds()
+            support.append(np.nonzero((hi > kv.knots[i])
+                                      & (lo < kv.knots[i + kv.p + 1]))[0])
+        active[dof] = np.any(element_class[np.ix_(*support)] >= 0)
+    return active
+
+
+@pytest.mark.parametrize('p, k', [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1),
+                                  (3, 2)])
+@pytest.mark.parametrize('geometry, center', [(unit_square, (0.5, 0.5)),
+                                              (quarter_annulus, (1.0, 1.0))],
+                         ids=['square', 'annulus'])
+def test_classify_activity_matches_support_loop(p, k, geometry, center):
+    patch = geometry()
+    nontrivial = 0
+    for nel, angles in ((4, range(7)), (7, (1, 3, 5)), (20, (0,))):
+        kv = make_open_uniform(nel, p, k)
+        space = SplineSpace([kv, kv])
+        for a in angles:
+            for half_side in (0.05, 0.2, 0.35):
+                region = rotated_square_region(
+                    center=center, angle=2.0 * math.pi * a / 7,
+                    half_side=half_side)
+                mask = classify_elements(space, patch, region)
+                want = loop_active(space, mask.element_class)
+                assert np.array_equal(mask.active, want), (nel, a, half_side)
+                nontrivial += 0 < want.sum() < want.size
+    assert nontrivial > 0
+
+
+def test_knot_insert_validation_does_not_rest_on_assert(rejections):
+    names = rejections(
+        'import numpy as np\n'
+        'from igalump.geometry import knot_insert\n'
+        'from igalump.splines import make_open_uniform\n'
+        'kv = make_open_uniform(3, 2, 1)\n'
+        'C = np.ones((kv.numdofs, 2))', [
+            'knot_insert(kv, C, 0.0)',
+            'knot_insert(kv, C, 1.0)',
+            'knot_insert(kv, C, 1.5)',
+            'knot_insert(kv, C, -0.5)',
+            'knot_insert(kv, C, 0.5)',
+        ])
+    assert names == ['ValueError'] * 4 + ['accepted']
+
+
 def test_patch_validation_does_not_rest_on_assert(rejections):
     names = rejections(
         'import numpy as np\n'
@@ -346,40 +397,6 @@ def test_interior_split_boxes():
     for gids, dims in boxes:
         assert len(gids) == int(np.prod(dims))
         assert len(np.intersect1d(gids, iface)) == 0
-
-
-# ---------------------------------------------------------------- file format
-
-def test_geometry_roundtrip(tmp_path):
-    patches, interfaces = plate_quarter_hole_2patch()
-    dirichlet = [(0, 1, 0), (1, 1, 0)]
-    path = tmp_path / 'geo.txt'
-    write_geometry(path, patches, interfaces, dirichlet)
-    rp, ri, rd = read_geometry(path)
-    assert ri == interfaces
-    assert rd == dirichlet
-    assert len(rp) == 2
-    for old, new in zip(patches, rp):
-        assert np.array_equal(old.points, new.points)
-        assert np.array_equal(old.weights, new.weights)
-        for kold, knew in zip(old.space.kvs, new.space.kvs):
-            assert kold == knew
-
-
-def test_geometry_roundtrip_polynomial(tmp_path):
-    path = tmp_path / 'geo.txt'
-    write_geometry(path, [unit_cube()])
-    rp, ri, rd = read_geometry(path)
-    assert ri == [] and rd == []
-    assert rp[0].weights is None
-    assert np.array_equal(rp[0].points, unit_cube().points)
-
-
-def test_read_rejects_other_files(tmp_path):
-    path = tmp_path / 'bogus.txt'
-    path.write_text('hello world\n')
-    with pytest.raises(ValueError):
-        read_geometry(path)
 
 
 @pytest.mark.parametrize('params', [{'rin': -1.0}, {'rin': 0.0},

@@ -11,8 +11,9 @@ from igalump.linalg import (FactorizedOperator, banded_cholesky,
                             dense_generalized_eig, hier_bandwidth,
                             schur_saddle_factor, woodbury_solve)
 from igalump.lumping import (HierBandedMatrix, block_lumped_family,
-                             multipatch_lump, random_structured_spd)
+                             multipatch_lump)
 from igalump.splines import KnotVector, SplineSpace, make_open_uniform
+from structured_spd import random_structured_spd
 
 ONE = lambda *xs: 1.0
 

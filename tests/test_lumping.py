@@ -13,9 +13,9 @@ from igalump.geometry import (MultipatchTopology, plate_quarter_hole_2patch,
                               unit_cube, unit_square)
 from igalump.lumping import (HierBandedMatrix, block_lump,
                              block_lumped_family, hierarchical_lump,
-                             lump_rowsum, multipatch_lump, pad_lump_trim,
-                             random_structured_spd)
+                             lump_rowsum, multipatch_lump, pad_lump_trim)
 from igalump.splines import SplineSpace, make_open_uniform
+from structured_spd import random_structured_spd
 
 ONE = lambda *xs: 1.0
 

@@ -7,13 +7,14 @@ import scipy.linalg
 from igalump.assembly import assemble_single_patch
 from igalump.geometry import plate_quarter_hole, quarter_annulus
 from igalump.linalg import banded_cholesky, dense_generalized_eig
-from igalump.lumping import block_lump, random_structured_spd
+from igalump.lumping import block_lump
 from igalump.spectral import (LanczosConfig, LanczosResult, ScaledPencil,
                               cfl_gain, critical_timestep, deflate, lanczos,
                               local_stiffness_scale, read_spectrum_csv,
                               scaled_mass_solve, split_zero_modes,
                               write_spectrum_csv)
 from igalump.splines import SplineSpace, make_open_uniform
+from structured_spd import random_structured_spd
 
 ONE = lambda *xs: 1.0
 
@@ -107,6 +108,21 @@ def test_lanczos_reports_unconverged_instead_of_raising():
     assert not res.converged.all()
     assert len(res.values) == 8
     assert res.n_restarts == 0
+
+
+def test_lanczos_converges_on_kernel_mode_with_k_equal_n():
+    # Neumann square: K has a one-dimensional kernel, the constants
+    kv = make_open_uniform(4, 2, 1)
+    from igalump.geometry import unit_square
+    pair = assemble_single_patch(SplineSpace([kv, kv]), unit_square(),
+                                 ONE, ONE)
+    n = pair.K.shape[0]
+    base = banded_cholesky(pair.M, pair.M.scalar_bandwidth())
+    res = lanczos(n, pair.K, base, pair.M, LanczosConfig(k=n), seed=0)
+    w, _ = dense_generalized_eig(pair.K, pair.M)
+    assert res.converged.all()
+    assert abs(res.values[-1]) <= 1e-8 * w[-1]
+    np.testing.assert_allclose(res.values[:-1], w[::-1][:-1], rtol=1e-6)
 
 
 def test_lanczos_counts_positive():

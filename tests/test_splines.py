@@ -1,4 +1,4 @@
-"""Tests for knot vectors, basis evaluation and the approximation constant."""
+"""Tests for knot vectors, basis evaluation and tensor spline spaces."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from igalump.splines import (KnotVector, SplineSpace, approximation_constant,
-                             eval_basis, make_open_uniform)
+from igalump.splines import (KnotVector, SplineSpace, eval_basis,
+                             make_open_uniform)
 
 
 def naive_basis(knots, p, i, x):
@@ -281,37 +281,3 @@ def test_free_index_maps_are_consistent():
     assert np.array_equal(inv[f2f], np.arange(sp.num_free))
     constrained = np.setdiff1d(np.arange(sp.numdofs), f2f)
     assert np.all(inv[constrained] == -1)
-
-
-# ------------------------------------------------------- approximation constant
-
-def test_approximation_constant_values():
-    assert approximation_constant(3, 2, 2) == pytest.approx(
-        0.10132118364233779, rel=1e-14)          # (1/pi)^2
-    assert approximation_constant(2, 0, 1) == pytest.approx(
-        0.20412414523193154, rel=1e-14)          # 1/(2*sqrt(6))
-    # lowest-smoothness branch with the factorial ratio:
-    # (1/2)^4 * (1/sqrt(12)) * sqrt(0!/6!)
-    assert approximation_constant(3, 0, 4) == pytest.approx(
-        0.00067239294204989887, rel=1e-14)
-
-
-def test_approximation_constant_domain():
-    with pytest.raises(ValueError):
-        approximation_constant(3, 3, 2)
-    with pytest.raises(ValueError):
-        approximation_constant(3, -1, 2)
-    with pytest.raises(ValueError):
-        approximation_constant(3, 1, 0)
-    with pytest.raises(ValueError):
-        approximation_constant(3, 1, 5)
-
-
-@pytest.mark.parametrize('p', [3, 4, 5, 7, 10])
-def test_smooth_splines_win_per_dof(p):
-    # compare at equal space dimension: mesh size scales with (p-k), so the
-    # smooth-spline constant is weighed by 1^r and the C^0 one by p^r
-    for r in range(3, p + 2):
-        smooth = approximation_constant(p, p - 1, r)
-        c0 = approximation_constant(p, 0, r) * p ** r
-        assert smooth < c0
