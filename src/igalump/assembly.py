@@ -10,7 +10,9 @@ geometry pullback. Quadrature is Gauss-Legendre with p+1 points per
 direction per element, exact for the polynomial case. A QuadratureGrid
 holds the basis tables and the pullback of one space on one patch; the
 assembly, load vectors and L2 errors all evaluate through it, and it lives
-only as long as its caller keeps it.
+only as long as its caller keeps it. Whole and cut elements alike go
+through one batched kernel that contracts per-direction tables one
+direction at a time (sum factorization).
 """
 
 import itertools
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import TrimMask, _tensor_apply
-from .lumping import HierBandedMatrix, _as_csr, _csr, _scatter
+from .lumping import HierBandedMatrix, _as_csr, _csr, _scatter, _strides
 from .splines import _dense_tables, eval_basis
 
 
@@ -97,17 +99,11 @@ def quadrature_grid(space, patch, nquad=None):
         ders.append(D)
         firsts.append(first[::nq])
         nqs.append(nq)
-    coords, J, adet = _pullback(patch, pts)
-    return QuadratureGrid(space, pts, wts, vals, ders, firsts, tuple(nqs),
-                          coords, J, adet)
-
-
-def _pullback(patch, pts):
-    """Physical coordinates (d,) + grid, J and |detJ| on a tensor grid."""
     F, J, det = patch.grid_eval(pts)
     adet = np.abs(det)
     _require_regular(adet)
-    return np.moveaxis(F, -1, 0), J, adet
+    return QuadratureGrid(space, pts, wts, vals, ders, firsts, tuple(nqs),
+                          np.moveaxis(F, -1, 0), J, adet)
 
 
 def _require_regular(adet):
@@ -124,91 +120,131 @@ def _coefficients(coords, J, adet, rho, kappa):
     return c, G
 
 
-def _kron_rows(factors):
-    return reduce(np.kron, factors)
+def _by_element(A, nels, nqs):
+    """Tensor-grid array A, shape grid + trailing, as (E, nq_1, ..., nq_d)
+    + trailing with the elements in canonical (lexicographic) order."""
+    d = len(nqs)
+    A = A.reshape([s for pair in zip(nels, nqs) for s in pair]
+                  + list(A.shape[d:]))
+    order = (list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
+             + list(range(2 * d, A.ndim)))
+    return A.transpose(order).reshape((-1,) + tuple(nqs) + A.shape[2 * d:])
 
 
-def _tensor_tables(Vs, Ds):
-    """Local value and gradient tables from per-direction ones.
+def _element_kernel(vals, ders, c, G):
+    """Local mass and stiffness of a batch of E elements.
 
-    Bv has shape (nloc, nq) with nloc = prod(p+1) local functions; Bg[l]
-    carries the parametric derivative in direction l.
+    vals[l] and ders[l] hold the values and derivatives of the p_l+1
+    functions of direction l active on each element, shape
+    (E, p_l+1, nq_l); a leading 1 stands for a table all elements share.
+    c and G carry the quadrature weights, with shapes (E, nq_1, ..., nq_d)
+    and (E, nq_1, ..., nq_d, d, d). Returns M and K of shape
+    (E, nloc, nloc), local functions in lexicographic order.
     """
-    d = len(Vs)
-    Bv = _kron_rows(Vs)
-    Bg = [_kron_rows([Ds[l] if m == l else Vs[l] for l in range(d)])
-          for m in range(d)]
-    return Bv, Bg
+    d = len(vals)
+    grads = [[ders[k] if k == l else vals[k] for k in range(d)]
+             for l in range(d)]
+    K = sum(_sum_factorize(G[..., l, m], grads[l], grads[m])
+            for l, m in itertools.product(range(d), repeat=2))
+    return _sum_factorize(c, vals, vals), K
 
 
-def _element_matrices(grid, c, G, el):
-    """Local mass and stiffness of one whole element, from the grid."""
-    d = grid.space.ndim
-    sl = tuple(slice(e * nq, (e + 1) * nq) for e, nq in zip(el, grid.nqs))
-    Vs, Ds = [], []
-    for l in range(d):
-        f = grid.firsts[l][el[l]]
-        rows = slice(f, f + grid.space.kvs[l].p + 1)
-        Vs.append(grid.vals[l][rows, sl[l]])
-        Ds.append(grid.ders[l][rows, sl[l]])
-    Bv, Bg = _tensor_tables(Vs, Ds)
-    wq = _kron_rows([grid.wts[l][sl[l]] for l in range(d)])
-    return _local_matrices(Bv, Bg, wq, c[sl].ravel(),
-                           G[sl].reshape(-1, d, d), d)
+def _sum_factorize(c, X, Y):
+    """sum_q c[e, q] prod_l X[l][e, a_l, q_l] Y[l][e, b_l, q_l], shaped
+    (E, nloc, nloc), contracting one direction at a time."""
+    E, d = len(c), len(X)
+    T = c
+    for Xl, Yl in zip(X, Y):
+        # T is (E, q_l, ..., q_d, pairs of the contracted directions)
+        (_, a, nq), b = Xl.shape, Yl.shape[1]
+        W = (Xl[:, :, None, :] * Yl[:, None, :, :]).reshape(len(Xl), a * b, nq)
+        T = T.reshape(E, nq, int(np.prod(T.shape[1:])) // nq)
+        T = np.moveaxis(W @ T, 1, -1)
+    sizes = [s for Xl, Yl in zip(X, Y) for s in (Xl.shape[1], Yl.shape[1])]
+    T = T.reshape([E] + sizes).transpose(
+        [0] + list(range(1, 2 * d, 2)) + list(range(2, 2 * d + 1, 2)))
+    return T.reshape(E, int(np.prod(sizes[::2])), int(np.prod(sizes[1::2])))
 
 
-def _element_dofs(grid, el):
+def _whole_elements(grid, els, rho, kappa):
+    """Local matrices of the whole elements els (E, d) from the grid."""
     space = grid.space
-    idx = np.array([0])
-    for l in range(space.ndim):
-        f = grid.firsts[l][el[l]]
-        stride = int(np.prod(space.dims[l + 1:], dtype=int))
-        idx = (idx[:, None]
-               + (f + np.arange(space.kvs[l].p + 1)) * stride).ravel()
-    return idx
+    nels = [kv.numspans for kv in space.kvs]
+    c, G = _coefficients(grid.coords, grid.J, grid.adet, rho, kappa)
+    w = grid.weights()
+    flat = np.ravel_multi_index(tuple(els.T), nels)
+    c = _by_element(c * w, nels, grid.nqs)[flat]
+    G = _by_element(G * w[..., None, None], nels, grid.nqs)[flat]
+    vals, ders = [], []
+    for l, (kv, nq) in enumerate(zip(space.kvs, grid.nqs)):
+        e = els[:, l, None, None]
+        rows = grid.firsts[l][e] + np.arange(kv.p + 1)[:, None]
+        cols = e * nq + np.arange(nq)
+        vals.append(grid.vals[l][rows, cols])
+        ders.append(grid.ders[l][rows, cols])
+    return _element_kernel(vals, ders, c, G)
 
 
-def _local_matrices(Bv, Bg, wq, c, G, d):
-    Mloc = (Bv * (wq * c)) @ Bv.T
-    Kloc = np.zeros_like(Mloc)
-    for l in range(d):
-        for m in range(d):
-            Kloc += (Bg[l] * (wq * G[..., l, m])) @ Bg[m].T
-    return Mloc, Kloc
+def _cut_elements(space, patch, region, rho, kappa, els, nsub, nqs):
+    """Local matrices of cut elements els (E, d) sharing all but the last
+    index, each on a composite rule of nsub subcells times nq[l] points in
+    direction l. A subcell whose center lies outside the region keeps its
+    points at weight 0, and only retained points enter c and G: a rejected
+    subcell may have a singular Jacobian."""
+    d = space.ndim
+    idx = [els[:1, l] for l in range(d - 1)] + [els[:, -1]]
+    pts, wts, centers, vals, ders = [], [], [], [], []
+    for kv, e, nq in zip(space.kvs, idx, nqs):
+        lo, hi = (b[e] for b in kv.span_bounds())
+        h = (hi - lo) / nsub
+        a = lo[:, None] + np.arange(nsub) * h[:, None]
+        xg, wg = gauss_rule(nq)
+        x = (a[:, :, None] + h[:, None, None] * xg).ravel()
+        pts.append(x)
+        wts.append(np.tile(h[:, None] * wg, nsub).ravel())
+        centers.append((a + 0.5 * h[:, None]).ravel())
+        # subcell points stay inside their element, so the active window
+        # is the element's own
+        t = eval_basis(kv, x, deriv_order=1)[1]
+        t = t.reshape(2, kv.p + 1, len(e), -1).swapaxes(1, 2)
+        vals.append(t[0])
+        ders.append(t[1])
+    nels = [len(e) for e in idx]
+    nps = [nsub * nq for nq in nqs]
+    F, _, _ = patch.grid_eval(centers)
+    kept = _by_element(region(*np.moveaxis(F, -1, 0)) > 0, nels, (nsub,) * d)
+    for l, nq in enumerate(nqs):
+        kept = np.repeat(kept, nq, axis=l + 1)
+    w = _by_element(reduce(np.multiply.outer, wts), nels, nps)[kept]
+    F, J, det = patch.grid_eval(pts)
+    adet = np.abs(_by_element(det, nels, nps)[kept])
+    _require_regular(adet)
+    ck, Gk = _coefficients(_by_element(F, nels, nps)[kept].T,
+                           _by_element(J, nels, nps)[kept], adet, rho, kappa)
+    c = np.zeros(kept.shape)
+    c[kept] = ck * w
+    G = np.zeros(kept.shape + (d, d))
+    G[kept] = Gk * w[:, None, None]
+    return _element_kernel(vals, ders, c, G)
 
 
-class _Accumulator:
-    """COO triplet accumulator over free dofs, dropping constrained ones."""
+def _system_matrices(space, firsts, els, Mloc, Kloc, full_to_sys, n):
+    """CSR mass and stiffness over n system dofs from local matrices.
 
-    def __init__(self, full_to_free, n):
-        self.f2f = full_to_free
-        self.n = n
-        self.rows, self.cols, self.mv, self.kv = [], [], [], []
-
-    def add(self, dofs, Mloc, Kloc):
-        free = self.f2f[dofs]
-        keep = free >= 0
-        if not np.all(keep):
-            Mloc = Mloc[np.ix_(keep, keep)]
-            Kloc = Kloc[np.ix_(keep, keep)]
-            free = free[keep]
-        r = np.repeat(free, len(free))
-        self.rows.append(r)
-        self.cols.append(np.tile(free, len(free)))
-        self.mv.append(Mloc.ravel())
-        self.kv.append(Kloc.ravel())
-
-    def matrices(self):
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        M = _csr(rows, cols, np.concatenate(self.mv), self.n)
-        K = _csr(rows, cols, np.concatenate(self.kv), self.n)
-        return M, K
-
-
-def _elements(space):
-    """Element multi-indices in canonical (lexicographic) order."""
-    return itertools.product(*[range(kv.numspans) for kv in space.kvs])
+    els (E, d) holds the multi-indices of the elements and firsts[l] the
+    first active function of each element in direction l; full_to_sys maps
+    full tensor indices to system dofs, -1 dropping a dof. Triplets follow
+    the element order, so duplicates sum in that order.
+    """
+    dofs = np.zeros((len(els), 1), dtype=np.int64)
+    for l, (kv, r) in enumerate(zip(space.kvs, _strides(space.dims))):
+        d1 = (firsts[l][els[:, l], None] + np.arange(kv.p + 1)) * r
+        dofs = (dofs[:, :, None] + d1[:, None, :]).reshape(len(els), -1)
+    dofs = full_to_sys[dofs]
+    keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
+    rows = np.broadcast_to(dofs[:, :, None], keep.shape)[keep]
+    cols = np.broadcast_to(dofs[:, None, :], keep.shape)[keep]
+    return _csr(rows, cols, Mloc[keep], n), _csr(rows, cols, Kloc[keep], n)
 
 
 def _finish_pair(space, M, K):
@@ -223,14 +259,15 @@ def _finish_pair(space, M, K):
 def assemble_single_patch(space, patch, rho, kappa, nquad=None):
     """Mass and stiffness of one patch, canonical element order."""
     grid = quadrature_grid(space, patch, nquad)
-    c, G = _coefficients(grid.coords, grid.J, grid.adet, rho, kappa)
-    acc = _Accumulator(space.full_to_free(), space.num_free)
-    for el in _elements(space):
-        acc.add(_element_dofs(grid, el), *_element_matrices(grid, c, G, el))
+    # element multi-indices in canonical (lexicographic) order
+    els = np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
+    Mloc, Kloc = _whole_elements(grid, els, rho, kappa)
+    firsts = grid.firsts
     # the triplet merge sets the peak memory of a large assembly, and
     # needs neither the tables nor the coefficients
-    del grid, c, G
-    M, K = acc.matrices()
+    del grid
+    M, K = _system_matrices(space, firsts, els, Mloc, Kloc,
+                            space.full_to_free(), space.num_free)
     return _finish_pair(space, M, K)
 
 
@@ -275,30 +312,28 @@ def assemble_trimmed(space, patch, mask, rho, kappa, subdepth=3, nquad=None):
         raise ValueError('trim region excludes every element '
                          '(n_active = 0)')
     grid = quadrature_grid(space, patch, nquad)
-    c, G = _coefficients(grid.coords, grid.J, grid.adet, rho, kappa)
 
-    active_free = np.asarray(mask.active).ravel()[space.free_to_full()]
-    embedding = np.flatnonzero(active_free)
+    free_to_full = space.free_to_full()
+    embedding = np.flatnonzero(np.asarray(mask.active).ravel()[free_to_full])
     n_sys = len(embedding)
-    sys_of_free = np.full(space.num_free, -1, dtype=int)
-    sys_of_free[embedding] = np.arange(n_sys)
-    f2f = space.full_to_free()
-    full_to_sys = np.where(f2f >= 0, sys_of_free[np.maximum(f2f, 0)], -1)
+    full_to_sys = np.full(space.numdofs, -1)
+    full_to_sys[free_to_full[embedding]] = np.arange(n_sys)
 
-    acc = _Accumulator(full_to_sys, n_sys)
-    nsub = 2 ** subdepth
-    for el in _elements(space):
-        cls = mask.element_class[el]
-        if cls < 0:
-            continue
-        if cls > 0:
-            Mloc, Kloc = _element_matrices(grid, c, G, el)
-        else:
-            Mloc, Kloc = _cut_element(space, patch, mask.region, rho, kappa,
-                                      el, nsub, grid.nqs)
-        acc.add(_element_dofs(grid, el), Mloc, Kloc)
-    del grid, c, G
-    M, K = acc.matrices()
+    # each element's pair sits at its index among the non-outside elements
+    els = np.argwhere(mask.element_class >= 0)
+    cut = mask.element_class[tuple(els.T)] == 0
+    nloc = int(np.prod([kv.p + 1 for kv in space.kvs]))
+    Mloc, Kloc = np.empty((2, len(els), nloc, nloc))
+    Mloc[~cut], Kloc[~cut] = _whole_elements(grid, els[~cut], rho, kappa)
+    # cut elements go in batches of one element line (all indices but the
+    # last fixed), which bounds the composite grid held at once
+    for lead in np.unique(els[cut, :-1], axis=0):
+        line = np.flatnonzero(cut & np.all(els[:, :-1] == lead, axis=1))
+        Mloc[line], Kloc[line] = _cut_elements(
+            space, patch, mask.region, rho, kappa, els[line], 2 ** subdepth,
+            grid.nqs)
+    M, K = _system_matrices(space, grid.firsts, els, Mloc, Kloc, full_to_sys,
+                            n_sys)
     diag = M.diagonal()
     keep = diag > 1e-12 * np.max(diag, initial=0.0)
     if not np.any(keep):
@@ -311,46 +346,8 @@ def assemble_trimmed(space, patch, mask, rho, kappa, subdepth=3, nquad=None):
         embedding = embedding[sel]
     return AssembledPair(
         K=HierBandedMatrix(K), M=HierBandedMatrix(M), space=space,
-        full_index=space.free_to_full()[embedding],
+        full_index=free_to_full[embedding],
         embedding=embedding, background_dims=space.free_dims)
-
-
-def _cut_element(space, patch, region, rho, kappa, el, nsub, nq):
-    """Subcell quadrature of one cut element, center-inside retention.
-
-    The element is split into nsub subcells per direction, and the points
-    of all of them form one composite tensor rule of nsub*nq[l] points in
-    direction l. A subcell whose center lies outside the region drops out
-    with its points, as if its weights were 0.
-    """
-    d = space.ndim
-    pts, wts, centers = [], [], []
-    for l, kv in enumerate(space.kvs):
-        lo, hi = (b[el[l]] for b in kv.span_bounds())
-        h = (hi - lo) / nsub
-        a = lo + np.arange(nsub) * h
-        xg, wg = gauss_rule(nq[l])
-        pts.append((a[:, None] + h * xg).ravel())
-        wts.append(np.tile(h * wg, nsub))
-        centers.append(a + 0.5 * h)
-    F, _, _ = patch.grid_eval(centers)
-    kept = region(*np.moveaxis(F, -1, 0)) > 0
-    for l in range(d):
-        kept = np.repeat(kept, nq[l], axis=l)
-    kept = kept.ravel()
-    F, J, det = patch.grid_eval(pts)
-    adet = np.abs(det).ravel()[kept]
-    _require_regular(adet)
-    c, G = _coefficients(F.reshape(-1, d)[kept].T,
-                         J.reshape(-1, d, d)[kept], adet, rho, kappa)
-    # subcell points stay inside the element, so the active window is the
-    # element's own
-    tables = [eval_basis(kv, x, deriv_order=1)[1]
-              for kv, x in zip(space.kvs, pts)]
-    Bv, Bg = _tensor_tables([t[0] for t in tables], [t[1] for t in tables])
-    wq = _kron_rows(wts)[kept]
-    return _local_matrices(Bv[:, kept], [B[:, kept] for B in Bg], wq, c, G,
-                           d)
 
 
 def load_vector(grid, g):

@@ -23,7 +23,8 @@ from .dynamics import (central_difference, l2_error, l2_norm,
                        write_trajectory_csv, Trajectory)
 from .geometry import (MultipatchTopology, catalog, classify_elements,
                        outer_faces, rotated_square_region)
-from .linalg import banded_cholesky, dense_generalized_eig, _measured_bandwidth
+from .linalg import (DENSE_CAP, banded_cholesky, dense_generalized_eig,
+                     _measured_bandwidth)
 from .lumping import (HierBandedMatrix, _as_csr, block_lumped_family,
                       hierarchical_lump, lump_rowsum, multipatch_lump,
                       pad_lump_trim)
@@ -35,7 +36,6 @@ from .svgplot import LinePlot
 _KINDS = ('spectrum', 'convergence', 'simulate', 'deflate-ratio',
           'trimmed-sweep', 'bandwidth-report')
 _PENCIL_RE = re.compile(r'^(M|rowsum|P[1-9][0-9]*|H[1-9][0-9]*)$')
-_DENSE_CAP = 4000
 _ONE = lambda *xs: 1.0
 
 
@@ -352,9 +352,7 @@ def _mass_variant(cfg, pair, label, topo=None, locs=None):
     kw = {'i': idx} if fam == 'P' else {'level': idx}
     try:
         if pair.embedding is not None:
-            bandwidths = (cfg.p,) * len(pair.background_dims)
-            return pad_lump_trim(M, pair.embedding, pair.background_dims,
-                                 bandwidths, **kw)
+            return pad_lump_trim(M, pair.embedding, pair.background_dims, **kw)
         if topo is not None:
             mats = [loc.M for loc in locs]
             return multipatch_lump(mats, topo.l2g, topo.n_global, **kw)
@@ -375,19 +373,14 @@ def _mass_factor(Mvar):
     return banded_cholesky(A, _measured_bandwidth(A))
 
 
-def _eig_all(K, Mvar):
-    w, _U = dense_generalized_eig(K, Mvar)
-    return w
-
-
 def _extreme_eigenvalue(K, Mvar, which, label, seed=0):
     """Smallest or largest generalized eigenvalue, dense below the cap.
 
     label names the mass pencil in a failure message.
     """
     n = K.shape[0]
-    if n <= _DENSE_CAP:
-        w = _eig_all(K, Mvar)
+    if n <= DENSE_CAP:
+        w = dense_generalized_eig(K, Mvar)[0]
         return float(w[0] if which == 'smallest' else w[-1])
     A, B = _as_csr(K), _as_csr(Mvar)
     v0 = np.full(n, n ** -0.5)
@@ -448,10 +441,10 @@ def run_spectrum(cfg):
     if cfg.k is not None and cfg.k > n:
         raise ConfigError('%s: k = %d exceeds the system size n = %d'
                           % (cfg.where('k'), cfg.k, n))
-    if cfg.k is None and n > _DENSE_CAP:
+    if cfg.k is None and n > DENSE_CAP:
         raise ConfigError('%s: %d dofs exceed the dense oracle cap %d; '
                           'set k for a Lanczos-only spectrum'
-                          % (cfg.where('subdivisions'), n, _DENSE_CAP))
+                          % (cfg.where('subdivisions'), n, DENSE_CAP))
 
     spectra = []
     variants = {}
@@ -464,7 +457,7 @@ def run_spectrum(cfg):
             _require_converged(res, 'pencil %s' % label, n)
             vals = np.sort(res.values)
         else:
-            vals = _eig_all(pair.K, Mvar)
+            vals = dense_generalized_eig(pair.K, Mvar)[0]
         spectra.append((label, vals))
 
     if cfg.ranks:
@@ -481,7 +474,7 @@ def run_spectrum(cfg):
             except ValueError as exc:
                 raise ConfigError('%s: rank %d: %s'
                                   % (cfg.where('ranks'), r, exc)) from None
-            wbar = _eig_all(*pencil.dense_pair())
+            wbar = dense_generalized_eig(*pencil.dense_pair())[0]
             spectra.append(('%s+r%d' % (base, r), wbar))
 
     csv = os.path.join(cfg.out, 'spectrum.csv')
@@ -693,7 +686,7 @@ def _trimmed_sweep(cfg):
             A, B, _d = jacobi_rescale(pair.K, Mvar)
             if label != 'M':
                 _mass_factor(B)
-            spectra.append((label, _eig_all(A, B)))
+            spectra.append((label, dense_generalized_eig(A, B)[0]))
         return pair.K.shape[0], spectra
 
     return angles, _run_sweep(cfg, one, angles)

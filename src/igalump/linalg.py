@@ -10,7 +10,10 @@ several threads on distinct right-hand sides.
 import numpy as np
 import scipy.linalg as sla
 
-from .lumping import _as_csr
+from .lumping import _as_csr, _strides
+
+# largest system the dense generalized eigensolver accepts
+DENSE_CAP = 4000
 
 
 def hier_bandwidth(b, n):
@@ -22,12 +25,7 @@ def hier_bandwidth(b, n):
     n = [int(x) for x in n]
     if len(b) != len(n):
         raise ValueError('bandwidths and dims differ in length')
-    total = 0
-    stride = 1
-    for bk, nk in zip(reversed(b), reversed(n)):
-        total += bk * stride
-        stride *= nk
-    return total
+    return sum(bk * r for bk, r in zip(b, _strides(n)))
 
 
 class FactorizedOperator:
@@ -201,12 +199,12 @@ def dense_generalized_eig(A, B):
 
     Reduces to standard form through a Cholesky factorization of B and
     back-transforms, so the returned eigenvectors are B-orthonormal and the
-    eigenvalues ascend. Intended as an oracle; refuses n > 4000.
+    eigenvalues ascend. Intended as an oracle; refuses n > DENSE_CAP.
     """
     A = _to_dense(A)
     B = _to_dense(B)
     n = A.shape[0]
-    if n > 4000:
+    if n > DENSE_CAP:
         raise ValueError('problem of size %d too large for the dense oracle'
                          % n)
     try:

@@ -196,7 +196,7 @@ def multipatch_lump(local_mats, maps, n_global, i=None, level=None):
     return _scatter(lumped, maps, n_global)
 
 
-def pad_lump_trim(M_trimmed, embedding, dims, bandwidths, i=None, level=None):
+def pad_lump_trim(M_trimmed, embedding, dims, i=None, level=None):
     """Lump a trimmed matrix through its untrimmed tensor embedding.
 
     The active-dof matrix is viewed as the restriction of a padded matrix

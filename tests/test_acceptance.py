@@ -295,7 +295,7 @@ def test_criterion_12_trimmed_rotated_square():
         variants = {}
         for i in (1, 2):
             P = pad_lump_trim(pair.M, pair.embedding, pair.background_dims,
-                              (p, p), i=i)
+                              i=i)
             _A, B, _d = jacobi_rescale(pair.K, P)
             banded_cholesky(B, _measured_bandwidth(B))  # SPD or it raises
             variants[i] = P

@@ -1,5 +1,6 @@
 """Assembly against hand integrals, quadrature oracles and structure checks."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -17,7 +18,7 @@ from igalump.assembly import (assemble_multipatch, assemble_single_patch,
 from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
                               plate_quarter_hole, pullback_coeffs,
                               quarter_annulus, magnet, rotated_square_region,
-                              unit_square)
+                              unit_cube, unit_square)
 from igalump.dynamics import l2_error
 from igalump.splines import KnotVector, SplineSpace, eval_basis, \
     make_open_uniform
@@ -361,6 +362,171 @@ def test_singular_jacobian_on_rejected_subcell_is_ignored():
     e = np.ones(pair.M.shape[0])
     # the retained part is x > 0.6 of the unit square
     assert e @ (pair.M @ e) == pytest.approx(0.4, rel=0.05)
+
+
+# ------------------------------------------------- per-element loop oracle
+
+def _nonseparable(*xs):
+    return np.abs(np.sin(np.prod(xs, axis=0))) + np.sum(xs, axis=0) + 1.0
+
+
+def _kron_tables(Vs, Ds):
+    Bv = functools.reduce(np.kron, Vs)
+    Bg = [functools.reduce(np.kron, [Ds[l] if m == l else Vs[l]
+                                     for l in range(len(Vs))])
+          for m in range(len(Vs))]
+    return Bv, Bg
+
+
+def _loop_local(Bv, Bg, wq, c, G):
+    Mloc = (Bv * (wq * c)) @ Bv.T
+    Kloc = np.zeros_like(Mloc)
+    for l, m in itertools.product(range(len(Bg)), repeat=2):
+        Kloc += (Bg[l] * (wq * G[..., l, m])) @ Bg[m].T
+    return Mloc, Kloc
+
+
+def loop_whole_element(grid, c, G, el):
+    """Local pair of one whole element from the grid, by Kronecker tables."""
+    d = grid.space.ndim
+    sl = tuple(slice(e * nq, (e + 1) * nq) for e, nq in zip(el, grid.nqs))
+    Vs, Ds = [], []
+    for l, kv in enumerate(grid.space.kvs):
+        rows = slice(grid.firsts[l][el[l]], grid.firsts[l][el[l]] + kv.p + 1)
+        Vs.append(grid.vals[l][rows, sl[l]])
+        Ds.append(grid.ders[l][rows, sl[l]])
+    wq = functools.reduce(np.kron, [w[s] for w, s in zip(grid.wts, sl)])
+    return _loop_local(*_kron_tables(Vs, Ds), wq, c[sl].ravel(),
+                       G[sl].reshape(-1, d, d))
+
+
+def loop_cut_element(space, patch, region, rho, kappa, el, nsub, nqs):
+    """Local pair of one cut element on its own composite subcell rule."""
+    d = space.ndim
+    pts, wts, centers = [], [], []
+    for l, kv in enumerate(space.kvs):
+        lo, hi = (b[el[l]] for b in kv.span_bounds())
+        h = (hi - lo) / nsub
+        a = lo + np.arange(nsub) * h
+        xg, wg = igalump.assembly.gauss_rule(nqs[l])
+        pts.append((a[:, None] + h * xg).ravel())
+        wts.append(np.tile(h * wg, nsub))
+        centers.append(a + 0.5 * h)
+    F, _, _ = patch.grid_eval(centers)
+    kept = region(*np.moveaxis(F, -1, 0)) > 0
+    for l in range(d):
+        kept = np.repeat(kept, nqs[l], axis=l)
+    kept = kept.ravel()
+    F, J, det = patch.grid_eval(pts)
+    adet = np.abs(det).ravel()[kept]
+    igalump.assembly._require_regular(adet)
+    c, G = igalump.assembly._coefficients(
+        F.reshape(-1, d)[kept].T, J.reshape(-1, d, d)[kept], adet, rho,
+        kappa)
+    tables = [eval_basis(kv, x, deriv_order=1)[1]
+              for kv, x in zip(space.kvs, pts)]
+    Bv, Bg = _kron_tables([t[0] for t in tables], [t[1] for t in tables])
+    wq = functools.reduce(np.kron, wts)[kept]
+    return _loop_local(Bv[:, kept], [B[:, kept] for B in Bg], wq, c, G)
+
+
+def loop_assemble(space, patch, rho, kappa, nquad=None, mask=None,
+                  subdepth=3):
+    """CSR mass and stiffness by one local pair per element, in canonical
+    element order: over the free dofs, or with mask over the active free
+    dofs with the empty-mass rows pruned, as assemble_trimmed does."""
+    d = space.ndim
+    grid = quadrature_grid(space, patch, nquad)
+    c, G = igalump.assembly._coefficients(grid.coords, grid.J, grid.adet,
+                                          rho, kappa)
+    f2f = space.full_to_free()
+    live = np.ones(space.num_free, dtype=bool)
+    if mask is not None:
+        live = np.asarray(mask.active).ravel()[space.free_to_full()]
+    sys_of_free = np.where(live, np.cumsum(live) - 1, -1)
+    full_to_sys = np.where(f2f >= 0, sys_of_free[np.maximum(f2f, 0)], -1)
+    rows, cols, mv, kv = [], [], [], []
+    for el in itertools.product(*[range(k.numspans) for k in space.kvs]):
+        cls = 1 if mask is None else mask.element_class[el]
+        if cls < 0:
+            continue
+        if cls > 0:
+            Mloc, Kloc = loop_whole_element(grid, c, G, el)
+        else:
+            Mloc, Kloc = loop_cut_element(space, patch, mask.region, rho,
+                                          kappa, el, 2 ** subdepth, grid.nqs)
+        dofs = np.ravel_multi_index(np.meshgrid(
+            *[grid.firsts[l][el[l]] + np.arange(space.kvs[l].p + 1)
+              for l in range(d)], indexing='ij'), space.dims).ravel()
+        free = full_to_sys[dofs]
+        keep = free >= 0
+        free = free[keep]
+        rows.append(np.repeat(free, len(free)))
+        cols.append(np.tile(free, len(free)))
+        mv.append(Mloc[np.ix_(keep, keep)].ravel())
+        kv.append(Kloc[np.ix_(keep, keep)].ravel())
+    n = int(live.sum())
+    pair = []
+    for vals in (mv, kv):
+        A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                  np.concatenate(cols))),
+                          shape=(n, n)).tocsr()
+        A.sum_duplicates()
+        pair.append(A)
+    M, K = pair
+    if mask is not None:
+        diag = M.diagonal()
+        sel = np.flatnonzero(diag > 1e-12 * np.max(diag))
+        M, K = (A[np.ix_(sel, sel)].tocsr() for A in (M, K))
+    return M, K
+
+
+def _assert_same_matrix(got, want):
+    got, want = sp.csr_matrix(got), sp.csr_matrix(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    scale = np.max(np.abs(want.data))
+    assert np.max(np.abs(got.data - want.data)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize('case', [
+    'square-p1', 'square-p2', 'square-p3', 'square-p1-dirichlet',
+    'square-p2-dirichlet', 'square-p3-dirichlet', 'plate-hole',
+    'cube-p2', 'annulus-nquad'])
+def test_kernel_matches_element_loop(case):
+    kappa = lambda *xs: 1.0 + xs[0] ** 2
+    nquad = None
+    if case.startswith('square'):
+        p = int(case[8])
+        dirichlet = [(True, True)] * 2 if 'dirichlet' in case else None
+        space, patch = square_space(5, p, dirichlet=dirichlet), unit_square()
+    elif case == 'plate-hole':
+        space, patch = square_space(4, 2), plate_quarter_hole()
+    elif case == 'cube-p2':
+        kv = make_open_uniform(3, 2, 1)
+        space, patch = SplineSpace([kv] * 3), unit_cube()
+    else:
+        space, patch, nquad = square_space(3, 2), quarter_annulus(), 5
+    pair = assemble_single_patch(space, patch, _nonseparable, kappa, nquad)
+    M, K = loop_assemble(space, patch, _nonseparable, kappa, nquad)
+    _assert_same_matrix(pair.M.mat, M)
+    _assert_same_matrix(pair.K.mat, K)
+
+
+@pytest.mark.parametrize('subdepth', [2, 3])
+@pytest.mark.parametrize('angle', [0.0, 0.4, 2 * np.pi / 3])
+def test_trimmed_kernel_matches_element_loop(angle, subdepth):
+    space, patch = square_space(10, 2), unit_square()
+    region = rotated_square_region(angle=angle, half_side=0.33)
+    mask = classify_elements(space, patch, region, subdepth=subdepth)
+    assert np.any(mask.element_class == 0)
+    pair = assemble_trimmed(space, patch, mask, _nonseparable, ONE,
+                            subdepth=subdepth)
+    M, K = loop_assemble(space, patch, _nonseparable, ONE, mask=mask,
+                         subdepth=subdepth)
+    _assert_same_matrix(pair.M.mat, M)
+    _assert_same_matrix(pair.K.mat, K)
 
 
 # ------------------------------------------------------------ jacobi rescale

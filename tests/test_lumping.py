@@ -14,6 +14,7 @@ from igalump.geometry import (MultipatchTopology, plate_quarter_hole_2patch,
 from igalump.lumping import (HierBandedMatrix, block_lump,
                              block_lumped_family, hierarchical_lump,
                              lump_rowsum, multipatch_lump, pad_lump_trim)
+from igalump.spectral import split_zero_modes
 from igalump.splines import SplineSpace, make_open_uniform
 from structured_spd import random_structured_spd
 
@@ -296,6 +297,10 @@ def test_multipatch_eigenvalue_order():
     w1 = _eigs(K, multipatch_lump(locals_M, topo.l2g, topo.n_global, i=1))
     w2 = _eigs(K, multipatch_lump(locals_M, topo.l2g, topo.n_global, i=2))
     wM = _eigs(K, glob.M.toarray())
+    # the Neumann kernel is an exact zero computed as roundoff of either
+    # sign, so it is counted rather than ordered
+    (w1, n1), (w2, n2), (wM, nM) = (split_zero_modes(w) for w in (w1, w2, wM))
+    assert n1 == n2 == nM
     scale = np.abs(wM)
     assert np.all(w1 <= w2 + 1e-9 * scale)
     assert np.all(w2 <= wM + 1e-9 * scale)
@@ -322,7 +327,7 @@ def test_multipatch_extreme_eigs_bounded_by_locals():
 def test_pad_lump_trim_all_active():
     B = random_structured_spd((5, 4), (3, 2), np.random.default_rng(9))
     n = B.shape[0]
-    got = pad_lump_trim(B.mat, np.arange(n), B.dims, B.bandwidths, i=2)
+    got = pad_lump_trim(B.mat, np.arange(n), B.dims, i=2)
     np.testing.assert_allclose(got.toarray(),
                                block_lumped_family(B, 2).toarray(), atol=0)
 
@@ -334,7 +339,7 @@ def test_pad_lump_trim_matches_dense_route(kind):
     n = B.shape[0]
     active = np.sort(rng.choice(n, size=14, replace=False))
     Mt = sp.csr_matrix(B.toarray()[np.ix_(active, active)])
-    got = pad_lump_trim(Mt, active, B.dims, B.bandwidths, **kind)
+    got = pad_lump_trim(Mt, active, B.dims, **kind)
     # reference: pad densely, lump, restrict
     padded = np.zeros((n, n))
     padded[np.ix_(active, active)] = Mt.toarray()
@@ -355,7 +360,7 @@ def test_pad_lump_trim_rotated_square_spd():
     pair = assemble_trimmed(space, unit_square(), mask, ONE, ONE)
     for i in (1, 2):
         P = pad_lump_trim(pair.M.mat, pair.embedding, pair.background_dims,
-                          (2, 2), i=i)
+                          i=i)
         np.linalg.cholesky(P.toarray())
 
 
@@ -363,7 +368,7 @@ def test_pad_lump_trim_rejects_duplicate_embedding():
     B = random_structured_spd((3, 3), (1, 1), np.random.default_rng(11))
     Mt = sp.csr_matrix(B.toarray()[:2, :2])
     with pytest.raises(ValueError):
-        pad_lump_trim(Mt, np.array([0, 0]), (3, 3), (1, 1), i=1)
+        pad_lump_trim(Mt, np.array([0, 0]), (3, 3), i=1)
 
 
 # ------------------------------------------------------------------ property
