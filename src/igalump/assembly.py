@@ -7,12 +7,14 @@ spline space, with entries
 
 in the parametric domain, where c and G carry density, diffusivity and the
 geometry pullback. Quadrature is Gauss-Legendre with p+1 points per
-direction per element, exact for the polynomial case. A QuadratureGrid
-holds the basis tables and the pullback of one space on one patch; the
-assembly, load vectors and L2 errors all evaluate through it, and it lives
-only as long as its caller keeps it. Whole and cut elements alike go
-through one batched kernel that contracts per-direction tables one
-direction at a time (sum factorization).
+direction per element, exact for the polynomial case. All Gauss points
+come from one composite rule builder. A QuadratureGrid holds the basis
+values and the pullback of one space on one patch for load vectors and L2
+errors, and lives only as long as its caller keeps it. The assembly
+integrates whole and cut elements through one element routine, a whole
+element being one subcell with no region test, and one batched kernel
+that contracts per-direction tables one direction at a time (sum
+factorization).
 """
 
 import itertools
@@ -53,22 +55,16 @@ def gauss_rule(npoints):
 class QuadratureGrid:
     """Gauss tables and geometry pullback of one space on one patch.
 
-    Per direction l: points pts[l] and weights wts[l], shape (nel*nq,);
-    basis values vals[l] and derivatives ders[l], shape (numdofs, nel*nq);
-    firsts[l], the first active dof of each element; nqs[l], the points
-    per element. On the tensor grid of points: coords, the physical
-    coordinates with shape (d,) + grid; J, shape grid + (d, d); and
+    Per direction l: points pts[l] and weights wts[l], shape (nel*nq,),
+    and basis values vals[l], shape (numdofs, nel*nq). On the tensor grid
+    of points: coords, the physical coordinates with shape (d,) + grid, and
     adet = |det J|, shape grid.
     """
     space: object
     pts: list
     wts: list
     vals: list
-    ders: list
-    firsts: list
-    nqs: tuple
     coords: np.ndarray
-    J: np.ndarray
     adet: np.ndarray
 
     def weights(self):
@@ -85,25 +81,33 @@ def quadrature_grid(space, patch, nquad=None):
     Raises:
         ValueError: if the Jacobian is singular at a quadrature point.
     """
-    pts, wts, vals, ders, firsts, nqs = [], [], [], [], [], []
+    pts, wts, vals = [], [], []
     for kv in space.kvs:
-        nq = nquad or (kv.p + 1)
-        xg, wg = gauss_rule(nq)
-        lo, hi = kv.span_bounds()
-        x = (lo[:, None] + (hi - lo)[:, None] * xg[None, :]).ravel()
-        w = ((hi - lo)[:, None] * wg[None, :]).ravel()
-        first, V, D = _dense_tables(kv, x)
+        x, w, _ = _element_rule(kv, np.arange(kv.numspans), 1,
+                                nquad or kv.p + 1)
         pts.append(x)
         wts.append(w)
-        vals.append(V)
-        ders.append(D)
-        firsts.append(first[::nq])
-        nqs.append(nq)
-    F, J, det = patch.grid_eval(pts)
+        vals.append(_dense_tables(kv, x)[1])
+    F, _, det = patch.grid_eval(pts)
     adet = np.abs(det)
     _require_regular(adet)
-    return QuadratureGrid(space, pts, wts, vals, ders, firsts, tuple(nqs),
-                          np.moveaxis(F, -1, 0), J, adet)
+    return QuadratureGrid(space, pts, wts, vals, np.moveaxis(F, -1, 0), adet)
+
+
+def _element_rule(kv, e, nsub, nq):
+    """Composite Gauss rule on the elements e of one direction.
+
+    Each element is split into nsub equal subcells of nq points each.
+    Returns the points and weights, shape (len(e)*nsub*nq,), and the
+    subcell centres, shape (len(e)*nsub,), element by element.
+    """
+    lo, hi = (b[e] for b in kv.span_bounds())
+    h = (hi - lo) / nsub
+    a = lo[:, None] + np.arange(nsub) * h[:, None]
+    xg, wg = gauss_rule(nq)
+    x = (a[:, :, None] + h[:, None, None] * xg).ravel()
+    w = np.tile(h[:, None] * wg, nsub).ravel()
+    return x, w, (a + 0.5 * h[:, None]).ravel()
 
 
 def _require_regular(adet):
@@ -136,7 +140,7 @@ def _element_kernel(vals, ders, c, G):
 
     vals[l] and ders[l] hold the values and derivatives of the p_l+1
     functions of direction l active on each element, shape
-    (E, p_l+1, nq_l); a leading 1 stands for a table all elements share.
+    (E, p_l+1, nq_l).
     c and G carry the quadrature weights, with shapes (E, nq_1, ..., nq_d)
     and (E, nq_1, ..., nq_d, d, d). Returns M and K of shape
     (E, nloc, nloc), local functions in lexicographic order.
@@ -166,55 +170,44 @@ def _sum_factorize(c, X, Y):
     return T.reshape(E, int(np.prod(sizes[::2])), int(np.prod(sizes[1::2])))
 
 
-def _whole_elements(grid, els, rho, kappa):
-    """Local matrices of the whole elements els (E, d) from the grid."""
-    space = grid.space
-    nels = [kv.numspans for kv in space.kvs]
-    c, G = _coefficients(grid.coords, grid.J, grid.adet, rho, kappa)
-    w = grid.weights()
-    flat = np.ravel_multi_index(tuple(els.T), nels)
-    c = _by_element(c * w, nels, grid.nqs)[flat]
-    G = _by_element(G * w[..., None, None], nels, grid.nqs)[flat]
-    vals, ders = [], []
-    for l, (kv, nq) in enumerate(zip(space.kvs, grid.nqs)):
-        e = els[:, l, None, None]
-        rows = grid.firsts[l][e] + np.arange(kv.p + 1)[:, None]
-        cols = e * nq + np.arange(nq)
-        vals.append(grid.vals[l][rows, cols])
-        ders.append(grid.ders[l][rows, cols])
-    return _element_kernel(vals, ders, c, G)
+def _element_matrices(space, patch, rho, kappa, els, nquad, region=None,
+                      nsub=1):
+    """Local mass and stiffness of the elements els (E, d).
 
-
-def _cut_elements(space, patch, region, rho, kappa, els, nsub, nqs):
-    """Local matrices of cut elements els (E, d) sharing all but the last
-    index, each on a composite rule of nsub subcells times nq[l] points in
-    direction l. A subcell whose center lies outside the region keeps its
-    points at weight 0, and only retained points enter c and G: a rejected
-    subcell may have a singular Jacobian."""
+    els must hold every combination of its per-direction indices, in
+    lexicographic order: the whole mesh or one element line. Each element
+    is integrated on nsub subcells per direction of nq_l Gauss points in
+    direction l (default p_l+1). With a region, a subcell whose centre lies
+    outside it keeps its points at weight 0, and only retained points enter
+    c and G: a rejected subcell may have a singular Jacobian.
+    """
     d = space.ndim
-    idx = [els[:1, l] for l in range(d - 1)] + [els[:, -1]]
-    pts, wts, centers, vals, ders = [], [], [], [], []
-    for kv, e, nq in zip(space.kvs, idx, nqs):
-        lo, hi = (b[e] for b in kv.span_bounds())
-        h = (hi - lo) / nsub
-        a = lo[:, None] + np.arange(nsub) * h[:, None]
-        xg, wg = gauss_rule(nq)
-        x = (a[:, :, None] + h[:, None, None] * xg).ravel()
+    idx = [np.unique(col) for col in els.T]
+    pts, wts, centers, vals, ders, nqs = [], [], [], [], [], []
+    for kv, e, col in zip(space.kvs, idx, els.T):
+        nq = nquad or kv.p + 1
+        x, w, mid = _element_rule(kv, e, nsub, nq)
         pts.append(x)
-        wts.append(np.tile(h[:, None] * wg, nsub).ravel())
-        centers.append((a + 0.5 * h[:, None]).ravel())
+        wts.append(w)
+        centers.append(mid)
+        nqs.append(nq)
         # subcell points stay inside their element, so the active window
         # is the element's own
         t = eval_basis(kv, x, deriv_order=1)[1]
         t = t.reshape(2, kv.p + 1, len(e), -1).swapaxes(1, 2)
-        vals.append(t[0])
-        ders.append(t[1])
+        at = np.searchsorted(e, col)
+        vals.append(t[0, at])
+        ders.append(t[1, at])
     nels = [len(e) for e in idx]
     nps = [nsub * nq for nq in nqs]
-    F, _, _ = patch.grid_eval(centers)
-    kept = _by_element(region(*np.moveaxis(F, -1, 0)) > 0, nels, (nsub,) * d)
-    for l, nq in enumerate(nqs):
-        kept = np.repeat(kept, nq, axis=l + 1)
+    if region is None:
+        kept = np.ones((len(els),) + tuple(nps), dtype=bool)
+    else:
+        F, _, _ = patch.grid_eval(centers)
+        kept = _by_element(region(*np.moveaxis(F, -1, 0)) > 0, nels,
+                           (nsub,) * d)
+        for l, nq in enumerate(nqs):
+            kept = np.repeat(kept, nq, axis=l + 1)
     w = _by_element(reduce(np.multiply.outer, wts), nels, nps)[kept]
     F, J, det = patch.grid_eval(pts)
     adet = np.abs(_by_element(det, nels, nps)[kept])
@@ -228,23 +221,31 @@ def _cut_elements(space, patch, region, rho, kappa, els, nsub, nqs):
     return _element_kernel(vals, ders, c, G)
 
 
-def _system_matrices(space, firsts, els, Mloc, Kloc, full_to_sys, n):
+def _system_matrices(space, els, Mloc, Kloc, full_to_sys, n):
     """CSR mass and stiffness over n system dofs from local matrices.
 
-    els (E, d) holds the multi-indices of the elements and firsts[l] the
-    first active function of each element in direction l; full_to_sys maps
+    els (E, d) holds the multi-indices of the elements; full_to_sys maps
     full tensor indices to system dofs, -1 dropping a dof. Triplets follow
     the element order, so duplicates sum in that order.
     """
     dofs = np.zeros((len(els), 1), dtype=np.int64)
     for l, (kv, r) in enumerate(zip(space.kvs, _strides(space.dims))):
-        d1 = (firsts[l][els[:, l], None] + np.arange(kv.p + 1)) * r
+        first = kv.find_span(kv.span_bounds()[0]) - kv.p
+        d1 = (first[els[:, l], None] + np.arange(kv.p + 1)) * r
         dofs = (dofs[:, :, None] + d1[:, None, :]).reshape(len(els), -1)
-    dofs = full_to_sys[dofs]
+    # the CSR merge wants 32-bit indices wherever they fit: cast once here,
+    # not once per matrix inside the merge, so fewer triplet copies coexist
+    dofs = full_to_sys[dofs].astype(np.int32 if n < 2 ** 31 else np.int64)
     keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
     rows = np.broadcast_to(dofs[:, :, None], keep.shape)[keep]
     cols = np.broadcast_to(dofs[:, None, :], keep.shape)[keep]
     return _csr(rows, cols, Mloc[keep], n), _csr(rows, cols, Kloc[keep], n)
+
+
+def _mesh(space):
+    """Multi-indices (E, d) of all elements in canonical (lexicographic)
+    order."""
+    return np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
 
 
 def _finish_pair(space, M, K):
@@ -258,16 +259,10 @@ def _finish_pair(space, M, K):
 
 def assemble_single_patch(space, patch, rho, kappa, nquad=None):
     """Mass and stiffness of one patch, canonical element order."""
-    grid = quadrature_grid(space, patch, nquad)
-    # element multi-indices in canonical (lexicographic) order
-    els = np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
-    Mloc, Kloc = _whole_elements(grid, els, rho, kappa)
-    firsts = grid.firsts
-    # the triplet merge sets the peak memory of a large assembly, and
-    # needs neither the tables nor the coefficients
-    del grid
-    M, K = _system_matrices(space, firsts, els, Mloc, Kloc,
-                            space.full_to_free(), space.num_free)
+    els = _mesh(space)
+    Mloc, Kloc = _element_matrices(space, patch, rho, kappa, els, nquad)
+    M, K = _system_matrices(space, els, Mloc, Kloc, space.full_to_free(),
+                            space.num_free)
     return _finish_pair(space, M, K)
 
 
@@ -311,29 +306,28 @@ def assemble_trimmed(space, patch, mask, rho, kappa, subdepth=3, nquad=None):
     if not np.any(mask.element_class >= 0):
         raise ValueError('trim region excludes every element '
                          '(n_active = 0)')
-    grid = quadrature_grid(space, patch, nquad)
-
     free_to_full = space.free_to_full()
     embedding = np.flatnonzero(np.asarray(mask.active).ravel()[free_to_full])
     n_sys = len(embedding)
     full_to_sys = np.full(space.numdofs, -1)
     full_to_sys[free_to_full[embedding]] = np.arange(n_sys)
 
-    # each element's pair sits at its index among the non-outside elements
+    # each element's pair sits at its index among the non-outside elements;
+    # inside elements take theirs from the whole mesh
     els = np.argwhere(mask.element_class >= 0)
-    cut = mask.element_class[tuple(els.T)] == 0
-    nloc = int(np.prod([kv.p + 1 for kv in space.kvs]))
-    Mloc, Kloc = np.empty((2, len(els), nloc, nloc))
-    Mloc[~cut], Kloc[~cut] = _whole_elements(grid, els[~cut], rho, kappa)
+    Mloc, Kloc = _element_matrices(space, patch, rho, kappa, _mesh(space),
+                                   nquad)
+    flat = np.ravel_multi_index(tuple(els.T), mask.element_class.shape)
+    Mloc, Kloc = Mloc[flat], Kloc[flat]
     # cut elements go in batches of one element line (all indices but the
     # last fixed), which bounds the composite grid held at once
+    cut = mask.element_class[tuple(els.T)] == 0
     for lead in np.unique(els[cut, :-1], axis=0):
         line = np.flatnonzero(cut & np.all(els[:, :-1] == lead, axis=1))
-        Mloc[line], Kloc[line] = _cut_elements(
-            space, patch, mask.region, rho, kappa, els[line], 2 ** subdepth,
-            grid.nqs)
-    M, K = _system_matrices(space, grid.firsts, els, Mloc, Kloc, full_to_sys,
-                            n_sys)
+        Mloc[line], Kloc[line] = _element_matrices(
+            space, patch, rho, kappa, els[line], nquad, mask.region,
+            2 ** subdepth)
+    M, K = _system_matrices(space, els, Mloc, Kloc, full_to_sys, n_sys)
     diag = M.diagonal()
     keep = diag > 1e-12 * np.max(diag, initial=0.0)
     if not np.any(keep):

@@ -141,8 +141,6 @@ class WaveProblem:
     u0: np.ndarray
     v0: np.ndarray
     exact: object       # (x, y, t) -> displacement
-    rho: object
-    kappa: object
 
 
 def manufactured_wave_problem(patch, p, subdivisions, nquad=None):
@@ -180,8 +178,7 @@ def manufactured_wave_problem(patch, p, subdivisions, nquad=None):
     def exact(x, y, t):
         return plate_deflection(x, y) * (2.0 + np.sin(two_pi * t))
 
-    return WaveProblem(space, patch, pair, grid, f, u0, v0, exact,
-                       rho=one, kappa=one)
+    return WaveProblem(space, patch, pair, grid, f, u0, v0, exact)
 
 
 # ------------------------------------------------------------ CFL utilities

@@ -1,22 +1,22 @@
 """Patch geometry maps and multipatch topology.
 
 A Patch is a tensor-product B-spline or NURBS map from the parametric unit
-cube to physical space. This module provides Jacobians, the pullback
-coefficients used in assembly, a catalog of built-in geometries, knot
-insertion and patch splitting, trim-region classification, and conforming
-multipatch topologies.
+cube to physical space, evaluated with its Jacobian on tensor grids of
+points (Patch.grid_eval). This module also provides a catalog of built-in
+geometries, knot insertion and patch splitting, trim-region
+classification, and conforming multipatch topologies.
 """
 
 import math
 
 import numpy as np
 
-from .splines import KnotVector, SplineSpace, _dense_tables, eval_basis
+from .splines import KnotVector, SplineSpace, _dense_tables
 
 __all__ = [
-    'Patch', 'MultipatchTopology', 'TrimMask', 'jacobian', 'pullback_coeffs',
-    'classify_elements', 'knot_insert', 'split_patch', 'unit_square',
-    'unit_cube', 'stretched_square', 'quarter_annulus', 'plate_quarter_hole',
+    'Patch', 'MultipatchTopology', 'TrimMask', 'classify_elements',
+    'knot_insert', 'split_patch', 'unit_square', 'unit_cube',
+    'stretched_square', 'quarter_annulus', 'plate_quarter_hole',
     'plate_quarter_hole_2patch', 'magnet', 'twisted_box', 'patch_grid',
     'rotated_square_region', 'catalog',
 ]
@@ -59,38 +59,6 @@ class Patch:
             else np.ones(self.space.numdofs)
         H = np.concatenate([self.points * w[:, None], w[:, None]], axis=1)
         return H.reshape(self.space.dims + (self.ndim + 1,))
-
-    def map_eval(self, xhat):
-        """Physical image of the parametric point xhat."""
-        T = self._hom_eval(xhat, deriv=False)
-        return T[:-1] / T[-1]
-
-    def _hom_eval(self, xhat, deriv):
-        d = self.ndim
-        H = self.homogeneous()
-        vals, ders, firsts = [], [], []
-        for l in range(d):
-            first, table = eval_basis(self.space.kvs[l], xhat[l],
-                                      1 if deriv else 0)
-            firsts.append(first)
-            vals.append(table[0])
-            if deriv:
-                ders.append(table[1])
-        p = self.space.degrees
-        sub = H[tuple(slice(f, f + p[l] + 1) for l, f in enumerate(firsts))]
-        T = sub
-        for l in range(d):
-            T = np.tensordot(vals[l], T, axes=(0, 0))
-        if not deriv:
-            return T
-        grads = []
-        for l in range(d):
-            G = sub
-            for m in range(d):
-                row = ders[m] if m == l else vals[m]
-                G = np.tensordot(row, G, axes=(0, 0))
-            grads.append(G)
-        return T, grads
 
     def grid_eval(self, pts_per_dir):
         """Map, Jacobians and determinants on a tensor grid of points.
@@ -135,36 +103,6 @@ def _tensor_apply(H, mats):
     for l, M in enumerate(mats):
         T = np.moveaxis(np.tensordot(M, T, axes=(1, l)), 0, l)
     return T
-
-
-def jacobian(patch, xhat):
-    """Jacobian matrix (columns are parametric derivatives) and determinant."""
-    T, grads = patch._hom_eval(np.asarray(xhat, dtype=float), deriv=True)
-    w = T[-1]
-    F = T[:-1] / w
-    d = patch.ndim
-    J = np.empty((d, d))
-    for l in range(d):
-        J[:, l] = (grads[l][:-1] - F * grads[l][-1]) / w
-    return J, float(np.linalg.det(J))
-
-
-def pullback_coeffs(patch, rho, kappa, xhat):
-    """Mass and stiffness pullback data at one parametric point.
-
-    Returns (c, G) with c = rho(F)|detJ| and G = kappa(F)|detJ|(J^T J)^-1.
-
-    Raises:
-        ValueError: if the Jacobian is (numerically) singular.
-    """
-    xhat = np.asarray(xhat, dtype=float)
-    J, detJ = jacobian(patch, xhat)
-    if abs(detJ) < 1e-14:
-        raise ValueError('singular jacobian at %s (det=%g)' % (xhat, detJ))
-    x = patch.map_eval(xhat)
-    c = rho(*x) * abs(detJ)
-    G = kappa(*x) * abs(detJ) * np.linalg.inv(J.T @ J)
-    return c, G
 
 
 # ------------------------------------------------------------- knot insertion

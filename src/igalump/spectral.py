@@ -215,12 +215,6 @@ class ScaledPencil:
             y = y + self.V @ (self.fD2 * (self.V.T @ x))
         return y
 
-    def mass_apply(self, x):
-        y = self.B @ x
-        if self.r and self.mode == 'scale-mass':
-            y = y + self.V @ (self.gD2 * (self.V.T @ x))
-        return y
-
     def dense_pair(self):
         """Explicit (A_bar, B_bar); oracle use only."""
         A = _to_dense(self.A).copy()
@@ -334,20 +328,3 @@ def write_spectrum_csv(path, spectra):
         for label, values in spectra:
             for k, lam in enumerate(np.asarray(values, dtype=float), 1):
                 f.write('%d,%.17g,%s\n' % (k, lam, label))
-
-
-def read_spectrum_csv(path):
-    """Inverse of write_spectrum_csv; returns list of (label, values)."""
-    out = {}
-    order = []
-    with open(path) as f:
-        header = f.readline()
-        if header.strip() != 'k,lambda,label':
-            raise ValueError('not a spectrum file: %s' % path)
-        for line in f:
-            _k, lam, label = line.strip().split(',', 2)
-            if label not in out:
-                out[label] = []
-                order.append(label)
-            out[label].append(float(lam))
-    return [(label, np.array(out[label])) for label in order]

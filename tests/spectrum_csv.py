@@ -1,0 +1,20 @@
+"""Reader for the spectrum CSVs that spectral.write_spectrum_csv writes."""
+
+import numpy as np
+
+
+def read_spectrum_csv(path):
+    """Inverse of write_spectrum_csv; returns list of (label, values)."""
+    out = {}
+    order = []
+    with open(path) as f:
+        header = f.readline()
+        if header.strip() != 'k,lambda,label':
+            raise ValueError('not a spectrum file: %s' % path)
+        for line in f:
+            _k, lam, label = line.strip().split(',', 2)
+            if label not in out:
+                out[label] = []
+                order.append(label)
+            out[label].append(float(lam))
+    return [(label, np.array(out[label])) for label in order]

@@ -10,18 +10,17 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import igalump.assembly
-import igalump.geometry
 import igalump.splines
 from igalump.assembly import (assemble_multipatch, assemble_single_patch,
                               assemble_trimmed, jacobi_rescale, load_vector,
                               quadrature_grid)
 from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
-                              plate_quarter_hole, pullback_coeffs,
-                              quarter_annulus, magnet, rotated_square_region,
-                              unit_cube, unit_square)
+                              plate_quarter_hole, quarter_annulus, magnet,
+                              rotated_square_region, unit_cube, unit_square)
 from igalump.dynamics import l2_error
 from igalump.splines import KnotVector, SplineSpace, eval_basis, \
     make_open_uniform
+from pointwise_map import pullback_coeffs
 
 ONE = lambda *xs: 1.0
 
@@ -386,22 +385,10 @@ def _loop_local(Bv, Bg, wq, c, G):
     return Mloc, Kloc
 
 
-def loop_whole_element(grid, c, G, el):
-    """Local pair of one whole element from the grid, by Kronecker tables."""
-    d = grid.space.ndim
-    sl = tuple(slice(e * nq, (e + 1) * nq) for e, nq in zip(el, grid.nqs))
-    Vs, Ds = [], []
-    for l, kv in enumerate(grid.space.kvs):
-        rows = slice(grid.firsts[l][el[l]], grid.firsts[l][el[l]] + kv.p + 1)
-        Vs.append(grid.vals[l][rows, sl[l]])
-        Ds.append(grid.ders[l][rows, sl[l]])
-    wq = functools.reduce(np.kron, [w[s] for w, s in zip(grid.wts, sl)])
-    return _loop_local(*_kron_tables(Vs, Ds), wq, c[sl].ravel(),
-                       G[sl].reshape(-1, d, d))
-
-
 def loop_cut_element(space, patch, region, rho, kappa, el, nsub, nqs):
-    """Local pair of one cut element on its own composite subcell rule."""
+    """Local pair of one element on its own composite subcell rule, and the
+    first active function of each direction. With region None every
+    subcell is kept, so nsub = 1 gives the whole-element rule."""
     d = space.ndim
     pts, wts, centers = [], [], []
     for l, kv in enumerate(space.kvs):
@@ -412,8 +399,11 @@ def loop_cut_element(space, patch, region, rho, kappa, el, nsub, nqs):
         pts.append((a[:, None] + h * xg).ravel())
         wts.append(np.tile(h * wg, nsub))
         centers.append(a + 0.5 * h)
-    F, _, _ = patch.grid_eval(centers)
-    kept = region(*np.moveaxis(F, -1, 0)) > 0
+    if region is None:
+        kept = np.ones((nsub,) * d, dtype=bool)
+    else:
+        F, _, _ = patch.grid_eval(centers)
+        kept = region(*np.moveaxis(F, -1, 0)) > 0
     for l in range(d):
         kept = np.repeat(kept, nqs[l], axis=l)
     kept = kept.ravel()
@@ -423,11 +413,15 @@ def loop_cut_element(space, patch, region, rho, kappa, el, nsub, nqs):
     c, G = igalump.assembly._coefficients(
         F.reshape(-1, d)[kept].T, J.reshape(-1, d, d)[kept], adet, rho,
         kappa)
-    tables = [eval_basis(kv, x, deriv_order=1)[1]
+    tables = [eval_basis(kv, x, deriv_order=1)
               for kv, x in zip(space.kvs, pts)]
-    Bv, Bg = _kron_tables([t[0] for t in tables], [t[1] for t in tables])
+    # every point lies inside the element, so each has its first function
+    firsts = [int(first[0]) for first, _ in tables]
+    Bv, Bg = _kron_tables([t[0] for _, t in tables],
+                          [t[1] for _, t in tables])
     wq = functools.reduce(np.kron, wts)[kept]
-    return _loop_local(Bv[:, kept], [B[:, kept] for B in Bg], wq, c, G)
+    Mloc, Kloc = _loop_local(Bv[:, kept], [B[:, kept] for B in Bg], wq, c, G)
+    return Mloc, Kloc, firsts
 
 
 def loop_assemble(space, patch, rho, kappa, nquad=None, mask=None,
@@ -436,9 +430,7 @@ def loop_assemble(space, patch, rho, kappa, nquad=None, mask=None,
     element order: over the free dofs, or with mask over the active free
     dofs with the empty-mass rows pruned, as assemble_trimmed does."""
     d = space.ndim
-    grid = quadrature_grid(space, patch, nquad)
-    c, G = igalump.assembly._coefficients(grid.coords, grid.J, grid.adet,
-                                          rho, kappa)
+    nqs = [nquad or kv.p + 1 for kv in space.kvs]
     f2f = space.full_to_free()
     live = np.ones(space.num_free, dtype=bool)
     if mask is not None:
@@ -451,13 +443,15 @@ def loop_assemble(space, patch, rho, kappa, nquad=None, mask=None,
         if cls < 0:
             continue
         if cls > 0:
-            Mloc, Kloc = loop_whole_element(grid, c, G, el)
+            Mloc, Kloc, firsts = loop_cut_element(space, patch, None, rho,
+                                                  kappa, el, 1, nqs)
         else:
-            Mloc, Kloc = loop_cut_element(space, patch, mask.region, rho,
-                                          kappa, el, 2 ** subdepth, grid.nqs)
+            Mloc, Kloc, firsts = loop_cut_element(
+                space, patch, mask.region, rho, kappa, el, 2 ** subdepth,
+                nqs)
         dofs = np.ravel_multi_index(np.meshgrid(
-            *[grid.firsts[l][el[l]] + np.arange(space.kvs[l].p + 1)
-              for l in range(d)], indexing='ij'), space.dims).ravel()
+            *[firsts[l] + np.arange(space.kvs[l].p + 1) for l in range(d)],
+            indexing='ij'), space.dims).ravel()
         free = full_to_sys[dofs]
         keep = free >= 0
         free = free[keep]
@@ -493,7 +487,7 @@ def _assert_same_matrix(got, want):
 @pytest.mark.parametrize('case', [
     'square-p1', 'square-p2', 'square-p3', 'square-p1-dirichlet',
     'square-p2-dirichlet', 'square-p3-dirichlet', 'plate-hole',
-    'cube-p2', 'annulus-nquad'])
+    'cube-p2', 'annulus-nquad', 'plate-c0', 'annulus-mixed'])
 def test_kernel_matches_element_loop(case):
     kappa = lambda *xs: 1.0 + xs[0] ** 2
     nquad = None
@@ -506,8 +500,17 @@ def test_kernel_matches_element_loop(case):
     elif case == 'cube-p2':
         kv = make_open_uniform(3, 2, 1)
         space, patch = SplineSpace([kv] * 3), unit_cube()
-    else:
+    elif case == 'annulus-nquad':
         space, patch, nquad = square_space(3, 2), quarter_annulus(), 5
+    elif case == 'plate-c0':
+        # interior knots of full multiplicity: element e's first function
+        # is p*e, not e
+        space, patch = square_space(4, 2, k=0), plate_quarter_hole()
+    else:
+        # mixed degrees and continuities, with a repeated interior knot
+        kvu = KnotVector([0, 0, 0, 0, 0.3, 0.5, 0.5, 1, 1, 1, 1], 3)
+        space = SplineSpace([kvu, make_open_uniform(4, 2, 0)])
+        patch, nquad = quarter_annulus(), 5
     pair = assemble_single_patch(space, patch, _nonseparable, kappa, nquad)
     M, K = loop_assemble(space, patch, _nonseparable, kappa, nquad)
     _assert_same_matrix(pair.M.mat, M)
@@ -519,12 +522,24 @@ def test_kernel_matches_element_loop(case):
 def test_trimmed_kernel_matches_element_loop(angle, subdepth):
     space, patch = square_space(10, 2), unit_square()
     region = rotated_square_region(angle=angle, half_side=0.33)
+    _assert_trimmed_matches_loop(space, patch, region, subdepth, None)
+
+
+def test_trimmed_mapped_kernel_matches_element_loop():
+    # a disc cut out of the annulus: cut elements on a curved NURBS map
+    region = lambda x, y: 0.6 - np.hypot(x - 1.2, y - 1.2)
+    _assert_trimmed_matches_loop(square_space(6, 2), quarter_annulus(),
+                                 region, 3, 4)
+
+
+def _assert_trimmed_matches_loop(space, patch, region, subdepth, nquad):
     mask = classify_elements(space, patch, region, subdepth=subdepth)
     assert np.any(mask.element_class == 0)
+    assert np.any(mask.element_class == 1)
     pair = assemble_trimmed(space, patch, mask, _nonseparable, ONE,
-                            subdepth=subdepth)
-    M, K = loop_assemble(space, patch, _nonseparable, ONE, mask=mask,
-                         subdepth=subdepth)
+                            subdepth=subdepth, nquad=nquad)
+    M, K = loop_assemble(space, patch, _nonseparable, ONE, nquad=nquad,
+                         mask=mask, subdepth=subdepth)
     _assert_same_matrix(pair.M.mat, M)
     _assert_same_matrix(pair.K.mat, K)
 
@@ -635,11 +650,9 @@ def test_grid_holds_pullback_of_patch():
     space = square_space(3, 2)
     patch = quarter_annulus()
     grid = quadrature_grid(space, patch)
-    F, J, det = patch.grid_eval(grid.pts)
+    F, _, det = patch.grid_eval(grid.pts)
     np.testing.assert_array_equal(grid.coords, np.moveaxis(F, -1, 0))
-    np.testing.assert_array_equal(grid.J, J)
     np.testing.assert_array_equal(grid.adet, np.abs(det))
-    assert grid.nqs == (3, 3)
     assert grid.weights().shape == grid.adet.shape
     assert np.sum(grid.weights() * grid.adet) \
         == pytest.approx(3 * np.pi / 4, rel=1e-4)
@@ -664,7 +677,7 @@ def test_grid_tables_are_not_rebuilt(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (igalump.assembly, igalump.geometry, igalump.splines):
+    for mod in (igalump.assembly, igalump.splines):
         monkeypatch.setattr(mod, 'eval_basis',
                             counted('eval_basis', mod.eval_basis))
     monkeypatch.setattr(Patch, 'grid_eval',

@@ -6,7 +6,8 @@ from igalump.experiments import (ConfigError, _require_converged,
                                  run_bandwidth_report, run_convergence,
                                  run_deflate_ratio, run_simulate,
                                  run_spectrum, run_trimmed_sweep)
-from igalump.spectral import LanczosResult, read_spectrum_csv
+from igalump.spectral import LanczosResult
+from spectrum_csv import read_spectrum_csv
 
 
 def write_cfg(tmp_path, text, name='exp.cfg'):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
-                              catalog, jacobian, knot_insert, magnet,
-                              outer_faces, patch_grid, plate_quarter_hole,
-                              plate_quarter_hole_2patch, pullback_coeffs,
-                              quarter_annulus, rotated_square_region,
-                              split_patch, stretched_square, twisted_box,
-                              unit_square)
+                              catalog, knot_insert, magnet, outer_faces,
+                              patch_grid, plate_quarter_hole,
+                              plate_quarter_hole_2patch, quarter_annulus,
+                              rotated_square_region, split_patch,
+                              stretched_square, twisted_box, unit_square)
 from igalump.splines import SplineSpace, make_open_uniform
+from pointwise_map import jacobian, map_eval, pullback_coeffs
 
 
 def affine_stretch():
@@ -62,8 +62,8 @@ def test_quarter_annulus_det_vs_symbolic():
 def test_quarter_annulus_is_exact():
     patch = quarter_annulus(1.0, 2.0)
     for t in np.linspace(0, 1, 13):
-        inner = patch.map_eval((0.0, t))
-        outer = patch.map_eval((1.0, t))
+        inner = map_eval(patch, (0.0, t))
+        outer = map_eval(patch, (1.0, t))
         assert np.hypot(*inner) == pytest.approx(1.0, abs=1e-13)
         assert np.hypot(*outer) == pytest.approx(2.0, abs=1e-13)
 
@@ -106,13 +106,13 @@ def test_pullback_symmetry_and_spd():
 def test_plate_boundary_curves():
     patch = plate_quarter_hole()
     for t in np.linspace(0, 1, 17):
-        hole = patch.map_eval((t, 0.0))
+        hole = map_eval(patch, (t, 0.0))
         assert np.hypot(*hole) == pytest.approx(1.0, abs=1e-12)
-        edge0 = patch.map_eval((0.0, t))     # along y = 0
+        edge0 = map_eval(patch, (0.0, t))     # along y = 0
         assert edge0[1] == pytest.approx(0.0, abs=1e-13)
-        edge1 = patch.map_eval((1.0, t))     # along x = 0
+        edge1 = map_eval(patch, (1.0, t))     # along x = 0
         assert edge1[0] == pytest.approx(0.0, abs=1e-13)
-        outer = patch.map_eval((t, 1.0))
+        outer = map_eval(patch, (t, 1.0))
         if t <= 0.5:
             assert outer[0] == pytest.approx(-4.0, abs=1e-12)
         else:
@@ -134,16 +134,16 @@ def test_plate_split_preserves_map():
     whole = plate_quarter_hole()
     (a, b), interfaces = plate_quarter_hole_2patch()
     for (xi, eta) in [(0.1, 0.3), (0.45, 0.8), (0.9, 0.2), (0.5, 0.5)]:
-        np.testing.assert_allclose(a.map_eval((xi, eta)),
-                                   whole.map_eval((0.5 * xi, eta)),
+        np.testing.assert_allclose(map_eval(a, (xi, eta)),
+                                   map_eval(whole, (0.5 * xi, eta)),
                                    atol=1e-12)
-        np.testing.assert_allclose(b.map_eval((xi, eta)),
-                                   whole.map_eval((0.5 + 0.5 * xi, eta)),
+        np.testing.assert_allclose(map_eval(b, (xi, eta)),
+                                   map_eval(whole, (0.5 + 0.5 * xi, eta)),
                                    atol=1e-12)
     # interface curves coincide and the interiors stay regular
     for t in np.linspace(0, 1, 9):
-        np.testing.assert_allclose(a.map_eval((1.0, t)),
-                                   b.map_eval((0.0, t)), atol=1e-12)
+        np.testing.assert_allclose(map_eval(a, (1.0, t)),
+                                   map_eval(b, (0.0, t)), atol=1e-12)
     xs = np.linspace(0.05, 0.95, 9)
     for patch in (a, b):
         _, _, det = patch.grid_eval([xs, xs])
@@ -160,8 +160,8 @@ def test_knot_insert_preserves_curve():
     flat = H2.reshape(-1, 3)
     patch2 = Patch(space2, flat[:, :2] / flat[:, 2:], flat[:, 2])
     for xhat in [(0.1, 0.4), (0.37, 0.9), (0.8, 0.0)]:
-        np.testing.assert_allclose(patch2.map_eval(xhat),
-                                   patch.map_eval(xhat), atol=1e-13)
+        np.testing.assert_allclose(map_eval(patch2, xhat),
+                                   map_eval(patch, xhat), atol=1e-13)
 
 
 # ----------------------------------------------------------- catalog sanity
@@ -181,20 +181,21 @@ def test_catalog_positive_jacobians(name):
 def test_magnet_is_half_annulus():
     patch = magnet(1.0, 2.0, 0.5)
     for t in np.linspace(0, 1, 9):
-        p = patch.map_eval((0.0, t, 0.0))
+        p = map_eval(patch, (0.0, t, 0.0))
         assert np.hypot(p[0], p[1]) == pytest.approx(1.0, abs=1e-12)
         assert p[2] == pytest.approx(0.0, abs=1e-14)
-        q = patch.map_eval((1.0, t, 1.0))
+        q = map_eval(patch, (1.0, t, 1.0))
         assert np.hypot(q[0], q[1]) == pytest.approx(2.0, abs=1e-12)
         assert q[2] == pytest.approx(0.5, abs=1e-14)
-    assert patch.map_eval((0.0, 1.0, 0.0))[0] == pytest.approx(-1.0, abs=1e-13)
+    assert map_eval(patch, (0.0, 1.0, 0.0))[0] \
+        == pytest.approx(-1.0, abs=1e-13)
 
 
 def test_twisted_box_stacks_conformingly():
     patches, interfaces = twisted_box()
     assert len(patches) == 3 and len(interfaces) == 2
-    top = patches[0].map_eval((0.3, 0.7, 1.0))
-    bottom = patches[1].map_eval((0.3, 0.7, 0.0))
+    top = map_eval(patches[0], (0.3, 0.7, 1.0))
+    bottom = map_eval(patches[1], (0.3, 0.7, 0.0))
     np.testing.assert_allclose(top, bottom, atol=1e-13)
 
 
@@ -360,8 +361,8 @@ def test_reversed_orientation_matches_flipped_patch():
     assert topo.n_global == 2 * n * n - n
     # sanity: the physical interface edges agree pointwise under the flip
     for t in np.linspace(0, 1, 7):
-        np.testing.assert_allclose(left.map_eval((1.0, t)),
-                                   right.map_eval((0.0, 1.0 - t)), atol=1e-14)
+        np.testing.assert_allclose(map_eval(left, (1.0, t)),
+                                   map_eval(right, (0.0, 1.0 - t)), atol=1e-14)
 
 
 def test_nonconforming_interface_rejected():

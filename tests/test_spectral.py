@@ -10,10 +10,10 @@ from igalump.linalg import banded_cholesky, dense_generalized_eig
 from igalump.lumping import block_lump
 from igalump.spectral import (LanczosConfig, LanczosResult, ScaledPencil,
                               cfl_gain, critical_timestep, deflate, lanczos,
-                              local_stiffness_scale, read_spectrum_csv,
-                              scaled_mass_solve, split_zero_modes,
-                              write_spectrum_csv)
+                              local_stiffness_scale, scaled_mass_solve,
+                              split_zero_modes, write_spectrum_csv)
 from igalump.splines import SplineSpace, make_open_uniform
+from spectrum_csv import read_spectrum_csv
 from structured_spd import random_structured_spd
 
 ONE = lambda *xs: 1.0
