@@ -237,9 +237,14 @@ def _system_matrices(space, els, Mloc, Kloc, full_to_sys, n):
     # not once per matrix inside the merge, so fewer triplet copies coexist
     dofs = full_to_sys[dofs].astype(np.int32 if n < 2 ** 31 else np.int64)
     keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
-    rows = np.broadcast_to(dofs[:, :, None], keep.shape)[keep]
-    cols = np.broadcast_to(dofs[:, None, :], keep.shape)[keep]
-    return _csr(rows, cols, Mloc[keep], n), _csr(rows, cols, Kloc[keep], n)
+    # with no dof dropped the local matrices enter the merge as flat views,
+    # not as copies, and the heap holds no second copy of each
+    if np.all(keep):
+        keep = Ellipsis
+    rows = np.broadcast_to(dofs[:, :, None], Mloc.shape)[keep].ravel()
+    cols = np.broadcast_to(dofs[:, None, :], Mloc.shape)[keep].ravel()
+    return (_csr(rows, cols, Mloc[keep].ravel(), n),
+            _csr(rows, cols, Kloc[keep].ravel(), n))
 
 
 def _mesh(space):

@@ -67,6 +67,7 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
     V = np.empty((n, m))
     AV = np.empty((n, m))
     BV = np.empty((n, m))
+    Y = np.empty((n, k))    # Ritz vectors, returned at the end
     have_A = np.zeros(m, dtype=bool)
     n_iter = 0
     n_matvec = 0
@@ -139,18 +140,23 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
         H = 0.5 * (H + H.T)
         theta, S = sla.eigh(H)
         order = np.argsort(theta)[::-1][:k]
-        Y = V[:, :cnt] @ S[:, order]
-        AY = AV[:, :cnt] @ S[:, order]
-        BY = BV[:, :cnt] @ S[:, order]
+        S = S[:, order]
         lam = theta[order]
+        # B and A images of the Ritz vectors overwrite the leading columns
+        # of BV and AV through the one workspace Y, so a restart allocates
+        # nothing of length n; V keeps its columns until Y is formed last
+        for X in (BV, AV):
+            np.matmul(X[:, :cnt], S, out=Y)
+            X[:, :k] = Y
         # near-zero Ritz values are measured against the relative floor
         # split_zero_modes uses, so a kernel mode can converge too
         floor = max(1e-8 * np.max(np.abs(theta)), np.finfo(float).tiny)
         res = np.empty(k)
         for j in range(k):
-            denom = max(abs(lam[j]), floor) * np.linalg.norm(BY[:, j])
-            res[j] = np.linalg.norm(AY[:, j] - lam[j] * BY[:, j]) / denom
+            denom = max(abs(lam[j]), floor) * np.linalg.norm(BV[:, j])
+            res[j] = np.linalg.norm(AV[:, j] - lam[j] * BV[:, j]) / denom
         conv = res <= config.tol
+        np.matmul(V[:, :cnt], S, out=Y)
 
         if np.all(conv) or restarts >= config.max_restarts or cnt >= n:
             return LanczosResult(lam, Y, res, conv, n_iter, n_matvec,
@@ -158,8 +164,6 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
 
         # thick restart: keep the leading Ritz vectors, expand from the last
         V[:, :k] = Y
-        AV[:, :k] = AY
-        BV[:, :k] = BY
         have_A[:k] = True
         cnt = k
         restarts += 1
