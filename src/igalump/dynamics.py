@@ -39,9 +39,6 @@ class Trajectory:
     def nsteps(self):
         return len(self.times) - 1
 
-    def norms(self):
-        return np.linalg.norm(self.samples, axis=1)
-
 
 def central_difference(M_solve, K_apply, f, u0, v0, dt, T):
     """Integrate M u'' + K u = f from (u0, v0) with step dt up to T.
@@ -229,16 +226,3 @@ def stability_boundary(M_solve, K_apply, n, dt_start, steps=1000, seed=0,
             hi = mid
     return lo
 
-
-def write_trajectory_csv(path, traj, errors=None):
-    """CSV rows (t, norm[, l2_error]) for one trajectory."""
-    norms = traj.norms()
-    with open(path, 'w') as f:
-        if errors is None:
-            f.write('t,norm\n')
-            for t, nr in zip(traj.times, norms):
-                f.write('%.17g,%.17g\n' % (t, nr))
-        else:
-            f.write('t,norm,l2_error\n')
-            for t, nr, e in zip(traj.times, norms, errors):
-                f.write('%.17g,%.17g,%.17g\n' % (t, nr, e))

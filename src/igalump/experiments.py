@@ -19,8 +19,7 @@ import scipy.sparse.linalg as spla
 from .assembly import (assemble_multipatch, assemble_single_patch,
                        assemble_trimmed, jacobi_rescale)
 from .dynamics import (central_difference, l2_error, l2_norm,
-                       manufactured_wave_problem, step_count,
-                       write_trajectory_csv, Trajectory)
+                       manufactured_wave_problem, step_count)
 from .geometry import (MultipatchTopology, catalog, classify_elements,
                        outer_faces, rotated_square_region)
 from .linalg import (DENSE_CAP, banded_cholesky, dense_generalized_eig,
@@ -28,8 +27,7 @@ from .linalg import (DENSE_CAP, banded_cholesky, dense_generalized_eig,
 from .lumping import (HierBandedMatrix, _as_csr, block_lumped_family,
                       hierarchical_lump, lump_rowsum, multipatch_lump,
                       pad_lump_trim)
-from .spectral import (LanczosConfig, critical_timestep, deflate, lanczos,
-                       write_spectrum_csv)
+from .spectral import LanczosConfig, critical_timestep, deflate, lanczos
 from .splines import SplineSpace, make_open_uniform
 from .svgplot import LinePlot
 
@@ -58,7 +56,7 @@ class ExperimentConfig:
     tspan: float = 1.0
     safeguard: float = 0.85
     density: str = 'one'
-    dirichlet: bool = None      # None = per-experiment default
+    dirichlet: bool = False
     nquad: int = None
     nangles: int = 1
     out: str = 'out'
@@ -68,10 +66,10 @@ class ExperimentConfig:
     lines: dict = field(default_factory=dict, repr=False, compare=False)
 
     def where(self, key):
-        """Config location of key, for error messages."""
+        """Config location of key, or the defaulted key, for messages."""
         if key in self.lines:
             return '%s:%d' % (self.source, self.lines[key])
-        return self.source or '<config>'
+        return '%s (default %s)' % (self.source or '<config>', key)
 
 
 _SCALAR_KEYS = {'kind': str, 'geometry': str, 'out': str, 'density': str,
@@ -83,7 +81,8 @@ _LIST_KEYS = {'subdivisions': int, 'pencils': str, 'ranks': int,
 
 # applied for keys the file leaves out, after the kind is known
 _KIND_DEFAULTS = {
-    'convergence': {'density': 'nonseparable', 'subdivisions': (4,)},
+    'convergence': {'density': 'nonseparable', 'subdivisions': (4,),
+                    'dirichlet': True},
     'simulate': {'geometry': 'plate_hole', 'pencils': ('P1', 'P2', 'P3'),
                  'subdivisions': (16,), 'p': 3, 'tspan': 6.0},
     'deflate-ratio': {'geometry': 'plate_hole', 'pencils': ('P1',),
@@ -192,7 +191,7 @@ def _validate(cfg):
     if cfg.kind == 'convergence':
         require(cfg.levels >= 3, 'levels',
                 'a convergence study needs at least 3 refinement levels')
-        require(cfg.dirichlet is not False, 'dirichlet',
+        require(cfg.dirichlet, 'dirichlet',
                 'the smallest frequency needs Dirichlet conditions '
                 '(dirichlet = false leaves K singular)')
     require(cfg.safeguard > 0 and cfg.safeguard <= 1, 'safeguard',
@@ -214,6 +213,8 @@ def _validate(cfg):
     for label in cfg.pencils:
         require(_PENCIL_RE.match(label) is not None, 'pencils',
                 'bad pencil label %r (use M, rowsum, P<i> or H<k>)' % label)
+    require(len(set(cfg.pencils)) == len(cfg.pencils), 'pencils',
+            'each pencil label may appear once')
     require(cfg.density in ('one', 'nonseparable'), 'density',
             'density must be "one" or "nonseparable"')
 
@@ -288,27 +289,33 @@ def _density_field(name):
     return rho
 
 
-def _build_spaces(cfg, patches, interfaces, dirichlet):
+def _build_spaces(cfg, patches, interfaces, dirichlet, subs=None):
+    """One space per patch, clamped on the outer faces if dirichlet."""
     d = patches[0].ndim
-    subs = _broadcast_subs(cfg, d)
-    kvs = lambda: [make_open_uniform(n, cfg.p, cfg.p - 1) for n in subs]
-    if len(patches) == 1:
-        flags = ((dirichlet, dirichlet),) * d
-        return [SplineSpace(kvs(), dirichlet=flags)]
+    if subs is None:
+        subs = _broadcast_subs(cfg, d)
     outer = set(outer_faces(patches, interfaces)) if dirichlet else set()
-    spaces = []
-    for ip in range(len(patches)):
-        flags = tuple(tuple((ip, l, s) in outer for s in (0, 1))
-                      for l in range(d))
-        spaces.append(SplineSpace(kvs(), dirichlet=flags))
+    spaces = [SplineSpace([make_open_uniform(n, cfg.p, cfg.p - 1)
+                           for n in subs],
+                          dirichlet=[[(ip, l, s) in outer for s in (0, 1)]
+                                     for l in range(d)])
+              for ip in range(len(patches))]
+    _require_free_dofs(cfg, sum(space.num_free for space in spaces), subs)
     return spaces
 
 
-def _assemble(cfg, dirichlet):
-    """Pair over the configured geometry; (pair, topology, local_pairs)."""
+def _require_free_dofs(cfg, n_free, subs):
+    if not n_free:
+        raise ConfigError('%s: subdivisions %s leave no free dof at p = %d '
+                          'with Dirichlet conditions'
+                          % (cfg.where('subdivisions'), subs, cfg.p))
+
+
+def _assemble(cfg, subs=None):
+    """(pair, topology, local_pairs) on the geometry, at subs if given."""
     patches, interfaces = catalog(cfg.geometry, **cfg.geometry_params)
     rho = _density_field(cfg.density)
-    spaces = _build_spaces(cfg, patches, interfaces, dirichlet)
+    spaces = _build_spaces(cfg, patches, interfaces, cfg.dirichlet, subs)
     if len(patches) == 1:
         pair = assemble_single_patch(spaces[0], patches[0], rho, _ONE,
                                      nquad=cfg.nquad)
@@ -321,9 +328,7 @@ def _assemble(cfg, dirichlet):
 
 def _assemble_trimmed_at(cfg, angle):
     patches, _ifaces = catalog('unit_square')
-    subs = _broadcast_subs(cfg, 2)
-    kvs = [make_open_uniform(n, cfg.p, cfg.p - 1) for n in subs]
-    space = SplineSpace(kvs)
+    space = _build_spaces(cfg, patches, [], False)[0]
     params = cfg.geometry_params
     half_side = params.get('half_side', 0.35)
     region = rotated_square_region(
@@ -373,7 +378,18 @@ def _mass_factor(Mvar):
     return banded_cholesky(A, _measured_bandwidth(A))
 
 
-def _extreme_eigenvalue(K, Mvar, which, label, seed=0):
+def _top_pairs(cfg, K, Mvar, k, what, factor=None, tol=1e-3):
+    """Converged top k pairs of (K, Mvar); what names them on failure."""
+    n = K.shape[0]
+    if factor is None:
+        factor = _mass_factor(Mvar)
+    res = lanczos(n, K, factor, Mvar, LanczosConfig(k=k, tol=tol),
+                  seed=cfg.seed)
+    _require_converged(res, what, n)
+    return res
+
+
+def _extreme_eigenvalue(cfg, K, Mvar, which, label):
     """Smallest or largest generalized eigenvalue, dense below the cap.
 
     label names the mass pencil in a failure message.
@@ -382,15 +398,12 @@ def _extreme_eigenvalue(K, Mvar, which, label, seed=0):
     if n <= DENSE_CAP:
         w = dense_generalized_eig(K, Mvar)[0]
         return float(w[0] if which == 'smallest' else w[-1])
-    A, B = _as_csr(K), _as_csr(Mvar)
-    v0 = np.full(n, n ** -0.5)
     if which == 'smallest':
-        vals = spla.eigsh(A, k=1, M=B, sigma=0.0, v0=v0,
-                          return_eigenvectors=False)
+        vals = spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar), sigma=0.0,
+                          v0=np.full(n, n ** -0.5), return_eigenvectors=False)
         return float(vals[0])
-    res = lanczos(n, K, _mass_factor(Mvar), Mvar,
-                  LanczosConfig(k=1, tol=1e-8), seed=seed)
-    _require_converged(res, 'pencil %s, largest eigenvalue' % label, n)
+    res = _top_pairs(cfg, K, Mvar, 1, 'pencil %s, largest eigenvalue' % label,
+                     tol=1e-8)
     return float(res.values[0])
 
 
@@ -402,10 +415,6 @@ def _require_converged(res, what, n):
                             np.max(res.residuals)))
 
 
-def _ensure_out(cfg):
-    os.makedirs(cfg.out, exist_ok=True)
-
-
 def _run_sweep(cfg, work, items):
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
@@ -413,30 +422,58 @@ def _run_sweep(cfg, work, items):
     return [work(it) for it in items]
 
 
+# ------------------------------------------------------------------ output
+
+def _cell(v):
+    if isinstance(v, str):
+        return v
+    return '%d' % v if isinstance(v, (int, np.integer)) else '%.17g' % v
+
+
+def _write_csv(cfg, name, header, rows):
+    """Write a table under cfg.out and return its path: ints as %d, floats
+    as %.17g (they read back exactly), strings as they are."""
+    os.makedirs(cfg.out, exist_ok=True)
+    path = os.path.join(cfg.out, name)
+    with open(path, 'w') as f:
+        f.write(header + '\n')
+        for row in rows:
+            f.write(','.join(_cell(v) for v in row) + '\n')
+    return path
+
+
+def _save_plot(cfg, name, series, **axes):
+    """Save (x, y, label) series under cfg.out with LinePlot axes."""
+    plot = LinePlot(**axes)
+    for x, y, label in series:
+        plot.add(x, y, label)
+    path = os.path.join(cfg.out, name)
+    plot.save(path)
+    return path
+
+
+def _spectrum_rows(spectra):
+    return [(k, lam, label) for label, vals in spectra
+            for k, lam in enumerate(np.asarray(vals, dtype=float), 1)]
+
+
 # ----------------------------------------------------------------- runners
 
 def run_spectrum(cfg):
     """Full (or top-k) spectra of (K, M~) for each selected pencil."""
-    _ensure_out(cfg)
     if cfg.geometry == 'rotated_square':
         angles, results = _trimmed_sweep(cfg)
-        written = []
-        for idx, (_n, spectra) in enumerate(results):
-            path = os.path.join(cfg.out, 'spectrum_ang%03d.csv' % idx)
-            write_spectrum_csv(path, spectra)
-            written.append(path)
-        summary = os.path.join(cfg.out, 'sweep_summary.csv')
-        with open(summary, 'w') as f:
-            f.write('angle,n_active,label,lambda_max\n')
-            for angle, (n, spectra) in zip(angles, results):
-                for label, vals in spectra:
-                    f.write('%.17g,%d,%s,%.17g\n'
-                            % (angle, n, label, vals[-1]))
-        written.append(summary)
+        written = [_write_csv(cfg, 'spectrum_ang%03d.csv' % idx,
+                              'k,lambda,label', _spectrum_rows(spectra))
+                   for idx, (_n, spectra) in enumerate(results)]
+        written.append(_write_csv(
+            cfg, 'sweep_summary.csv', 'angle,n_active,label,lambda_max',
+            [(angle, n, label, vals[-1])
+             for angle, (n, spectra) in zip(angles, results)
+             for label, vals in spectra]))
         written.append(_plot_lambda_max(cfg, angles, results, 'sweep.svg'))
         return written
-    dirichlet = False if cfg.dirichlet is None else cfg.dirichlet
-    pair, topo, locs = _assemble(cfg, dirichlet)
+    pair, topo, locs = _assemble(cfg)
     n = pair.K.shape[0]
     if cfg.k is not None and cfg.k > n:
         raise ConfigError('%s: k = %d exceeds the system size n = %d'
@@ -452,9 +489,7 @@ def run_spectrum(cfg):
         Mvar = _mass_variant(cfg, pair, label, topo, locs)
         variants[label] = Mvar
         if cfg.k is not None:
-            res = lanczos(n, pair.K, _mass_factor(Mvar), Mvar,
-                          LanczosConfig(k=cfg.k), seed=cfg.seed)
-            _require_converged(res, 'pencil %s' % label, n)
+            res = _top_pairs(cfg, pair.K, Mvar, cfg.k, 'pencil %s' % label)
             vals = np.sort(res.values)
         else:
             vals = dense_generalized_eig(pair.K, Mvar)[0]
@@ -477,83 +512,61 @@ def run_spectrum(cfg):
             wbar = dense_generalized_eig(*pencil.dense_pair())[0]
             spectra.append(('%s+r%d' % (base, r), wbar))
 
-    csv = os.path.join(cfg.out, 'spectrum.csv')
-    write_spectrum_csv(csv, spectra)
-    plot = LinePlot(title='%s, p=%d' % (cfg.geometry, cfg.p),
-                    xlabel='mode index k', ylabel='lambda_k')
-    for label, vals in spectra:
-        plot.add(np.arange(1, len(vals) + 1), vals, label)
-    svg = os.path.join(cfg.out, 'spectrum.svg')
-    plot.save(svg)
+    csv = _write_csv(cfg, 'spectrum.csv', 'k,lambda,label',
+                     _spectrum_rows(spectra))
+    svg = _save_plot(cfg, 'spectrum.svg',
+                     [(np.arange(1, len(vals) + 1), vals, label)
+                      for label, vals in spectra],
+                     title='%s, p=%d' % (cfg.geometry, cfg.p),
+                     xlabel='mode index k', ylabel='lambda_k')
     return [csv, svg]
 
 
 def run_convergence(cfg):
     """Smallest-frequency error under mesh refinement, one curve per pencil."""
-    _ensure_out(cfg)
-    patches, interfaces = catalog(cfg.geometry, **cfg.geometry_params)
+    patches, _ifaces = catalog(cfg.geometry, **cfg.geometry_params)
     if len(patches) != 1:
         raise ConfigError('%s: convergence studies run on a single patch'
                           % cfg.where('geometry'))
-    dirichlet = True if cfg.dirichlet is None else cfg.dirichlet
-    d = patches[0].ndim
-    base = _broadcast_subs(cfg, d)
-
-    def level_pair(subs):
-        kvs = [make_open_uniform(n, cfg.p, cfg.p - 1) for n in subs]
-        flags = ((dirichlet, dirichlet),) * d
-        space = SplineSpace(kvs, dirichlet=flags)
-        return assemble_single_patch(space, patches[0],
-                                     _density_field(cfg.density), _ONE,
-                                     nquad=cfg.nquad)
+    base = _broadcast_subs(cfg, patches[0].ndim)
 
     def omega1(pair, label):
         Mvar = _mass_variant(cfg, pair, label)
-        return math.sqrt(_extreme_eigenvalue(pair.K, Mvar, 'smallest',
-                                             label, seed=cfg.seed))
+        return math.sqrt(_extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest',
+                                             label))
 
     hs, errors = [], {label: [] for label in cfg.pencils}
     ref_subs = tuple(n * 2 ** (cfg.levels + 1) for n in base)
-    omega_ref = omega1(level_pair(ref_subs), 'M')
+    omega_ref = omega1(_assemble(cfg, ref_subs)[0], 'M')
     for level in range(cfg.levels):
         subs = tuple(n * 2 ** level for n in base)
         hs.append(1.0 / min(subs))
-        pair = level_pair(subs)
+        pair = _assemble(cfg, subs)[0]
         for label in cfg.pencils:
             w = omega1(pair, label)
             errors[label].append((omega_ref - w) / omega_ref)
 
-    csv = os.path.join(cfg.out, 'convergence.csv')
-    with open(csv, 'w') as f:
-        f.write('h,' + ','.join(cfg.pencils) + '\n')
-        for i, h in enumerate(hs):
-            row = [errors[lb][i] for lb in cfg.pencils]
-            f.write(','.join('%.17g' % v for v in [h] + row) + '\n')
-
+    csv = _write_csv(cfg, 'convergence.csv', 'h,' + ','.join(cfg.pencils),
+                     [[h] + [errors[lb][i] for lb in cfg.pencils]
+                      for i, h in enumerate(hs)])
     slopes = {}
     for label in cfg.pencils:
         loge = np.log(np.abs(np.asarray(errors[label])))
         slopes[label] = float(np.polyfit(np.log(hs), loge, 1)[0])
-    slopes_csv = os.path.join(cfg.out, 'slopes.csv')
-    with open(slopes_csv, 'w') as f:
-        f.write('label,slope\n')
-        for label in cfg.pencils:
-            f.write('%s,%.17g\n' % (label, slopes[label]))
-
-    plot = LinePlot(title='smallest-frequency convergence, p=%d' % cfg.p,
-                    xlabel='h', ylabel='|relative error|',
-                    xlog=True, ylog=True)
-    for label in cfg.pencils:
-        plot.add(hs, np.abs(errors[label]),
-                 '%s (slope %.2f)' % (label, slopes[label]))
-    svg = os.path.join(cfg.out, 'convergence.svg')
-    plot.save(svg)
+    slopes_csv = _write_csv(cfg, 'slopes.csv', 'label,slope',
+                            list(slopes.items()))
+    svg = _save_plot(cfg, 'convergence.svg',
+                     [(hs, np.abs(errors[label]),
+                       '%s (slope %.2f)' % (label, slopes[label]))
+                      for label in cfg.pencils],
+                     title='smallest-frequency convergence, p=%d' % cfg.p,
+                     xlabel='h', ylabel='|relative error|',
+                     xlog=True, ylog=True)
     return [csv, slopes_csv, svg]
 
 
 def run_simulate(cfg):
     """Manufactured plate runs per mass treatment, at shared and own steps."""
-    _ensure_out(cfg)
     patches, _ifaces = catalog(cfg.geometry)
     subs = _broadcast_subs(cfg, 2)
     if subs[0] != subs[1]:
@@ -562,29 +575,28 @@ def run_simulate(cfg):
     prob = manufactured_wave_problem(patches[0], cfg.p, subs[0],
                                      nquad=cfg.nquad)
     K = prob.pair.K
-    lam_M = _extreme_eigenvalue(K, prob.pair.M, 'largest', 'M',
-                                seed=cfg.seed)
+    _require_free_dofs(cfg, K.shape[0], subs)
+    lam_M = _extreme_eigenvalue(cfg, K, prob.pair.M, 'largest', 'M')
     dt_shared = cfg.safeguard * critical_timestep(lam_M)
 
-    def rel_error_curve(traj):
+    def error_table(traj):
+        """Columns t, norm and relative L2 error at about 240 steps."""
         stride = max(1, traj.nsteps // 240)
         idx = list(range(0, len(traj.times), stride))
         if idx[-1] != len(traj.times) - 1:
             idx.append(len(traj.times) - 1)
-        errs = []
-        for i in idx:
-            t = traj.times[i]
-            num = l2_error(prob.grid, traj.samples[i], prob.exact, t=t)
-            errs.append(num / l2_norm(prob.grid, prob.exact, t=t))
-        sub = Trajectory(dt=traj.dt, times=traj.times[idx],
-                         samples=traj.samples[idx], stable=traj.stable)
-        return sub, errs
+        errs = [l2_error(prob.grid, traj.samples[i], prob.exact, t=t)
+                / l2_norm(prob.grid, prob.exact, t=t)
+                for i, t in zip(idx, traj.times[idx])]
+        return np.column_stack((traj.times[idx],
+                                np.linalg.norm(traj.samples[idx], axis=1),
+                                errs))
 
-    written, curves = [], []
+    tables, curves = [], []
     for label in cfg.pencils:
         Mvar = _mass_variant(cfg, prob.pair, label)
         lam = lam_M if label == 'M' else \
-            _extreme_eigenvalue(K, Mvar, 'largest', label, seed=cfg.seed)
+            _extreme_eigenvalue(cfg, K, Mvar, 'largest', label)
         factor = _mass_factor(Mvar)
         for tag, dt in (('shared', dt_shared),
                         ('critical', cfg.safeguard * critical_timestep(lam))):
@@ -593,28 +605,23 @@ def run_simulate(cfg):
             if not traj.stable:
                 raise ValueError('simulation with %s blew up at step %d of '
                                  'dt=%g' % (label, traj.blown_up_at, dt))
-            sub, errs = rel_error_curve(traj)
-            path = os.path.join(cfg.out, 'sim_%s_%s.csv' % (label, tag))
-            write_trajectory_csv(path, sub, errors=errs)
-            written.append(path)
+            table = error_table(traj)
+            tables.append(('sim_%s_%s.csv' % (label, tag), table))
             if tag == 'shared':
-                curves.append((label, sub.times, errs))
+                curves.append((table[:, 0], table[:, 2], label))
 
-    plot = LinePlot(title='plate, p=%d, shared dt=%.3g' % (cfg.p, dt_shared),
-                    xlabel='t', ylabel='relative L2 error', ylog=True)
-    for label, times, errs in curves:
-        plot.add(times, errs, label)
-    svg = os.path.join(cfg.out, 'simulate.svg')
-    plot.save(svg)
-    written.append(svg)
+    written = [_write_csv(cfg, name, 't,norm,l2_error', table)
+               for name, table in tables]
+    written.append(_save_plot(
+        cfg, 'simulate.svg', curves,
+        title='plate, p=%d, shared dt=%.3g' % (cfg.p, dt_shared),
+        xlabel='t', ylabel='relative L2 error', ylog=True))
     return written
 
 
 def run_deflate_ratio(cfg):
     """Cost ratio (N_s + N_i) / N_w of deflated vs plain stepping over T."""
-    _ensure_out(cfg)
-    dirichlet = False if cfg.dirichlet is None else cfg.dirichlet
-    pair, topo, locs = _assemble(cfg, dirichlet)
+    pair, topo, locs = _assemble(cfg)
     label = cfg.pencils[0]
     Mvar = _mass_variant(cfg, pair, label, topo, locs)
     factor = _mass_factor(Mvar)
@@ -626,11 +633,12 @@ def run_deflate_ratio(cfg):
             raise ConfigError('%s: rank %d needs %d eigenpairs but the '
                               'problem has %d dofs'
                               % (cfg.where('ranks'), r, r + 1, n))
-        res = lanczos(n, pair.K, factor, Mvar, LanczosConfig(k=r + 1),
-                      seed=cfg.seed)
-        _require_converged(res, 'pencil %s, rank %d' % (label, r), n)
-        lam_n, lam_cut = float(res.values[0]), float(res.values[r])
-        per_rank.append((r, lam_n, lam_cut, res.n_iter, res.n_matvec))
+        res = _top_pairs(cfg, pair.K, Mvar, r + 1,
+                         'pencil %s, rank %d' % (label, r), factor)
+        per_rank.append((r, float(res.values[0]), float(res.values[r]),
+                         res.n_iter, res.n_matvec))
+        # keep no Ritz vectors alive through the next rank's solve
+        del res
 
     horizons = cfg.horizons
     if not horizons:
@@ -643,30 +651,24 @@ def run_deflate_ratio(cfg):
         center = math.exp(np.mean(np.log(stars)))
         horizons = tuple(center * 2.0 ** e for e in range(-3, 4))
 
-    csv = os.path.join(cfg.out, 'deflate_ratio.csv')
-    rows = {r: ([], []) for r in cfg.ranks}
-    with open(csv, 'w') as f:
-        f.write('rank,T,N_w,N_s,N_i,n_matvec,ratio\n')
-        for r, lam_n, lam_cut, n_iter, n_matvec in per_rank:
-            for T in horizons:
-                N_w = step_count(T, lam_n, cfg.safeguard)
-                N_s = step_count(T, lam_cut, cfg.safeguard)
-                if N_w == 0:
-                    raise ValueError('horizon %g is shorter than one step'
-                                     % T)
-                ratio = (N_s + n_iter) / N_w
-                f.write('%d,%.17g,%d,%d,%d,%d,%.17g\n'
-                        % (r, T, N_w, N_s, n_iter, n_matvec, ratio))
-                rows[r][0].append(T)
-                rows[r][1].append(ratio)
-
-    plot = LinePlot(title='deflation break-even on (K, %s)' % label,
-                    xlabel='T', ylabel='(N_s + N_i) / N_w', xlog=True)
-    for r in cfg.ranks:
-        plot.add(rows[r][0], rows[r][1], 'r=%d' % r)
-    plot.add([min(horizons), max(horizons)], [1.0, 1.0], 'break-even')
-    svg = os.path.join(cfg.out, 'deflate_ratio.svg')
-    plot.save(svg)
+    rows = []
+    for r, lam_n, lam_cut, n_iter, n_matvec in per_rank:
+        for T in horizons:
+            N_w = step_count(T, lam_n, cfg.safeguard)
+            N_s = step_count(T, lam_cut, cfg.safeguard)
+            if N_w == 0:
+                raise ValueError('horizon %g is shorter than one step' % T)
+            rows.append((r, T, N_w, N_s, n_iter, n_matvec,
+                         (N_s + n_iter) / N_w))
+    csv = _write_csv(cfg, 'deflate_ratio.csv',
+                     'rank,T,N_w,N_s,N_i,n_matvec,ratio', rows)
+    series = [([row[1] for row in rows if row[0] == r],
+               [row[6] for row in rows if row[0] == r], 'r=%d' % r)
+              for r in cfg.ranks]
+    series.append(([min(horizons), max(horizons)], [1.0, 1.0], 'break-even'))
+    svg = _save_plot(cfg, 'deflate_ratio.svg', series,
+                     title='deflation break-even on (K, %s)' % label,
+                     xlabel='T', ylabel='(N_s + N_i) / N_w', xlog=True)
     return [csv, svg]
 
 
@@ -694,49 +696,41 @@ def _trimmed_sweep(cfg):
 
 def _plot_lambda_max(cfg, angles, results, name):
     """lambda_max of each pencil over the trim angles, saved as name."""
-    plot = LinePlot(title='trimmed rotated square, p=%d' % cfg.p,
-                    xlabel='rotation angle', ylabel='lambda_max', ylog=True)
-    for j, label in enumerate(cfg.pencils):
-        plot.add(angles, [spectra[j][1][-1] for _n, spectra in results],
-                 label)
-    svg = os.path.join(cfg.out, name)
-    plot.save(svg)
-    return svg
+    return _save_plot(
+        cfg, name,
+        [(angles, [spectra[j][1][-1] for _n, spectra in results], label)
+         for j, label in enumerate(cfg.pencils)],
+        title='trimmed rotated square, p=%d' % cfg.p,
+        xlabel='rotation angle', ylabel='lambda_max', ylog=True)
 
 
 def run_trimmed_sweep(cfg):
     """lambda_max of each pencil over a sweep of trim rotation angles."""
-    _ensure_out(cfg)
     angles, results = _trimmed_sweep(cfg)
-    csv = os.path.join(cfg.out, 'trimmed_sweep.csv')
-    with open(csv, 'w') as f:
-        f.write('angle,n_active,label,lambda_max,spd\n')
-        for angle, (n, spectra) in zip(angles, results):
-            for label, vals in spectra:
-                f.write('%.17g,%d,%s,%.17g,1\n' % (angle, n, label, vals[-1]))
+    csv = _write_csv(cfg, 'trimmed_sweep.csv',
+                     'angle,n_active,label,lambda_max,spd',
+                     [(angle, n, label, vals[-1], 1)
+                      for angle, (n, spectra) in zip(angles, results)
+                      for label, vals in spectra])
     return [csv, _plot_lambda_max(cfg, angles, results, 'trimmed_sweep.svg')]
 
 
 def run_bandwidth_report(cfg):
     """Predicted vs measured scalar bandwidths of the lumped families."""
-    _ensure_out(cfg)
-    pair, topo, _locs = _assemble(
-        cfg, False if cfg.dirichlet is None else cfg.dirichlet)
+    pair, topo, _locs = _assemble(cfg)
     if topo is not None:
         raise ConfigError('%s: bandwidth structure needs a single tensor '
                           'patch' % cfg.where('geometry'))
-    csv = os.path.join(cfg.out, 'bandwidth.csv')
-    with open(csv, 'w') as f:
-        f.write('label,n,bandwidths,predicted,measured,equal\n')
-        for label in cfg.pencils:
-            Mvar = _mass_variant(cfg, pair, label)
-            pred = Mvar.scalar_bandwidth()
-            meas = Mvar.measured_bandwidth()
-            f.write('%s,%d,%s,%d,%d,%d\n'
-                    % (label, Mvar.shape[0],
-                       'x'.join(str(b) for b in Mvar.bandwidths),
-                       pred, meas, int(pred == meas)))
-    return [csv]
+    rows = []
+    for label in cfg.pencils:
+        Mvar = _mass_variant(cfg, pair, label)
+        pred = Mvar.scalar_bandwidth()
+        meas = Mvar.measured_bandwidth()
+        rows.append((label, Mvar.shape[0],
+                     'x'.join(str(b) for b in Mvar.bandwidths),
+                     pred, meas, int(pred == meas)))
+    return [_write_csv(cfg, 'bandwidth.csv',
+                       'label,n,bandwidths,predicted,measured,equal', rows)]
 
 
 RUNNERS = {

@@ -527,10 +527,6 @@ class MultipatchTopology:
             counts[m] += 1
         self.share_count = counts
 
-    @property
-    def npatches(self):
-        return len(self.spaces)
-
     def interface_globals(self):
         """Global ids shared by at least two patches."""
         return np.nonzero(self.share_count > 1)[0]

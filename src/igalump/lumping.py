@@ -70,9 +70,6 @@ class HierBandedMatrix:
     def toarray(self):
         return self.mat.toarray()
 
-    def diagonal(self):
-        return self.mat.diagonal()
-
     def __matmul__(self, x):
         return self.mat @ x
 

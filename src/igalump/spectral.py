@@ -68,7 +68,6 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
     AV = np.empty((n, m))
     BV = np.empty((n, m))
     Y = np.empty((n, k))    # Ritz vectors, returned at the end
-    have_A = np.zeros(m, dtype=bool)
     n_iter = 0
     n_matvec = 0
     b_scale = None  # B-norm^2 of a typical random vector, set on first append
@@ -81,6 +80,16 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
     def breakdown(norm2):
         return not norm2 > 1e-24 * b_scale
 
+    def store(w, bw, norm2, cnt):
+        """Column cnt of V, BV and AV from w, its B image and B-norm^2."""
+        nonlocal n_matvec
+        s = 1.0 / math.sqrt(norm2)
+        V[:, cnt] = w * s
+        BV[:, cnt] = bw * s
+        AV[:, cnt] = A_apply(V[:, cnt])
+        n_matvec += 1
+        return cnt + 1
+
     def appended(w, cnt):
         """B-normalize w against the current basis; fresh vector on breakdown."""
         nonlocal b_scale
@@ -91,21 +100,8 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
             if b_scale is None:
                 b_scale = norm2
             if not breakdown(norm2):
-                break
+                return store(w, bw, norm2, cnt)
             w = rng.normal(size=n)
-        s = 1.0 / math.sqrt(norm2)
-        V[:, cnt] = w * s
-        BV[:, cnt] = bw * s
-        have_A[cnt] = False
-        return cnt + 1
-
-    def ensure_A(j):
-        nonlocal n_matvec
-        if not have_A[j]:
-            AV[:, j] = A_apply(V[:, j])
-            have_A[j] = True
-            n_matvec += 1
-        return AV[:, j]
 
     cnt = appended(rng.normal(size=n), 0)
     restarts = 0
@@ -113,7 +109,7 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
         prev_beta = None
         while cnt < m:
             j = cnt - 1
-            u = ensure_A(j)
+            u = AV[:, j]
             w = B_solve(u)
             alpha = V[:, j] @ u
             w = w - alpha * V[:, j]
@@ -124,18 +120,12 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
             norm2 = w2 @ bw
             n_iter += 1
             if not breakdown(norm2):
-                s = 1.0 / math.sqrt(norm2)
-                V[:, cnt] = w2 * s
-                BV[:, cnt] = bw * s
-                have_A[cnt] = False
+                cnt = store(w2, bw, norm2, cnt)
                 prev_beta = math.sqrt(max(norm2, 0.0))
-                cnt += 1
             else:
                 cnt = appended(rng.normal(size=n), cnt)
                 prev_beta = None
 
-        for j in range(cnt):
-            ensure_A(j)
         H = V[:, :cnt].T @ AV[:, :cnt]
         H = 0.5 * (H + H.T)
         theta, S = sla.eigh(H)
@@ -164,7 +154,6 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
 
         # thick restart: keep the leading Ritz vectors, expand from the last
         V[:, :k] = Y
-        have_A[:k] = True
         cnt = k
         restarts += 1
 
@@ -324,11 +313,3 @@ def split_zero_modes(values, rel_threshold=1e-8):
     keep = w > thr
     return w[keep], int(np.sum(~keep))
 
-
-def write_spectrum_csv(path, spectra):
-    """Write labeled spectra as CSV rows (k, lambda, label)."""
-    with open(path, 'w') as f:
-        f.write('k,lambda,label\n')
-        for label, values in spectra:
-            for k, lam in enumerate(np.asarray(values, dtype=float), 1):
-                f.write('%d,%.17g,%s\n' % (k, lam, label))

@@ -74,11 +74,6 @@ class KnotVector:
         span = np.clip(np.searchsorted(k, x, side='right') - 1, first, last)
         return span if np.ndim(x) else int(span)
 
-    def __eq__(self, other):
-        return (isinstance(other, KnotVector) and self.p == other.p
-                and len(self.knots) == len(other.knots)
-                and np.array_equal(self.knots, other.knots))
-
     def __repr__(self):
         return 'KnotVector(p=%d, %d dofs)' % (self.p, self.numdofs)
 
@@ -250,13 +245,6 @@ class SplineSpace:
     @property
     def num_free(self):
         return int(np.prod(self.free_dims))
-
-    def linear_index(self, multi):
-        """Lexicographic linear index (first direction slowest)."""
-        return int(np.ravel_multi_index(multi, self.dims))
-
-    def multi_index(self, linear):
-        return tuple(int(t) for t in np.unravel_index(linear, self.dims))
 
     def free_to_full(self):
         """Map free (constrained) linear indices to full tensor indices.

@@ -1,10 +1,10 @@
-"""Reader for the spectrum CSVs that spectral.write_spectrum_csv writes."""
+"""Reader for the spectrum CSVs (k, lambda, label) the spectrum runner writes."""
 
 import numpy as np
 
 
 def read_spectrum_csv(path):
-    """Inverse of write_spectrum_csv; returns list of (label, values)."""
+    """Labeled spectra of one file as a list of (label, values)."""
     out = {}
     order = []
     with open(path) as f:

@@ -110,8 +110,7 @@ def test_entry_against_adaptive_quadrature():
     want, err = scipy.integrate.dblquad(integrand, 0, 1, 0, 1,
                                         epsabs=1e-12, epsrel=1e-12)
     assert err < 1e-10
-    i = space.linear_index((1, 1))
-    j = space.linear_index((1, 2))
+    i, j = np.ravel_multi_index(([1, 1], [1, 2]), space.dims)
     assert pair.M.toarray()[i, j] == pytest.approx(want, rel=1e-9)
 
 

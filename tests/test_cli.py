@@ -1,7 +1,15 @@
+import contextlib
+import io
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igalump.cli import main
+from igalump.experiments import RUNNERS
 
 
 def write_cfg(tmp_path, text, name='exp.cfg'):
@@ -117,3 +125,71 @@ def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
     assert 'Traceback' not in err
     for name in names:
         assert name in err, (name, err)
+
+
+_GEOMETRIES_2D = ('unit_square', 'stretched_square', 'quarter_annulus',
+                  'plate_hole', 'plate_hole_2patch', 'rotated_square',
+                  'nosuch')
+_TRIM_AND_MAP_PARAMS = (('half_side', '0.3'), ('half_side', '0.001'),
+                        ('cx', '0.4'), ('rin', '-1'), ('rout', '2'))
+
+
+@st.composite
+def generated_configs(draw):
+    """(kind, config lines) with bounded sizes, valid or not."""
+    kind = draw(st.sampled_from(sorted(RUNNERS)))
+    # 3D geometries stay out of convergence: its reference level refines
+    # each direction 16-fold
+    geoms = _GEOMETRIES_2D + (() if kind == 'convergence'
+                              else ('unit_cube', 'twisted_box'))
+    ints = lambda lo, hi: st.integers(lo, hi).map(str)
+    words = lambda pool, n: st.lists(st.sampled_from(pool), min_size=1,
+                                     max_size=n).map(' '.join)
+    optional = {
+        'geometry': st.sampled_from(geoms),
+        'p': ints(1, 3),
+        'k': ints(1, 40),
+        'levels': st.sampled_from(['2', '3']),
+        'pencils': words(('M', 'rowsum', 'P1', 'P2', 'H1', 'H2', 'Q'), 3),
+        'ranks': st.lists(ints(1, 10), min_size=1, max_size=3).map(' '.join),
+        'horizons': words(('1e-9', '1', '10'), 2),
+        'safeguard': st.sampled_from(['0.5', '1', '1.5']),
+        'dirichlet': st.sampled_from(['true', 'false']),
+        'threads': ints(1, 2),
+        'seed': ints(0, 3),
+    }
+    lines = ['kind = %s' % kind,
+             'subdivisions = %s' % draw(ints(1, 4) | st.lists(
+                 ints(1, 4), min_size=2, max_size=3).map(' '.join)),
+             'nangles = %s' % draw(ints(1, 3)),
+             'tspan = %s' % draw(st.sampled_from(['0.2', '1']))]
+    for key in draw(st.lists(st.sampled_from(sorted(optional)),
+                             unique=True, max_size=5)):
+        lines.append('%s = %s' % (key, draw(optional[key])))
+    param = draw(st.none() | st.sampled_from(_TRIM_AND_MAP_PARAMS))
+    if param is not None:
+        lines.append('geometry.%s = %s' % param)
+    return kind, lines
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(generated_configs())
+def test_generated_configs_keep_the_exit_contract(generated):
+    kind, lines = generated
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, 'o')
+        cfg = os.path.join(tmp, 'exp.cfg')
+        with open(cfg, 'w') as f:
+            f.write('\n'.join(lines + ['out = %s' % out]) + '\n')
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([kind, '--config', cfg])
+        err = err.getvalue()
+        assert code in (0, 2, 3), (code, lines, err)
+        assert 'Traceback' not in err
+        if code == 2:
+            # file:line, or the key when it took its default
+            assert re.search(r'exp\.cfg(:\d+| \(default \w+\)):', err), \
+                (lines, err)
+            assert not os.path.exists(out), (lines, err)

@@ -11,8 +11,7 @@ from igalump.assembly import (assemble_single_patch, load_vector,
 from igalump.dynamics import (Trajectory, central_difference, l2_error,
                               l2_norm, manufactured_wave_problem,
                               plate_deflection, plate_deflection_laplacian,
-                              stability_boundary, step_count,
-                              write_trajectory_csv)
+                              stability_boundary, step_count)
 from igalump.geometry import plate_quarter_hole, quarter_annulus, unit_square
 from igalump.linalg import banded_cholesky, dense_generalized_eig
 from igalump.spectral import critical_timestep
@@ -282,19 +281,3 @@ def test_stability_boundary_matches_eigenvalue_bound():
     found = stability_boundary(mass, pair.K, pair.M.shape[0], 0.8 * dt_c,
                                steps=1000, seed=4)
     assert abs(found - dt_c) <= 0.03 * dt_c
-
-
-def test_trajectory_csv(tmp_path):
-    solve, K = scalar_ops(1.0, 1.0)
-    traj = central_difference(solve, K, None, [1.0], [0.0], 0.1, 0.5)
-    path = tmp_path / 'traj.csv'
-    write_trajectory_csv(path, traj)
-    lines = path.read_text().splitlines()
-    assert lines[0] == 't,norm'
-    assert len(lines) == len(traj.times) + 1
-    write_trajectory_csv(path, traj, errors=np.zeros(len(traj.times)))
-    lines = path.read_text().splitlines()
-    assert lines[0] == 't,norm,l2_error'
-    first = path.read_bytes()
-    write_trajectory_csv(path, traj, errors=np.zeros(len(traj.times)))
-    assert path.read_bytes() == first

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from igalump.experiments import (ConfigError, _require_converged,
-                                 apply_overrides, parse_config,
+from igalump.experiments import (ConfigError, ExperimentConfig,
+                                 _require_converged, _spectrum_rows,
+                                 _write_csv, apply_overrides, parse_config,
                                  run_bandwidth_report, run_convergence,
                                  run_deflate_ratio, run_simulate,
                                  run_spectrum, run_trimmed_sweep)
@@ -98,6 +99,26 @@ def test_overrides(tmp_path):
     assert cfg.seed == 1  # original untouched
     with pytest.raises(ConfigError, match='--seed'):
         apply_overrides(cfg, seed=-1)
+
+
+# -------------------------------------------------------------------- output
+
+def test_write_csv_round_trips_exactly_and_rewrites_same_bytes(tmp_path):
+    cfg = ExperimentConfig(kind='spectrum', out=str(tmp_path / 'new'))
+    spectra = [('M', np.array([0.5, 1.0 / 3.0, np.pi])),
+               ('P1', np.array([0.1, 1e-300]))]
+    path = _write_csv(cfg, 'spectrum.csv', 'k,lambda,label',
+                      _spectrum_rows(spectra))
+    again = read_spectrum_csv(path)
+    assert [label for label, _ in again] == ['M', 'P1']
+    for (_, a), (_, b) in zip(spectra, again):
+        np.testing.assert_array_equal(a, b)
+    first = open(path, 'rb').read()
+    _write_csv(cfg, 'spectrum.csv', 'k,lambda,label', _spectrum_rows(spectra))
+    assert open(path, 'rb').read() == first
+    row = _write_csv(cfg, 'row.csv', 'a,b,c,d',
+                     [(np.int64(3), 0.1, np.float64(1e-300), 'x')])
+    assert open(row).read() == 'a,b,c,d\n3,0.10000000000000001,1e-300,x\n'
 
 
 # ------------------------------------------------------------------ spectrum

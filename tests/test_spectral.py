@@ -11,9 +11,8 @@ from igalump.lumping import block_lump
 from igalump.spectral import (LanczosConfig, LanczosResult, ScaledPencil,
                               cfl_gain, critical_timestep, deflate, lanczos,
                               local_stiffness_scale, scaled_mass_solve,
-                              split_zero_modes, write_spectrum_csv)
+                              split_zero_modes)
 from igalump.splines import SplineSpace, make_open_uniform
-from spectrum_csv import read_spectrum_csv
 from structured_spd import random_structured_spd
 
 ONE = lambda *xs: 1.0
@@ -349,17 +348,3 @@ def test_split_zero_modes_neumann_pencil():
     kept, dropped = split_zero_modes(w)
     assert dropped == 1
     assert kept[0] > 1e-8 * w[-1]
-
-
-def test_spectrum_csv_roundtrip(tmp_path):
-    path = tmp_path / 'spectrum.csv'
-    spectra = [('M', np.array([0.5, 1.0, 2.0])),
-               ('P1', np.array([0.25, 0.75]))]
-    write_spectrum_csv(path, spectra)
-    again = read_spectrum_csv(path)
-    assert [label for label, _ in again] == ['M', 'P1']
-    for (_, a), (_, b) in zip(spectra, again):
-        np.testing.assert_array_equal(a, b)
-    first = path.read_bytes()
-    write_spectrum_csv(path, spectra)
-    assert path.read_bytes() == first

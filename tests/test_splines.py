@@ -258,20 +258,6 @@ def test_spline_space_validation_does_not_rest_on_assert(rejections):
 
 # ------------------------------------------------------------- tensor indexing
 
-def test_linear_index_bijection():
-    sp = SplineSpace([make_open_uniform(3, 2, 1), make_open_uniform(2, 1, 0)])
-    n = sp.numdofs
-    seen = set()
-    for lin in range(n):
-        multi = sp.multi_index(lin)
-        assert sp.linear_index(multi) == lin
-        seen.add(multi)
-    assert len(seen) == n
-    # lexicographic: first direction slowest
-    assert sp.multi_index(0) == (0, 0)
-    assert sp.multi_index(1) == (0, 1)
-
-
 def test_free_index_maps_are_consistent():
     sp = SplineSpace([make_open_uniform(4, 2, 1)] * 2,
                      dirichlet=[(True, True), (True, False)])
