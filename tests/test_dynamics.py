@@ -12,6 +12,7 @@ from igalump.dynamics import (Trajectory, central_difference, l2_error,
                               l2_norm, manufactured_wave_problem,
                               plate_deflection, plate_deflection_laplacian,
                               stability_boundary, step_count)
+from igalump.experiments import ExperimentConfig, _write_csv
 from igalump.geometry import plate_quarter_hole, quarter_annulus, unit_square
 from igalump.linalg import banded_cholesky, dense_generalized_eig
 from igalump.spectral import critical_timestep
@@ -281,3 +282,24 @@ def test_stability_boundary_matches_eigenvalue_bound():
     found = stability_boundary(mass, pair.K, pair.M.shape[0], 0.8 * dt_c,
                                steps=1000, seed=4)
     assert abs(found - dt_c) <= 0.03 * dt_c
+
+
+def test_trajectory_csv(tmp_path):
+    solve, K = scalar_ops(1.0, 1.0)
+    traj = central_difference(solve, K, None, [1.0], [0.0], 0.1, 0.5)
+    cfg = ExperimentConfig(kind='simulate', out=str(tmp_path))
+    norms = np.linalg.norm(traj.samples, axis=1)
+    path = _write_csv(cfg, 'traj.csv', 't,norm',
+                      np.column_stack((traj.times, norms)))
+    lines = open(path).read().splitlines()
+    assert lines[0] == 't,norm'
+    assert len(lines) == len(traj.times) + 1
+    table = np.column_stack((traj.times, norms, np.zeros(len(traj.times))))
+    _write_csv(cfg, 'traj.csv', 't,norm,l2_error', table)
+    lines = open(path).read().splitlines()
+    assert lines[0] == 't,norm,l2_error'
+    np.testing.assert_array_equal(
+        np.loadtxt(path, delimiter=',', skiprows=1), table)
+    first = open(path, 'rb').read()
+    _write_csv(cfg, 'traj.csv', 't,norm,l2_error', table)
+    assert open(path, 'rb').read() == first

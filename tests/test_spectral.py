@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from igalump.assembly import assemble_single_patch
+from igalump.experiments import ExperimentConfig, _spectrum_rows, _write_csv
 from igalump.geometry import plate_quarter_hole, quarter_annulus
 from igalump.linalg import banded_cholesky, dense_generalized_eig
 from igalump.lumping import block_lump
@@ -13,6 +14,7 @@ from igalump.spectral import (LanczosConfig, LanczosResult, ScaledPencil,
                               local_stiffness_scale, scaled_mass_solve,
                               split_zero_modes)
 from igalump.splines import SplineSpace, make_open_uniform
+from spectrum_csv import read_spectrum_csv
 from structured_spd import random_structured_spd
 
 ONE = lambda *xs: 1.0
@@ -348,3 +350,18 @@ def test_split_zero_modes_neumann_pencil():
     kept, dropped = split_zero_modes(w)
     assert dropped == 1
     assert kept[0] > 1e-8 * w[-1]
+
+
+def test_spectrum_csv_roundtrip(tmp_path):
+    cfg = ExperimentConfig(kind='spectrum', out=str(tmp_path))
+    spectra = [('M', np.array([0.5, 1.0, 2.0])),
+               ('P1', np.array([0.25, 0.75]))]
+    path = _write_csv(cfg, 'spectrum.csv', 'k,lambda,label',
+                      _spectrum_rows(spectra))
+    again = read_spectrum_csv(path)
+    assert [label for label, _ in again] == ['M', 'P1']
+    for (_, a), (_, b) in zip(spectra, again):
+        np.testing.assert_array_equal(a, b)
+    first = open(path, 'rb').read()
+    _write_csv(cfg, 'spectrum.csv', 'k,lambda,label', _spectrum_rows(spectra))
+    assert open(path, 'rb').read() == first
