@@ -31,17 +31,16 @@ from .splines import _dense_tables, eval_basis
 
 @dataclass
 class AssembledPair:
-    """Stiffness and mass over the system dofs, plus the dof bookkeeping.
+    """Stiffness and mass over the system dofs.
 
-    full_index maps system dof -> flat index in the space's full tensor
-    grid. For trimmed systems, embedding maps system dof -> flat index in
-    the free tensor grid of background_dims; both are None when the system
-    covers the whole free grid or has no single tensor structure.
+    assemble_single_patch tags K and M as HierBandedMatrix on the free
+    tensor grid; the glued multipatch pair and the trimmed pair have no
+    single tensor structure and are CSR. For trimmed systems, embedding maps
+    system dof -> flat index in the free tensor grid of background_dims;
+    both are None otherwise.
     """
-    K: HierBandedMatrix
-    M: HierBandedMatrix
-    space: object = None
-    full_index: np.ndarray = None
+    K: object
+    M: object
     embedding: np.ndarray = None
     background_dims: tuple = None
 
@@ -253,22 +252,15 @@ def _mesh(space):
     return np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
 
 
-def _finish_pair(space, M, K):
-    bw = tuple(min(kv.p, n - 1) for kv, n in zip(space.kvs, space.free_dims))
-    return AssembledPair(
-        K=HierBandedMatrix(K, space.free_dims, bw),
-        M=HierBandedMatrix(M, space.free_dims, bw),
-        space=space,
-        full_index=space.free_to_full())
-
-
 def assemble_single_patch(space, patch, rho, kappa, nquad=None):
     """Mass and stiffness of one patch, canonical element order."""
     els = _mesh(space)
     Mloc, Kloc = _element_matrices(space, patch, rho, kappa, els, nquad)
     M, K = _system_matrices(space, els, Mloc, Kloc, space.full_to_free(),
                             space.num_free)
-    return _finish_pair(space, M, K)
+    bw = tuple(min(kv.p, n - 1) for kv, n in zip(space.kvs, space.free_dims))
+    return AssembledPair(K=HierBandedMatrix(K, space.free_dims, bw),
+                         M=HierBandedMatrix(M, space.free_dims, bw))
 
 
 def assemble_multipatch(topology, patches, rho, kappa, nquad=None):
@@ -277,17 +269,11 @@ def assemble_multipatch(topology, patches, rho, kappa, nquad=None):
     The local matrices are retained: patchwise lumping and local stiffness
     scaling both need them.
     """
-    local_pairs = []
-    for space, patch in zip(topology.spaces, patches):
-        local_pairs.append(
-            assemble_single_patch(space, patch, rho, kappa, nquad))
-
-    def scatter(mats):
-        return HierBandedMatrix(
-            _scatter(mats, topology.l2g, topology.n_global))
-
-    glob = AssembledPair(K=scatter([p.K for p in local_pairs]),
-                         M=scatter([p.M for p in local_pairs]))
+    local_pairs = [assemble_single_patch(space, patch, rho, kappa, nquad)
+                   for space, patch in zip(topology.spaces, patches)]
+    glued = topology.l2g, topology.n_global
+    glob = AssembledPair(K=_scatter([p.K for p in local_pairs], *glued),
+                         M=_scatter([p.M for p in local_pairs], *glued))
     return glob, local_pairs
 
 
@@ -343,10 +329,7 @@ def assemble_trimmed(space, patch, mask, rho, kappa, subdepth=3, nquad=None):
         M = M[np.ix_(sel, sel)].tocsr()
         K = K[np.ix_(sel, sel)].tocsr()
         embedding = embedding[sel]
-    return AssembledPair(
-        K=HierBandedMatrix(K), M=HierBandedMatrix(M), space=space,
-        full_index=free_to_full[embedding],
-        embedding=embedding, background_dims=space.free_dims)
+    return AssembledPair(K, M, embedding, space.free_dims)
 
 
 def load_vector(grid, g):

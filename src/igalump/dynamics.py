@@ -13,9 +13,9 @@ import numpy as np
 
 from .assembly import assemble_single_patch, load_vector, quadrature_grid
 from .geometry import _tensor_apply
-from .linalg import FactorizedOperator, _as_operator, banded_cholesky
+from .linalg import FactorizedOperator, _as_operator, _mass_factor
 from .spectral import critical_timestep
-from .splines import SplineSpace, make_open_uniform
+from .splines import SplineSpace
 
 
 @dataclass
@@ -140,20 +140,18 @@ class WaveProblem:
     exact: object       # (x, y, t) -> displacement
 
 
-def manufactured_wave_problem(patch, p, subdivisions, nquad=None):
+def manufactured_wave_problem(space, patch, nquad=None):
     """Forced wave equation on the plate whose solution is known exactly.
 
     The displacement is the plate deflection times 2 + sin(2 pi t); all
-    five polynomial factors vanish on the plate boundary, so homogeneous
-    Dirichlet conditions apply on every side. The load comes from the
+    five polynomial factors vanish on the plate boundary, so space must be
+    clamped (homogeneous Dirichlet) on every side. The load comes from the
     closed-form Laplacian; initial data are consistent-mass L2 projections.
     The loads and the stored grid use the assembly's quadrature rule.
     """
-    kv = make_open_uniform(subdivisions, p, p - 1)
-    space = SplineSpace([kv, kv], dirichlet=((True, True), (True, True)))
     one = lambda *xs: 1.0
     pair = assemble_single_patch(space, patch, one, one, nquad=nquad)
-    mass = banded_cholesky(pair.M, pair.M.scalar_bandwidth())
+    mass = _mass_factor(pair.M)
 
     grid = quadrature_grid(space, patch, nquad)
 

@@ -22,11 +22,9 @@ from .dynamics import (central_difference, l2_error, l2_norm,
                        manufactured_wave_problem, step_count)
 from .geometry import (MultipatchTopology, catalog, classify_elements,
                        outer_faces, rotated_square_region)
-from .linalg import (DENSE_CAP, banded_cholesky, dense_generalized_eig,
-                     _measured_bandwidth)
-from .lumping import (HierBandedMatrix, _as_csr, block_lumped_family,
-                      hierarchical_lump, lump_rowsum, multipatch_lump,
-                      pad_lump_trim)
+from .linalg import DENSE_CAP, _mass_factor, dense_generalized_eig
+from .lumping import (_as_csr, block_lumped_family, hierarchical_lump,
+                      lump_rowsum, multipatch_lump, pad_lump_trim)
 from .spectral import LanczosConfig, critical_timestep, deflate, lanczos
 from .splines import SplineSpace, make_open_uniform
 from .svgplot import LinePlot
@@ -78,6 +76,19 @@ _SCALAR_KEYS = {'kind': str, 'geometry': str, 'out': str, 'density': str,
                 'tspan': float, 'safeguard': float, 'dirichlet': bool}
 _LIST_KEYS = {'subdivisions': int, 'pencils': str, 'ranks': int,
               'horizons': float}
+
+# keys every kind reads, geometry.* included, and the keys read only by some
+_READ_BY_ALL = {'kind', 'geometry', 'p', 'subdivisions', 'pencils', 'nquad',
+                'out', 'seed', 'threads'}
+_READ_BY_KIND = {
+    'spectrum': {'k', 'ranks', 'density', 'dirichlet', 'nangles'},
+    'convergence': {'levels', 'density', 'dirichlet'},
+    'simulate': {'tspan', 'safeguard'},
+    'deflate-ratio': {'ranks', 'horizons', 'safeguard', 'density',
+                      'dirichlet'},
+    'trimmed-sweep': {'nangles', 'density'},
+    'bandwidth-report': {'density', 'dirichlet'},
+}
 
 # applied for keys the file leaves out, after the kind is known
 _KIND_DEFAULTS = {
@@ -185,6 +196,10 @@ def _validate(cfg):
         if not ok:
             raise ConfigError('%s: %s' % (cfg.where(key), msg))
 
+    reads = _READ_BY_ALL | _READ_BY_KIND[cfg.kind]
+    for key in cfg.lines:
+        require(key.partition('.')[0] in reads, key,
+                'key %r is not read by %s runs' % (key, cfg.kind))
     require(cfg.p >= 1, 'p', 'degree must be at least 1')
     require(cfg.k is None or cfg.k >= 1, 'k', 'k must be at least 1')
     require(cfg.levels >= 1, 'levels', 'levels must be at least 1')
@@ -215,6 +230,9 @@ def _validate(cfg):
                 'bad pencil label %r (use M, rowsum, P<i> or H<k>)' % label)
     require(len(set(cfg.pencils)) == len(cfg.pencils), 'pencils',
             'each pencil label may appear once')
+    require(cfg.kind != 'deflate-ratio' or len(cfg.pencils) == 1, 'pencils',
+            'deflate-ratio reads one pencil, got pencils = %s'
+            % ' '.join(cfg.pencils))
     require(cfg.density in ('one', 'nonseparable'), 'density',
             'density must be "one" or "nonseparable"')
 
@@ -227,11 +245,14 @@ def _validate(cfg):
                 'unknown trim parameters %s' % sorted(extra))
         require(cfg.geometry_params.get('half_side', 0.35) > 0,
                 'geometry', 'half_side must be positive')
-        require(not cfg.ranks, 'ranks',
-                'scaled-pencil curves are not available on trimmed spectra')
+        for key in ('k', 'ranks', 'dirichlet'):
+            require(key not in cfg.lines, key,
+                    'key %r is not available on trimmed spectra' % key)
     else:
         require(cfg.kind != 'trimmed-sweep', 'geometry',
                 'trimmed-sweep requires geometry = rotated_square')
+        require('nangles' not in cfg.lines, 'nangles',
+                "key 'nangles' is read only on geometry = rotated_square")
         try:
             catalog(cfg.geometry, **cfg.geometry_params)
         except KeyError:
@@ -300,15 +321,11 @@ def _build_spaces(cfg, patches, interfaces, dirichlet, subs=None):
                           dirichlet=[[(ip, l, s) in outer for s in (0, 1)]
                                      for l in range(d)])
               for ip in range(len(patches))]
-    _require_free_dofs(cfg, sum(space.num_free for space in spaces), subs)
-    return spaces
-
-
-def _require_free_dofs(cfg, n_free, subs):
-    if not n_free:
+    if not any(space.num_free for space in spaces):
         raise ConfigError('%s: subdivisions %s leave no free dof at p = %d '
                           'with Dirichlet conditions'
                           % (cfg.where('subdivisions'), subs, cfg.p))
+    return spaces
 
 
 def _assemble(cfg, subs=None):
@@ -370,13 +387,6 @@ def _mass_variant(cfg, pair, label, topo=None, locs=None):
 
 
 # ------------------------------------------------------------ eigensolves
-
-def _mass_factor(Mvar):
-    if isinstance(Mvar, HierBandedMatrix):
-        return banded_cholesky(Mvar, Mvar.scalar_bandwidth())
-    A = _as_csr(Mvar)
-    return banded_cholesky(A, _measured_bandwidth(A))
-
 
 def _top_pairs(cfg, K, Mvar, k, what, factor=None, tol=1e-3):
     """Converged top k pairs of (K, Mvar); what names them on failure."""
@@ -568,14 +578,9 @@ def run_convergence(cfg):
 def run_simulate(cfg):
     """Manufactured plate runs per mass treatment, at shared and own steps."""
     patches, _ifaces = catalog(cfg.geometry)
-    subs = _broadcast_subs(cfg, 2)
-    if subs[0] != subs[1]:
-        raise ConfigError('%s: the manufactured problem runs on an '
-                          'isotropic mesh' % cfg.where('subdivisions'))
-    prob = manufactured_wave_problem(patches[0], cfg.p, subs[0],
-                                     nquad=cfg.nquad)
+    space = _build_spaces(cfg, patches, [], True)[0]
+    prob = manufactured_wave_problem(space, patches[0], nquad=cfg.nquad)
     K = prob.pair.K
-    _require_free_dofs(cfg, K.shape[0], subs)
     lam_M = _extreme_eigenvalue(cfg, K, prob.pair.M, 'largest', 'M')
     dt_shared = cfg.safeguard * critical_timestep(lam_M)
 

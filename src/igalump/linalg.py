@@ -10,22 +10,10 @@ several threads on distinct right-hand sides.
 import numpy as np
 import scipy.linalg as sla
 
-from .lumping import _as_csr, _strides
+from .lumping import HierBandedMatrix, _as_csr, _measured_bandwidth
 
 # largest system the dense generalized eigensolver accepts
 DENSE_CAP = 4000
-
-
-def hier_bandwidth(b, n):
-    """Scalar bandwidth sum(b_k * r_k) of a d-level banded matrix.
-
-    r_k is the stride prod(n_j for j > k); the deepest stride is 1.
-    """
-    b = [int(x) for x in b]
-    n = [int(x) for x in n]
-    if len(b) != len(n):
-        raise ValueError('bandwidths and dims differ in length')
-    return sum(bk * r for bk, r in zip(b, _strides(n)))
 
 
 class FactorizedOperator:
@@ -96,11 +84,12 @@ def banded_cholesky(A, bandwidth):
     return FactorizedOperator(ab.shape[1], apply_solve, payload=cb)
 
 
-def _measured_bandwidth(A):
-    coo = A.tocoo()
-    if coo.nnz == 0:
-        return 0
-    return int(np.max(np.abs(coo.row - coo.col)))
+def _mass_factor(B):
+    """Banded Cholesky factor of the SPD matrix B, at the predicted bandwidth
+    of a HierBandedMatrix and at the measured one of any other matrix."""
+    if isinstance(B, HierBandedMatrix):
+        return banded_cholesky(B, B.scalar_bandwidth())
+    return banded_cholesky(B, _measured_bandwidth(B))
 
 
 def schur_saddle_factor(P, split):
@@ -135,8 +124,7 @@ def schur_saddle_factor(P, split):
     slices = []
     for gids, _dims in boxes:
         gids = np.asarray(gids, dtype=int)
-        D_r = A[np.ix_(gids, gids)]
-        factors.append(banded_cholesky(D_r, _measured_bandwidth(D_r)))
+        factors.append(_mass_factor(A[np.ix_(gids, gids)]))
         slices.append(slice(pos, pos + len(gids)))
         pos += len(gids)
 

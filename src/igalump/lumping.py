@@ -27,45 +27,54 @@ def _strides(dims):
                  for k in range(len(dims)))
 
 
+def hier_bandwidth(b, n):
+    """Scalar bandwidth sum(b_k * r_k) of a d-level banded matrix.
+
+    r_k is the stride prod(n_j for j > k); the deepest stride is 1.
+    """
+    b = [int(x) for x in b]
+    n = [int(x) for x in n]
+    if len(b) != len(n):
+        raise ValueError('bandwidths and dims differ in length')
+    return sum(bk * r for bk, r in zip(b, _strides(n)))
+
+
+def _measured_bandwidth(A):
+    """Largest |i - j| over the nonzero entries; stored zeros do not count."""
+    coo = _as_csr(A).tocoo()
+    live = coo.data != 0.0
+    return int(np.max(np.abs(coo.row[live] - coo.col[live]), initial=0))
+
+
 @dataclass
 class HierBandedMatrix:
     """Symmetric sparse matrix tagged with its tensor block structure.
 
     dims is the multi-index shape (n_1, ..., n_d), slowest direction first;
-    bandwidths gives the interaction radius per level. dims=None marks a
-    matrix without usable structure (multipatch globals).
+    bandwidths gives the interaction radius per level. A matrix without
+    tensor structure (multipatch globals, trimmed systems) is plain CSR.
     """
     mat: sp.csr_matrix
-    dims: tuple = None
-    bandwidths: tuple = None
+    dims: tuple
+    bandwidths: tuple
 
     def __post_init__(self):
         self.mat = _as_csr(self.mat)
-        if self.dims is not None:
-            self.dims = tuple(int(n) for n in self.dims)
-            if int(np.prod(self.dims)) != self.mat.shape[0]:
-                raise ValueError('dims do not match matrix size')
-            self.bandwidths = tuple(int(b) for b in self.bandwidths)
+        self.dims = tuple(int(n) for n in self.dims)
+        if int(np.prod(self.dims)) != self.mat.shape[0]:
+            raise ValueError('dims do not match matrix size')
+        self.bandwidths = tuple(int(b) for b in self.bandwidths)
 
     @property
     def shape(self):
         return self.mat.shape
 
-    @property
-    def strides(self):
-        """Block sizes r_k below each level; the last one is 1."""
-        return _strides(self.dims)
-
     def scalar_bandwidth(self):
         """Predicted bandwidth sum(b_k * r_k) of the flat matrix."""
-        return int(sum(b * r for b, r in zip(self.bandwidths, self.strides)))
+        return hier_bandwidth(self.bandwidths, self.dims)
 
     def measured_bandwidth(self):
-        coo = self.mat.tocoo()
-        live = coo.data != 0.0
-        if not np.any(live):
-            return 0
-        return int(np.max(np.abs(coo.row[live] - coo.col[live])))
+        return _measured_bandwidth(self.mat)
 
     def toarray(self):
         return self.mat.toarray()
@@ -73,9 +82,11 @@ class HierBandedMatrix:
     def __matmul__(self, x):
         return self.mat @ x
 
-    def _structured(self):
-        if self.dims is None:
-            raise ValueError('matrix carries no dims vector')
+
+def _require_tensor(B):
+    if not isinstance(B, HierBandedMatrix):
+        raise ValueError('lumping by blocks needs a HierBandedMatrix, got %s'
+                         % type(B).__name__)
 
 
 def lump_rowsum(B):
@@ -87,7 +98,7 @@ def lump_rowsum(B):
     A = _as_csr(B)
     d = np.asarray(np.abs(A).sum(axis=1)).ravel()
     out = sp.diags(d).tocsr()
-    if isinstance(B, HierBandedMatrix) and B.dims is not None:
+    if isinstance(B, HierBandedMatrix):
         return HierBandedMatrix(out, B.dims, (0,) * len(B.dims))
     return out
 
@@ -156,7 +167,7 @@ def block_lumped_family(B, i):
     i=1 reproduces block_lump, i=n_1 returns the input unchanged, and the
     family decreases monotonically in the Loewner order as i grows.
     """
-    B._structured()
+    _require_tensor(B)
     return _rebuild(B, (min(i - 1, B.bandwidths[0]),) + B.bandwidths[1:],
                     i=i)
 
@@ -171,7 +182,7 @@ def hierarchical_lump(B, k):
     level above the deepest are positive semidefinite; the step to full
     depth d also needs nonnegative entries, which mass matrices have.
     """
-    B._structured()
+    _require_tensor(B)
     return _rebuild(B, (0,) * k + B.bandwidths[k:], level=k)
 
 

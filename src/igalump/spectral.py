@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import _as_operator, _to_dense, woodbury_solve
+from .linalg import _as_operator, _mass_factor, _to_dense, woodbury_solve
 
 
 @dataclass
@@ -275,13 +275,10 @@ def local_stiffness_scale(K_r, P_r, rank, tol=1e-3, seed=0,
     semidefinite so the scaled stiffness never exceeds the original in the
     Loewner order. Solver failures surface as the unconverged-data error.
     """
-    from .linalg import banded_cholesky, _measured_bandwidth
-    from .lumping import _as_csr
-    P_csr = _as_csr(P_r)
-    base = banded_cholesky(P_csr, _measured_bandwidth(P_csr))
     cfg = LanczosConfig(k=rank + 1, tol=tol, max_restarts=max_restarts)
-    result = lanczos(P_csr.shape[0], K_r, base, P_csr, cfg, seed=seed)
-    return deflate(K_r, P_csr, rank, 'scale-stiffness', result)
+    result = lanczos(P_r.shape[0], K_r, _mass_factor(P_r), P_r, cfg,
+                     seed=seed)
+    return deflate(K_r, P_r, rank, 'scale-stiffness', result)
 
 
 def critical_timestep(lam_max):

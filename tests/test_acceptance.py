@@ -22,10 +22,10 @@ from igalump.geometry import (MultipatchTopology, classify_elements, magnet,
                               rotated_square_region, stretched_square,
                               unit_cube, unit_square)
 from igalump.linalg import (banded_cholesky, dense_generalized_eig,
-                            hier_bandwidth, schur_saddle_factor,
-                            _measured_bandwidth)
-from igalump.lumping import (block_lumped_family, hierarchical_lump,
-                             lump_rowsum, multipatch_lump, pad_lump_trim)
+                            schur_saddle_factor)
+from igalump.lumping import (block_lumped_family, hier_bandwidth,
+                             hierarchical_lump, lump_rowsum, multipatch_lump,
+                             pad_lump_trim, _measured_bandwidth)
 from igalump.spectral import (LanczosConfig, cfl_gain, critical_timestep,
                               deflate, lanczos, scaled_mass_solve,
                               split_zero_modes)

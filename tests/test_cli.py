@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import glob
 import io
 import os
 import re
@@ -8,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import igalump
 from igalump.cli import main
-from igalump.experiments import RUNNERS
+from igalump.experiments import (RUNNERS, _KIND_DEFAULTS, _READ_BY_ALL,
+                                 _READ_BY_KIND)
 
 
 def write_cfg(tmp_path, text, name='exp.cfg'):
@@ -99,6 +103,18 @@ def test_simulate_csv_has_error_column(tmp_path, capsys):
     assert rows['t'][0] == 0.0
 
 
+def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, (
+        'kind = simulate\np = 2\nsubdivisions = 6 4\npencils = M P1\n'
+        'tspan = 0.3\nout = %s\n' % (tmp_path / 'sim')))
+    assert main(['simulate', '--config', cfg]) == 0
+    capsys.readouterr()
+    rows = np.genfromtxt(tmp_path / 'sim' / 'sim_P1_shared.csv',
+                         delimiter=',', names=True)
+    assert np.all(np.isfinite(rows['l2_error']))
+    assert rows['l2_error'].max() < 1.0
+
+
 @pytest.mark.parametrize('kind, body, names', [
     ('trimmed-sweep', 'geometry = rotated_square\ngeometry.half_side = 0.001'
      '\nsubdivisions = 4\nnangles = 3\n',
@@ -115,6 +131,25 @@ def test_simulate_csv_has_error_column(tmp_path, capsys):
      ('exp.cfg:2:', 'dirichlet = false', 'Dirichlet conditions')),
     ('spectrum', 'subdivisions = 4\nk = 1000\n',
      ('config error', 'exp.cfg:3:', 'k = 1000', 'n = 36')),
+    # a key the run does not read
+    ('spectrum', 'horizons = 5\ntspan = 3\nlevels = 9\n',
+     ('config error', "exp.cfg:2: key 'horizons'")),
+    ('convergence', 'k = 3\n', ('config error', "exp.cfg:2: key 'k'")),
+    ('simulate', 'density = nonseparable\ndirichlet = true\n',
+     ('config error', "exp.cfg:2: key 'density'")),
+    ('deflate-ratio', 'k = 3\n', ('config error', "exp.cfg:2: key 'k'")),
+    ('trimmed-sweep', 'dirichlet = true\n',
+     ('config error', "exp.cfg:2: key 'dirichlet'")),
+    ('bandwidth-report', 'safeguard = 0.5\n',
+     ('config error', "exp.cfg:2: key 'safeguard'")),
+    ('spectrum', 'geometry = rotated_square\nk = 3\n',
+     ('config error', "exp.cfg:3: key 'k'")),
+    ('spectrum', 'geometry = rotated_square\ndirichlet = true\n',
+     ('config error', "exp.cfg:3: key 'dirichlet'")),
+    ('spectrum', 'nangles = 3\n',
+     ('config error', "exp.cfg:2: key 'nangles'")),
+    ('deflate-ratio', 'pencils = P1 P2\n',
+     ('config error', 'exp.cfg:2: deflate-ratio reads one pencil')),
 ])
 def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
                                                   body, names):
@@ -136,17 +171,25 @@ _TRIM_AND_MAP_PARAMS = (('half_side', '0.3'), ('half_side', '0.001'),
 
 @st.composite
 def generated_configs(draw):
-    """(kind, config lines) with bounded sizes, valid or not."""
+    """(kind, config lines) with bounded sizes, valid or not.
+
+    Every key drawn is one the kind reads on the drawn geometry, so the
+    configs reach the runners rather than stopping at the key check.
+    """
     kind = draw(st.sampled_from(sorted(RUNNERS)))
     # 3D geometries stay out of convergence: its reference level refines
     # each direction 16-fold
     geoms = _GEOMETRIES_2D + (() if kind == 'convergence'
                               else ('unit_cube', 'twisted_box'))
+    geometry = draw(st.none() | st.sampled_from(geoms))
+    trimmed = (geometry or _KIND_DEFAULTS.get(kind, {}).get(
+        'geometry', 'unit_square')) == 'rotated_square'
+    reads = (_READ_BY_ALL | _READ_BY_KIND[kind]) \
+        - ({'k', 'ranks', 'dirichlet'} if trimmed else {'nangles'})
     ints = lambda lo, hi: st.integers(lo, hi).map(str)
     words = lambda pool, n: st.lists(st.sampled_from(pool), min_size=1,
                                      max_size=n).map(' '.join)
     optional = {
-        'geometry': st.sampled_from(geoms),
         'p': ints(1, 3),
         'k': ints(1, 40),
         'levels': st.sampled_from(['2', '3']),
@@ -160,10 +203,15 @@ def generated_configs(draw):
     }
     lines = ['kind = %s' % kind,
              'subdivisions = %s' % draw(ints(1, 4) | st.lists(
-                 ints(1, 4), min_size=2, max_size=3).map(' '.join)),
-             'nangles = %s' % draw(ints(1, 3)),
-             'tspan = %s' % draw(st.sampled_from(['0.2', '1']))]
-    for key in draw(st.lists(st.sampled_from(sorted(optional)),
+                 ints(1, 4), min_size=2, max_size=3).map(' '.join))]
+    if geometry is not None:
+        lines.append('geometry = %s' % geometry)
+    # bounded where the kind reads them: the defaults run 40 angles and 6 s
+    if 'nangles' in reads:
+        lines.append('nangles = %s' % draw(ints(1, 3)))
+    if 'tspan' in reads:
+        lines.append('tspan = %s' % draw(st.sampled_from(['0.2', '1'])))
+    for key in draw(st.lists(st.sampled_from(sorted(reads & set(optional))),
                              unique=True, max_size=5)):
         lines.append('%s = %s' % (key, draw(optional[key])))
     param = draw(st.none() | st.sampled_from(_TRIM_AND_MAP_PARAMS))
@@ -193,3 +241,15 @@ def test_generated_configs_keep_the_exit_contract(generated):
             assert re.search(r'exp\.cfg(:\d+| \(default \w+\)):', err), \
                 (lines, err)
             assert not os.path.exists(out), (lines, err)
+
+
+def test_src_validates_without_assert():
+    # python -O strips assert statements, so no check may rest on one
+    found = []
+    for path in sorted(glob.glob(os.path.join(
+            os.path.dirname(igalump.__file__), '*.py'))):
+        with open(path, encoding='utf-8') as f:
+            tree = ast.parse(f.read(), path)
+        found += ['%s:%d' % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, found

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from igalump.experiments import (ConfigError, ExperimentConfig,
+from igalump.experiments import (ConfigError, ExperimentConfig, _assemble,
                                  _require_converged, _spectrum_rows,
                                  _write_csv, apply_overrides, parse_config,
                                  run_bandwidth_report, run_convergence,
                                  run_deflate_ratio, run_simulate,
                                  run_spectrum, run_trimmed_sweep)
+from igalump.linalg import dense_generalized_eig
 from igalump.spectral import LanczosResult
 from spectrum_csv import read_spectrum_csv
 
@@ -212,6 +213,26 @@ def test_trimmed_spectrum_writes_one_csv_per_angle(tmp_path):
     for f in per_angle:
         spectra = dict(read_spectrum_csv(f))
         assert set(spectra) == {'M', 'P1'}
+
+
+def test_multipatch_consistent_mass_runs_through_lanczos(tmp_path):
+    # the glued pair has no tensor structure: its mass is factored at the
+    # measured bandwidth
+    common = ('geometry = plate_hole_2patch\np = 2\nsubdivisions = 4\n'
+              'pencils = M\n')
+    cfg = parse_config(write_cfg(tmp_path, (
+        'kind = spectrum\n%sk = 3\nout = %s\n'
+        % (common, tmp_path / 'spec')), 'spec.cfg'))
+    top = dict(read_spectrum_csv(run_spectrum(cfg)[0]))['M']
+    pair = _assemble(cfg)[0]
+    dense = dense_generalized_eig(pair.K, pair.M)[0]
+    np.testing.assert_allclose(top, dense[-3:], rtol=1e-6)
+    cfg = parse_config(write_cfg(tmp_path, (
+        'kind = deflate-ratio\n%sranks = 2\nout = %s\n'
+        % (common, tmp_path / 'ratio')), 'ratio.cfg'))
+    rows = np.genfromtxt(run_deflate_ratio(cfg)[0], delimiter=',',
+                         names=True)
+    assert np.all(rows['rank'] == 2) and np.all(np.isfinite(rows['ratio']))
 
 
 # --------------------------------------------------------------- convergence

@@ -8,10 +8,10 @@ import sympy
 from igalump.assembly import assemble_multipatch, assemble_single_patch
 from igalump.geometry import MultipatchTopology, Patch, patch_grid
 from igalump.linalg import (FactorizedOperator, banded_cholesky,
-                            dense_generalized_eig, hier_bandwidth,
-                            schur_saddle_factor, woodbury_solve)
+                            dense_generalized_eig, schur_saddle_factor,
+                            woodbury_solve)
 from igalump.lumping import (HierBandedMatrix, block_lumped_family,
-                             multipatch_lump)
+                             hier_bandwidth, multipatch_lump)
 from igalump.splines import KnotVector, SplineSpace, make_open_uniform
 from structured_spd import random_structured_spd
 

@@ -97,7 +97,7 @@ def test_family_preserves_row_block_sums():
 
 
 def test_unstructured_matrix_rejected():
-    B = HierBandedMatrix(sp.eye(4, format='csr'))
+    B = sp.eye(4, format='csr')
     with pytest.raises(ValueError):
         block_lump(B)
 
@@ -359,7 +359,7 @@ def test_pad_lump_trim_rotated_square_spd():
     mask = classify_elements(space, unit_square(), region)
     pair = assemble_trimmed(space, unit_square(), mask, ONE, ONE)
     for i in (1, 2):
-        P = pad_lump_trim(pair.M.mat, pair.embedding, pair.background_dims,
+        P = pad_lump_trim(pair.M, pair.embedding, pair.background_dims,
                           i=i)
         np.linalg.cholesky(P.toarray())
 
