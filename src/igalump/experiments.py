@@ -22,7 +22,8 @@ from .dynamics import (central_difference, l2_error, l2_norm,
                        manufactured_wave_problem, step_count)
 from .geometry import (MultipatchTopology, catalog, classify_elements,
                        outer_faces, rotated_square_region)
-from .linalg import DENSE_CAP, _mass_factor, dense_generalized_eig
+from .linalg import (DENSE_CAP, _dense_eigenvalue, _mass_factor,
+                     dense_generalized_eig)
 from .lumping import (_as_csr, block_lumped_family, hierarchical_lump,
                       lump_rowsum, multipatch_lump, pad_lump_trim)
 from .spectral import LanczosConfig, critical_timestep, deflate, lanczos
@@ -406,11 +407,14 @@ def _extreme_eigenvalue(cfg, K, Mvar, which, label):
     """
     n = K.shape[0]
     if n <= DENSE_CAP:
-        w = dense_generalized_eig(K, Mvar)[0]
-        return float(w[0] if which == 'smallest' else w[-1])
+        return _dense_eigenvalue(K, Mvar, 0 if which == 'smallest' else n - 1)
     if which == 'smallest':
+        # shift-invert about 0 through the banded Cholesky factor of K
+        K_inv = spla.LinearOperator((n, n), matvec=_mass_factor(K).solve,
+                                    dtype=float)
         vals = spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar), sigma=0.0,
-                          v0=np.full(n, n ** -0.5), return_eigenvectors=False)
+                          OPinv=K_inv, v0=np.full(n, n ** -0.5),
+                          return_eigenvectors=False)
         return float(vals[0])
     res = _top_pairs(cfg, K, Mvar, 1, 'pencil %s, largest eigenvalue' % label,
                      tol=1e-8)

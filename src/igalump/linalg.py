@@ -202,6 +202,16 @@ def dense_generalized_eig(A, B):
     return w, V
 
 
+def _dense_eigenvalue(A, B, i):
+    """The i-th ascending eigenvalue of A u = lambda B u, computed alone
+    (no other eigenvalue, no eigenvector); the caller keeps n <= DENSE_CAP."""
+    try:
+        return float(sla.eigh(_to_dense(A), _to_dense(B), eigvals_only=True,
+                              subset_by_index=[i, i])[0])
+    except np.linalg.LinAlgError:
+        raise ValueError('mass-side matrix is not positive definite')
+
+
 def _to_dense(A):
     if hasattr(A, 'toarray'):
         return A.toarray()

@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from igalump.experiments import (ConfigError, ExperimentConfig, _assemble,
+                                 _extreme_eigenvalue, _mass_variant,
                                  _require_converged, _spectrum_rows,
                                  _write_csv, apply_overrides, parse_config,
                                  run_bandwidth_report, run_convergence,
@@ -252,6 +256,42 @@ def test_convergence_rates_and_signs(tmp_path):
                                 dtype=None, encoding='utf-8'))
     assert slopes['M'] >= 3.5           # expected rate 2p = 4
     assert 1.7 <= slopes['P1'] <= 2.3
+
+
+def square_cfg(tmp_path, subdivisions):
+    return parse_config(write_cfg(tmp_path, (
+        'kind = convergence\ngeometry = unit_square\np = 3\nlevels = 3\n'
+        'subdivisions = %d\npencils = M P1 H2\n' % subdivisions)))
+
+
+def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
+                                                          monkeypatch):
+    cfg = square_cfg(tmp_path, 64)
+    pair = _assemble(cfg)[0]
+    n = pair.K.shape[0]
+    assert n == 4225
+    want = spla.eigsh(pair.K.mat, k=1, M=pair.M.mat, sigma=0.0,
+                      v0=np.full(n, n ** -0.5), return_eigenvectors=False)[0]
+
+    def no_superlu(*args, **kwargs):
+        raise AssertionError('SuperLU was called')
+
+    # eigsh looks splu up in its own module
+    for module in (spla, sys.modules[spla.eigsh.__module__]):
+        monkeypatch.setattr(module, 'splu', no_superlu)
+    got = _extreme_eigenvalue(cfg, pair.K, pair.M, 'smallest', 'M')
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize('label', ['M', 'P1', 'H2'])
+def test_dense_extreme_eigenvalue_matches_oracle(tmp_path, label):
+    cfg = square_cfg(tmp_path, 32)
+    pair = _assemble(cfg)[0]
+    Mvar = _mass_variant(cfg, pair, label)
+    w = dense_generalized_eig(pair.K, Mvar)[0]
+    for which, want in (('smallest', w[0]), ('largest', w[-1])):
+        got = _extreme_eigenvalue(cfg, pair.K, Mvar, which, label)
+        assert got == pytest.approx(want, rel=1e-12, abs=0), which
 
 
 # ------------------------------------------------------------------ simulate

@@ -5,9 +5,9 @@ into a temporary directory, and every CSV it writes is compared with the
 one under results/. Integer and label columns must match exactly. Float
 columns must agree within RTOL times the largest magnitude of that column
 among the rows with the same label (the whole column when the file has no
-label column). The plots are not compared, and the slow studies
-(convergence_square, trimmed_sweep) are left out. spectrum_rotated runs
-the trimmed assembly, inside and cut elements alike, end to end.
+label column). The plots are not compared, and the slow study
+convergence_square is left out. spectrum_rotated and trimmed_sweep run the
+trimmed assembly, inside and cut elements alike, end to end.
 """
 
 import csv
@@ -25,7 +25,7 @@ _INT = re.compile(r'^-?[0-9]+$')
 
 CONFIGS = ('bandwidth_cube', 'deflate_ratio_plate', 'spectrum_multipatch',
            'spectrum_plate_deflated', 'spectrum_rotated', 'spectrum_stretched',
-           'simulate_plate')
+           'simulate_plate', 'trimmed_sweep')
 
 
 def _is_float(text):
