@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Run every study config in scripts/configs through the command line.
 
-Each config sets its own out directory under results/ relative to the
-repository root, which is where the subprocesses run. Pass config names
-(without .cfg) to run a subset; -n lists what would run.
+Each study runs as `python -m igalump.cli` on the package in src/ next to
+this script, with no install needed. Each config sets its own out
+directory under results/ relative to the repository root, which is where
+the subprocesses run. Pass config names (without .cfg) to run a subset;
+-n lists what would run. A config that does not parse exits 2 with its
+config error.
 """
 
 import argparse
-import re
+import os
 import subprocess
 import sys
 import time
@@ -15,17 +18,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / 'scripts' / 'configs'
-
-
-def kind_of(path):
-    for line in path.read_text().splitlines():
-        m = re.match(r'\s*kind\s*=\s*([a-z-]+)', line)
-        if m:
-            return m.group(1)
-    sys.exit('no kind in %s' % path)
+SRC = str(ROOT / 'src')
 
 
 def main():
+    sys.path.insert(0, SRC)
+    from igalump.experiments import ConfigError, parse_config
+
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument('names', nargs='*', help='config names, default all')
     ap.add_argument('-n', '--dry-run', action='store_true',
@@ -42,8 +41,16 @@ def main():
         if missing:
             sys.exit('unknown config(s): %s' % ', '.join(sorted(missing)))
 
+    inherited = os.environ.get('PYTHONPATH')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + ([inherited] if inherited else [])))
     for cfg in cfgs:
-        cmd = ['igalump', kind_of(cfg), '--config',
+        try:
+            kind = parse_config(str(cfg)).kind
+        except ConfigError as exc:
+            print('config error: %s' % exc, file=sys.stderr)
+            sys.exit(2)
+        cmd = [sys.executable, '-m', 'igalump.cli', kind, '--config',
                str(cfg.relative_to(ROOT))]
         if args.seed is not None:
             cmd += ['--seed', str(args.seed)]
@@ -51,7 +58,7 @@ def main():
         if args.dry_run:
             continue
         t0 = time.perf_counter()
-        rc = subprocess.call(cmd, cwd=ROOT)
+        rc = subprocess.call(cmd, cwd=ROOT, env=env)
         print('  %.1fs exit %d' % (time.perf_counter() - t0, rc), flush=True)
         if rc != 0:
             sys.exit(rc)

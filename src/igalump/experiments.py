@@ -11,7 +11,7 @@ import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -30,8 +30,6 @@ from .spectral import LanczosConfig, critical_timestep, deflate, lanczos
 from .splines import SplineSpace, make_open_uniform
 from .svgplot import LinePlot
 
-_KINDS = ('spectrum', 'convergence', 'simulate', 'deflate-ratio',
-          'trimmed-sweep', 'bandwidth-report')
 _PENCIL_RE = re.compile(r'^(M|rowsum|P[1-9][0-9]*|H[1-9][0-9]*)$')
 _ONE = lambda *xs: 1.0
 
@@ -40,27 +38,93 @@ class ConfigError(Exception):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _key(default=MISSING, by_kind=None, reads=None, fault=None):
+    """A config key: its default, by_kind's defaults for some kinds, the
+    kinds that read it (every kind if None) and fault(v, kind), which says
+    what is wrong with a value v and is falsy for a good one."""
+    return field(default=default, metadata={
+        'by_kind': by_kind or {}, 'reads': reads,
+        'fault': fault or (lambda v, kind: None)})
+
+
+def _below(lo, msg):
+    return lambda v, kind: v is not None and v < lo and msg
+
+
+def _pencil_fault(labels, kind):
+    bad = [label for label in labels if not _PENCIL_RE.match(label)]
+    if not labels:
+        return 'select at least one pencil'
+    if bad:
+        return 'bad pencil label %r (use M, rowsum, P<i> or H<k>)' % bad[0]
+    if len(set(labels)) != len(labels):
+        return 'each pencil label may appear once'
+    if kind == 'deflate-ratio' and len(labels) != 1:
+        return ('deflate-ratio reads one pencil, got pencils = %s'
+                % ' '.join(labels))
+
+
 @dataclass
 class ExperimentConfig:
-    kind: str
-    geometry: str = 'unit_square'
+    """One experiment. Each field but geometry_params (the geometry.* keys),
+    source and lines is a config key, declared in the order _validate checks
+    them; a key annotated tuple[t, ...] takes a list of t."""
+    kind: str = _key()
+    geometry: str = _key('unit_square', {
+        'simulate': 'plate_hole', 'deflate-ratio': 'plate_hole',
+        'trimmed-sweep': 'rotated_square', 'bandwidth-report': 'unit_cube'})
     geometry_params: dict = field(default_factory=dict)
-    p: int = 2
-    k: int = None               # eigenpair count for Lanczos-only spectra
-    subdivisions: tuple = (8,)  # elements per direction; singleton broadcasts
-    levels: int = 4
-    pencils: tuple = ('M', 'P1')
-    ranks: tuple = ()
-    horizons: tuple = ()        # time spans of the ratio study
-    tspan: float = 1.0
-    safeguard: float = 0.85
-    density: str = 'one'
-    dirichlet: bool = False
-    nquad: int = None
-    nangles: int = 1
-    out: str = 'out'
-    seed: int = 0
-    threads: int = 1
+    p: int = _key(2, {'simulate': 3, 'deflate-ratio': 3},
+                  fault=_below(1, 'degree must be at least 1'))
+    # eigenpair count for Lanczos-only spectra
+    k: int = _key(None, reads={'spectrum'},
+                  fault=_below(1, 'k must be at least 1'))
+    levels: int = _key(4, reads={'convergence'}, fault=_below(
+        3, 'a convergence study needs at least 3 refinement levels'))
+    dirichlet: bool = _key(
+        False, {'convergence': True},
+        {'spectrum', 'convergence', 'deflate-ratio', 'bandwidth-report'},
+        lambda v, kind: kind == 'convergence' and not v and (
+            'the smallest frequency needs Dirichlet conditions '
+            '(dirichlet = false leaves K singular)'))
+    safeguard: float = _key(0.85, reads={'simulate', 'deflate-ratio'},
+                            fault=lambda v, kind: not 0 < v <= 1
+                            and 'safeguard must lie in (0, 1]')
+    tspan: float = _key(1.0, {'simulate': 6.0}, {'simulate'},
+                        lambda v, kind: not v > 0
+                        and 'time span must be positive')
+    nangles: int = _key(1, {'trimmed-sweep': 40},
+                        {'spectrum', 'trimmed-sweep'},
+                        _below(1, 'nangles must be at least 1'))
+    threads: int = _key(1, fault=_below(1, 'threads must be at least 1'))
+    seed: int = _key(0, fault=_below(0, 'seed must be nonnegative'))
+    nquad: int = _key(None, fault=_below(1, 'nquad must be at least 1'))
+    # elements per direction; a single count broadcasts
+    subdivisions: tuple[int, ...] = _key(
+        (8,), {'convergence': (4,), 'simulate': (16,),
+               'deflate-ratio': (16, 8), 'trimmed-sweep': (20,),
+               'bandwidth-report': (6,)},
+        fault=lambda v, kind: not (v and min(v) >= 1)
+        and 'subdivisions must be positive')
+    ranks: tuple[int, ...] = _key(
+        (), {'deflate-ratio': (10, 20, 40)}, {'spectrum', 'deflate-ratio'},
+        lambda v, kind: not all(r >= 1 for r in v)
+        and 'deflation ranks must be positive')
+    # time spans of the ratio study
+    horizons: tuple[float, ...] = _key(
+        (), reads={'deflate-ratio'}, fault=lambda v, kind: not all(
+            t > 0 for t in v) and 'horizons must be positive')
+    pencils: tuple[str, ...] = _key(('M', 'P1'), {
+        'simulate': ('P1', 'P2', 'P3'), 'deflate-ratio': ('P1',),
+        'trimmed-sweep': ('M', 'P1', 'P2', 'rowsum'),
+        'bandwidth-report': ('M', 'H1', 'H2', 'H3')}, fault=_pencil_fault)
+    density: str = _key(
+        'one', {'convergence': 'nonseparable'}, {
+            'spectrum', 'convergence', 'deflate-ratio', 'trimmed-sweep',
+            'bandwidth-report'},
+        lambda v, kind: v not in ('one', 'nonseparable')
+        and 'density must be "one" or "nonseparable"')
+    out: str = _key('out')
     source: str = field(default='', repr=False, compare=False)
     lines: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -71,54 +135,21 @@ class ExperimentConfig:
         return '%s (default %s)' % (self.source or '<config>', key)
 
 
-_SCALAR_KEYS = {'kind': str, 'geometry': str, 'out': str, 'density': str,
-                'p': int, 'k': int, 'levels': int, 'seed': int,
-                'nangles': int, 'threads': int, 'nquad': int,
-                'tspan': float, 'safeguard': float, 'dirichlet': bool}
-_LIST_KEYS = {'subdivisions': int, 'pencils': str, 'ranks': int,
-              'horizons': float}
-
-# keys every kind reads, geometry.* included, and the keys read only by some
-_READ_BY_ALL = {'kind', 'geometry', 'p', 'subdivisions', 'pencils', 'nquad',
-                'out', 'seed', 'threads'}
-_READ_BY_KIND = {
-    'spectrum': {'k', 'ranks', 'density', 'dirichlet', 'nangles'},
-    'convergence': {'levels', 'density', 'dirichlet'},
-    'simulate': {'tspan', 'safeguard'},
-    'deflate-ratio': {'ranks', 'horizons', 'safeguard', 'density',
-                      'dirichlet'},
-    'trimmed-sweep': {'nangles', 'density'},
-    'bandwidth-report': {'density', 'dirichlet'},
-}
-
-# applied for keys the file leaves out, after the kind is known
-_KIND_DEFAULTS = {
-    'convergence': {'density': 'nonseparable', 'subdivisions': (4,),
-                    'dirichlet': True},
-    'simulate': {'geometry': 'plate_hole', 'pencils': ('P1', 'P2', 'P3'),
-                 'subdivisions': (16,), 'p': 3, 'tspan': 6.0},
-    'deflate-ratio': {'geometry': 'plate_hole', 'pencils': ('P1',),
-                      'ranks': (10, 20, 40), 'subdivisions': (16, 8), 'p': 3},
-    'trimmed-sweep': {'geometry': 'rotated_square', 'subdivisions': (20,),
-                      'pencils': ('M', 'P1', 'P2', 'rowsum'), 'nangles': 40},
-    'bandwidth-report': {'geometry': 'unit_cube', 'subdivisions': (6,),
-                         'pencils': ('M', 'H1', 'H2', 'H3')},
-}
+_KEYS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
+_TRUTH = {**dict.fromkeys(('true', 'yes', 'on', '1'), True),
+          **dict.fromkeys(('false', 'no', 'off', '0'), False)}
 
 
-def _coerce(kind, raw, where):
+def _coerce(typ, raw, where):
+    """raw as a typ value; a tuple[t, ...] splits raw at commas and blanks."""
+    if getattr(typ, '__origin__', None) is tuple:
+        return tuple(_coerce(typ.__args__[0], part, where)
+                     for part in raw.replace(',', ' ').split())
     try:
-        if kind is bool:
-            low = raw.lower()
-            if low in ('true', 'yes', 'on', '1'):
-                return True
-            if low in ('false', 'no', 'off', '0'):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
+        return _TRUTH[raw.lower()] if typ is bool else typ(raw)
+    except (KeyError, ValueError):
         raise ConfigError('%s: expected %s, got %r'
-                          % (where, kind.__name__, raw)) from None
+                          % (where, typ.__name__, raw)) from None
 
 
 def _num(raw, where):
@@ -166,28 +197,21 @@ def parse_config(path):
 
     cfg = ExperimentConfig(kind='', source=path,
                            lines={k: ln for k, (_v, ln) in entries.items()})
-    params = {}
     for key, (val, lineno) in entries.items():
         where = '%s:%d' % (path, lineno)
-        if key in _SCALAR_KEYS:
-            setattr(cfg, key, _coerce(_SCALAR_KEYS[key], val, where))
-        elif key in _LIST_KEYS:
-            parts = val.replace(',', ' ').split()
-            typ = _LIST_KEYS[key]
-            setattr(cfg, key, tuple(
-                p if typ is str else _coerce(typ, p, where) for p in parts))
+        if key in _KEYS:
+            setattr(cfg, key, _coerce(_KEYS[key].type, val, where))
         elif key.startswith('geometry.'):
-            params[key[len('geometry.'):]] = _num(val, where)
+            cfg.geometry_params[key[len('geometry.'):]] = _num(val, where)
         else:
             raise ConfigError('%s: unknown key %r' % (where, key))
-    cfg.geometry_params = params
 
-    if cfg.kind not in _KINDS:
+    if cfg.kind not in RUNNERS:
         raise ConfigError('%s: unknown experiment kind %r (choose from %s)'
-                          % (cfg.where('kind'), cfg.kind, ', '.join(_KINDS)))
-    for key, value in _KIND_DEFAULTS.get(cfg.kind, {}).items():
-        if key not in entries:
-            setattr(cfg, key, value)
+                          % (cfg.where('kind'), cfg.kind, ', '.join(RUNNERS)))
+    for key, f in _KEYS.items():
+        if key not in entries and cfg.kind in f.metadata['by_kind']:
+            setattr(cfg, key, f.metadata['by_kind'][cfg.kind])
     _validate(cfg)
     return cfg
 
@@ -197,45 +221,13 @@ def _validate(cfg):
         if not ok:
             raise ConfigError('%s: %s' % (cfg.where(key), msg))
 
-    reads = _READ_BY_ALL | _READ_BY_KIND[cfg.kind]
     for key in cfg.lines:
-        require(key.partition('.')[0] in reads, key,
+        readers = _KEYS[key.partition('.')[0]].metadata['reads']
+        require(readers is None or cfg.kind in readers, key,
                 'key %r is not read by %s runs' % (key, cfg.kind))
-    require(cfg.p >= 1, 'p', 'degree must be at least 1')
-    require(cfg.k is None or cfg.k >= 1, 'k', 'k must be at least 1')
-    require(cfg.levels >= 1, 'levels', 'levels must be at least 1')
-    if cfg.kind == 'convergence':
-        require(cfg.levels >= 3, 'levels',
-                'a convergence study needs at least 3 refinement levels')
-        require(cfg.dirichlet, 'dirichlet',
-                'the smallest frequency needs Dirichlet conditions '
-                '(dirichlet = false leaves K singular)')
-    require(cfg.safeguard > 0 and cfg.safeguard <= 1, 'safeguard',
-            'safeguard must lie in (0, 1]')
-    require(cfg.tspan > 0, 'tspan', 'time span must be positive')
-    require(cfg.nangles >= 1, 'nangles', 'nangles must be at least 1')
-    require(cfg.threads >= 1, 'threads', 'threads must be at least 1')
-    require(cfg.seed >= 0, 'seed', 'seed must be nonnegative')
-    require(cfg.nquad is None or cfg.nquad >= 1, 'nquad',
-            'nquad must be at least 1')
-    require(len(cfg.subdivisions) >= 1
-            and all(s >= 1 for s in cfg.subdivisions),
-            'subdivisions', 'subdivisions must be positive')
-    require(all(r >= 1 for r in cfg.ranks), 'ranks',
-            'deflation ranks must be positive')
-    require(all(t > 0 for t in cfg.horizons), 'horizons',
-            'horizons must be positive')
-    require(len(cfg.pencils) >= 1, 'pencils', 'select at least one pencil')
-    for label in cfg.pencils:
-        require(_PENCIL_RE.match(label) is not None, 'pencils',
-                'bad pencil label %r (use M, rowsum, P<i> or H<k>)' % label)
-    require(len(set(cfg.pencils)) == len(cfg.pencils), 'pencils',
-            'each pencil label may appear once')
-    require(cfg.kind != 'deflate-ratio' or len(cfg.pencils) == 1, 'pencils',
-            'deflate-ratio reads one pencil, got pencils = %s'
-            % ' '.join(cfg.pencils))
-    require(cfg.density in ('one', 'nonseparable'), 'density',
-            'density must be "one" or "nonseparable"')
+    for key, f in _KEYS.items():
+        fault = f.metadata['fault'](getattr(cfg, key), cfg.kind)
+        require(not fault, key, fault)
 
     if cfg.geometry == 'rotated_square':
         require(cfg.kind in ('spectrum', 'trimmed-sweep'), 'geometry',
@@ -271,17 +263,14 @@ def _validate(cfg):
 
 def apply_overrides(cfg, out=None, seed=None, threads=None):
     """Fold command-line flag values over the parsed config."""
-    updates = {}
-    if out is not None:
-        updates['out'] = out
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError('--seed must be nonnegative')
-        updates['seed'] = seed
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError('--threads must be at least 1')
-        updates['threads'] = threads
+    updates = {key: value for key, value in
+               (('out', out), ('seed', seed), ('threads', threads))
+               if value is not None}
+    for key, value in updates.items():
+        fault = _KEYS[key].metadata['fault'](value, cfg.kind)
+        if fault:
+            # seed's and threads' messages open with the key: --seed ...
+            raise ConfigError('--' + fault)
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -666,7 +655,12 @@ def run_deflate_ratio(cfg):
             N_w = step_count(T, lam_n, cfg.safeguard)
             N_s = step_count(T, lam_cut, cfg.safeguard)
             if N_w == 0:
-                raise ValueError('horizon %g is shorter than one step' % T)
+                dt = cfg.safeguard * critical_timestep(lam_n)
+                msg = ('rank %d: horizon T = %g is shorter than one step '
+                       'dt = %g' % (r, T, dt))
+                if cfg.horizons:
+                    raise ConfigError('%s: %s' % (cfg.where('horizons'), msg))
+                raise ValueError(msg)
             rows.append((r, T, N_w, N_s, n_iter, n_matvec,
                          (N_s + n_iter) / N_w))
     csv = _write_csv(cfg, 'deflate_ratio.csv',

@@ -91,11 +91,6 @@ class Patch:
         detJ = np.linalg.det(J)
         return F, J, detJ
 
-    def __repr__(self):
-        kind = 'NURBS' if self.weights is not None else 'B-spline'
-        return 'Patch(%s, p=%s, dims=%s)' % (kind, self.space.degrees,
-                                             self.space.dims)
-
 
 def _tensor_apply(H, mats):
     # contract the leading axes of H with per-direction matrices, one each

@@ -19,9 +19,8 @@ DENSE_CAP = 4000
 class FactorizedOperator:
     """A factorized SPD matrix exposing solve(rhs).
 
-    payload holds whatever the factorization produced (banded Cholesky
-    factors, Schur pieces); it is kept for inspection but solve() is the
-    interface.
+    payload holds the banded Cholesky factor, for inspection; solve() is
+    the interface.
     """
 
     def __init__(self, n, apply_solve, payload=None):
@@ -158,8 +157,7 @@ def schur_saddle_factor(P, split):
             out[idx_int] = dinv_f
         return out
 
-    return FactorizedOperator(n, apply_solve,
-                              payload=(factors, C, S, idx_int, iface))
+    return FactorizedOperator(n, apply_solve)
 
 
 def woodbury_solve(base, U2, gD2, rhs):

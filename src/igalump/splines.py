@@ -74,9 +74,6 @@ class KnotVector:
         span = np.clip(np.searchsorted(k, x, side='right') - 1, first, last)
         return span if np.ndim(x) else int(span)
 
-    def __repr__(self):
-        return 'KnotVector(p=%d, %d dofs)' % (self.p, self.numdofs)
-
 
 def make_open_uniform(elements, p, k):
     """Open uniform knot vector on [0,1] with smoothness C^k at interior knots.
@@ -262,6 +259,3 @@ class SplineSpace:
         out = np.full(self.numdofs, -1, dtype=np.int64)
         out[self.free_to_full()] = np.arange(self.num_free)
         return out
-
-    def __repr__(self):
-        return 'SplineSpace(p=%s, dims=%s)' % (self.degrees, self.dims)

@@ -4,6 +4,9 @@ import glob
 import io
 import os
 import re
+import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import igalump
 from igalump.cli import main
-from igalump.experiments import (RUNNERS, _KIND_DEFAULTS, _READ_BY_ALL,
-                                 _READ_BY_KIND)
+from igalump.experiments import _KEYS, RUNNERS
 
 
 def write_cfg(tmp_path, text, name='exp.cfg'):
@@ -60,10 +62,11 @@ def test_kind_mismatch_exits_two(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):
-    # horizons shorter than a single stable step
+    # break-even horizons shorter than a single stable step: rank 5 of the
+    # 6-dof plate deflates down to its smallest eigenvalue
     cfg = write_cfg(tmp_path, (
-        'kind = deflate-ratio\nsubdivisions = 8 4\np = 2\nranks = 4\n'
-        'horizons = 1e-9\nout = %s\n' % (tmp_path / 'r')))
+        'kind = deflate-ratio\nsubdivisions = 2 1\np = 1\nranks = 5\n'
+        'out = %s\n' % (tmp_path / 'r')))
     assert main(['deflate-ratio', '--config', cfg]) == 3
     assert 'numerical failure' in capsys.readouterr().err
 
@@ -150,6 +153,9 @@ def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
      ('config error', "exp.cfg:2: key 'nangles'")),
     ('deflate-ratio', 'pencils = P1 P2\n',
      ('config error', 'exp.cfg:2: deflate-ratio reads one pencil')),
+    ('deflate-ratio', 'subdivisions = 8 4\np = 2\nranks = 4\n'
+     'horizons = 1e-9\n',
+     ('config error', 'exp.cfg:5:', 'rank 4', 'T = 1e-09', 'dt = ')),
 ])
 def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
                                                   body, names):
@@ -182,9 +188,11 @@ def generated_configs(draw):
     geoms = _GEOMETRIES_2D + (() if kind == 'convergence'
                               else ('unit_cube', 'twisted_box'))
     geometry = draw(st.none() | st.sampled_from(geoms))
-    trimmed = (geometry or _KIND_DEFAULTS.get(kind, {}).get(
-        'geometry', 'unit_square')) == 'rotated_square'
-    reads = (_READ_BY_ALL | _READ_BY_KIND[kind]) \
+    geo = _KEYS['geometry']
+    trimmed = (geometry or geo.metadata['by_kind'].get(kind, geo.default)) \
+        == 'rotated_square'
+    reads = {key for key, f in _KEYS.items()
+             if f.metadata['reads'] is None or kind in f.metadata['reads']} \
         - ({'k', 'ranks', 'dirichlet'} if trimmed else {'nangles'})
     ints = lambda lo, hi: st.integers(lo, hi).map(str)
     words = lambda pool, n: st.lists(st.sampled_from(pool), min_size=1,
@@ -241,6 +249,22 @@ def test_generated_configs_keep_the_exit_contract(generated):
             assert re.search(r'exp\.cfg(:\d+| \(default \w+\)):', err), \
                 (lines, err)
             assert not os.path.exists(out), (lines, err)
+
+
+def test_run_all_runs_a_study_without_an_install(tmp_path):
+    # a bare copy of scripts/ and src/, with no igalump on any import path
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for name in ('scripts', 'src'):
+        shutil.copytree(os.path.join(root, name), tmp_path / name,
+                        ignore=shutil.ignore_patterns('__pycache__'))
+    env = {k: v for k, v in os.environ.items() if k != 'PYTHONPATH'}
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / 'scripts' / 'run_all.py'),
+         'bandwidth_cube'], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    name = os.path.join('results', 'bandwidth_cube', 'bandwidth.csv')
+    with open(os.path.join(root, name), 'rb') as f:
+        assert (tmp_path / name).read_bytes() == f.read()
 
 
 def test_src_validates_without_assert():

@@ -1,10 +1,12 @@
 import sys
+from dataclasses import MISSING
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from igalump.experiments import (ConfigError, ExperimentConfig, _assemble,
+from igalump.experiments import (_KEYS, RUNNERS, ConfigError,
+                                 ExperimentConfig, _assemble,
                                  _extreme_eigenvalue, _mass_variant,
                                  _require_converged, _spectrum_rows,
                                  _write_csv, apply_overrides, parse_config,
@@ -104,6 +106,30 @@ def test_overrides(tmp_path):
     assert cfg.seed == 1  # original untouched
     with pytest.raises(ConfigError, match='--seed'):
         apply_overrides(cfg, seed=-1)
+
+
+def _typed(value, typ):
+    """value is a typ, or for tuple[t, ...] a tuple of t values."""
+    if getattr(typ, '__origin__', None) is tuple:
+        return type(value) is tuple and all(_typed(v, typ.__args__[0])
+                                            for v in value)
+    return type(value) is typ
+
+
+@pytest.mark.parametrize('key', [key for key, f in _KEYS.items()
+                                 if f.default is not MISSING])
+def test_key_defaults_are_typed_and_pass_their_check(key):
+    # every run checks every key, so the default each kind runs with must
+    # pass there, or a file that never sets the key would fail on it
+    f = _KEYS[key]
+    by_kind = f.metadata['by_kind']
+    assert set(by_kind) <= set(f.metadata['reads'] or RUNNERS), by_kind
+    for kind in RUNNERS:
+        value = by_kind.get(kind, f.default)
+        # None leaves k and nquad unset
+        assert (value is None and f.default is None
+                or _typed(value, f.type)), (kind, value)
+        assert not f.metadata['fault'](value, kind), (kind, value)
 
 
 # -------------------------------------------------------------------- output
