@@ -24,7 +24,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import TrimMask, _tensor_apply
+from .geometry import _tensor_apply, classify_elements
 from .lumping import HierBandedMatrix, _as_csr, _csr, _scatter, _strides
 from .splines import _dense_tables, eval_basis
 
@@ -277,58 +277,51 @@ def assemble_multipatch(topology, patches, rho, kappa, nquad=None):
     return glob, local_pairs
 
 
-def assemble_trimmed(space, patch, mask, rho, kappa, subdepth=3, nquad=None):
-    """Assemble over the active dofs of a trimmed patch.
+def assemble_trimmed(space, patch, region, rho, kappa, subdepth=3, nquad=None):
+    """Assemble over the active dofs of a patch trimmed to region.
 
-    Inside elements use the standard rule. Cut elements are subdivided into
-    2^subdepth subcells per direction and a subcell is integrated (with the
-    same Gauss rule) iff its center lies inside the region. Outside
-    elements and inactive dofs are dropped. A dof can pass the element-level
-    activity test yet miss every retained subcell; such dofs have an exactly
-    zero mass row and are pruned from the system, keeping the mass diagonal
-    strictly positive.
+    classify_elements sorts the elements against the region on a lattice
+    of 2^subdepth cells per direction. Inside elements use the standard
+    rule; cut elements are subdivided into 2^subdepth subcells per
+    direction and a subcell is integrated (with the same Gauss rule) iff
+    its center lies inside the region; outside elements are dropped. The
+    active dofs, the free dofs whose mass diagonal exceeds 1e-12 of the
+    largest, keep the mass diagonal strictly positive; the others have no
+    retained subcell in their support, or meet one only near its corner.
 
     Raises:
         ValueError: if no element or no subcell is retained, so that the
             system would have no dofs.
     """
-    if not isinstance(mask, TrimMask):
-        raise TypeError('mask must be a TrimMask')
-    if not np.any(mask.element_class >= 0):
+    element_class = classify_elements(space, patch, region,
+                                      subdepth).element_class
+    if not np.any(element_class >= 0):
         raise ValueError('trim region excludes every element '
                          '(n_active = 0)')
-    free_to_full = space.free_to_full()
-    embedding = np.flatnonzero(np.asarray(mask.active).ravel()[free_to_full])
-    n_sys = len(embedding)
-    full_to_sys = np.full(space.numdofs, -1)
-    full_to_sys[free_to_full[embedding]] = np.arange(n_sys)
-
     # each element's pair sits at its index among the non-outside elements;
     # inside elements take theirs from the whole mesh
-    els = np.argwhere(mask.element_class >= 0)
+    els = np.argwhere(element_class >= 0)
     Mloc, Kloc = _element_matrices(space, patch, rho, kappa, _mesh(space),
                                    nquad)
-    flat = np.ravel_multi_index(tuple(els.T), mask.element_class.shape)
+    flat = np.ravel_multi_index(tuple(els.T), element_class.shape)
     Mloc, Kloc = Mloc[flat], Kloc[flat]
     # cut elements go in batches of one element line (all indices but the
     # last fixed), which bounds the composite grid held at once
-    cut = mask.element_class[tuple(els.T)] == 0
+    cut = element_class[tuple(els.T)] == 0
     for lead in np.unique(els[cut, :-1], axis=0):
         line = np.flatnonzero(cut & np.all(els[:, :-1] == lead, axis=1))
         Mloc[line], Kloc[line] = _element_matrices(
-            space, patch, rho, kappa, els[line], nquad, mask.region,
-            2 ** subdepth)
-    M, K = _system_matrices(space, els, Mloc, Kloc, full_to_sys, n_sys)
+            space, patch, rho, kappa, els[line], nquad, region, 2 ** subdepth)
+    M, K = _system_matrices(space, els, Mloc, Kloc, space.full_to_free(),
+                            space.num_free)
     diag = M.diagonal()
-    keep = diag > 1e-12 * np.max(diag, initial=0.0)
-    if not np.any(keep):
+    embedding = np.flatnonzero(diag > 1e-12 * np.max(diag, initial=0.0))
+    if not len(embedding):
         raise ValueError('trim region retains no quadrature subcell '
                          '(n_active = 0)')
-    if not np.all(keep):
-        sel = np.flatnonzero(keep)
-        M = M[np.ix_(sel, sel)].tocsr()
-        K = K[np.ix_(sel, sel)].tocsr()
-        embedding = embedding[sel]
+    if len(embedding) < len(diag):
+        M = M[np.ix_(embedding, embedding)].tocsr()
+        K = K[np.ix_(embedding, embedding)].tocsr()
     return AssembledPair(K, M, embedding, space.free_dims)
 
 

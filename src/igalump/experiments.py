@@ -20,8 +20,8 @@ from .assembly import (assemble_multipatch, assemble_single_patch,
                        assemble_trimmed, jacobi_rescale)
 from .dynamics import (central_difference, l2_error, l2_norm,
                        manufactured_wave_problem, step_count)
-from .geometry import (MultipatchTopology, catalog, classify_elements,
-                       outer_faces, rotated_square_region)
+from .geometry import (MultipatchTopology, catalog, outer_faces,
+                       rotated_square_region)
 from .linalg import (DENSE_CAP, _dense_eigenvalue, _mass_factor,
                      dense_generalized_eig)
 from .lumping import (_as_csr, block_lumped_family, hierarchical_lump,
@@ -136,6 +136,8 @@ class ExperimentConfig:
 
 
 _KEYS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
+# the geometry.* keys of rotated_square and their defaults
+_TRIM_DEFAULTS = {'cx': 0.5, 'cy': 0.5, 'half_side': 0.35}
 _TRUTH = {**dict.fromkeys(('true', 'yes', 'on', '1'), True),
           **dict.fromkeys(('false', 'no', 'off', '0'), False)}
 
@@ -233,10 +235,10 @@ def _validate(cfg):
         require(cfg.kind in ('spectrum', 'trimmed-sweep'), 'geometry',
                 'rotated_square is only available for spectrum and '
                 'trimmed-sweep runs')
-        extra = set(cfg.geometry_params) - {'cx', 'cy', 'half_side'}
+        extra = set(cfg.geometry_params) - set(_TRIM_DEFAULTS)
         require(not extra, 'geometry',
                 'unknown trim parameters %s' % sorted(extra))
-        require(cfg.geometry_params.get('half_side', 0.35) > 0,
+        require({**_TRIM_DEFAULTS, **cfg.geometry_params}['half_side'] > 0,
                 'geometry', 'half_side must be positive')
         for key in ('k', 'ranks', 'dirichlet'):
             require(key not in cfg.lines, key,
@@ -286,8 +288,10 @@ def _broadcast_subs(cfg, d):
     return subs
 
 
-def _density_field(name):
-    if name == 'one':
+def _density_field(cfg):
+    """rho of cfg.density. A value <= 0 at a quadrature point is a config
+    error: the mass matrix would not be positive definite."""
+    if cfg.density == 'one':
         return _ONE
 
     def rho(*xs):
@@ -296,7 +300,15 @@ def _density_field(name):
         for x in xs[1:]:
             prod = prod * x
             total = total + x
-        return np.abs(np.sin(prod)) + total + 1.0
+        value = np.abs(np.sin(prod)) + total + 1.0
+        bad = np.flatnonzero(value <= 0)
+        if len(bad):
+            raise ConfigError(
+                '%s: density %s is %.6g <= 0 at (%s) on geometry %s'
+                % (cfg.where('density'), cfg.density, value.flat[bad[0]],
+                   ', '.join('%.6g' % x.flat[bad[0]] for x in xs),
+                   cfg.geometry))
+        return value
     return rho
 
 
@@ -321,7 +333,7 @@ def _build_spaces(cfg, patches, interfaces, dirichlet, subs=None):
 def _assemble(cfg, subs=None):
     """(pair, topology, local_pairs) on the geometry, at subs if given."""
     patches, interfaces = catalog(cfg.geometry, **cfg.geometry_params)
-    rho = _density_field(cfg.density)
+    rho = _density_field(cfg)
     spaces = _build_spaces(cfg, patches, interfaces, cfg.dirichlet, subs)
     if len(patches) == 1:
         pair = assemble_single_patch(spaces[0], patches[0], rho, _ONE,
@@ -336,15 +348,13 @@ def _assemble(cfg, subs=None):
 def _assemble_trimmed_at(cfg, angle):
     patches, _ifaces = catalog('unit_square')
     space = _build_spaces(cfg, patches, [], False)[0]
-    params = cfg.geometry_params
-    half_side = params.get('half_side', 0.35)
-    region = rotated_square_region(
-        center=(params.get('cx', 0.5), params.get('cy', 0.5)),
-        angle=angle, half_side=half_side)
-    mask = classify_elements(space, patches[0], region)
+    trim = {**_TRIM_DEFAULTS, **cfg.geometry_params}
+    half_side = trim['half_side']
+    region = rotated_square_region(center=(trim['cx'], trim['cy']),
+                                   angle=angle, half_side=half_side)
     try:
-        return assemble_trimmed(space, patches[0], mask,
-                                _density_field(cfg.density), _ONE,
+        return assemble_trimmed(space, patches[0], region,
+                                _density_field(cfg), _ONE,
                                 nquad=cfg.nquad)
     except ValueError as exc:
         # on the unit square only an empty trimmed system raises here
@@ -486,34 +496,35 @@ def run_spectrum(cfg):
                           'set k for a Lanczos-only spectrum'
                           % (cfg.where('subdivisions'), n, DENSE_CAP))
 
+    if cfg.ranks and cfg.k is not None:
+        raise ConfigError('%s: scaled-pencil curves need the dense route; '
+                          'drop k' % cfg.where('ranks'))
+
+    # the scaled-pencil curves deflate the first lumped pencil, whose
+    # eigenvectors are kept from its dense solve
+    base = next((lb for lb in cfg.pencils if lb != 'M'), cfg.pencils[0])
     spectra = []
-    variants = {}
     for label in cfg.pencils:
         Mvar = _mass_variant(cfg, pair, label, topo, locs)
-        variants[label] = Mvar
         if cfg.k is not None:
             res = _top_pairs(cfg, pair.K, Mvar, cfg.k, 'pencil %s' % label)
             vals = np.sort(res.values)
+        elif cfg.ranks and label == base:
+            vals, U = dense_generalized_eig(pair.K, Mvar)
+            Mbase, w = Mvar, vals
         else:
             vals = dense_generalized_eig(pair.K, Mvar)[0]
         spectra.append((label, vals))
 
-    if cfg.ranks:
-        if cfg.k is not None:
-            raise ConfigError('%s: scaled-pencil curves need the dense '
-                              'route; drop k' % cfg.where('ranks'))
-        base = next((lb for lb in cfg.pencils if lb != 'M'), cfg.pencils[0])
-        Mvar = variants[base]
-        w, U = dense_generalized_eig(pair.K, Mvar)
-        for r in cfg.ranks:
-            eigendata = (w[::-1][:r + 1], U[:, ::-1][:, :r + 1])
-            try:
-                pencil = deflate(pair.K, Mvar, r, 'scale-mass', eigendata)
-            except ValueError as exc:
-                raise ConfigError('%s: rank %d: %s'
-                                  % (cfg.where('ranks'), r, exc)) from None
-            wbar = dense_generalized_eig(*pencil.dense_pair())[0]
-            spectra.append(('%s+r%d' % (base, r), wbar))
+    for r in cfg.ranks:
+        eigendata = (w[::-1][:r + 1], U[:, ::-1][:, :r + 1])
+        try:
+            pencil = deflate(pair.K, Mbase, r, 'scale-mass', eigendata)
+        except ValueError as exc:
+            raise ConfigError('%s: rank %d: %s'
+                              % (cfg.where('ranks'), r, exc)) from None
+        wbar = dense_generalized_eig(*pencil.dense_pair())[0]
+        spectra.append(('%s+r%d' % (base, r), wbar))
 
     csv = _write_csv(cfg, 'spectrum.csv', 'k,lambda,label',
                      _spectrum_rows(spectra))

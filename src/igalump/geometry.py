@@ -168,19 +168,17 @@ def split_patch(patch, direction, value):
 # ------------------------------------------------------------------ trimming
 
 class TrimMask:
-    """Element classification and dof activity for a trimmed patch.
+    """Element classification of a patch against a trim region.
 
     Attributes:
         region: the implicit function used (positive inside).
         element_class: int array over the element grid; 1 inside, 0 cut,
             -1 outside.
-        active: bool array over the full tensor dof set (space.dims).
     """
 
-    def __init__(self, region, element_class, active):
+    def __init__(self, region, element_class):
         self.region = region
         self.element_class = element_class
-        self.active = active
 
 
 def classify_elements(space, patch, region, subdepth=3):
@@ -190,8 +188,8 @@ def classify_elements(space, patch, region, subdepth=3):
     corner lattice with 2**subdepth cells per direction, inside when some
     node is strictly positive and none negative, outside otherwise. Zeros on
     a lattice node are compatible with either side, so a boundary lying on a
-    knot line never produces cut elements. A dof stays active when its
-    support contains at least one non-outside element.
+    knot line never produces cut elements. Which dofs stay active is left to
+    the trimmed assembly, which reads it off the mass diagonal.
     """
     d = space.ndim
     m = 2 ** subdepth + 1
@@ -205,16 +203,7 @@ def classify_elements(space, patch, region, subdepth=3):
     nodes = tuple(range(1, 2 * d, 2))
     has_pos = np.any(signs > 0, axis=nodes)
     has_neg = np.any(signs < 0, axis=nodes)
-    element_class = np.where(has_pos, np.where(has_neg, 0, 1), -1)
-    # support[i, e]: basis function i is nonzero on element e
-    support = []
-    for kv in space.kvs:
-        t = kv.knots
-        lo, hi = kv.span_bounds()
-        support.append((hi[None, :] > t[:kv.numdofs, None])
-                       & (lo[None, :] < t[kv.p + 1:, None]))
-    live = _tensor_apply((element_class >= 0).astype(float), support)
-    return TrimMask(region, element_class, live > 0)
+    return TrimMask(region, np.where(has_pos, np.where(has_neg, 0, 1), -1))
 
 
 def rotated_square_region(center=(0.5, 0.5), angle=0.0, half_side=0.5):

@@ -16,9 +16,8 @@ from igalump.assembly import (assemble_multipatch, assemble_single_patch,
 from igalump.dynamics import stability_boundary, step_count
 from igalump.experiments import parse_config, run_convergence, \
     run_deflate_ratio
-from igalump.geometry import (MultipatchTopology, classify_elements, magnet,
-                              outer_faces, plate_quarter_hole,
-                              plate_quarter_hole_2patch,
+from igalump.geometry import (MultipatchTopology, magnet, outer_faces,
+                              plate_quarter_hole, plate_quarter_hole_2patch,
                               rotated_square_region, stretched_square,
                               unit_cube, unit_square)
 from igalump.linalg import (banded_cholesky, dense_generalized_eig,
@@ -284,8 +283,7 @@ def test_criterion_12_trimmed_rotated_square():
         space = SplineSpace(kvs)
         region = rotated_square_region(center=(0.5, 0.5), angle=0.3,
                                        half_side=0.35)
-        mask = classify_elements(space, square, region)
-        pair = assemble_trimmed(space, square, mask, ONE, ONE)
+        pair = assemble_trimmed(space, square, region, ONE, ONE)
 
         def rescaled_eigvals(Mvar):
             A, B, _d = jacobi_rescale(pair.K, Mvar)

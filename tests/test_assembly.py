@@ -21,6 +21,7 @@ from igalump.dynamics import l2_error
 from igalump.splines import KnotVector, SplineSpace, eval_basis, \
     make_open_uniform
 from pointwise_map import pullback_coeffs
+from test_geometry import loop_active
 
 ONE = lambda *xs: 1.0
 
@@ -239,8 +240,8 @@ def test_two_patch_plate_measure_and_symmetry():
 def test_trimmed_all_inside_matches_untrimmed():
     space = square_space(4, 2)
     patch = unit_square()
-    mask = classify_elements(space, patch, lambda x, y: np.ones_like(x))
-    trimmed = assemble_trimmed(space, patch, mask, ONE, ONE)
+    trimmed = assemble_trimmed(space, patch, lambda x, y: np.ones_like(x),
+                               ONE, ONE)
     direct = assemble_single_patch(space, patch, ONE, ONE)
     np.testing.assert_allclose(trimmed.M.toarray(), direct.M.toarray(),
                                atol=1e-14)
@@ -254,8 +255,8 @@ def test_half_plane_trim_matches_subrectangle(p):
     n = 4
     space = square_space(n, p)
     patch = unit_square()
-    mask = classify_elements(space, patch, lambda x, y: 0.5 - x, subdepth=2)
-    trimmed = assemble_trimmed(space, patch, mask, ONE, ONE)
+    trimmed = assemble_trimmed(space, patch, lambda x, y: 0.5 - x, ONE, ONE,
+                               subdepth=2)
 
     # same mesh on [0, 0.5] x [0, 1]
     kvx = make_open_uniform(n // 2, p, p - 1)
@@ -286,9 +287,10 @@ def test_trimmed_rotated_square_system():
     region = rotated_square_region(center=(0.5, 0.5), angle=0.3,
                                    half_side=0.31)
     mask = classify_elements(space, patch, region)
-    pair = assemble_trimmed(space, patch, mask, ONE, ONE)
+    pair = assemble_trimmed(space, patch, region, ONE, ONE)
     n = pair.M.shape[0]
-    assert n == int(mask.active.sum()) < space.numdofs
+    active = loop_active(space, mask.element_class)
+    assert n == len(pair.embedding) == int(active.sum()) < space.numdofs
     M = pair.M.toarray()
     assert np.max(np.abs(M - M.T)) <= 1e-14 * np.max(np.abs(M))
     # mass of the trimmed region approximates the square's area
@@ -302,9 +304,9 @@ def test_trimmed_rotated_square_system():
 def test_trimmed_all_outside_raises():
     space = square_space(4, 2)
     patch = unit_square()
-    mask = classify_elements(space, patch, lambda x, y: -np.ones_like(x))
     with pytest.raises(ValueError):
-        assemble_trimmed(space, patch, mask, ONE, ONE)
+        assemble_trimmed(space, patch, lambda x, y: -np.ones_like(x), ONE,
+                         ONE)
 
 
 def test_trimmed_without_retained_subcell_raises():
@@ -315,7 +317,7 @@ def test_trimmed_without_retained_subcell_raises():
     mask = classify_elements(space, patch, region)
     assert np.any(mask.element_class == 0)
     with pytest.raises(ValueError, match='n_active = 0'):
-        assemble_trimmed(space, patch, mask, ONE, ONE)
+        assemble_trimmed(space, patch, region, ONE, ONE)
 
 
 # n, nnz, trace, Frobenius norm and x^T A x with x_i = cos(1.3 i) of the
@@ -333,8 +335,7 @@ def test_trimmed_rotated_square_reproduces_recorded_pair():
     space = square_space(20, 2)
     patch = unit_square()
     region = rotated_square_region(angle=2 * np.pi / 3, half_side=0.35)
-    pair = assemble_trimmed(space, patch,
-                            classify_elements(space, patch, region), ONE, ONE)
+    pair = assemble_trimmed(space, patch, region, ONE, ONE)
     assert int(pair.embedding.sum()) == 75348
     assert int((pair.embedding ** 2).sum()) == 22073632
     for name, A in (('M', pair.M), ('K', pair.K)):
@@ -355,9 +356,10 @@ def test_singular_jacobian_on_rejected_subcell_is_ignored():
     pts = [(x, y) for x in (0.0, 0.5, 0.5, 1.0) for y in (0.0, 1.0)]
     patch = Patch(SplineSpace([kvu, kvv]), np.array(pts, dtype=float))
     space = square_space(2, 2)
-    mask = classify_elements(space, patch, lambda x, y: x - 0.6)
+    region = lambda x, y: x - 0.6
+    mask = classify_elements(space, patch, region)
     assert mask.element_class[1].tolist() == [0, 0]
-    pair = assemble_trimmed(space, patch, mask, ONE, ONE)
+    pair = assemble_trimmed(space, patch, region, ONE, ONE)
     e = np.ones(pair.M.shape[0])
     # the retained part is x > 0.6 of the unit square
     assert e @ (pair.M @ e) == pytest.approx(0.4, rel=0.05)
@@ -427,14 +429,16 @@ def loop_cut_element(space, patch, region, rho, kappa, el, nsub, nqs):
 def loop_assemble(space, patch, rho, kappa, nquad=None, mask=None,
                   subdepth=3):
     """CSR mass and stiffness by one local pair per element, in canonical
-    element order: over the free dofs, or with mask over the active free
-    dofs with the empty-mass rows pruned, as assemble_trimmed does."""
+    element order: over the free dofs, or with mask over the free dofs
+    whose support holds a non-outside element (loop_active) with the
+    empty-mass rows pruned, as assemble_trimmed does."""
     d = space.ndim
     nqs = [nquad or kv.p + 1 for kv in space.kvs]
     f2f = space.full_to_free()
     live = np.ones(space.num_free, dtype=bool)
     if mask is not None:
-        live = np.asarray(mask.active).ravel()[space.free_to_full()]
+        live = loop_active(space, mask.element_class).ravel()[
+            space.free_to_full()]
     sys_of_free = np.where(live, np.cumsum(live) - 1, -1)
     full_to_sys = np.where(f2f >= 0, sys_of_free[np.maximum(f2f, 0)], -1)
     rows, cols, mv, kv = [], [], [], []
@@ -536,7 +540,7 @@ def _assert_trimmed_matches_loop(space, patch, region, subdepth, nquad):
     mask = classify_elements(space, patch, region, subdepth=subdepth)
     assert np.any(mask.element_class == 0)
     assert np.any(mask.element_class == 1)
-    pair = assemble_trimmed(space, patch, mask, _nonseparable, ONE,
+    pair = assemble_trimmed(space, patch, region, _nonseparable, ONE,
                             subdepth=subdepth, nquad=nquad)
     M, K = loop_assemble(space, patch, _nonseparable, ONE, nquad=nquad,
                          mask=mask, subdepth=subdepth)

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import glob
 import io
+import json
 import os
 import re
 import shutil
@@ -156,6 +157,14 @@ def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
     ('deflate-ratio', 'subdivisions = 8 4\np = 2\nranks = 4\n'
      'horizons = 1e-9\n',
      ('config error', 'exp.cfg:5:', 'rank 4', 'T = 1e-09', 'dt = ')),
+    # |sin(xy)| + x + y + 1 turns negative on the plate (x in [-4, 0])
+    ('convergence', 'geometry = plate_hole\nsubdivisions = 3 4\np = 3\n'
+     'pencils = M\n', ('config error', 'exp.cfg (default density):',
+                       'density nonseparable is', '<= 0 at (',
+                       'geometry plate_hole')),
+    ('spectrum', 'geometry = plate_hole\ndensity = nonseparable\n',
+     ('config error', 'exp.cfg:3:', 'density nonseparable is', '<= 0 at (',
+      'geometry plate_hole')),
 ])
 def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
                                                   body, names):
@@ -164,6 +173,7 @@ def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
     assert main([kind, '--config', cfg]) in (2, 3)
     err = capsys.readouterr().err
     assert 'Traceback' not in err
+    assert not (tmp_path / 'o').exists()
     for name in names:
         assert name in err, (name, err)
 
@@ -277,3 +287,35 @@ def test_src_validates_without_assert():
         found += ['%s:%d' % (os.path.basename(path), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_benchmark_tracer_counts_trimmed_layers(tmp_path):
+    # perfbench/tracer.py wraps the layer functions by name and reads
+    # counts off their arguments and results, so it breaks silently when a
+    # traced signature or result changes
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = write_cfg(tmp_path, (
+        'kind = trimmed-sweep\nsubdivisions = 8\nnangles = 2\nout = %s\n'
+        % (tmp_path / 'o')))
+    code = '\n'.join([
+        'import json, sys',
+        'sys.path.insert(0, %r)' % os.path.join(root, 'perfbench'),
+        'import tracer',
+        'trace = tracer.Tracer()',
+        'trace.install()',
+        'from igalump.cli import main',
+        'code = main(["trimmed-sweep", "--config", %r])' % cfg,
+        'print(json.dumps({"exit": code, "stats": trace.stats}))'])
+    env = dict(os.environ)
+    env['PYTHONPATH'] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(igalump.__file__))]
+        + [p for p in [env.get('PYTHONPATH')] if p])
+    proc = subprocess.run([sys.executable, '-c', code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    stats = report['stats']
+    assert report['exit'] == 0
+    assert stats['geometry.classify_elements']['cut_elements'] > 0
+    assert stats['assembly.assemble_trimmed']['dofs'] > 0
+    assert stats['geometry.grid_eval']['points'] > 0

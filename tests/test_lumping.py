@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from igalump.assembly import assemble_multipatch, assemble_single_patch
 from igalump.geometry import (MultipatchTopology, plate_quarter_hole_2patch,
-                              classify_elements, rotated_square_region,
-                              unit_cube, unit_square)
+                              rotated_square_region, unit_cube, unit_square)
 from igalump.lumping import (HierBandedMatrix, block_lump,
                              block_lumped_family, hierarchical_lump,
                              lump_rowsum, multipatch_lump, pad_lump_trim)
@@ -356,8 +355,7 @@ def test_pad_lump_trim_rotated_square_spd():
     space = SplineSpace([kv, kv])
     region = rotated_square_region(center=(0.51, 0.5), angle=0.35,
                                    half_side=0.3)
-    mask = classify_elements(space, unit_square(), region)
-    pair = assemble_trimmed(space, unit_square(), mask, ONE, ONE)
+    pair = assemble_trimmed(space, unit_square(), region, ONE, ONE)
     for i in (1, 2):
         P = pad_lump_trim(pair.M, pair.embedding, pair.background_dims,
                           i=i)
