@@ -7,6 +7,7 @@ data in a CSV next to it, and reruns with the same config and seed write
 byte-identical files.
 """
 
+import contextlib
 import math
 import os
 import re
@@ -138,6 +139,10 @@ class ExperimentConfig:
 _KEYS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
 # the geometry.* keys of rotated_square and their defaults
 _TRIM_DEFAULTS = {'cx': 0.5, 'cy': 0.5, 'half_side': 0.35}
+# the kinds that need a single patch, with what they say otherwise
+_SINGLE_PATCH = {
+    'convergence': 'convergence studies run on a single patch',
+    'bandwidth-report': 'bandwidth structure needs a single tensor patch'}
 _TRUTH = {**dict.fromkeys(('true', 'yes', 'on', '1'), True),
           **dict.fromkeys(('false', 'no', 'off', '0'), False)}
 
@@ -230,6 +235,8 @@ def _validate(cfg):
     for key, f in _KEYS.items():
         fault = f.metadata['fault'](getattr(cfg, key), cfg.kind)
         require(not fault, key, fault)
+    require(not (cfg.ranks and cfg.k is not None), 'ranks',
+            'scaled-pencil curves need the dense route; drop k')
 
     if cfg.geometry == 'rotated_square':
         require(cfg.kind in ('spectrum', 'trimmed-sweep'), 'geometry',
@@ -249,7 +256,7 @@ def _validate(cfg):
         require('nangles' not in cfg.lines, 'nangles',
                 "key 'nangles' is read only on geometry = rotated_square")
         try:
-            catalog(cfg.geometry, **cfg.geometry_params)
+            patches, _ifaces = catalog(cfg.geometry, **cfg.geometry_params)
         except KeyError:
             raise ConfigError('%s: unknown geometry id %r'
                               % (cfg.where('geometry'), cfg.geometry)) \
@@ -257,6 +264,8 @@ def _validate(cfg):
         except (TypeError, ValueError) as exc:
             raise ConfigError('%s: bad geometry parameters: %s'
                               % (cfg.where('geometry'), exc)) from None
+        require(len(patches) == 1 or cfg.kind not in _SINGLE_PATCH,
+                'geometry', _SINGLE_PATCH.get(cfg.kind))
     if cfg.kind == 'simulate':
         require(cfg.geometry == 'plate_hole', 'geometry',
                 'simulate uses the manufactured plate problem; '
@@ -388,13 +397,24 @@ def _mass_variant(cfg, pair, label, topo=None, locs=None):
 
 # ------------------------------------------------------------ eigensolves
 
+@contextlib.contextmanager
+def _located(where):
+    """Prefix where to a numerical failure raised inside: a ValueError,
+    LinAlgError or ArpackError comes out as a ValueError naming where."""
+    try:
+        yield
+    except (ValueError, spla.ArpackError) as exc:
+        raise ValueError('%s: %s' % (where, exc)) from None
+
+
 def _top_pairs(cfg, K, Mvar, k, what, factor=None, tol=1e-3):
     """Converged top k pairs of (K, Mvar); what names them on failure."""
     n = K.shape[0]
-    if factor is None:
-        factor = _mass_factor(Mvar)
-    res = lanczos(n, K, factor, Mvar, LanczosConfig(k=k, tol=tol),
-                  seed=cfg.seed)
+    with _located(what):
+        if factor is None:
+            factor = _mass_factor(Mvar)
+        res = lanczos(n, K, factor, Mvar, LanczosConfig(k=k, tol=tol),
+                      seed=cfg.seed)
     _require_converged(res, what, n)
     return res
 
@@ -496,10 +516,6 @@ def run_spectrum(cfg):
                           'set k for a Lanczos-only spectrum'
                           % (cfg.where('subdivisions'), n, DENSE_CAP))
 
-    if cfg.ranks and cfg.k is not None:
-        raise ConfigError('%s: scaled-pencil curves need the dense route; '
-                          'drop k' % cfg.where('ranks'))
-
     # the scaled-pencil curves deflate the first lumped pencil, whose
     # eigenvectors are kept from its dense solve
     base = next((lb for lb in cfg.pencils if lb != 'M'), cfg.pencils[0])
@@ -509,15 +525,16 @@ def run_spectrum(cfg):
         if cfg.k is not None:
             res = _top_pairs(cfg, pair.K, Mvar, cfg.k, 'pencil %s' % label)
             vals = np.sort(res.values)
-        elif cfg.ranks and label == base:
-            vals, U = dense_generalized_eig(pair.K, Mvar)
-            Mbase, w = Mvar, vals
         else:
-            vals = dense_generalized_eig(pair.K, Mvar)[0]
+            with _located('pencil %s' % label):
+                vals, U = dense_generalized_eig(pair.K, Mvar)
+            if cfg.ranks and label == base:
+                Mbase, w, Ubase = Mvar, vals, U
+            del U
         spectra.append((label, vals))
 
     for r in cfg.ranks:
-        eigendata = (w[::-1][:r + 1], U[:, ::-1][:, :r + 1])
+        eigendata = (w[::-1][:r + 1], Ubase[:, ::-1][:, :r + 1])
         try:
             pencil = deflate(pair.K, Mbase, r, 'scale-mass', eigendata)
         except ValueError as exc:
@@ -539,25 +556,28 @@ def run_spectrum(cfg):
 def run_convergence(cfg):
     """Smallest-frequency error under mesh refinement, one curve per pencil."""
     patches, _ifaces = catalog(cfg.geometry, **cfg.geometry_params)
-    if len(patches) != 1:
-        raise ConfigError('%s: convergence studies run on a single patch'
-                          % cfg.where('geometry'))
     base = _broadcast_subs(cfg, patches[0].ndim)
 
-    def omega1(pair, label):
+    def omega1(pair, label, level):
         Mvar = _mass_variant(cfg, pair, label)
-        return math.sqrt(_extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest',
-                                             label))
+        with _located('%s, pencil %s' % (level, label)):
+            lam = _extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest', label)
+            if not lam > 0:
+                raise ValueError('smallest eigenvalue %.3g is not positive'
+                                 % lam)
+        return math.sqrt(lam)
 
     hs, errors = [], {label: [] for label in cfg.pencils}
     ref_subs = tuple(n * 2 ** (cfg.levels + 1) for n in base)
-    omega_ref = omega1(_assemble(cfg, ref_subs)[0], 'M')
+    omega_ref = omega1(_assemble(cfg, ref_subs)[0], 'M',
+                       'reference level, subdivisions %s' % (ref_subs,))
     for level in range(cfg.levels):
         subs = tuple(n * 2 ** level for n in base)
         hs.append(1.0 / min(subs))
         pair = _assemble(cfg, subs)[0]
         for label in cfg.pencils:
-            w = omega1(pair, label)
+            w = omega1(pair, label, 'level %d, subdivisions %s'
+                       % (level + 1, subs))
             errors[label].append((omega_ref - w) / omega_ref)
 
     csv = _write_csv(cfg, 'convergence.csv', 'h,' + ','.join(cfg.pencils),
@@ -633,7 +653,8 @@ def run_deflate_ratio(cfg):
     pair, topo, locs = _assemble(cfg)
     label = cfg.pencils[0]
     Mvar = _mass_variant(cfg, pair, label, topo, locs)
-    factor = _mass_factor(Mvar)
+    with _located('pencil %s' % label):
+        factor = _mass_factor(Mvar)
     n = pair.K.shape[0]
 
     per_rank = []
@@ -699,10 +720,11 @@ def _trimmed_sweep(cfg):
         spectra = []
         for label in cfg.pencils:
             Mvar = _mass_variant(cfg, pair, label)
-            A, B, _d = jacobi_rescale(pair.K, Mvar)
-            if label != 'M':
-                _mass_factor(B)
-            spectra.append((label, dense_generalized_eig(A, B)[0]))
+            with _located('angle %.6g, pencil %s' % (angle, label)):
+                A, B, _d = jacobi_rescale(pair.K, Mvar)
+                if label != 'M':
+                    _mass_factor(B)
+                spectra.append((label, dense_generalized_eig(A, B)[0]))
         return pair.K.shape[0], spectra
 
     return angles, _run_sweep(cfg, one, angles)
@@ -731,10 +753,7 @@ def run_trimmed_sweep(cfg):
 
 def run_bandwidth_report(cfg):
     """Predicted vs measured scalar bandwidths of the lumped families."""
-    pair, topo, _locs = _assemble(cfg)
-    if topo is not None:
-        raise ConfigError('%s: bandwidth structure needs a single tensor '
-                          'patch' % cfg.where('geometry'))
+    pair = _assemble(cfg)[0]
     rows = []
     for label in cfg.pencils:
         Mvar = _mass_variant(cfg, pair, label)

@@ -468,14 +468,7 @@ class MultipatchTopology:
         self.interfaces = list(interfaces)
         offsets = np.cumsum([0] + [sp.num_free for sp in self.spaces])
         total = offsets[-1]
-        parent = np.arange(total)
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        pairs = [np.zeros((2, 0), dtype=int)]
         for (a, face_a, b, face_b, orientation) in self.interfaces:
             sa, sb = self.spaces[a], self.spaces[b]
             la = _face_layer(sa.dims, face_a)
@@ -485,24 +478,22 @@ class MultipatchTopology:
                                  '%d and %d: %s vs %s'
                                  % (a, b, la.shape, lb.shape))
             fa, fb = sa.full_to_free(), sb.full_to_free()
-            for ia, ib in zip(la.ravel(), lb.ravel()):
-                qa, qb = fa[ia], fb[ib]
-                if (qa < 0) != (qb < 0):
-                    raise ValueError('interface dof constrained on one side '
-                                     'only (patches %d/%d)' % (a, b))
-                if qa < 0:
-                    continue
-                ra, rb = find(offsets[a] + qa), find(offsets[b] + qb)
-                if ra != rb:
-                    parent[rb] = ra
-        roots = np.array([find(i) for i in range(total)])
-        uniq, inv = np.unique(roots, return_inverse=True)
-        # renumber so global ids follow first appearance order
-        first_pos = np.full(len(uniq), total, dtype=np.int64)
-        for i, g in enumerate(inv):
-            first_pos[g] = min(first_pos[g], i)
-        rank = np.argsort(np.argsort(first_pos))
-        gids = rank[inv]
+            qa, qb = fa[la.ravel()], fb[lb.ravel()]
+            if np.any((qa < 0) != (qb < 0)):
+                raise ValueError('interface dof constrained on one side '
+                                 'only (patches %d/%d)' % (a, b))
+            keep = qa >= 0
+            pairs.append((offsets[a] + qa[keep], offsets[b] + qb[keep]))
+        pa, pb = np.concatenate(pairs, axis=1)
+        # each class of glued dofs ends labelled by its smallest member, so
+        # global ids in label order follow the classes' first appearance
+        label = np.arange(total)
+        while np.any(label[pa] != label[pb]):
+            low = np.minimum(label[pa], label[pb])
+            np.minimum.at(label, pa, low)
+            np.minimum.at(label, pb, low)
+            label = label[label]
+        uniq, gids = np.unique(label, return_inverse=True)
         self.n_global = len(uniq)
         self.l2g = [gids[offsets[r]:offsets[r + 1]]
                     for r in range(len(self.spaces))]

@@ -128,8 +128,10 @@ def _lumped_cols(rows, cols, dims, i=None, level=None):
 
     With i, entries whose top-level blocks lie i or more apart move into
     the diagonal block of their row; with level, the per-level move is
-    applied down that many levels.
+    applied down that many levels. Exactly one of the two must be given.
     """
+    if (i is None) == (level is None):
+        raise ValueError('pass exactly one of i or level')
     strides = _strides(dims)
     if i is not None:
         if not 1 <= i <= dims[0]:
@@ -144,10 +146,14 @@ def _lumped_cols(rows, cols, dims, i=None, level=None):
     return cols
 
 
-def _rebuild(B, bandwidths, **which):
-    """B with its entries moved by _lumped_cols, tagged with bandwidths."""
+def _lumped(B, i=None, level=None):
+    """B with its entries moved by _lumped_cols, tagged with the bandwidths
+    the move leaves."""
+    _require_tensor(B)
     coo = B.mat.tocoo()
-    cols = _lumped_cols(coo.row, coo.col, B.dims, **which)
+    cols = _lumped_cols(coo.row, coo.col, B.dims, i, level)
+    bandwidths = ((min(i - 1, B.bandwidths[0]),) + B.bandwidths[1:]
+                  if i is not None else (0,) * level + B.bandwidths[level:])
     return HierBandedMatrix(_csr(coo.row, cols, coo.data, B.shape[0]),
                             B.dims, bandwidths)
 
@@ -167,9 +173,7 @@ def block_lumped_family(B, i):
     i=1 reproduces block_lump, i=n_1 returns the input unchanged, and the
     family decreases monotonically in the Loewner order as i grows.
     """
-    _require_tensor(B)
-    return _rebuild(B, (min(i - 1, B.bandwidths[0]),) + B.bandwidths[1:],
-                    i=i)
+    return _lumped(B, i=i)
 
 
 def hierarchical_lump(B, k):
@@ -182,8 +186,7 @@ def hierarchical_lump(B, k):
     level above the deepest are positive semidefinite; the step to full
     depth d also needs nonnegative entries, which mass matrices have.
     """
-    _require_tensor(B)
-    return _rebuild(B, (0,) * k + B.bandwidths[k:], level=k)
+    return _lumped(B, level=k)
 
 
 def multipatch_lump(local_mats, maps, n_global, i=None, level=None):
@@ -193,14 +196,11 @@ def multipatch_lump(local_mats, maps, n_global, i=None, level=None):
     through its local-to-global map and summed. Exactly one of i (block
     lumped family) or level (hierarchical) must be given.
     """
-    if (i is None) == (level is None):
-        raise ValueError('pass exactly one of i or level')
     lumped = []
     for B, l2g in zip(local_mats, maps):
         if B.shape[0] != len(l2g):
             raise ValueError('map does not match local matrix')
-        lumped.append(block_lumped_family(B, i) if i is not None
-                      else hierarchical_lump(B, level))
+        lumped.append(_lumped(B, i, level))
     return _scatter(lumped, maps, n_global)
 
 
@@ -213,8 +213,6 @@ def pad_lump_trim(M_trimmed, embedding, dims, i=None, level=None):
     padded row or column are discarded again. The result is a principal
     submatrix of the lumped padded matrix, so definiteness is inherited.
     """
-    if (i is None) == (level is None):
-        raise ValueError('pass exactly one of i or level')
     A = _as_csr(M_trimmed).tocoo()
     embedding = np.asarray(embedding)
     n_full = int(np.prod(dims))

@@ -72,59 +72,47 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
     n_matvec = 0
     b_scale = None  # B-norm^2 of a typical random vector, set on first append
 
-    def reorthogonalize(w, cnt):
-        for _ in range(2):
-            w = w - V[:, :cnt] @ (BV[:, :cnt].T @ w)
-        return w
-
-    def breakdown(norm2):
-        return not norm2 > 1e-24 * b_scale
-
-    def store(w, bw, norm2, cnt):
-        """Column cnt of V, BV and AV from w, its B image and B-norm^2."""
-        nonlocal n_matvec
-        s = 1.0 / math.sqrt(norm2)
-        V[:, cnt] = w * s
-        BV[:, cnt] = bw * s
-        AV[:, cnt] = A_apply(V[:, cnt])
-        n_matvec += 1
-        return cnt + 1
-
-    def appended(w, cnt):
-        """B-normalize w against the current basis; fresh vector on breakdown."""
-        nonlocal b_scale
+    def append(w, cnt):
+        """Column cnt of V, BV and AV from w made B-orthonormal to columns
+        :cnt. On breakdown a fresh random vector takes the place of w.
+        Returns the B-norm of w, or None if w was replaced."""
+        nonlocal b_scale, n_matvec
+        replaced = False
         while True:
-            w = reorthogonalize(w, cnt)
+            for _ in range(2):
+                w = w - V[:, :cnt] @ (BV[:, :cnt].T @ w)
             bw = B_apply(w)
             norm2 = w @ bw
             if b_scale is None:
                 b_scale = norm2
-            if not breakdown(norm2):
-                return store(w, bw, norm2, cnt)
+            if norm2 > 1e-24 * b_scale:
+                break
             w = rng.normal(size=n)
+            replaced = True
+        beta = math.sqrt(norm2)
+        s = 1.0 / beta
+        V[:, cnt] = w * s
+        BV[:, cnt] = bw * s
+        AV[:, cnt] = A_apply(V[:, cnt])
+        n_matvec += 1
+        return None if replaced else beta
 
-    cnt = appended(rng.normal(size=n), 0)
+    append(rng.normal(size=n), 0)
+    cnt = 1
     restarts = 0
     while True:
-        prev_beta = None
+        beta = None
         while cnt < m:
             j = cnt - 1
             u = AV[:, j]
             w = B_solve(u)
             alpha = V[:, j] @ u
             w = w - alpha * V[:, j]
-            if prev_beta is not None:
-                w = w - prev_beta * V[:, j - 1]
-            w2 = reorthogonalize(w, cnt)
-            bw = B_apply(w2)
-            norm2 = w2 @ bw
+            if beta is not None:
+                w = w - beta * V[:, j - 1]
+            beta = append(w, cnt)
+            cnt += 1
             n_iter += 1
-            if not breakdown(norm2):
-                cnt = store(w2, bw, norm2, cnt)
-                prev_beta = math.sqrt(max(norm2, 0.0))
-            else:
-                cnt = appended(rng.normal(size=n), cnt)
-                prev_beta = None
 
         H = V[:, :cnt].T @ AV[:, :cnt]
         H = 0.5 * (H + H.T)

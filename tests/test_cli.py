@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import igalump
+from igalump import experiments
 from igalump.cli import main
 from igalump.experiments import _KEYS, RUNNERS
 
@@ -165,6 +166,19 @@ def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
     ('spectrum', 'geometry = plate_hole\ndensity = nonseparable\n',
      ('config error', 'exp.cfg:3:', 'density nonseparable is', '<= 0 at (',
       'geometry plate_hole')),
+    # one-point quadrature leaves the p = 2 mass singular or indefinite
+    ('convergence', 'subdivisions = 2\np = 2\nnquad = 1\nlevels = 3\n'
+     'pencils = P1 M\n', ('numerical failure: reference level, subdivisions '
+                          '(32, 32), pencil M: smallest eigenvalue',
+                          'is not positive')),
+    ('spectrum', 'geometry = unit_square\nsubdivisions = 4\np = 2\n'
+     'nquad = 1\n', ('numerical failure: pencil M: mass-side matrix is not '
+                     'positive definite',)),
+    ('deflate-ratio', 'subdivisions = 4\np = 2\nnquad = 1\n',
+     ('numerical failure: pencil P1: matrix is not positive definite',)),
+    ('trimmed-sweep', 'subdivisions = 6\np = 2\nnquad = 1\nnangles = 2\n'
+     'pencils = P1\n', ('numerical failure: angle 0, pencil P1: matrix is '
+                        'not positive definite',)),
 ])
 def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
                                                   body, names):
@@ -175,6 +189,30 @@ def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
     assert 'Traceback' not in err
     assert not (tmp_path / 'o').exists()
     for name in names:
+        assert name in err, (name, err)
+
+
+@pytest.mark.parametrize('kind, body, names', [
+    ('bandwidth-report', 'geometry = plate_hole_2patch\n',
+     ('exp.cfg:2:', 'bandwidth structure needs a single tensor patch')),
+    ('convergence', 'geometry = grid_4x4\n',
+     ('exp.cfg:2:', 'convergence studies run on a single patch')),
+    ('spectrum', 'ranks = 2\nk = 3\n',
+     ('exp.cfg:2:', 'scaled-pencil curves need the dense route; drop k')),
+])
+def test_static_config_errors_stop_before_assembly(tmp_path, capsys,
+                                                    monkeypatch, kind, body,
+                                                    names):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError('assembled before the config was checked')
+
+    for name in ('assemble_single_patch', 'assemble_multipatch'):
+        monkeypatch.setattr(experiments, name, no_assembly)
+    cfg = write_cfg(tmp_path, 'kind = %s\n%sout = %s\n'
+                    % (kind, body, tmp_path / 'o'))
+    assert main([kind, '--config', cfg]) == 2
+    err = capsys.readouterr().err
+    for name in ('config error',) + names:
         assert name in err, (name, err)
 
 

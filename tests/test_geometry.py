@@ -1,5 +1,6 @@
 """Geometry maps, catalog shapes, trimming and the file format."""
 
+import itertools
 import math
 
 import numpy as np
@@ -448,6 +449,119 @@ def test_interior_split_boxes():
     for gids, dims in boxes:
         assert len(gids) == int(np.prod(dims))
         assert len(np.intersect1d(gids, iface)) == 0
+
+
+def _face_dofs(dims, face):
+    """{tangential multi-index: full lexicographic id} of a face layer."""
+    direction, side = face
+    tangential = [n for l, n in enumerate(dims) if l != direction]
+    out = {}
+    for t in itertools.product(*[range(n) for n in tangential]):
+        full = list(t)
+        full.insert(direction, dims[direction] - 1 if side else 0)
+        lin = 0
+        for idx, n in zip(full, dims):
+            lin = lin * n + idx
+        out[t] = lin
+    return out, tangential
+
+
+def _matched(t, shape, orientation):
+    """Tangential index on patch b's face of patch a's index t."""
+    if not orientation:
+        return t
+    if len(t) == 1:
+        return (shape[0] - 1 - t[0],) if orientation[0] else t
+    swap, f0, f1 = orientation
+    i = shape[0] - 1 - t[0] if f0 else t[0]
+    j = shape[1] - 1 - t[1] if f1 else t[1]
+    return (j, i) if swap else (i, j)
+
+
+def loop_numbering(spaces, interfaces):
+    """(l2g, n_global, share_count) by union-find over glued dof pairs, then
+    global ids in order of each class's first appearance; a per-dof loop."""
+    offsets = [0]
+    for space in spaces:
+        offsets.append(offsets[-1] + space.num_free)
+    parent = list(range(offsets[-1]))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, face_a, b, face_b, orientation in interfaces:
+        dofs_a, shape = _face_dofs(spaces[a].dims, face_a)
+        dofs_b, _ = _face_dofs(spaces[b].dims, face_b)
+        free_a, free_b = spaces[a].full_to_free(), spaces[b].full_to_free()
+        for t, ia in dofs_a.items():
+            qa = free_a[ia]
+            qb = free_b[dofs_b[_matched(t, shape, orientation)]]
+            assert (qa < 0) == (qb < 0)
+            if qa >= 0:
+                ra, rb = find(offsets[a] + qa), find(offsets[b] + qb)
+                if ra != rb:
+                    parent[rb] = ra
+    ids = {}
+    gids = np.array([ids.setdefault(find(i), len(ids))
+                     for i in range(offsets[-1])], dtype=np.intp)
+    l2g = [gids[offsets[r]:offsets[r + 1]] for r in range(len(spaces))]
+    share = np.zeros(len(ids), dtype=int)
+    for m in l2g:
+        for g in set(m.tolist()):
+            share[g] += 1
+    return l2g, len(ids), share
+
+
+def _glued_spaces(patches, interfaces, p, n, dirichlet):
+    outer = set(outer_faces(patches, interfaces)) if dirichlet else set()
+    kv = make_open_uniform(n, p, p - 1)
+    return [SplineSpace([kv] * patch.ndim,
+                        dirichlet=[[(ip, l, s) in outer for s in (0, 1)]
+                                   for l in range(patch.ndim)])
+            for ip, patch in enumerate(patches)]
+
+
+def _assert_numbering_matches_loop(spaces, interfaces):
+    topo = MultipatchTopology(spaces, interfaces)
+    l2g, n_global, share = loop_numbering(spaces, interfaces)
+    assert topo.n_global == n_global
+    assert len(topo.l2g) == len(l2g)
+    for got, want in zip(topo.l2g, l2g):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert topo.share_count.dtype == share.dtype
+    assert np.array_equal(topo.share_count, share)
+
+
+@pytest.mark.parametrize('dirichlet', [False, True])
+@pytest.mark.parametrize('geometry', ['plate_hole_2patch', 'twisted_box',
+                                      'grid_4x4', 'grid_1x16'])
+def test_glue_numbering_matches_union_find_loop(geometry, dirichlet):
+    patches, interfaces = catalog(geometry)
+    for p in (1, 2, 3):
+        for n in (1, 2, 5):
+            _assert_numbering_matches_loop(
+                _glued_spaces(patches, interfaces, p, n, dirichlet),
+                interfaces)
+
+
+def test_glue_numbering_matches_loop_where_four_patches_meet():
+    patches, interfaces = patch_grid(4, 4)
+    _assert_numbering_matches_loop(
+        _glued_spaces(patches, interfaces, 3, 8, False), interfaces)
+
+
+@pytest.mark.parametrize('orientation', [(1,), (0, 0, 1), (1, 1, 0),
+                                         (1, 0, 1)])
+def test_glue_numbering_matches_loop_on_oriented_faces(orientation):
+    # a chain of three patches, each glued to the next with the orientation
+    kv = make_open_uniform(3, 2, 1)
+    d = 2 if len(orientation) == 1 else 3
+    spaces = [SplineSpace([kv] * d) for _ in range(3)]
+    interfaces = [(r, (0, 1), r + 1, (0, 0), orientation) for r in (0, 1)]
+    _assert_numbering_matches_loop(spaces, interfaces)
 
 
 @pytest.mark.parametrize('params', [{'rin': -1.0}, {'rin': 0.0},

@@ -66,6 +66,11 @@ def test_lanczos_equal_pencil_is_flat():
     res = lanczos(12, B, base, B, LanczosConfig(k=3), seed=0)
     np.testing.assert_allclose(res.values, np.ones(3), atol=1e-10)
     assert res.converged.all()
+    # with A = B each recurrence step breaks down (5 of them here) and a
+    # fresh random vector takes its place; the run is pinned bit for bit
+    assert (res.n_iter, res.n_matvec, res.n_restarts) == (5, 6, 0)
+    want = np.array([1.000000000000001, 1.0000000000000004, 1.0])
+    assert res.values.tobytes() == want.tobytes()
 
 
 def test_lanczos_matches_dense_oracle_random():
