@@ -14,9 +14,8 @@ from .geometry import (Patch, TrimMask, MultipatchTopology, catalog,
 from .assembly import (AssembledPair, QuadratureGrid, assemble_single_patch,
                        assemble_multipatch, assemble_trimmed, jacobi_rescale,
                        quadrature_grid)
-from .lumping import (HierBandedMatrix, lump_rowsum, block_lump,
-                      block_lumped_family, hierarchical_lump,
-                      multipatch_lump, pad_lump_trim)
+from .lumping import (HierBandedMatrix, lump_rowsum, block_lumped_family,
+                      hierarchical_lump, multipatch_lump, pad_lump_trim)
 from .linalg import (FactorizedOperator, banded_cholesky, woodbury_solve,
                      dense_generalized_eig)
 from .spectral import (LanczosConfig, LanczosResult, ScaledPencil, lanczos,
@@ -34,7 +33,7 @@ __all__ = [
     'AssembledPair', 'QuadratureGrid', 'assemble_single_patch',
     'assemble_multipatch', 'assemble_trimmed', 'jacobi_rescale',
     'quadrature_grid',
-    'HierBandedMatrix', 'lump_rowsum', 'block_lump', 'block_lumped_family',
+    'HierBandedMatrix', 'lump_rowsum', 'block_lumped_family',
     'hierarchical_lump', 'multipatch_lump', 'pad_lump_trim',
     'FactorizedOperator', 'banded_cholesky', 'woodbury_solve',
     'dense_generalized_eig',

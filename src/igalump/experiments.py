@@ -266,6 +266,10 @@ def _validate(cfg):
                               % (cfg.where('geometry'), exc)) from None
         require(len(patches) == 1 or cfg.kind not in _SINGLE_PATCH,
                 'geometry', _SINGLE_PATCH.get(cfg.kind))
+    d = 2 if cfg.geometry == 'rotated_square' else patches[0].ndim
+    for label in cfg.pencils:
+        require(label[0] != 'H' or int(label[1:]) <= d, 'pencils',
+                'pencil %s: level out of range' % label)
     if cfg.kind == 'simulate':
         require(cfg.geometry == 'plate_hole', 'geometry',
                 'simulate uses the manufactured plate problem; '
@@ -286,6 +290,19 @@ def apply_overrides(cfg, out=None, seed=None, threads=None):
 
 
 # --------------------------------------------------------------- assembly
+
+@contextlib.contextmanager
+def _located(where, cfg=None, key=None):
+    """Prefix where to a ValueError, LinAlgError or ArpackError raised
+    inside: a ConfigError at cfg's key if key is given, else a ValueError."""
+    try:
+        yield
+    except (ValueError, spla.ArpackError) as exc:
+        if key is not None:
+            raise ConfigError('%s: %s: %s'
+                              % (cfg.where(key), where, exc)) from None
+        raise ValueError('%s: %s' % (where, exc)) from None
+
 
 def _broadcast_subs(cfg, d):
     subs = cfg.subdivisions
@@ -358,18 +375,14 @@ def _assemble_trimmed_at(cfg, angle):
     patches, _ifaces = catalog('unit_square')
     space = _build_spaces(cfg, patches, [], False)[0]
     trim = {**_TRIM_DEFAULTS, **cfg.geometry_params}
-    half_side = trim['half_side']
     region = rotated_square_region(center=(trim['cx'], trim['cy']),
-                                   angle=angle, half_side=half_side)
-    try:
+                                   angle=angle, half_side=trim['half_side'])
+    # on the unit square only an empty trimmed system raises here
+    with _located('angle %.6g, half_side %g' % (angle, trim['half_side']),
+                  cfg, 'geometry'):
         return assemble_trimmed(space, patches[0], region,
                                 _density_field(cfg), _ONE,
                                 nquad=cfg.nquad)
-    except ValueError as exc:
-        # on the unit square only an empty trimmed system raises here
-        raise ConfigError('%s: angle %.6g, half_side %g: %s'
-                          % (cfg.where('geometry'), angle, half_side, exc)) \
-            from None
 
 
 def _mass_variant(cfg, pair, label, topo=None, locs=None):
@@ -381,7 +394,7 @@ def _mass_variant(cfg, pair, label, topo=None, locs=None):
         return lump_rowsum(M)
     fam, idx = label[0], int(label[1:])
     kw = {'i': idx} if fam == 'P' else {'level': idx}
-    try:
+    with _located('pencil %s' % label, cfg, 'pencils'):
         if pair.embedding is not None:
             return pad_lump_trim(M, pair.embedding, pair.background_dims, **kw)
         if topo is not None:
@@ -390,40 +403,26 @@ def _mass_variant(cfg, pair, label, topo=None, locs=None):
         if fam == 'P':
             return block_lumped_family(M, idx)
         return hierarchical_lump(M, idx)
-    except ValueError as exc:
-        raise ConfigError('%s: pencil %s: %s'
-                          % (cfg.where('pencils'), label, exc)) from None
 
 
 # ------------------------------------------------------------ eigensolves
 
-@contextlib.contextmanager
-def _located(where):
-    """Prefix where to a numerical failure raised inside: a ValueError,
-    LinAlgError or ArpackError comes out as a ValueError naming where."""
-    try:
-        yield
-    except (ValueError, spla.ArpackError) as exc:
-        raise ValueError('%s: %s' % (where, exc)) from None
-
-
-def _top_pairs(cfg, K, Mvar, k, what, factor=None, tol=1e-3):
-    """Converged top k pairs of (K, Mvar); what names them on failure."""
+def _top_pairs(cfg, K, Mvar, k, factor=None, tol=1e-3):
+    """Converged top k pairs of (K, Mvar)."""
     n = K.shape[0]
-    with _located(what):
-        if factor is None:
-            factor = _mass_factor(Mvar)
-        res = lanczos(n, K, factor, Mvar, LanczosConfig(k=k, tol=tol),
-                      seed=cfg.seed)
-    _require_converged(res, what, n)
+    if factor is None:
+        factor = _mass_factor(Mvar)
+    res = lanczos(n, K, factor, Mvar, LanczosConfig(k=k, tol=tol),
+                  seed=cfg.seed)
+    if not np.all(res.converged):
+        raise ValueError('eigensolver failed to converge (n = %d, k = %d, '
+                         'worst relative residual %.3g)'
+                         % (n, len(res.converged), np.max(res.residuals)))
     return res
 
 
-def _extreme_eigenvalue(cfg, K, Mvar, which, label):
-    """Smallest or largest generalized eigenvalue, dense below the cap.
-
-    label names the mass pencil in a failure message.
-    """
+def _extreme_eigenvalue(cfg, K, Mvar, which):
+    """Smallest or largest generalized eigenvalue, dense below the cap."""
     n = K.shape[0]
     if n <= DENSE_CAP:
         return _dense_eigenvalue(K, Mvar, 0 if which == 'smallest' else n - 1)
@@ -435,17 +434,7 @@ def _extreme_eigenvalue(cfg, K, Mvar, which, label):
                           OPinv=K_inv, v0=np.full(n, n ** -0.5),
                           return_eigenvectors=False)
         return float(vals[0])
-    res = _top_pairs(cfg, K, Mvar, 1, 'pencil %s, largest eigenvalue' % label,
-                     tol=1e-8)
-    return float(res.values[0])
-
-
-def _require_converged(res, what, n):
-    if not np.all(res.converged):
-        raise ValueError('eigensolver failed to converge for %s (n = %d, '
-                         'k = %d, worst relative residual %.3g)'
-                         % (what, n, len(res.converged),
-                            np.max(res.residuals)))
+    return float(_top_pairs(cfg, K, Mvar, 1, tol=1e-8).values[0])
 
 
 def _run_sweep(cfg, work, items):
@@ -522,25 +511,22 @@ def run_spectrum(cfg):
     spectra = []
     for label in cfg.pencils:
         Mvar = _mass_variant(cfg, pair, label, topo, locs)
-        if cfg.k is not None:
-            res = _top_pairs(cfg, pair.K, Mvar, cfg.k, 'pencil %s' % label)
-            vals = np.sort(res.values)
-        else:
-            with _located('pencil %s' % label):
+        with _located('pencil %s' % label):
+            if cfg.k is not None:
+                vals = np.sort(_top_pairs(cfg, pair.K, Mvar, cfg.k).values)
+            else:
                 vals, U = dense_generalized_eig(pair.K, Mvar)
-            if cfg.ranks and label == base:
-                Mbase, w, Ubase = Mvar, vals, U
-            del U
+                if cfg.ranks and label == base:
+                    Mbase, w, Ubase = Mvar, vals, U
+                del U
         spectra.append((label, vals))
 
     for r in cfg.ranks:
         eigendata = (w[::-1][:r + 1], Ubase[:, ::-1][:, :r + 1])
-        try:
+        with _located('rank %d' % r, cfg, 'ranks'):
             pencil = deflate(pair.K, Mbase, r, 'scale-mass', eigendata)
-        except ValueError as exc:
-            raise ConfigError('%s: rank %d: %s'
-                              % (cfg.where('ranks'), r, exc)) from None
-        wbar = dense_generalized_eig(*pencil.dense_pair())[0]
+        with _located('pencil %s, rank %d' % (base, r)):
+            wbar = dense_generalized_eig(*pencil.dense_pair())[0]
         spectra.append(('%s+r%d' % (base, r), wbar))
 
     csv = _write_csv(cfg, 'spectrum.csv', 'k,lambda,label',
@@ -561,7 +547,7 @@ def run_convergence(cfg):
     def omega1(pair, label, level):
         Mvar = _mass_variant(cfg, pair, label)
         with _located('%s, pencil %s' % (level, label)):
-            lam = _extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest', label)
+            lam = _extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest')
             if not lam > 0:
                 raise ValueError('smallest eigenvalue %.3g is not positive'
                                  % lam)
@@ -603,9 +589,11 @@ def run_simulate(cfg):
     """Manufactured plate runs per mass treatment, at shared and own steps."""
     patches, _ifaces = catalog(cfg.geometry)
     space = _build_spaces(cfg, patches, [], True)[0]
-    prob = manufactured_wave_problem(space, patches[0], nquad=cfg.nquad)
-    K = prob.pair.K
-    lam_M = _extreme_eigenvalue(cfg, K, prob.pair.M, 'largest', 'M')
+    # the consistent mass projects the initial data and sets the shared step
+    with _located('pencil M'):
+        prob = manufactured_wave_problem(space, patches[0], nquad=cfg.nquad)
+        K = prob.pair.K
+        lam_M = _extreme_eigenvalue(cfg, K, prob.pair.M, 'largest')
     dt_shared = cfg.safeguard * critical_timestep(lam_M)
 
     def error_table(traj):
@@ -624,20 +612,21 @@ def run_simulate(cfg):
     tables, curves = [], []
     for label in cfg.pencils:
         Mvar = _mass_variant(cfg, prob.pair, label)
-        lam = lam_M if label == 'M' else \
-            _extreme_eigenvalue(cfg, K, Mvar, 'largest', label)
-        factor = _mass_factor(Mvar)
-        for tag, dt in (('shared', dt_shared),
-                        ('critical', cfg.safeguard * critical_timestep(lam))):
-            traj = central_difference(factor, K, prob.f, prob.u0, prob.v0,
-                                      dt, cfg.tspan)
-            if not traj.stable:
-                raise ValueError('simulation with %s blew up at step %d of '
-                                 'dt=%g' % (label, traj.blown_up_at, dt))
-            table = error_table(traj)
-            tables.append(('sim_%s_%s.csv' % (label, tag), table))
-            if tag == 'shared':
-                curves.append((table[:, 0], table[:, 2], label))
+        with _located('pencil %s' % label):
+            lam = lam_M if label == 'M' else \
+                _extreme_eigenvalue(cfg, K, Mvar, 'largest')
+            factor = _mass_factor(Mvar)
+            dt_own = cfg.safeguard * critical_timestep(lam)
+            for tag, dt in (('shared', dt_shared), ('critical', dt_own)):
+                traj = central_difference(factor, K, prob.f, prob.u0,
+                                          prob.v0, dt, cfg.tspan)
+                if not traj.stable:
+                    raise ValueError('simulation blew up at step %d of dt=%g'
+                                     % (traj.blown_up_at, dt))
+                table = error_table(traj)
+                tables.append(('sim_%s_%s.csv' % (label, tag), table))
+                if tag == 'shared':
+                    curves.append((table[:, 0], table[:, 2], label))
 
     written = [_write_csv(cfg, name, 't,norm,l2_error', table)
                for name, table in tables]
@@ -663,8 +652,8 @@ def run_deflate_ratio(cfg):
             raise ConfigError('%s: rank %d needs %d eigenpairs but the '
                               'problem has %d dofs'
                               % (cfg.where('ranks'), r, r + 1, n))
-        res = _top_pairs(cfg, pair.K, Mvar, r + 1,
-                         'pencil %s, rank %d' % (label, r), factor)
+        with _located('pencil %s, rank %d' % (label, r)):
+            res = _top_pairs(cfg, pair.K, Mvar, r + 1, factor)
         per_rank.append((r, float(res.values[0]), float(res.values[r]),
                          res.n_iter, res.n_matvec))
         # keep no Ritz vectors alive through the next rank's solve

@@ -105,9 +105,7 @@ def lump_rowsum(B):
 
 def _csr(rows, cols, vals, n):
     """n x n CSR matrix of the triplets, duplicates summed."""
-    out = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    out.sum_duplicates()
-    return out
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _scatter(mats, maps, n):
@@ -158,20 +156,14 @@ def _lumped(B, i=None, level=None):
                             B.dims, bandwidths)
 
 
-def block_lump(B):
-    """Sum the top-level blocks of each block row onto the diagonal.
-
-    Plain sums, no absolute values: for matrices with positive semidefinite
-    blocks the diagonal block sums stay positive definite.
-    """
-    return block_lumped_family(B, 1)
-
-
 def block_lumped_family(B, i):
     """Keep block diagonals up to distance i-1, block-lump the rest.
 
-    i=1 reproduces block_lump, i=n_1 returns the input unchanged, and the
-    family decreases monotonically in the Loewner order as i grows.
+    i=1 sums the top-level blocks of each block row onto the diagonal, and
+    i=n_1 returns the input unchanged. The sums are plain, no absolute
+    values: for matrices with positive semidefinite blocks the diagonal
+    block sums stay positive definite. The family decreases monotonically
+    in the Loewner order as i grows.
     """
     return _lumped(B, i=i)
 
@@ -179,12 +171,12 @@ def block_lumped_family(B, i):
 def hierarchical_lump(B, k):
     """Apply block lumping recursively down k levels.
 
-    Level 1 equals block_lump; level d collapses to plain row sums, which
-    for nonnegative matrices coincide with lump_rowsum. The levels increase
-    monotonically in the Loewner order, B <= H_1 <= ... <= H_d with
-    H_k = hierarchical_lump(B, k), as long as the blocks lumped at every
-    level above the deepest are positive semidefinite; the step to full
-    depth d also needs nonnegative entries, which mass matrices have.
+    Level 1 equals block_lumped_family(B, 1); level d collapses to plain
+    row sums, which for nonnegative matrices coincide with lump_rowsum. The
+    levels increase monotonically in the Loewner order, B <= H_1 <= ...
+    <= H_d with H_k = hierarchical_lump(B, k), as long as the blocks lumped
+    at every level above the deepest are positive semidefinite; the step to
+    full depth d also needs nonnegative entries, which mass matrices have.
     """
     return _lumped(B, level=k)
 

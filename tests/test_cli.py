@@ -179,6 +179,14 @@ def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
     ('trimmed-sweep', 'subdivisions = 6\np = 2\nnquad = 1\nnangles = 2\n'
      'pencils = P1\n', ('numerical failure: angle 0, pencil P1: matrix is '
                         'not positive definite',)),
+    # the Lanczos route of spectrum
+    ('spectrum', 'geometry = unit_square\nsubdivisions = 4\np = 2\n'
+     'nquad = 1\nk = 3\n', ('numerical failure: pencil M: matrix is not '
+                             'positive definite',)),
+    # the consistent mass projects the initial data before the pencil loop
+    ('simulate', 'p = 3\nsubdivisions = 4\nnquad = 1\npencils = M P1\n'
+     'tspan = 0.5\n', ('numerical failure: pencil M: matrix is not positive '
+                       'definite',)),
 ])
 def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
                                                   body, names):
@@ -190,6 +198,8 @@ def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
     assert not (tmp_path / 'o').exists()
     for name in names:
         assert name in err, (name, err)
+    # the runner names a pencil once, the helpers below it not again
+    assert not re.search(r'(pencil \w+)\b.*\1\b', err), err
 
 
 @pytest.mark.parametrize('kind, body, names', [
@@ -199,6 +209,9 @@ def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
      ('exp.cfg:2:', 'convergence studies run on a single patch')),
     ('spectrum', 'ranks = 2\nk = 3\n',
      ('exp.cfg:2:', 'scaled-pencil curves need the dense route; drop k')),
+    # hierarchical levels stop at the geometry's dimension
+    ('convergence', 'pencils = M H3\n',
+     ('exp.cfg:2:', 'pencil H3: level out of range')),
 ])
 def test_static_config_errors_stop_before_assembly(tmp_path, capsys,
                                                     monkeypatch, kind, body,
@@ -297,6 +310,9 @@ def test_generated_configs_keep_the_exit_contract(generated):
             assert re.search(r'exp\.cfg(:\d+| \(default \w+\)):', err), \
                 (lines, err)
             assert not os.path.exists(out), (lines, err)
+        if code == 3:
+            assert re.search(r'numerical failure: (reference level|level \d|'
+                             r'angle |pencil )', err), (lines, err)
 
 
 def test_run_all_runs_a_study_without_an_install(tmp_path):

@@ -3,12 +3,13 @@ from dataclasses import MISSING
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from igalump.experiments import (_KEYS, RUNNERS, ConfigError,
                                  ExperimentConfig, _assemble,
-                                 _extreme_eigenvalue, _mass_variant,
-                                 _require_converged, _spectrum_rows,
+                                 _extreme_eigenvalue, _located,
+                                 _mass_variant, _spectrum_rows, _top_pairs,
                                  _write_csv, apply_overrides, parse_config,
                                  run_bandwidth_report, run_convergence,
                                  run_deflate_ratio, run_simulate,
@@ -219,14 +220,19 @@ def test_spectrum_k_above_system_size_is_config_error(tmp_path):
         run_spectrum(cfg)
 
 
-def test_unconverged_eigensolve_names_pencil_sizes_and_worst_residual():
+def test_unconverged_eigensolve_names_pencil_sizes_and_worst_residual(
+        monkeypatch):
     res = LanczosResult(values=np.ones(3), vectors=np.eye(50, 3),
                         residuals=np.array([1e-10, 0.25, 3e-3]),
                         converged=np.array([True, False, True]),
                         n_iter=40, n_matvec=40, n_restarts=2)
-    with pytest.raises(ValueError) as info:
-        _require_converged(res, 'pencil P1', 50)
+    monkeypatch.setattr('igalump.experiments.lanczos',
+                        lambda *args, **kwargs: res)
+    K = sp.identity(50, format='csr')
+    with pytest.raises(ValueError) as info, _located('pencil P1'):
+        _top_pairs(ExperimentConfig(kind='spectrum'), K, K, 3)
     msg = str(info.value)
+    assert msg.startswith('pencil P1: eigensolver failed to converge ('), msg
     for part in ('pencil P1', 'n = 50', 'k = 3', 'residual 0.25'):
         assert part in msg, msg
     assert '[' not in msg
@@ -305,7 +311,7 @@ def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
     # eigsh looks splu up in its own module
     for module in (spla, sys.modules[spla.eigsh.__module__]):
         monkeypatch.setattr(module, 'splu', no_superlu)
-    got = _extreme_eigenvalue(cfg, pair.K, pair.M, 'smallest', 'M')
+    got = _extreme_eigenvalue(cfg, pair.K, pair.M, 'smallest')
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -316,7 +322,7 @@ def test_dense_extreme_eigenvalue_matches_oracle(tmp_path, label):
     Mvar = _mass_variant(cfg, pair, label)
     w = dense_generalized_eig(pair.K, Mvar)[0]
     for which, want in (('smallest', w[0]), ('largest', w[-1])):
-        got = _extreme_eigenvalue(cfg, pair.K, Mvar, which, label)
+        got = _extreme_eigenvalue(cfg, pair.K, Mvar, which)
         assert got == pytest.approx(want, rel=1e-12, abs=0), which
 
 

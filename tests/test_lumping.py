@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from igalump.assembly import assemble_multipatch, assemble_single_patch
 from igalump.geometry import (MultipatchTopology, plate_quarter_hole_2patch,
                               rotated_square_region, unit_cube, unit_square)
-from igalump.lumping import (HierBandedMatrix, block_lump,
-                             block_lumped_family, hierarchical_lump,
-                             lump_rowsum, multipatch_lump, pad_lump_trim)
+from igalump.lumping import (HierBandedMatrix, block_lumped_family,
+                             hierarchical_lump, lump_rowsum, multipatch_lump,
+                             pad_lump_trim)
 from igalump.spectral import split_zero_modes
 from igalump.splines import SplineSpace, make_open_uniform
 from structured_spd import random_structured_spd
@@ -44,13 +44,13 @@ def test_block_lump_leaves_block_diagonal():
     A[:3, :3] = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     A[3:, 3:] = np.eye(3) * 4
     B = HierBandedMatrix(sp.csr_matrix(A), (2, 3), (1, 1))
-    np.testing.assert_allclose(block_lump(B).toarray(), A)
+    np.testing.assert_allclose(block_lumped_family(B, 1).toarray(), A)
 
 
 def test_block_lump_identity_blocks():
     A = np.tile(np.eye(2), (2, 2))
     B = HierBandedMatrix(sp.csr_matrix(A), (2, 2), (1, 1))
-    np.testing.assert_allclose(block_lump(B).toarray(),
+    np.testing.assert_allclose(block_lumped_family(B, 1).toarray(),
                                scipy.linalg.block_diag(2 * np.eye(2),
                                                        2 * np.eye(2)))
 
@@ -65,7 +65,7 @@ def test_block_lump_is_kron_of_factor_lump():
     m1 = assemble_single_patch(SplineSpace([kv]), line, ONE, ONE)
     L1 = lump_rowsum(m1.M).toarray()
     want = np.kron(L1, m1.M.toarray())
-    np.testing.assert_allclose(block_lump(pair.M).toarray(), want,
+    np.testing.assert_allclose(block_lumped_family(pair.M, 1).toarray(), want,
                                atol=1e-14)
 
 
@@ -74,7 +74,7 @@ def test_family_endpoints():
     np.testing.assert_allclose(block_lumped_family(B, 4).toarray(),
                                B.toarray(), atol=0)
     np.testing.assert_allclose(block_lumped_family(B, 1).toarray(),
-                               block_lump(B).toarray(), atol=0)
+                               block_lumped_family(B, 1).toarray(), atol=0)
     with pytest.raises(ValueError):
         block_lumped_family(B, 0)
     with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ def test_family_preserves_row_block_sums():
 def test_unstructured_matrix_rejected():
     B = sp.eye(4, format='csr')
     with pytest.raises(ValueError):
-        block_lump(B)
+        block_lumped_family(B, 1)
 
 
 # --------------------------------------------------------------- hierarchical
@@ -106,7 +106,7 @@ def test_unstructured_matrix_rejected():
 def test_hier_level1_is_block_lump():
     B = random_structured_spd((5, 4), (2, 3), np.random.default_rng(1))
     np.testing.assert_allclose(hierarchical_lump(B, 1).toarray(),
-                               block_lump(B).toarray(), atol=0)
+                               block_lumped_family(B, 1).toarray(), atol=0)
 
 
 def test_hier_full_depth_is_rowsum_on_mass():
@@ -192,7 +192,7 @@ def test_graph_laplacian_identity():
     r = 3
     B = random_structured_spd((5, r), (4, r - 1), rng)
     A = B.toarray()
-    L = block_lump(B).toarray()
+    L = block_lumped_family(B, 1).toarray()
     for _ in range(20):
         x = rng.normal(size=15)
         lhs = x @ (L - A) @ x

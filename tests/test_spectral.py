@@ -8,7 +8,7 @@ from igalump.assembly import assemble_single_patch
 from igalump.experiments import ExperimentConfig, _spectrum_rows, _write_csv
 from igalump.geometry import plate_quarter_hole, quarter_annulus
 from igalump.linalg import banded_cholesky, dense_generalized_eig
-from igalump.lumping import block_lump
+from igalump.lumping import block_lumped_family
 from igalump.spectral import (LanczosConfig, LanczosResult, ScaledPencil,
                               cfl_gain, critical_timestep, deflate, lanczos,
                               local_stiffness_scale, scaled_mass_solve,
@@ -87,7 +87,7 @@ def test_lanczos_matches_dense_oracle_random():
 
 def test_lanczos_plate_block_lumped_pencil():
     K, M = plate_pencil()
-    P1 = block_lump(M)
+    P1 = block_lumped_family(M, 1)
     base = banded_cholesky(P1, P1.measured_bandwidth())
     res = lanczos(K.shape[0], K, base, P1, LanczosConfig(k=10), seed=0)
     w, _ = dense_generalized_eig(K, P1)
@@ -284,7 +284,7 @@ def quarter_annulus_pencil(p=2, nel=6):
     kv = make_open_uniform(nel, p, p - 1)
     space = SplineSpace([kv, kv])
     pair = assemble_single_patch(space, quarter_annulus(), ONE, ONE)
-    return pair.K, block_lump(pair.M)
+    return pair.K, block_lumped_family(pair.M, 1)
 
 
 def test_local_scale_rank_zero_leaves_stiffness():
