@@ -15,7 +15,7 @@ from .assembly import (AssembledPair, QuadratureGrid, assemble_single_patch,
                        assemble_multipatch, assemble_trimmed, jacobi_rescale,
                        quadrature_grid)
 from .lumping import (HierBandedMatrix, lump_rowsum, block_lumped_family,
-                      hierarchical_lump, multipatch_lump, pad_lump_trim)
+                      hierarchical_lump, lump_pieces)
 from .linalg import (FactorizedOperator, banded_cholesky, woodbury_solve,
                      dense_generalized_eig)
 from .spectral import (LanczosConfig, LanczosResult, ScaledPencil, lanczos,
@@ -34,7 +34,7 @@ __all__ = [
     'assemble_multipatch', 'assemble_trimmed', 'jacobi_rescale',
     'quadrature_grid',
     'HierBandedMatrix', 'lump_rowsum', 'block_lumped_family',
-    'hierarchical_lump', 'multipatch_lump', 'pad_lump_trim',
+    'hierarchical_lump', 'lump_pieces',
     'FactorizedOperator', 'banded_cholesky', 'woodbury_solve',
     'dense_generalized_eig',
     'LanczosConfig', 'LanczosResult', 'ScaledPencil', 'lanczos', 'deflate',

@@ -31,18 +31,17 @@ from .splines import _dense_tables, eval_basis
 
 @dataclass
 class AssembledPair:
-    """Stiffness and mass over the system dofs.
+    """Stiffness and mass over the system dofs, and the mass as pieces.
 
-    assemble_single_patch tags K and M as HierBandedMatrix on the free
-    tensor grid; the glued multipatch pair and the trimmed pair have no
-    single tensor structure and are CSR. For trimmed systems, embedding maps
-    system dof -> flat index in the free tensor grid of background_dims;
-    both are None otherwise.
+    pieces lists the tensor pieces (B, to_sys) of M for lump_pieces. A
+    single patch is its own one piece, mapped by None, and its K and M
+    carry its tensor tag; a glued multipatch pair has one piece per patch
+    and a trimmed pair one, its active mass padded with zeros to the free
+    background grid, and their K and M are plain CSR.
     """
     K: object
     M: object
-    embedding: np.ndarray = None
-    background_dims: tuple = None
+    pieces: list
 
 
 def gauss_rule(npoints):
@@ -256,11 +255,15 @@ def assemble_single_patch(space, patch, rho, kappa, nquad=None):
     """Mass and stiffness of one patch, canonical element order."""
     els = _mesh(space)
     Mloc, Kloc = _element_matrices(space, patch, rho, kappa, els, nquad)
-    M, K = _system_matrices(space, els, Mloc, Kloc, space.full_to_free(),
-                            space.num_free)
+    M, K = (_tagged(space, A) for A in _system_matrices(
+        space, els, Mloc, Kloc, space.full_to_free(), space.num_free))
+    return AssembledPair(K, M, [(M, None)])
+
+
+def _tagged(space, A):
+    """A tagged with the tensor structure of the free dofs of space."""
     bw = tuple(min(kv.p, n - 1) for kv, n in zip(space.kvs, space.free_dims))
-    return AssembledPair(K=HierBandedMatrix(K, space.free_dims, bw),
-                         M=HierBandedMatrix(M, space.free_dims, bw))
+    return HierBandedMatrix(A, space.free_dims, bw)
 
 
 def assemble_multipatch(topology, patches, rho, kappa, nquad=None):
@@ -272,8 +275,9 @@ def assemble_multipatch(topology, patches, rho, kappa, nquad=None):
     local_pairs = [assemble_single_patch(space, patch, rho, kappa, nquad)
                    for space, patch in zip(topology.spaces, patches)]
     glued = topology.l2g, topology.n_global
-    glob = AssembledPair(K=_scatter([p.K for p in local_pairs], *glued),
-                         M=_scatter([p.M for p in local_pairs], *glued))
+    glob = AssembledPair(_scatter([p.K for p in local_pairs], *glued),
+                         _scatter([p.M for p in local_pairs], *glued),
+                         list(zip((p.M for p in local_pairs), topology.l2g)))
     return glob, local_pairs
 
 
@@ -315,14 +319,16 @@ def assemble_trimmed(space, patch, region, rho, kappa, subdepth=3, nquad=None):
     M, K = _system_matrices(space, els, Mloc, Kloc, space.full_to_free(),
                             space.num_free)
     diag = M.diagonal()
-    embedding = np.flatnonzero(diag > 1e-12 * np.max(diag, initial=0.0))
-    if not len(embedding):
+    active = diag > 1e-12 * np.max(diag, initial=0.0)
+    n = int(active.sum())
+    if not n:
         raise ValueError('trim region retains no quadrature subcell '
                          '(n_active = 0)')
-    if len(embedding) < len(diag):
-        M = M[np.ix_(embedding, embedding)].tocsr()
-        K = K[np.ix_(embedding, embedding)].tocsr()
-    return AssembledPair(K, M, embedding, space.free_dims)
+    to_sys = np.where(active, np.cumsum(active) - 1, -1)
+    M = _scatter([M], [to_sys], n)
+    padded = _scatter([M], [np.flatnonzero(active)], space.num_free)
+    return AssembledPair(_scatter([K], [to_sys], n), M,
+                         [(_tagged(space, padded), to_sys)])
 
 
 def load_vector(grid, g):
@@ -340,13 +346,11 @@ def load_vector(grid, g):
 def jacobi_rescale(A, B):
     """Symmetric diagonal rescaling making diag(B) unit.
 
-    Returns (DAD, DBD, d) with d the diagonal scaling vector; generalized
-    eigenvalues are unchanged.
+    Returns (DAD, DBD); generalized eigenvalues are unchanged.
     """
     Ac, Bc = _as_csr(A), _as_csr(B)
     diag = Bc.diagonal()
     if np.any(diag <= 0):
         raise ValueError('nonpositive diagonal entry')
-    d = 1.0 / np.sqrt(diag)
-    D = sp.diags(d)
-    return (D @ Ac @ D).tocsr(), (D @ Bc @ D).tocsr(), d
+    D = sp.diags(1.0 / np.sqrt(diag))
+    return (D @ Ac @ D).tocsr(), (D @ Bc @ D).tocsr()

@@ -25,8 +25,7 @@ from .geometry import (MultipatchTopology, catalog, outer_faces,
                        rotated_square_region)
 from .linalg import (DENSE_CAP, _dense_eigenvalue, _mass_factor,
                      dense_generalized_eig)
-from .lumping import (_as_csr, block_lumped_family, hierarchical_lump,
-                      lump_rowsum, multipatch_lump, pad_lump_trim)
+from .lumping import _as_csr, lump_pieces, lump_rowsum
 from .spectral import LanczosConfig, critical_timestep, deflate, lanczos
 from .splines import SplineSpace, make_open_uniform
 from .svgplot import LinePlot
@@ -357,18 +356,15 @@ def _build_spaces(cfg, patches, interfaces, dirichlet, subs=None):
 
 
 def _assemble(cfg, subs=None):
-    """(pair, topology, local_pairs) on the geometry, at subs if given."""
+    """The pair on the geometry, at subs if given."""
     patches, interfaces = catalog(cfg.geometry, **cfg.geometry_params)
     rho = _density_field(cfg)
     spaces = _build_spaces(cfg, patches, interfaces, cfg.dirichlet, subs)
     if len(patches) == 1:
-        pair = assemble_single_patch(spaces[0], patches[0], rho, _ONE,
+        return assemble_single_patch(spaces[0], patches[0], rho, _ONE,
                                      nquad=cfg.nquad)
-        return pair, None, None
     topo = MultipatchTopology(spaces, interfaces)
-    glob, locs = assemble_multipatch(topo, patches, rho, _ONE,
-                                     nquad=cfg.nquad)
-    return glob, topo, locs
+    return assemble_multipatch(topo, patches, rho, _ONE, nquad=cfg.nquad)[0]
 
 
 def _assemble_trimmed_at(cfg, angle):
@@ -385,24 +381,15 @@ def _assemble_trimmed_at(cfg, angle):
                                 nquad=cfg.nquad)
 
 
-def _mass_variant(cfg, pair, label, topo=None, locs=None):
-    """The mass matrix the pencil label selects, on any assembly route."""
-    M = pair.M
+def _mass_variant(cfg, pair, label):
+    """The mass matrix the pencil label selects."""
     if label == 'M':
-        return M
+        return pair.M
     if label == 'rowsum':
-        return lump_rowsum(M)
-    fam, idx = label[0], int(label[1:])
-    kw = {'i': idx} if fam == 'P' else {'level': idx}
+        return lump_rowsum(pair.M)
+    kw = {'i' if label[0] == 'P' else 'level': int(label[1:])}
     with _located('pencil %s' % label, cfg, 'pencils'):
-        if pair.embedding is not None:
-            return pad_lump_trim(M, pair.embedding, pair.background_dims, **kw)
-        if topo is not None:
-            mats = [loc.M for loc in locs]
-            return multipatch_lump(mats, topo.l2g, topo.n_global, **kw)
-        if fam == 'P':
-            return block_lumped_family(M, idx)
-        return hierarchical_lump(M, idx)
+        return lump_pieces(pair.pieces, pair.M.shape[0], **kw)
 
 
 # ------------------------------------------------------------ eigensolves
@@ -495,7 +482,7 @@ def run_spectrum(cfg):
              for label, vals in spectra]))
         written.append(_plot_lambda_max(cfg, angles, results, 'sweep.svg'))
         return written
-    pair, topo, locs = _assemble(cfg)
+    pair = _assemble(cfg)
     n = pair.K.shape[0]
     if cfg.k is not None and cfg.k > n:
         raise ConfigError('%s: k = %d exceeds the system size n = %d'
@@ -510,7 +497,7 @@ def run_spectrum(cfg):
     base = next((lb for lb in cfg.pencils if lb != 'M'), cfg.pencils[0])
     spectra = []
     for label in cfg.pencils:
-        Mvar = _mass_variant(cfg, pair, label, topo, locs)
+        Mvar = _mass_variant(cfg, pair, label)
         with _located('pencil %s' % label):
             if cfg.k is not None:
                 vals = np.sort(_top_pairs(cfg, pair.K, Mvar, cfg.k).values)
@@ -555,12 +542,12 @@ def run_convergence(cfg):
 
     hs, errors = [], {label: [] for label in cfg.pencils}
     ref_subs = tuple(n * 2 ** (cfg.levels + 1) for n in base)
-    omega_ref = omega1(_assemble(cfg, ref_subs)[0], 'M',
+    omega_ref = omega1(_assemble(cfg, ref_subs), 'M',
                        'reference level, subdivisions %s' % (ref_subs,))
     for level in range(cfg.levels):
         subs = tuple(n * 2 ** level for n in base)
         hs.append(1.0 / min(subs))
-        pair = _assemble(cfg, subs)[0]
+        pair = _assemble(cfg, subs)
         for label in cfg.pencils:
             w = omega1(pair, label, 'level %d, subdivisions %s'
                        % (level + 1, subs))
@@ -639,12 +626,13 @@ def run_simulate(cfg):
 
 def run_deflate_ratio(cfg):
     """Cost ratio (N_s + N_i) / N_w of deflated vs plain stepping over T."""
-    pair, topo, locs = _assemble(cfg)
+    pair = _assemble(cfg)
     label = cfg.pencils[0]
-    Mvar = _mass_variant(cfg, pair, label, topo, locs)
+    K, Mvar = pair.K, _mass_variant(cfg, pair, label)
+    del pair  # the consistent mass stays out of the solves' peak memory
     with _located('pencil %s' % label):
         factor = _mass_factor(Mvar)
-    n = pair.K.shape[0]
+    n = K.shape[0]
 
     per_rank = []
     for r in cfg.ranks:
@@ -653,7 +641,7 @@ def run_deflate_ratio(cfg):
                               'problem has %d dofs'
                               % (cfg.where('ranks'), r, r + 1, n))
         with _located('pencil %s, rank %d' % (label, r)):
-            res = _top_pairs(cfg, pair.K, Mvar, r + 1, factor)
+            res = _top_pairs(cfg, K, Mvar, r + 1, factor)
         per_rank.append((r, float(res.values[0]), float(res.values[r]),
                          res.n_iter, res.n_matvec))
         # keep no Ritz vectors alive through the next rank's solve
@@ -710,7 +698,7 @@ def _trimmed_sweep(cfg):
         for label in cfg.pencils:
             Mvar = _mass_variant(cfg, pair, label)
             with _located('angle %.6g, pencil %s' % (angle, label)):
-                A, B, _d = jacobi_rescale(pair.K, Mvar)
+                A, B = jacobi_rescale(pair.K, Mvar)
                 if label != 'M':
                     _mass_factor(B)
                 spectra.append((label, dense_generalized_eig(A, B)[0]))
@@ -742,7 +730,7 @@ def run_trimmed_sweep(cfg):
 
 def run_bandwidth_report(cfg):
     """Predicted vs measured scalar bandwidths of the lumped families."""
-    pair = _assemble(cfg)[0]
+    pair = _assemble(cfg)
     rows = []
     for label in cfg.pencils:
         Mvar = _mass_variant(cfg, pair, label)

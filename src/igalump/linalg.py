@@ -50,15 +50,18 @@ def _as_operator(op):
 
 
 def _banded_storage(A, bandwidth):
-    """Upper banded storage ab[u + i - j, j] = A[i, j] for scipy."""
+    """Upper banded storage ab[u + i - j, j] = A[i, j] for scipy, in Fortran
+    order so that LAPACK factors it in place."""
     A = _as_csr(A).tocoo()
     n = A.shape[0]
     u = int(bandwidth)
+    if not np.all(np.isfinite(A.data)):
+        raise ValueError('matrix has non-finite entries')
     off = np.abs(A.row - A.col)
     if np.any((off > u) & (A.data != 0.0)):
         raise ValueError('matrix has entries outside the declared band')
     u = min(u, n - 1)
-    ab = np.zeros((u + 1, n))
+    ab = np.zeros((u + 1, n), order='F')
     keep = A.row <= A.col
     ab[u + A.row[keep] - A.col[keep], A.col[keep]] = A.data[keep]
     return ab
@@ -68,17 +71,19 @@ def banded_cholesky(A, bandwidth):
     """Cholesky factorization of a banded SPD matrix.
 
     The factor inherits the bandwidth, so storage and solve cost stay
-    O(bandwidth * n). Raises if A is not positive definite or has nonzeros
+    O(bandwidth * n); the factor overwrites the band in place. Raises if A
+    is not positive definite, has a non-finite entry or has nonzeros
     outside the declared band.
     """
     ab = _banded_storage(A, bandwidth)
     try:
-        cb = sla.cholesky_banded(ab, lower=False)
+        cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=False,
+                                 check_finite=False)
     except np.linalg.LinAlgError:
         raise ValueError('matrix is not positive definite')
 
     def apply_solve(rhs):
-        return sla.cho_solve_banded((cb, False), rhs)
+        return sla.cho_solve_banded((cb, False), rhs, check_finite=False)
 
     return FactorizedOperator(ab.shape[1], apply_solve, payload=cb)
 

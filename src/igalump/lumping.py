@@ -83,12 +83,6 @@ class HierBandedMatrix:
         return self.mat @ x
 
 
-def _require_tensor(B):
-    if not isinstance(B, HierBandedMatrix):
-        raise ValueError('lumping by blocks needs a HierBandedMatrix, got %s'
-                         % type(B).__name__)
-
-
 def lump_rowsum(B):
     """Diagonal of absolute row sums.
 
@@ -109,14 +103,16 @@ def _csr(rows, cols, vals, n):
 
 
 def _scatter(mats, maps, n):
-    """Sum local matrices into an n x n global one through l2g maps."""
+    """Sum local matrices into an n x n global one through l2g maps; an
+    entry whose row or column maps to -1 is dropped."""
     rows, cols, vals = [], [], []
     for B, l2g in zip(mats, maps):
         coo = _as_csr(B).tocoo()
-        l2g = np.asarray(l2g)
-        rows.append(l2g[coo.row])
-        cols.append(l2g[coo.col])
-        vals.append(coo.data)
+        r, c = l2g[coo.row], l2g[coo.col]
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(coo.data[keep])
     return _csr(np.concatenate(rows), np.concatenate(cols),
                 np.concatenate(vals), n)
 
@@ -147,7 +143,9 @@ def _lumped_cols(rows, cols, dims, i=None, level=None):
 def _lumped(B, i=None, level=None):
     """B with its entries moved by _lumped_cols, tagged with the bandwidths
     the move leaves."""
-    _require_tensor(B)
+    if not isinstance(B, HierBandedMatrix):
+        raise ValueError('lumping by blocks needs a HierBandedMatrix, got %s'
+                         % type(B).__name__)
     coo = B.mat.tocoo()
     cols = _lumped_cols(coo.row, coo.col, B.dims, i, level)
     bandwidths = ((min(i - 1, B.bandwidths[0]),) + B.bandwidths[1:]
@@ -181,39 +179,19 @@ def hierarchical_lump(B, k):
     return _lumped(B, level=k)
 
 
-def multipatch_lump(local_mats, maps, n_global, i=None, level=None):
-    """Assemble per-patch lumped matrices into the global dof numbering.
+def lump_pieces(pieces, n, i=None, level=None):
+    """Lump a mass held as tensor pieces (B, to_sys) into n system dofs.
 
-    Each local matrix is lumped on its own tensor structure, then scattered
-    through its local-to-global map and summed. Exactly one of i (block
-    lumped family) or level (hierarchical) must be given.
+    Each HierBandedMatrix B is lumped on its own block structure, by
+    block_lumped_family with i or hierarchical_lump with level, and summed
+    into the system through to_sys, -1 dropping a row or column; a piece
+    mapped by None is the system matrix itself and keeps its tensor tag. A
+    piece padded with zeros lumps to a principal submatrix of its lumped
+    padded matrix, which keeps its definiteness.
     """
-    lumped = []
-    for B, l2g in zip(local_mats, maps):
-        if B.shape[0] != len(l2g):
-            raise ValueError('map does not match local matrix')
-        lumped.append(_lumped(B, i, level))
-    return _scatter(lumped, maps, n_global)
-
-
-def pad_lump_trim(M_trimmed, embedding, dims, i=None, level=None):
-    """Lump a trimmed matrix through its untrimmed tensor embedding.
-
-    The active-dof matrix is viewed as the restriction of a padded matrix
-    over the full tensor grid (padded rows and columns exactly zero), the
-    block index arithmetic runs on full indices, and entries landing on a
-    padded row or column are discarded again. The result is a principal
-    submatrix of the lumped padded matrix, so definiteness is inherited.
-    """
-    A = _as_csr(M_trimmed).tocoo()
-    embedding = np.asarray(embedding)
-    n_full = int(np.prod(dims))
-    if len(np.unique(embedding)) != len(embedding):
-        raise ValueError('embedding is not injective')
-    inverse = np.full(n_full, -1, dtype=int)
-    inverse[embedding] = np.arange(len(embedding))
-    rows = embedding[A.row]
-    cols = _lumped_cols(rows, embedding[A.col], dims, i, level)
-    keep = inverse[cols] >= 0
-    return _csr(inverse[rows[keep]], inverse[cols[keep]], A.data[keep],
-                len(embedding))
+    lumped = [hierarchical_lump(B, level) if i is None
+              else block_lumped_family(B, i) for B, _ in pieces]
+    maps = [to_sys for _, to_sys in pieces]
+    if maps[0] is None:
+        return lumped[0]
+    return _scatter(lumped, maps, n)

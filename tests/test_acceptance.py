@@ -23,8 +23,8 @@ from igalump.geometry import (MultipatchTopology, magnet, outer_faces,
 from igalump.linalg import (banded_cholesky, dense_generalized_eig,
                             schur_saddle_factor)
 from igalump.lumping import (block_lumped_family, hier_bandwidth,
-                             hierarchical_lump, lump_rowsum, multipatch_lump,
-                             pad_lump_trim, _measured_bandwidth)
+                             hierarchical_lump, lump_pieces, lump_rowsum,
+                             _measured_bandwidth)
 from igalump.spectral import (LanczosConfig, cfl_gain, critical_timestep,
                               deflate, lanczos, scaled_mass_solve,
                               split_zero_modes)
@@ -241,9 +241,7 @@ def test_criterion_11_multipatch_plate():
     topo = MultipatchTopology(spaces, interfaces)
     glob, locs = assemble_multipatch(topo, patches, ONE, ONE)
     K = glob.K
-    local_Ms = [loc.M for loc in locs]
-    Ps = {i: multipatch_lump(local_Ms, topo.l2g, topo.n_global, i=i)
-          for i in (1, 2, 3)}
+    Ps = {i: lump_pieces(glob.pieces, topo.n_global, i=i) for i in (1, 2, 3)}
 
     wM = eigvals(K, glob.M)
     w1, w2, w3 = (eigvals(K, Ps[i]) for i in (1, 2, 3))
@@ -286,15 +284,14 @@ def test_criterion_12_trimmed_rotated_square():
         pair = assemble_trimmed(space, square, region, ONE, ONE)
 
         def rescaled_eigvals(Mvar):
-            A, B, _d = jacobi_rescale(pair.K, Mvar)
+            A, B = jacobi_rescale(pair.K, Mvar)
             return eigvals(A, B)
 
         wM = rescaled_eigvals(pair.M)
         variants = {}
         for i in (1, 2):
-            P = pad_lump_trim(pair.M, pair.embedding, pair.background_dims,
-                              i=i)
-            _A, B, _d = jacobi_rescale(pair.K, P)
+            P = lump_pieces(pair.pieces, pair.M.shape[0], i=i)
+            _A, B = jacobi_rescale(pair.K, P)
             banded_cholesky(B, _measured_bandwidth(B))  # SPD or it raises
             variants[i] = P
         for i in (1, 2):

@@ -187,6 +187,12 @@ def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
     ('simulate', 'p = 3\nsubdivisions = 4\nnquad = 1\npencils = M P1\n'
      'tspan = 0.5\n', ('numerical failure: pencil M: matrix is not positive '
                        'definite',)),
+    # a band index past a piece's block count, on a glued and a trimmed pair
+    ('spectrum', 'geometry = plate_hole_2patch\np = 2\nsubdivisions = 2\n'
+     'pencils = M P9\n', ('config error', 'exp.cfg:5: pencil P9: band index '
+                          'out of range')),
+    ('trimmed-sweep', 'subdivisions = 4\nnangles = 2\npencils = M P9\n',
+     ('config error', 'exp.cfg:4: pencil P9: band index out of range')),
 ])
 def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
                                                   body, names):
@@ -344,32 +350,35 @@ def test_src_validates_without_assert():
 
 
 def test_benchmark_tracer_counts_trimmed_layers(tmp_path):
-    # perfbench/tracer.py wraps the layer functions by name and reads
-    # counts off their arguments and results, so it breaks silently when a
-    # traced signature or result changes
+    # perfbench/child.py --trace wraps the layer functions and methods by
+    # name and reads counts off their arguments and results, so it breaks
+    # silently when a traced name, signature or result changes; a trimmed
+    # sweep and a Lanczos spectrum on a glued pair reach both lumping routes
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    cfg = write_cfg(tmp_path, (
-        'kind = trimmed-sweep\nsubdivisions = 8\nnangles = 2\nout = %s\n'
-        % (tmp_path / 'o')))
-    code = '\n'.join([
-        'import json, sys',
-        'sys.path.insert(0, %r)' % os.path.join(root, 'perfbench'),
-        'import tracer',
-        'trace = tracer.Tracer()',
-        'trace.install()',
-        'from igalump.cli import main',
-        'code = main(["trimmed-sweep", "--config", %r])' % cfg,
-        'print(json.dumps({"exit": code, "stats": trace.stats}))'])
-    env = dict(os.environ)
-    env['PYTHONPATH'] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(igalump.__file__))]
-        + [p for p in [env.get('PYTHONPATH')] if p])
-    proc = subprocess.run([sys.executable, '-c', code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    stats = report['stats']
-    assert report['exit'] == 0
-    assert stats['geometry.classify_elements']['cut_elements'] > 0
-    assert stats['assembly.assemble_trimmed']['dofs'] > 0
-    assert stats['geometry.grid_eval']['points'] > 0
+    src = os.path.dirname(os.path.dirname(igalump.__file__))
+    runs = {'trimmed-sweep': 'subdivisions = 8\nnangles = 2\n',
+            'spectrum': 'geometry = plate_hole_2patch\np = 2\n'
+                        'subdivisions = 2\nk = 3\n'}
+    for kind, body in runs.items():
+        cfg = write_cfg(tmp_path, 'kind = %s\n%s' % (kind, body),
+                        kind + '.cfg')
+        report = tmp_path / (kind + '.json')
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, 'perfbench', 'child.py'),
+             '--src', src, '--kind', kind, '--config', cfg,
+             '--out', str(tmp_path / kind), '--seed', '0',
+             '--report', str(report),
+             '--trace', str(tmp_path / (kind + '.spans.json'))],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        stats = json.loads(report.read_text())['stats']
+        assert stats['linalg.banded_cholesky']['flops_computed'] > 0, kind
+        assert stats['geometry.grid_eval']['points'] > 0, kind
+        assert stats['svgplot.save']['calls'] > 0, kind
+        # lump_pieces reaches the block lumps by their traced module names
+        assert stats['lumping.block_lumped_family']['calls'] > 0, kind
+        if kind == 'spectrum':
+            assert stats['linalg.solve']['calls'] > 0
+        else:
+            assert stats['geometry.classify_elements']['cut_elements'] > 0
+            assert stats['assembly.assemble_trimmed']['dofs'] > 0

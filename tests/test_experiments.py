@@ -260,7 +260,7 @@ def test_multipatch_consistent_mass_runs_through_lanczos(tmp_path):
         'kind = spectrum\n%sk = 3\nout = %s\n'
         % (common, tmp_path / 'spec')), 'spec.cfg'))
     top = dict(read_spectrum_csv(run_spectrum(cfg)[0]))['M']
-    pair = _assemble(cfg)[0]
+    pair = _assemble(cfg)
     dense = dense_generalized_eig(pair.K, pair.M)[0]
     np.testing.assert_allclose(top, dense[-3:], rtol=1e-6)
     cfg = parse_config(write_cfg(tmp_path, (
@@ -299,7 +299,7 @@ def square_cfg(tmp_path, subdivisions):
 def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
                                                           monkeypatch):
     cfg = square_cfg(tmp_path, 64)
-    pair = _assemble(cfg)[0]
+    pair = _assemble(cfg)
     n = pair.K.shape[0]
     assert n == 4225
     want = spla.eigsh(pair.K.mat, k=1, M=pair.M.mat, sigma=0.0,
@@ -318,7 +318,7 @@ def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
 @pytest.mark.parametrize('label', ['M', 'P1', 'H2'])
 def test_dense_extreme_eigenvalue_matches_oracle(tmp_path, label):
     cfg = square_cfg(tmp_path, 32)
-    pair = _assemble(cfg)[0]
+    pair = _assemble(cfg)
     Mvar = _mass_variant(cfg, pair, label)
     w = dense_generalized_eig(pair.K, Mvar)[0]
     for which, want in (('smallest', w[0]), ('largest', w[-1])):

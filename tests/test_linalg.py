@@ -11,7 +11,7 @@ from igalump.linalg import (FactorizedOperator, banded_cholesky,
                             dense_generalized_eig, schur_saddle_factor,
                             woodbury_solve)
 from igalump.lumping import (HierBandedMatrix, block_lumped_family,
-                             hier_bandwidth, multipatch_lump)
+                             hier_bandwidth, lump_pieces)
 from igalump.splines import KnotVector, SplineSpace, make_open_uniform
 from structured_spd import random_structured_spd
 
@@ -81,6 +81,13 @@ def test_banded_rejects_out_of_band_entry():
 def test_banded_rejects_indefinite():
     A = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match='positive definite'):
+        banded_cholesky(A, 1)
+
+
+def test_banded_rejects_non_finite_entry():
+    A = np.eye(4)
+    A[2, 2] = np.nan
+    with pytest.raises(ValueError, match='non-finite'):
         banded_cholesky(A, 1)
 
 
@@ -159,8 +166,8 @@ def _two_interval_lumped(i):
     spaces = [SplineSpace([kv]), SplineSpace([kv])]
     topo = MultipatchTopology(spaces, [(0, (0, 1), 1, (0, 0), ())])
     patches = [interval_patch(0, 1), interval_patch(1, 2)]
-    _glob, locs = assemble_multipatch(topo, patches, ONE, ONE)
-    P = multipatch_lump([loc.M for loc in locs], topo.l2g, topo.n_global, i=i)
+    glob, _locs = assemble_multipatch(topo, patches, ONE, ONE)
+    P = lump_pieces(glob.pieces, topo.n_global, i=i)
     return P, topo
 
 
@@ -181,9 +188,8 @@ def test_schur_two_patch_2d_matches_dense():
     kv = make_open_uniform(4, 2, 1)
     spaces = [SplineSpace([kv, kv]) for _ in patches]
     topo = MultipatchTopology(spaces, interfaces)
-    _glob, locs = assemble_multipatch(topo, patches, ONE, ONE)
-    P = multipatch_lump([loc.M for loc in locs], topo.l2g, topo.n_global,
-                        i=2)
+    glob, _locs = assemble_multipatch(topo, patches, ONE, ONE)
+    P = lump_pieces(glob.pieces, topo.n_global, i=2)
     op = schur_saddle_factor(P, topo.interior_split())
     dense = P.toarray()
     rng = np.random.default_rng(8)

@@ -7,12 +7,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igalump.assembly import assemble_multipatch, assemble_single_patch
+from igalump.assembly import (assemble_multipatch, assemble_single_patch,
+                              assemble_trimmed)
 from igalump.geometry import (MultipatchTopology, plate_quarter_hole_2patch,
                               rotated_square_region, unit_cube, unit_square)
 from igalump.lumping import (HierBandedMatrix, block_lumped_family,
-                             hierarchical_lump, lump_rowsum, multipatch_lump,
-                             pad_lump_trim)
+                             hierarchical_lump, lump_pieces, lump_rowsum)
 from igalump.spectral import split_zero_modes
 from igalump.splines import SplineSpace, make_open_uniform
 from structured_spd import random_structured_spd
@@ -268,7 +268,7 @@ def test_rowsum_never_worsens_cfl():
 def test_multipatch_single_patch_reduces():
     pair = mass_pair(5, 2)
     n = pair.M.shape[0]
-    glob = multipatch_lump([pair.M], [np.arange(n)], n, i=2)
+    glob = lump_pieces([(pair.M, np.arange(n))], n, i=2)
     np.testing.assert_allclose(glob.toarray(),
                                block_lumped_family(pair.M, 2).toarray(),
                                atol=0)
@@ -281,7 +281,7 @@ def test_multipatch_full_band_is_consistent_mass():
     topo = MultipatchTopology(spaces, interfaces)
     glob, locs = assemble_multipatch(topo, patches, ONE, ONE)
     n1 = locs[0].M.dims[0]
-    P = multipatch_lump([q.M for q in locs], topo.l2g, topo.n_global, i=n1)
+    P = lump_pieces(glob.pieces, topo.n_global, i=n1)
     np.testing.assert_allclose(P.toarray(), glob.M.toarray(), atol=1e-15)
 
 
@@ -292,9 +292,8 @@ def test_multipatch_eigenvalue_order():
     topo = MultipatchTopology(spaces, interfaces)
     glob, locs = assemble_multipatch(topo, patches, ONE, ONE)
     K = glob.K.toarray()
-    locals_M = [q.M for q in locs]
-    w1 = _eigs(K, multipatch_lump(locals_M, topo.l2g, topo.n_global, i=1))
-    w2 = _eigs(K, multipatch_lump(locals_M, topo.l2g, topo.n_global, i=2))
+    w1 = _eigs(K, lump_pieces(glob.pieces, topo.n_global, i=1))
+    w2 = _eigs(K, lump_pieces(glob.pieces, topo.n_global, i=2))
     wM = _eigs(K, glob.M.toarray())
     # the Neumann kernel is an exact zero computed as roundoff of either
     # sign, so it is counted rather than ordered
@@ -326,9 +325,31 @@ def test_multipatch_extreme_eigs_bounded_by_locals():
 def test_pad_lump_trim_all_active():
     B = random_structured_spd((5, 4), (3, 2), np.random.default_rng(9))
     n = B.shape[0]
-    got = pad_lump_trim(B.mat, np.arange(n), B.dims, i=2)
+    got = lump_pieces([(B, np.arange(n))], n, i=2)
     np.testing.assert_allclose(got.toarray(),
                                block_lumped_family(B, 2).toarray(), atol=0)
+
+
+def _dense_pad_lump_trim(Mt, active, dims, bandwidths, kind):
+    """Oracle: pad densely, lump, restrict to the active dofs."""
+    n = int(np.prod(dims))
+    padded = np.zeros((n, n))
+    padded[np.ix_(active, active)] = Mt.toarray()
+    P = HierBandedMatrix(sp.csr_matrix(padded), dims, bandwidths)
+    lumped = (block_lumped_family(P, kind['i']) if 'i' in kind
+              else hierarchical_lump(P, kind['level']))
+    return lumped.toarray()[np.ix_(active, active)]
+
+
+def _trimmed_piece(Mt, active, dims, bandwidths):
+    """Mt padded with zeros to the grid dims, mapped back to its dofs."""
+    n = int(np.prod(dims))
+    to_sys = np.full(n, -1)
+    to_sys[active] = np.arange(len(active))
+    coo = sp.coo_matrix(Mt)
+    padded = sp.csr_matrix((coo.data, (active[coo.row], active[coo.col])),
+                           shape=(n, n))
+    return HierBandedMatrix(padded, dims, bandwidths), to_sys
 
 
 @pytest.mark.parametrize('kind', [dict(i=1), dict(i=2), dict(level=2)])
@@ -338,35 +359,36 @@ def test_pad_lump_trim_matches_dense_route(kind):
     n = B.shape[0]
     active = np.sort(rng.choice(n, size=14, replace=False))
     Mt = sp.csr_matrix(B.toarray()[np.ix_(active, active)])
-    got = pad_lump_trim(Mt, active, B.dims, **kind)
-    # reference: pad densely, lump, restrict
-    padded = np.zeros((n, n))
-    padded[np.ix_(active, active)] = Mt.toarray()
-    P = HierBandedMatrix(sp.csr_matrix(padded), B.dims, B.bandwidths)
-    lumped = (block_lumped_family(P, kind['i']) if 'i' in kind
-              else hierarchical_lump(P, kind['level']))
-    want = lumped.toarray()[np.ix_(active, active)]
+    piece = _trimmed_piece(Mt, active, B.dims, B.bandwidths)
+    got = lump_pieces([piece], len(active), **kind)
+    want = _dense_pad_lump_trim(Mt, active, B.dims, B.bandwidths, kind)
     np.testing.assert_allclose(got.toarray(), want, atol=1e-14)
+    # a pair from assemble_trimmed at an angle that leaves background dofs
+    # inactive
+    kv = make_open_uniform(8, 2, 1)
+    space = SplineSpace([kv, kv])
+    region = rotated_square_region(center=(0.51, 0.5), angle=0.35,
+                                   half_side=0.3)
+    pair = assemble_trimmed(space, unit_square(), region, ONE, ONE)
+    (Bpad, to_sys), = pair.pieces
+    active = np.flatnonzero(to_sys >= 0)
+    assert len(active) < space.num_free
+    got = lump_pieces(pair.pieces, len(active), **kind)
+    want = _dense_pad_lump_trim(pair.M, active, Bpad.dims, Bpad.bandwidths,
+                                kind)
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(got.toarray(), want, atol=1e-14 * scale)
 
 
 def test_pad_lump_trim_rotated_square_spd():
-    from igalump.assembly import assemble_trimmed
     kv = make_open_uniform(8, 2, 1)
     space = SplineSpace([kv, kv])
     region = rotated_square_region(center=(0.51, 0.5), angle=0.35,
                                    half_side=0.3)
     pair = assemble_trimmed(space, unit_square(), region, ONE, ONE)
     for i in (1, 2):
-        P = pad_lump_trim(pair.M, pair.embedding, pair.background_dims,
-                          i=i)
+        P = lump_pieces(pair.pieces, pair.M.shape[0], i=i)
         np.linalg.cholesky(P.toarray())
-
-
-def test_pad_lump_trim_rejects_duplicate_embedding():
-    B = random_structured_spd((3, 3), (1, 1), np.random.default_rng(11))
-    Mt = sp.csr_matrix(B.toarray()[:2, :2])
-    with pytest.raises(ValueError):
-        pad_lump_trim(Mt, np.array([0, 0]), (3, 3), i=1)
 
 
 # ------------------------------------------------------------------ property
