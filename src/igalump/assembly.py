@@ -11,10 +11,10 @@ direction per element, exact for the polynomial case. All Gauss points
 come from one composite rule builder. A QuadratureGrid holds the basis
 values and the pullback of one space on one patch for load vectors and L2
 errors, and lives only as long as its caller keeps it. The assembly
-integrates whole and cut elements through one element routine, a whole
-element being one subcell with no region test, and one batched kernel
-that contracts per-direction tables one direction at a time (sum
-factorization).
+integrates any set of whole or cut elements (a whole element is one
+subcell with no region test) in consecutive slices of at most _POINTS
+quadrature points, its one memory bound, through one batched kernel that
+contracts per-element tables one direction at a time (sum factorization).
 """
 
 import itertools
@@ -81,8 +81,8 @@ def quadrature_grid(space, patch, nquad=None):
     """
     pts, wts, vals = [], [], []
     for kv in space.kvs:
-        x, w, _ = _element_rule(kv, np.arange(kv.numspans), 1,
-                                nquad or kv.p + 1)
+        x, w, _ = (a.ravel() for a in _element_rule(
+            kv, np.arange(kv.numspans), 1, nquad or kv.p + 1))
         pts.append(x)
         wts.append(w)
         vals.append(_dense_tables(kv, x)[1])
@@ -96,16 +96,19 @@ def _element_rule(kv, e, nsub, nq):
     """Composite Gauss rule on the elements e of one direction.
 
     Each element is split into nsub equal subcells of nq points each.
-    Returns the points and weights, shape (len(e)*nsub*nq,), and the
-    subcell centres, shape (len(e)*nsub,), element by element.
+    Returns the points and weights, shape (len(e), nsub*nq), and the
+    subcell centres, shape (len(e), nsub), one row per element.
     """
     lo, hi = (b[e] for b in kv.span_bounds())
     h = (hi - lo) / nsub
     a = lo[:, None] + np.arange(nsub) * h[:, None]
     xg, wg = gauss_rule(nq)
-    x = (a[:, :, None] + h[:, None, None] * xg).ravel()
-    w = np.tile(h[:, None] * wg, nsub).ravel()
-    return x, w, (a + 0.5 * h[:, None]).ravel()
+    x = a[:, :, None] + h[:, None, None] * xg
+    w = np.tile(h[:, None] * wg, nsub)
+    return x.reshape(len(e), nsub * nq), w, a + 0.5 * h[:, None]
+
+
+_POINTS = 2 ** 15   # quadrature points per slice of an element batch
 
 
 def _require_regular(adet):
@@ -120,17 +123,6 @@ def _coefficients(coords, J, adet, rho, kappa):
     kap = np.asarray(kappa(*coords), dtype=float)
     G = kap[..., None, None] * adet[..., None, None] * Ginv
     return c, G
-
-
-def _by_element(A, nels, nqs):
-    """Tensor-grid array A, shape grid + trailing, as (E, nq_1, ..., nq_d)
-    + trailing with the elements in canonical (lexicographic) order."""
-    d = len(nqs)
-    A = A.reshape([s for pair in zip(nels, nqs) for s in pair]
-                  + list(A.shape[d:]))
-    order = (list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-             + list(range(2 * d, A.ndim)))
-    return A.transpose(order).reshape((-1,) + tuple(nqs) + A.shape[2 * d:])
 
 
 def _element_kernel(vals, ders, c, G):
@@ -170,53 +162,65 @@ def _sum_factorize(c, X, Y):
 
 def _element_matrices(space, patch, rho, kappa, els, nquad, region=None,
                       nsub=1):
-    """Local mass and stiffness of the elements els (E, d).
+    """Local mass and stiffness of any element set els (E, d), in its order.
 
-    els must hold every combination of its per-direction indices, in
-    lexicographic order: the whole mesh or one element line. Each element
-    is integrated on nsub subcells per direction of nq_l Gauss points in
-    direction l (default p_l+1). With a region, a subcell whose centre lies
-    outside it keeps its points at weight 0, and only retained points enter
-    c and G: a rejected subcell may have a singular Jacobian.
+    Each element is integrated on nsub subcells per direction of nq_l Gauss
+    points in direction l (default p_l+1), in consecutive slices of at most
+    _POINTS points (at least one element), which bounds the memory held at
+    once. With a region, a subcell whose centre lies outside it keeps its
+    points at weight 0, and only retained points enter c and G: a rejected
+    subcell may have a singular Jacobian.
     """
-    d = space.ndim
-    idx = [np.unique(col) for col in els.T]
-    pts, wts, centers, vals, ders, nqs = [], [], [], [], [], []
-    for kv, e, col in zip(space.kvs, idx, els.T):
-        nq = nquad or kv.p + 1
-        x, w, mid = _element_rule(kv, e, nsub, nq)
-        pts.append(x)
-        wts.append(w)
-        centers.append(mid)
-        nqs.append(nq)
+    pts, wts, centers, tables = [], [], [], []
+    for kv, col in zip(space.kvs, els.T):
+        # rules and tables are built once per element index of the
+        # direction and gathered by element
+        e, at = np.unique(col, return_inverse=True)
+        x, w, mid = _element_rule(kv, e, nsub, nquad or kv.p + 1)
         # subcell points stay inside their element, so the active window
         # is the element's own
-        t = eval_basis(kv, x, deriv_order=1)[1]
-        t = t.reshape(2, kv.p + 1, len(e), -1).swapaxes(1, 2)
-        at = np.searchsorted(e, col)
-        vals.append(t[0, at])
-        ders.append(t[1, at])
-    nels = [len(e) for e in idx]
-    nps = [nsub * nq for nq in nqs]
-    if region is None:
-        kept = np.ones((len(els),) + tuple(nps), dtype=bool)
-    else:
+        t = eval_basis(kv, x.ravel(), deriv_order=1)[1]
+        t = t.reshape((2, kv.p + 1) + x.shape).swapaxes(1, 2)
+        tables.append(t[:, at])
+        pts.append(x[at])
+        wts.append(w[at])
+        centers.append(mid[at])
+    nloc = int(np.prod([t.shape[2] for t in tables]))
+    Mloc, Kloc = np.empty((2, len(els), nloc, nloc))
+    step = max(1, _POINTS // int(np.prod([x.shape[1] for x in pts])))
+    for s in (slice(i, i + step) for i in range(0, len(els), step)):
+        vals, ders = ([t[k, s] for t in tables] for k in (0, 1))
+        Mloc[s], Kloc[s] = _element_kernel(vals, ders, *_weighted_pullback(
+            patch, rho, kappa, region, nsub,
+            *([x[s] for x in a] for a in (pts, wts, centers))))
+    return Mloc, Kloc
+
+
+def _weighted_pullback(patch, rho, kappa, region, nsub, pts, wts, centers):
+    """c and G times the quadrature weights on a batch of element grids.
+
+    Shapes (E, n_1, ..., n_d) and (E, n_1, ..., n_d, d, d); zero on the
+    points of a subcell whose centre lies outside the region.
+    """
+    d = len(pts)
+    w = reduce(np.multiply, [x.reshape((len(x),) + (1,) * l + (-1,)
+                                       + (1,) * (d - 1 - l))
+                             for l, x in enumerate(wts)])
+    kept = np.ones(w.shape, dtype=bool)
+    if region is not None:
         F, _, _ = patch.grid_eval(centers)
-        kept = _by_element(region(*np.moveaxis(F, -1, 0)) > 0, nels,
-                           (nsub,) * d)
-        for l, nq in enumerate(nqs):
-            kept = np.repeat(kept, nq, axis=l + 1)
-    w = _by_element(reduce(np.multiply.outer, wts), nels, nps)[kept]
+        kept = region(*np.moveaxis(F, -1, 0)) > 0
+        for l, x in enumerate(pts):
+            kept = np.repeat(kept, x.shape[1] // nsub, axis=l + 1)
     F, J, det = patch.grid_eval(pts)
-    adet = np.abs(_by_element(det, nels, nps)[kept])
+    adet = np.abs(det[kept])
     _require_regular(adet)
-    ck, Gk = _coefficients(_by_element(F, nels, nps)[kept].T,
-                           _by_element(J, nels, nps)[kept], adet, rho, kappa)
-    c = np.zeros(kept.shape)
-    c[kept] = ck * w
-    G = np.zeros(kept.shape + (d, d))
-    G[kept] = Gk * w[:, None, None]
-    return _element_kernel(vals, ders, c, G)
+    ck, Gk = _coefficients(F[kept].T, J[kept], adet, rho, kappa)
+    c = np.zeros(w.shape)
+    c[kept] = ck * w[kept]
+    G = np.zeros(J.shape)
+    G[kept] = Gk * w[kept][:, None, None]
+    return c, G
 
 
 def _system_matrices(space, els, Mloc, Kloc, full_to_sys, n):
@@ -245,15 +249,9 @@ def _system_matrices(space, els, Mloc, Kloc, full_to_sys, n):
             _csr(rows, cols, Kloc[keep].ravel(), n))
 
 
-def _mesh(space):
-    """Multi-indices (E, d) of all elements in canonical (lexicographic)
-    order."""
-    return np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
-
-
 def assemble_single_patch(space, patch, rho, kappa, nquad=None):
     """Mass and stiffness of one patch, canonical element order."""
-    els = _mesh(space)
+    els = np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
     Mloc, Kloc = _element_matrices(space, patch, rho, kappa, els, nquad)
     M, K = (_tagged(space, A) for A in _system_matrices(
         space, els, Mloc, Kloc, space.full_to_free(), space.num_free))
@@ -285,10 +283,11 @@ def assemble_trimmed(space, patch, region, rho, kappa, subdepth=3, nquad=None):
     """Assemble over the active dofs of a patch trimmed to region.
 
     classify_elements sorts the elements against the region on a lattice
-    of 2^subdepth cells per direction. Inside elements use the standard
-    rule; cut elements are subdivided into 2^subdepth subcells per
-    direction and a subcell is integrated (with the same Gauss rule) iff
-    its center lies inside the region; outside elements are dropped. The
+    of 2^subdepth cells per direction. One element batch integrates the
+    inside elements on the standard rule, and one the cut elements on
+    2^subdepth subcells per direction each, of which (with the same Gauss
+    rule) only those whose centre lies inside the region count. Outside
+    elements are dropped, and the merge keeps canonical element order. The
     active dofs, the free dofs whose mass diagonal exceeds 1e-12 of the
     largest, keep the mass diagonal strictly positive; the others have no
     retained subcell in their support, or meet one only near its corner.
@@ -302,20 +301,14 @@ def assemble_trimmed(space, patch, region, rho, kappa, subdepth=3, nquad=None):
     if not np.any(element_class >= 0):
         raise ValueError('trim region excludes every element '
                          '(n_active = 0)')
-    # each element's pair sits at its index among the non-outside elements;
-    # inside elements take theirs from the whole mesh
+    # canonical element order, so that duplicates sum as in a whole mesh
     els = np.argwhere(element_class >= 0)
-    Mloc, Kloc = _element_matrices(space, patch, rho, kappa, _mesh(space),
-                                   nquad)
-    flat = np.ravel_multi_index(tuple(els.T), element_class.shape)
-    Mloc, Kloc = Mloc[flat], Kloc[flat]
-    # cut elements go in batches of one element line (all indices but the
-    # last fixed), which bounds the composite grid held at once
     cut = element_class[tuple(els.T)] == 0
-    for lead in np.unique(els[cut, :-1], axis=0):
-        line = np.flatnonzero(cut & np.all(els[:, :-1] == lead, axis=1))
-        Mloc[line], Kloc[line] = _element_matrices(
-            space, patch, rho, kappa, els[line], nquad, region, 2 ** subdepth)
+    nloc = int(np.prod([kv.p + 1 for kv in space.kvs]))
+    Mloc, Kloc = np.empty((2, len(els), nloc, nloc))
+    for sel, *rule in ((~cut,), (cut, region, 2 ** subdepth)):
+        Mloc[sel], Kloc[sel] = _element_matrices(space, patch, rho, kappa,
+                                                 els[sel], nquad, *rule)
     M, K = _system_matrices(space, els, Mloc, Kloc, space.full_to_free(),
                             space.num_free)
     diag = M.diagonal()
@@ -339,7 +332,7 @@ def load_vector(grid, g):
     """
     density = np.asarray(g(*grid.coords), dtype=float) * grid.adet
     density = density * grid.weights()
-    full = _tensor_apply(density, grid.vals).ravel()
+    full = _tensor_apply(density, [V[None] for V in grid.vals]).ravel()
     return full[grid.space.free_to_full()]
 
 

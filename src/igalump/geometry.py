@@ -1,8 +1,9 @@
 """Patch geometry maps and multipatch topology.
 
 A Patch is a tensor-product B-spline or NURBS map from the parametric unit
-cube to physical space, evaluated with its Jacobian on tensor grids of
-points (Patch.grid_eval). This module also provides a catalog of built-in
+cube to physical space, evaluated with its Jacobian on a batch of
+per-element tensor grids of points, one tensor grid being a batch of one
+(Patch.grid_eval). This module also provides a catalog of built-in
 geometries, knot insertion and patch splitting, trim-region
 classification, and conforming multipatch topologies.
 """
@@ -60,43 +61,48 @@ class Patch:
         H = np.concatenate([self.points * w[:, None], w[:, None]], axis=1)
         return H.reshape(self.space.dims + (self.ndim + 1,))
 
-    def grid_eval(self, pts_per_dir):
-        """Map, Jacobians and determinants on a tensor grid of points.
+    def grid_eval(self, pts):
+        """Map, Jacobians and determinants on a batch of point grids.
 
         Args:
-            pts_per_dir: list of d 1D arrays of parametric coordinates.
+            pts: list of d arrays of parametric coordinates. With pts[l] of
+                shape (E, n_l), grid e is the tensor product of the rows
+                pts[l][e]; d 1D arrays are one tensor grid.
 
         Returns:
-            (F, J, detJ): F has shape grid+(d,), J grid+(d,d), detJ grid.
+            (F, J, detJ) of shapes grid+(d,), grid+(d,d) and grid, with grid
+            (E, n_1, ..., n_d), or (n_1, ..., n_d) for one tensor grid.
         """
-        d = self.ndim
         H = self.homogeneous()
         V, D = [], []
-        for kv, pts in zip(self.space.kvs, pts_per_dir):
-            _, Vl, Dl = _dense_tables(kv, pts)
-            V.append(Vl.T)
-            D.append(Dl.T)
+        for kv, x in zip(self.space.kvs, pts):
+            x = np.atleast_2d(x)
+            _, Vl, Dl = _dense_tables(kv, x.ravel())
+            V.append(Vl.T.reshape(x.shape + (-1,)))
+            D.append(Dl.T.reshape(x.shape + (-1,)))
         T = _tensor_apply(H, V)
-        grads = []
-        for l in range(d):
-            mats = [D[m] if m == l else V[m] for m in range(d)]
-            grads.append(_tensor_apply(H, mats))
-        w = T[..., -1]
-        F = T[..., :-1] / w[..., None]
-        J = np.empty(w.shape + (d, d))
-        for l in range(d):
-            Al = grads[l][..., :-1]
-            wl = grads[l][..., -1]
-            J[..., :, l] = (Al - F * wl[..., None]) / w[..., None]
+        F = T[..., :-1] / T[..., -1:]
+        cols = []
+        for l in range(len(V)):
+            G = _tensor_apply(H, V[:l] + [D[l]] + V[l + 1:])
+            cols.append((G[..., :-1] - F * G[..., -1:]) / T[..., -1:])
+        J = np.stack(cols, axis=-1)
         detJ = np.linalg.det(J)
+        if np.ndim(pts[0]) == 1:
+            return F[0], J[0], detJ[0]
         return F, J, detJ
 
 
 def _tensor_apply(H, mats):
-    # contract the leading axes of H with per-direction matrices, one each
-    T = H
+    # contract the leading axes of H with mats[l], shape (E, n_l, m_l), one
+    # direction at a time, into shape (E, n_1, ..., n_d) + trailing axes
+    E = len(mats[0])
+    T = np.broadcast_to(H, (E,) + H.shape)
     for l, M in enumerate(mats):
-        T = np.moveaxis(np.tensordot(M, T, axes=(1, l)), 0, l)
+        T = np.moveaxis(T, l + 1, 1)
+        rest = T.shape[2:]
+        T = M @ T.reshape(E, M.shape[2], -1)
+        T = np.moveaxis(T.reshape((E, M.shape[1]) + rest), 1, l + 1)
     return T
 
 

@@ -190,12 +190,6 @@ class ScaledPencil:
             return self.D2 / self.lam_cut - 1.0
         return np.zeros(self.r)
 
-    def stiffness_apply(self, x):
-        y = self.A @ x
-        if self.r and self.mode == 'scale-stiffness':
-            y = y + self.V @ (self.fD2 * (self.V.T @ x))
-        return y
-
     def dense_pair(self):
         """Explicit (A_bar, B_bar); oracle use only."""
         A = _to_dense(self.A).copy()

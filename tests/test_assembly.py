@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -547,6 +548,70 @@ def _assert_trimmed_matches_loop(space, patch, region, subdepth, nquad):
                          mask=mask, subdepth=subdepth)
     _assert_same_matrix(pair.M, M)
     _assert_same_matrix(pair.K, K)
+
+
+# --------------------------------------------------------- element batches
+
+def _plate_disc(x, y):
+    return 1.6 - np.hypot(x + 2.5, y - 2.5)
+
+
+def _odd_plate_space():
+    # 7 angular elements: the middle one straddles the geometry knot at 0.5
+    return SplineSpace([make_open_uniform(7, 3, 2),
+                        make_open_uniform(4, 3, 2)])
+
+
+def _bytes(A):
+    A = sp.csr_matrix(getattr(A, 'mat', A))
+    return A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes()
+
+
+@pytest.mark.parametrize('kw', [{}, {'region': _plate_disc, 'nsub': 2},
+                                {'nsub': 3}], ids=['plain', 'region', 'nsub'])
+def test_element_matrices_take_any_element_set(kw):
+    space, patch = _odd_plate_space(), plate_quarter_hole()
+    rho = lambda x, y: 1.0 + 0.1 * x * y
+    els = np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
+    whole = igalump.assembly._element_matrices(space, patch, rho, ONE, els,
+                                               None, **kw)
+    # every third element: no tensor product of per-direction indices
+    part = igalump.assembly._element_matrices(space, patch, rho, ONE,
+                                              els[::3], None, **kw)
+    for got, want in zip(part, whole):
+        assert got.tobytes() == want[::3].tobytes()
+
+
+def test_point_slices_leave_assembly_unchanged(monkeypatch):
+    space, patch = _odd_plate_space(), plate_quarter_hole()
+    rho = lambda x, y: 1.0 + 0.1 * x * y
+
+    def pairs():
+        return [assemble_single_patch(space, patch, rho, ONE),
+                assemble_trimmed(space, patch, _plate_disc, rho, ONE,
+                                 subdepth=2)]
+    want = pairs()
+    # 6 whole elements of 16 points per slice, so slices end mid-set; each
+    # cut element of 16 * 16 points is a slice of its own
+    monkeypatch.setattr(igalump.assembly, '_POINTS', 100)
+    for got, ref in zip(pairs(), want):
+        assert _bytes(got.K) == _bytes(ref.K)
+        assert _bytes(got.M) == _bytes(ref.M)
+
+
+def test_assembly_memory_does_not_grow_with_the_rule():
+    space, patch = square_space(32, 3), plate_quarter_hole()
+
+    def peak(nquad):
+        tracemalloc.start()
+        try:
+            assemble_single_patch(space, patch, ONE, ONE, nquad=nquad)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # nine times the points per element: one whole-mesh batch held 3x the
+    # traced peak of the default rule
+    assert peak(12) <= 1.25 * peak(4)
 
 
 # ------------------------------------------------------------ jacobi rescale

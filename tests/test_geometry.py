@@ -12,7 +12,8 @@ from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
                               patch_grid, plate_quarter_hole,
                               plate_quarter_hole_2patch, quarter_annulus,
                               rotated_square_region, split_patch,
-                              stretched_square, twisted_box, unit_square)
+                              stretched_square, twisted_box, unit_cube,
+                              unit_square)
 from igalump.splines import SplineSpace, eval_basis, make_open_uniform
 from pointwise_map import jacobian, map_eval, pullback_coeffs
 
@@ -70,6 +71,26 @@ def test_quarter_annulus_is_exact():
         outer = map_eval(patch, (1.0, t))
         assert np.hypot(*inner) == pytest.approx(1.0, abs=1e-13)
         assert np.hypot(*outer) == pytest.approx(2.0, abs=1e-13)
+
+
+@pytest.mark.parametrize('patch', [plate_quarter_hole(), unit_cube()],
+                         ids=['plate', 'cube'])
+def test_batched_grid_eval_matches_pointwise_map(patch):
+    # each grid lies inside one random element of a 4-element mesh, so the
+    # plate's grids sit on either side of its geometry knot at 0.5
+    rng = np.random.default_rng(5)
+    d, E = patch.ndim, 6
+    pts = [(rng.integers(0, 4, size=(E, 1))
+            + np.sort(rng.random((E, 2 + l)), axis=1)) / 4 for l in range(d)]
+    F, J, det = patch.grid_eval(pts)
+    assert det.shape == (E,) + tuple(2 + l for l in range(d))
+    for idx in np.ndindex(det.shape):
+        xhat = [pts[l][idx[0], q] for l, q in enumerate(idx[1:])]
+        Jq, dq = jacobian(patch, xhat)
+        np.testing.assert_allclose(F[idx], map_eval(patch, np.array(xhat)),
+                                   rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(J[idx], Jq, rtol=1e-12, atol=1e-13)
+        assert det[idx] == pytest.approx(dq, rel=1e-12)
 
 
 # ------------------------------------------------------------------- pullback

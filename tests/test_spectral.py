@@ -290,17 +290,17 @@ def quarter_annulus_pencil(p=2, nel=6):
 def test_local_scale_rank_zero_leaves_stiffness():
     K, P = quarter_annulus_pencil()
     pencil = local_stiffness_scale(K, P, 0)
-    x = np.random.default_rng(18).normal(size=K.shape[0])
-    np.testing.assert_allclose(pencil.stiffness_apply(x), K @ x, atol=0)
+    np.testing.assert_array_equal(pencil.dense_pair()[0], K.toarray())
 
 
 def test_local_scale_perturbation_negative_semidefinite():
     K, P = quarter_annulus_pencil()
     pencil = local_stiffness_scale(K, P, 8, tol=1e-6)
+    Kbar, _ = pencil.dense_pair()
     rng = np.random.default_rng(19)
     for _ in range(100):
         x = rng.normal(size=K.shape[0])
-        drop = x @ (K @ x) - x @ pencil.stiffness_apply(x)
+        drop = x @ (K @ x) - x @ (Kbar @ x)
         assert drop >= -1e-10 * (x @ x)
 
 
