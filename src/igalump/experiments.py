@@ -23,7 +23,7 @@ from .dynamics import (central_difference, l2_error, l2_norm,
                        manufactured_wave_problem, step_count)
 from .geometry import (MultipatchTopology, catalog, outer_faces,
                        rotated_square_region)
-from .linalg import (DENSE_CAP, _dense_eigenvalue, _mass_factor,
+from .linalg import (DENSE_CAP, _dense_eigenvalues, _mass_factor,
                      dense_generalized_eig)
 from .lumping import _as_csr, lump_pieces, lump_rowsum
 from .spectral import LanczosConfig, critical_timestep, deflate, lanczos
@@ -412,7 +412,8 @@ def _extreme_eigenvalue(cfg, K, Mvar, which):
     """Smallest or largest generalized eigenvalue, dense below the cap."""
     n = K.shape[0]
     if n <= DENSE_CAP:
-        return _dense_eigenvalue(K, Mvar, 0 if which == 'smallest' else n - 1)
+        i = 0 if which == 'smallest' else n - 1
+        return float(_dense_eigenvalues(K, Mvar, i)[0])
     if which == 'smallest':
         # shift-invert about 0 through the banded Cholesky factor of K
         K_inv = spla.LinearOperator((n, n), matvec=_mass_factor(K).solve,
@@ -471,7 +472,7 @@ def _spectrum_rows(spectra):
 def run_spectrum(cfg):
     """Full (or top-k) spectra of (K, M~) for each selected pencil."""
     if cfg.geometry == 'rotated_square':
-        angles, results = _trimmed_sweep(cfg)
+        angles, results = _trimmed_sweep(cfg, _dense_eigenvalues)
         written = [_write_csv(cfg, 'spectrum_ang%03d.csv' % idx,
                               'k,lambda,label', _spectrum_rows(spectra))
                    for idx, (_n, spectra) in enumerate(results)]
@@ -501,11 +502,11 @@ def run_spectrum(cfg):
         with _located('pencil %s' % label):
             if cfg.k is not None:
                 vals = np.sort(_top_pairs(cfg, pair.K, Mvar, cfg.k).values)
+            elif cfg.ranks and label == base:
+                vals, Ubase = dense_generalized_eig(pair.K, Mvar)
+                Mbase, w = Mvar, vals
             else:
-                vals, U = dense_generalized_eig(pair.K, Mvar)
-                if cfg.ranks and label == base:
-                    Mbase, w, Ubase = Mvar, vals, U
-                del U
+                vals = _dense_eigenvalues(pair.K, Mvar)
         spectra.append((label, vals))
 
     for r in cfg.ranks:
@@ -513,7 +514,7 @@ def run_spectrum(cfg):
         with _located('rank %d' % r, cfg, 'ranks'):
             pencil = deflate(pair.K, Mbase, r, 'scale-mass', eigendata)
         with _located('pencil %s, rank %d' % (base, r)):
-            wbar = dense_generalized_eig(*pencil.dense_pair())[0]
+            wbar = _dense_eigenvalues(*pencil.dense_pair())
         spectra.append(('%s+r%d' % (base, r), wbar))
 
     csv = _write_csv(cfg, 'spectrum.csv', 'k,lambda,label',
@@ -684,11 +685,12 @@ def run_deflate_ratio(cfg):
     return [csv, svg]
 
 
-def _trimmed_sweep(cfg):
-    """Angles and, per angle, (n_active, [(label, ascending spectrum)]).
+def _trimmed_sweep(cfg, eigenvalues):
+    """Angles and, per angle, (n_active, [(label, eigenvalues(A, B))]).
 
-    Each pencil is solved on its Jacobi-rescaled pair, where every lumped
-    mass also passes the banded Cholesky definiteness check.
+    A, B is the Jacobi-rescaled pair of each pencil, and eigenvalues returns
+    the ascending values the caller reads. A lumped mass also passes the
+    banded Cholesky check; the consistent mass, only the solve's own.
     """
     angles = [2.0 * math.pi * i / cfg.nangles for i in range(cfg.nangles)]
 
@@ -701,7 +703,7 @@ def _trimmed_sweep(cfg):
                 A, B = jacobi_rescale(pair.K, Mvar)
                 if label != 'M':
                     _mass_factor(B)
-                spectra.append((label, dense_generalized_eig(A, B)[0]))
+                spectra.append((label, eigenvalues(A, B)))
         return pair.K.shape[0], spectra
 
     return angles, _run_sweep(cfg, one, angles)
@@ -719,7 +721,8 @@ def _plot_lambda_max(cfg, angles, results, name):
 
 def run_trimmed_sweep(cfg):
     """lambda_max of each pencil over a sweep of trim rotation angles."""
-    angles, results = _trimmed_sweep(cfg)
+    angles, results = _trimmed_sweep(
+        cfg, lambda A, B: _dense_eigenvalues(A, B, A.shape[0] - 1))
     csv = _write_csv(cfg, 'trimmed_sweep.csv',
                      'angle,n_active,label,lambda_max,spd',
                      [(angle, n, label, vals[-1], 1)

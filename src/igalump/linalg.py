@@ -192,25 +192,25 @@ def dense_generalized_eig(A, B):
     back-transforms, so the returned eigenvectors are B-orthonormal and the
     eigenvalues ascend. Intended as an oracle; refuses n > DENSE_CAP.
     """
-    A = _to_dense(A)
-    B = _to_dense(B)
-    n = A.shape[0]
+    return _dense_eigh(A, B)
+
+
+def _dense_eigenvalues(A, B, i=None):
+    """Ascending eigenvalues of A u = lambda B u without eigenvectors: all
+    of them, or the i-th alone; refuses n > DENSE_CAP."""
+    return _dense_eigh(A, B, eigvals_only=True,
+                       subset_by_index=None if i is None else [i, i])
+
+
+def _dense_eigh(A, B, **opts):
+    """scipy.linalg.eigh(A, B, **opts) below DENSE_CAP, with a failed
+    Cholesky of B reported as a ValueError."""
+    n = np.shape(A)[0]
     if n > DENSE_CAP:
         raise ValueError('problem of size %d too large for the dense oracle'
                          % n)
     try:
-        w, V = sla.eigh(A, B)
-    except np.linalg.LinAlgError:
-        raise ValueError('mass-side matrix is not positive definite')
-    return w, V
-
-
-def _dense_eigenvalue(A, B, i):
-    """The i-th ascending eigenvalue of A u = lambda B u, computed alone
-    (no other eigenvalue, no eigenvector); the caller keeps n <= DENSE_CAP."""
-    try:
-        return float(sla.eigh(_to_dense(A), _to_dense(B), eigvals_only=True,
-                              subset_by_index=[i, i])[0])
+        return sla.eigh(_to_dense(A), _to_dense(B), **opts)
     except np.linalg.LinAlgError:
         raise ValueError('mass-side matrix is not positive definite')
 

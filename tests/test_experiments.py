@@ -6,8 +6,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import igalump.experiments as experiments
+from igalump.assembly import jacobi_rescale
 from igalump.experiments import (_KEYS, RUNNERS, ConfigError,
                                  ExperimentConfig, _assemble,
+                                 _assemble_trimmed_at,
                                  _extreme_eigenvalue, _located,
                                  _mass_variant, _spectrum_rows, _top_pairs,
                                  _write_csv, apply_overrides, parse_config,
@@ -400,6 +403,43 @@ def test_trimmed_sweep_threads_do_not_change_output(tmp_path):
     out1 = [open(f, 'rb').read() for f in run_trimmed_sweep(cfg1)]
     out2 = [open(f, 'rb').read() for f in run_trimmed_sweep(cfg2)]
     assert out1 == out2
+
+
+SWEEP = 'nangles = 2\nsubdivisions = 6\np = 2\npencils = M P1 P2 rowsum\n'
+
+
+def test_trimmed_sweep_lambda_max_matches_full_spectra(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, (
+        'kind = trimmed-sweep\n%sout = %s\n' % (SWEEP, tmp_path / 'trim')),
+        'trim.cfg'))
+    rows = np.genfromtxt(run_trimmed_sweep(cfg)[0], delimiter=',',
+                         names=True, dtype=None, encoding='utf-8')
+    spec = parse_config(write_cfg(tmp_path, (
+        'kind = spectrum\ngeometry = rotated_square\n%sout = %s\n'
+        % (SWEEP, tmp_path / 'spec')), 'spec.cfg'))
+    per_angle = [f for f in run_spectrum(spec) if 'spectrum_ang' in f]
+    assert len(rows) == 2 * 4 and len(per_angle) == 2
+    for idx, angle in enumerate(sorted(set(rows['angle']))):
+        pair = _assemble_trimmed_at(cfg, angle)
+        spectra = dict(read_spectrum_csv(per_angle[idx]))
+        for row in rows[rows['angle'] == angle]:
+            Mvar = _mass_variant(cfg, pair, row['label'])
+            want = dense_generalized_eig(*jacobi_rescale(pair.K, Mvar))[0][-1]
+            assert row['lambda_max'] == pytest.approx(want, rel=1e-12, abs=0)
+            assert spectra[row['label']][-1] == pytest.approx(
+                want, rel=1e-12, abs=0)
+
+
+def test_trimmed_sweep_never_computes_a_full_spectrum(tmp_path, monkeypatch):
+    def full_spectrum(*args):
+        raise AssertionError('the sweep reports only lambda_max')
+
+    monkeypatch.setattr(experiments, 'dense_generalized_eig', full_spectrum)
+    cfg = parse_config(write_cfg(tmp_path, (
+        'kind = trimmed-sweep\n%sout = %s\n' % (SWEEP, tmp_path / 'trim'))))
+    rows = np.genfromtxt(run_trimmed_sweep(cfg)[0], delimiter=',',
+                         names=True, dtype=None, encoding='utf-8')
+    assert len(rows) == 2 * 4 and np.all(np.isfinite(rows['lambda_max']))
 
 
 # ----------------------------------------------------------- bandwidth report
