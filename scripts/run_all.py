@@ -5,7 +5,9 @@ Each study runs as `python -m igalump.cli` on the package in src/ next to
 this script, with no install needed. Each config sets its own out
 directory under results/ relative to the repository root, which is where
 the subprocesses run. Pass config names (without .cfg) to run a subset;
--n lists what would run. A config that does not parse exits 2 with its
+-n lists what would run. After each study it prints the wall time, the
+peak resident set of the study process (from os.wait4, in MB of 2^20
+bytes) and the exit code. A config that does not parse exits 2 with its
 config error.
 """
 
@@ -58,8 +60,13 @@ def main():
         if args.dry_run:
             continue
         t0 = time.perf_counter()
-        rc = subprocess.call(cmd, cwd=ROOT, env=env)
-        print('  %.1fs exit %d' % (time.perf_counter() - t0, rc), flush=True)
+        proc = subprocess.Popen(cmd, cwd=ROOT, env=env)
+        _pid, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = rc = os.waitstatus_to_exitcode(status)
+        # ru_maxrss is in KiB on Linux
+        print('  %.1fs peak RSS %.0f MB exit %d'
+              % (time.perf_counter() - t0, usage.ru_maxrss / 1024, rc),
+              flush=True)
         if rc != 0:
             sys.exit(rc)
 

@@ -409,20 +409,37 @@ def _top_pairs(cfg, K, Mvar, k, factor=None, tol=1e-3):
 
 
 def _extreme_eigenvalue(cfg, K, Mvar, which):
-    """Smallest or largest generalized eigenvalue, dense below the cap."""
+    """Smallest or largest generalized eigenvalue of (K, Mvar).
+
+    The largest: LAPACK below DENSE_CAP, Lanczos above. The smallest: eigsh
+    shift-inverted about 0 through K's banded Cholesky factor for n > 1
+    (ARPACK refuses n = 1, which LAPACK takes), with Mvar factored first
+    below the cap to refuse an indefinite mass. It must exceed 1e-8 max_i
+    K_ii / Mvar_ii, a Rayleigh quotient and so at most 1e-8 lambda_max,
+    which refuses the roundoff eigenvalue of a singular K.
+    """
     n = K.shape[0]
-    if n <= DENSE_CAP:
-        i = 0 if which == 'smallest' else n - 1
-        return float(_dense_eigenvalues(K, Mvar, i)[0])
-    if which == 'smallest':
-        # shift-invert about 0 through the banded Cholesky factor of K
+    if which == 'largest':
+        if n <= DENSE_CAP:
+            return float(_dense_eigenvalues(K, Mvar, n - 1)[0])
+        return float(_top_pairs(cfg, K, Mvar, 1, tol=1e-8).values[0])
+    if n == 1:
+        lam = float(_dense_eigenvalues(K, Mvar, 0)[0])
+    else:
+        if n <= DENSE_CAP:
+            _mass_factor(Mvar)
         K_inv = spla.LinearOperator((n, n), matvec=_mass_factor(K).solve,
                                     dtype=float)
-        vals = spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar), sigma=0.0,
-                          OPinv=K_inv, v0=np.full(n, n ** -0.5),
-                          return_eigenvectors=False)
-        return float(vals[0])
-    return float(_top_pairs(cfg, K, Mvar, 1, tol=1e-8).values[0])
+        lam = float(spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar), sigma=0.0,
+                               OPinv=K_inv, v0=np.full(n, n ** -0.5),
+                               return_eigenvectors=False)[0])
+    dK, dM = _as_csr(K).diagonal(), _as_csr(Mvar).diagonal()
+    ratio = np.divide(dK, dM, out=np.full(n, np.inf), where=dM != 0)
+    floor = 1e-8 * np.max(ratio, initial=0.0)
+    if not lam > floor:
+        raise ValueError('smallest eigenvalue %.3g is not positive '
+                         '(floor %.3g)' % (lam, floor))
+    return lam
 
 
 def _run_sweep(cfg, work, items):
@@ -536,9 +553,6 @@ def run_convergence(cfg):
         Mvar = _mass_variant(cfg, pair, label)
         with _located('%s, pencil %s' % (level, label)):
             lam = _extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest')
-            if not lam > 0:
-                raise ValueError('smallest eigenvalue %.3g is not positive'
-                                 % lam)
         return math.sqrt(lam)
 
     hs, errors = [], {label: [] for label in cfg.pencils}

@@ -337,6 +337,9 @@ def test_run_all_runs_a_study_without_an_install(tmp_path):
         [sys.executable, str(tmp_path / 'scripts' / 'run_all.py'),
          'bandwidth_cube'], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    # wall time, the study's peak resident set and its exit code
+    assert re.search(r'^  \d+\.\ds peak RSS \d+ MB exit 0$', proc.stdout,
+                     re.M), proc.stdout
     name = os.path.join('results', 'bandwidth_cube', 'bandwidth.csv')
     with open(os.path.join(root, name), 'rb') as f:
         assert (tmp_path / name).read_bytes() == f.read()

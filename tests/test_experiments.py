@@ -319,14 +319,68 @@ def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
 
 
 @pytest.mark.parametrize('label', ['M', 'P1', 'H2'])
-def test_dense_extreme_eigenvalue_matches_oracle(tmp_path, label):
+def test_dense_extreme_eigenvalue_matches_oracle(tmp_path, monkeypatch,
+                                                 label):
     cfg = square_cfg(tmp_path, 32)
     pair = _assemble(cfg)
     Mvar = _mass_variant(cfg, pair, label)
     w = dense_generalized_eig(pair.K, Mvar)[0]
-    for which, want in (('smallest', w[0]), ('largest', w[-1])):
-        got = _extreme_eigenvalue(cfg, pair.K, Mvar, which)
-        assert got == pytest.approx(want, rel=1e-12, abs=0), which
+    got = _extreme_eigenvalue(cfg, pair.K, Mvar, 'largest')
+    assert got == pytest.approx(w[-1], rel=1e-12, abs=0)
+
+    # the smallest is shift-inverted below the cap too
+    def no_dense(*args, **kwargs):
+        raise AssertionError('dense eigensolve was called')
+
+    monkeypatch.setattr(experiments, '_dense_eigenvalues', no_dense)
+    got = _extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest')
+    assert got == pytest.approx(w[0], rel=1e-12, abs=0)
+
+
+def test_smallest_eigenvalue_of_one_dof(tmp_path):
+    # ARPACK refuses k >= n, so n = 1 goes to LAPACK
+    cfg = parse_config(write_cfg(tmp_path, (
+        'kind = convergence\ngeometry = unit_square\np = 2\nlevels = 3\n'
+        'subdivisions = 1\npencils = M\n')))
+    pair = _assemble(cfg)
+    K, M = pair.K.mat.toarray(), pair.M.mat.toarray()
+    assert K.shape == (1, 1)
+    got = _extreme_eigenvalue(cfg, pair.K, pair.M, 'smallest')
+    assert got == pytest.approx(K[0, 0] / M[0, 0], rel=1e-14, abs=0)
+
+
+def test_smallest_eigenvalue_refuses_an_indefinite_mass_below_the_cap(
+        tmp_path):
+    cfg = square_cfg(tmp_path, 8)
+    pair = _assemble(cfg)
+    with pytest.raises(ValueError, match='not positive definite'):
+        _extreme_eigenvalue(cfg, pair.K, -pair.M.mat, 'smallest')
+
+
+def nquad_square(tmp_path, nquad):
+    cfg = parse_config(write_cfg(tmp_path, (
+        'kind = convergence\ngeometry = unit_square\np = 2\nlevels = 3\n'
+        'subdivisions = 64\nnquad = %d\npencils = M\n' % nquad)))
+    pair = _assemble(cfg)
+    assert pair.K.shape[0] == 4096 > experiments.DENSE_CAP
+    return cfg, pair
+
+
+def test_smallest_eigenvalue_refuses_a_singular_stiffness(tmp_path):
+    # one-point quadrature leaves K zero-energy modes; its banded Cholesky
+    # passes on roundoff pivots and shift-invert returns a roundoff value
+    cfg, pair = nquad_square(tmp_path, 1)
+    with pytest.raises(ValueError, match='is not positive'):
+        _extreme_eigenvalue(cfg, pair.K, pair.M, 'smallest')
+
+
+def test_smallest_eigenvalue_refuses_a_zero_mass_diagonal(tmp_path):
+    cfg, pair = nquad_square(tmp_path, 3)
+    keep = sp.diags(np.r_[0.0, np.ones(pair.K.shape[0] - 1)])
+    Mvar = (keep @ _mass_variant(cfg, pair, 'P1').mat @ keep).tocsr()
+    with np.errstate(all='raise'):
+        with pytest.raises(ValueError, match=r'not positive \(floor inf\)'):
+            _extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest')
 
 
 # ------------------------------------------------------------------ simulate
