@@ -13,8 +13,8 @@ values and the pullback of one space on one patch for load vectors and L2
 errors, and lives only as long as its caller keeps it. The assembly
 integrates any set of whole or cut elements (a whole element is one
 subcell with no region test) in consecutive slices of at most _POINTS
-quadrature points, its one memory bound, through one batched kernel that
-contracts per-element tables one direction at a time (sum factorization).
+quadrature points, its one memory bound. One batched kernel contracts
+pair tables one direction at a time (sum factorization, _tensor_apply).
 """
 
 import itertools
@@ -145,15 +145,10 @@ def _element_kernel(vals, ders, c, G):
 
 def _sum_factorize(c, X, Y):
     """sum_q c[e, q] prod_l X[l][e, a_l, q_l] Y[l][e, b_l, q_l], shaped
-    (E, nloc, nloc), contracting one direction at a time."""
+    (E, nloc, nloc), contracting the pair tables X[l] (x) Y[l] in turn."""
     E, d = len(c), len(X)
-    T = c
-    for Xl, Yl in zip(X, Y):
-        # T is (E, q_l, ..., q_d, pairs of the contracted directions)
-        (_, a, nq), b = Xl.shape, Yl.shape[1]
-        W = (Xl[:, :, None, :] * Yl[:, None, :, :]).reshape(len(Xl), a * b, nq)
-        T = T.reshape(E, nq, int(np.prod(T.shape[1:])) // nq)
-        T = np.moveaxis(W @ T, 1, -1)
+    T = _tensor_apply(c, [(Xl[:, :, None] * Yl[:, None]).reshape(
+        E, -1, Xl.shape[2]) for Xl, Yl in zip(X, Y)])
     sizes = [s for Xl, Yl in zip(X, Y) for s in (Xl.shape[1], Yl.shape[1])]
     T = T.reshape([E] + sizes).transpose(
         [0] + list(range(1, 2 * d, 2)) + list(range(2, 2 * d + 1, 2)))
@@ -223,13 +218,11 @@ def _weighted_pullback(patch, rho, kappa, region, nsub, pts, wts, centers):
     return c, G
 
 
-def _system_matrices(space, els, Mloc, Kloc, full_to_sys, n):
-    """CSR mass and stiffness over n system dofs from local matrices.
-
-    els (E, d) holds the multi-indices of the elements; full_to_sys maps
-    full tensor indices to system dofs, -1 dropping a dof. Triplets follow
-    the element order, so duplicates sum in that order.
-    """
+def _system_matrices(space, els, Mloc, Kloc):
+    """CSR mass and stiffness over the free dofs of space from the local
+    matrices of the elements with multi-indices els (E, d). Triplets follow
+    the element order, so duplicates sum in that order."""
+    to_free, n = space.full_to_free(), space.num_free
     dofs = np.zeros((len(els), 1), dtype=np.int64)
     for l, (kv, r) in enumerate(zip(space.kvs, _strides(space.dims))):
         first = kv.find_span(kv.span_bounds()[0]) - kv.p
@@ -237,7 +230,7 @@ def _system_matrices(space, els, Mloc, Kloc, full_to_sys, n):
         dofs = (dofs[:, :, None] + d1[:, None, :]).reshape(len(els), -1)
     # the CSR merge wants 32-bit indices wherever they fit: cast once here,
     # not once per matrix inside the merge, so fewer triplet copies coexist
-    dofs = full_to_sys[dofs].astype(np.int32 if n < 2 ** 31 else np.int64)
+    dofs = to_free[dofs].astype(np.int32 if n < 2 ** 31 else np.int64)
     keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
     # with no dof dropped the local matrices enter the merge as flat views,
     # not as copies, and the heap holds no second copy of each
@@ -253,8 +246,8 @@ def assemble_single_patch(space, patch, rho, kappa, nquad=None):
     """Mass and stiffness of one patch, canonical element order."""
     els = np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
     Mloc, Kloc = _element_matrices(space, patch, rho, kappa, els, nquad)
-    M, K = (_tagged(space, A) for A in _system_matrices(
-        space, els, Mloc, Kloc, space.full_to_free(), space.num_free))
+    M, K = (_tagged(space, A)
+            for A in _system_matrices(space, els, Mloc, Kloc))
     return AssembledPair(K, M, [(M, None)])
 
 
@@ -309,8 +302,7 @@ def assemble_trimmed(space, patch, region, rho, kappa, subdepth=3, nquad=None):
     for sel, *rule in ((~cut,), (cut, region, 2 ** subdepth)):
         Mloc[sel], Kloc[sel] = _element_matrices(space, patch, rho, kappa,
                                                  els[sel], nquad, *rule)
-    M, K = _system_matrices(space, els, Mloc, Kloc, space.full_to_free(),
-                            space.num_free)
+    M, K = _system_matrices(space, els, Mloc, Kloc)
     diag = M.diagonal()
     active = diag > 1e-12 * np.max(diag, initial=0.0)
     n = int(active.sum())
@@ -332,7 +324,7 @@ def load_vector(grid, g):
     """
     density = np.asarray(g(*grid.coords), dtype=float) * grid.adet
     density = density * grid.weights()
-    full = _tensor_apply(density, [V[None] for V in grid.vals]).ravel()
+    full = _tensor_apply(density[None], [V[None] for V in grid.vals]).ravel()
     return full[grid.space.free_to_full()]
 
 

@@ -98,7 +98,7 @@ def l2_error(grid, coeffs, exact, t=None):
     space = grid.space
     full = np.zeros(space.numdofs)
     full[space.free_to_full()] = np.asarray(coeffs, dtype=float)
-    uh = _tensor_apply(full.reshape(space.dims),
+    uh = _tensor_apply(full.reshape(space.dims)[None],
                        [V.T[None] for V in grid.vals])[0]
     return l2_norm(grid, lambda *args: uh - exact(*args), t)
 

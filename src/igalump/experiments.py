@@ -423,6 +423,11 @@ def _extreme_eigenvalue(cfg, K, Mvar, which):
         if n <= DENSE_CAP:
             return float(_dense_eigenvalues(K, Mvar, n - 1)[0])
         return float(_top_pairs(cfg, K, Mvar, 1, tol=1e-8).values[0])
+    dK, dM = _as_csr(K).diagonal(), _as_csr(Mvar).diagonal()
+    j = int(np.argmin(dM))
+    if not dM[j] > 0:
+        raise ValueError('mass-side matrix is not positive definite: '
+                         'diagonal entry %d is %.3g' % (j, dM[j]))
     if n == 1:
         lam = float(_dense_eigenvalues(K, Mvar, 0)[0])
     else:
@@ -433,9 +438,7 @@ def _extreme_eigenvalue(cfg, K, Mvar, which):
         lam = float(spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar), sigma=0.0,
                                OPinv=K_inv, v0=np.full(n, n ** -0.5),
                                return_eigenvectors=False)[0])
-    dK, dM = _as_csr(K).diagonal(), _as_csr(Mvar).diagonal()
-    ratio = np.divide(dK, dM, out=np.full(n, np.inf), where=dM != 0)
-    floor = 1e-8 * np.max(ratio, initial=0.0)
+    floor = 1e-8 * np.max(dK / dM)
     if not lam > floor:
         raise ValueError('smallest eigenvalue %.3g is not positive '
                          '(floor %.3g)' % (lam, floor))
@@ -545,7 +548,8 @@ def run_spectrum(cfg):
 
 
 def run_convergence(cfg):
-    """Smallest-frequency error under mesh refinement, one curve per pencil."""
+    """Smallest-frequency error under mesh refinement, one curve per pencil,
+    against the consistent mass one level finer than the finest."""
     patches, _ifaces = catalog(cfg.geometry, **cfg.geometry_params)
     base = _broadcast_subs(cfg, patches[0].ndim)
 
@@ -556,7 +560,7 @@ def run_convergence(cfg):
         return math.sqrt(lam)
 
     hs, errors = [], {label: [] for label in cfg.pencils}
-    ref_subs = tuple(n * 2 ** (cfg.levels + 1) for n in base)
+    ref_subs = tuple(n * 2 ** cfg.levels for n in base)
     omega_ref = omega1(_assemble(cfg, ref_subs), 'M',
                        'reference level, subdivisions %s' % (ref_subs,))
     for level in range(cfg.levels):

@@ -80,11 +80,11 @@ class Patch:
             _, Vl, Dl = _dense_tables(kv, x.ravel())
             V.append(Vl.T.reshape(x.shape + (-1,)))
             D.append(Dl.T.reshape(x.shape + (-1,)))
-        T = _tensor_apply(H, V)
+        T = _tensor_apply(H[None], V)
         F = T[..., :-1] / T[..., -1:]
         cols = []
         for l in range(len(V)):
-            G = _tensor_apply(H, V[:l] + [D[l]] + V[l + 1:])
+            G = _tensor_apply(H[None], V[:l] + [D[l]] + V[l + 1:])
             cols.append((G[..., :-1] - F * G[..., -1:]) / T[..., -1:])
         J = np.stack(cols, axis=-1)
         detJ = np.linalg.det(J)
@@ -93,16 +93,14 @@ class Patch:
         return F, J, detJ
 
 
-def _tensor_apply(H, mats):
-    # contract the leading axes of H with mats[l], shape (E, n_l, m_l), one
-    # direction at a time, into shape (E, n_1, ..., n_d) + trailing axes
-    E = len(mats[0])
-    T = np.broadcast_to(H, (E,) + H.shape)
+def _tensor_apply(T, mats):
+    # contract axes 1..d of T, batch axis 0 of length E or 1, with mats[l]
+    # of shape (E, n_l, m_l) in turn, into (E, n_1, ..., n_d) + trailing axes
     for l, M in enumerate(mats):
         T = np.moveaxis(T, l + 1, 1)
         rest = T.shape[2:]
-        T = M @ T.reshape(E, M.shape[2], -1)
-        T = np.moveaxis(T.reshape((E, M.shape[1]) + rest), 1, l + 1)
+        T = M @ T.reshape(len(T), M.shape[2], -1)
+        T = np.moveaxis(T.reshape((len(T), M.shape[1]) + rest), 1, l + 1)
     return T
 
 

@@ -117,40 +117,26 @@ def _scatter(mats, maps, n):
                 np.concatenate(vals), n)
 
 
-def _lumped_cols(rows, cols, dims, i=None, level=None):
-    """Columns the entries (rows, cols) of a tensor matrix move to.
-
-    With i, entries whose top-level blocks lie i or more apart move into
-    the diagonal block of their row; with level, the per-level move is
-    applied down that many levels. Exactly one of the two must be given.
-    """
-    if (i is None) == (level is None):
-        raise ValueError('pass exactly one of i or level')
-    strides = _strides(dims)
-    if i is not None:
-        if not 1 <= i <= dims[0]:
-            raise ValueError('band index out of range')
-        r1 = strides[0]
-        bi, bj = rows // r1, cols // r1
-        return np.where(np.abs(bi - bj) < i, cols, bi * r1 + cols % r1)
-    if not 1 <= level <= len(dims):
-        raise ValueError('level out of range')
-    for s in strides[:level]:
-        cols = (rows // s) * s + cols % s
-    return cols
-
-
-def _lumped(B, i=None, level=None):
-    """B with its entries moved by _lumped_cols, tagged with the bandwidths
-    the move leaves."""
+def _lumped(B, i, depth):
+    """B block-lumped at each of its first depth levels, tagged with the
+    bandwidths that leaves: at stride s, an entry whose level blocks lie
+    i_l or more apart (i_1 = i, i_l = 1 below) moves into the diagonal
+    block of its row."""
     if not isinstance(B, HierBandedMatrix):
         raise ValueError('lumping by blocks needs a HierBandedMatrix, got %s'
                          % type(B).__name__)
+    if not 1 <= i <= B.dims[0]:
+        raise ValueError('band index out of range')
+    if not 1 <= depth <= len(B.dims):
+        raise ValueError('level out of range')
     coo = B.mat.tocoo()
-    cols = _lumped_cols(coo.row, coo.col, B.dims, i, level)
-    bandwidths = ((min(i - 1, B.bandwidths[0]),) + B.bandwidths[1:]
-                  if i is not None else (0,) * level + B.bandwidths[level:])
-    return HierBandedMatrix(_csr(coo.row, cols, coo.data, B.shape[0]),
+    rows, cols = coo.row, coo.col
+    for il, s in zip([i] + [1] * (depth - 1), _strides(B.dims)):
+        cols = np.where(np.abs(rows // s - cols // s) < il, cols,
+                        (rows // s) * s + cols % s)
+    bandwidths = ((min(i - 1, B.bandwidths[0]),) + (0,) * (depth - 1)
+                  + B.bandwidths[depth:])
+    return HierBandedMatrix(_csr(rows, cols, coo.data, B.shape[0]),
                             B.dims, bandwidths)
 
 
@@ -163,7 +149,7 @@ def block_lumped_family(B, i):
     block sums stay positive definite. The family decreases monotonically
     in the Loewner order as i grows.
     """
-    return _lumped(B, i=i)
+    return _lumped(B, i, 1)
 
 
 def hierarchical_lump(B, k):
@@ -176,7 +162,7 @@ def hierarchical_lump(B, k):
     at every level above the deepest are positive semidefinite; the step to
     full depth d also needs nonnegative entries, which mass matrices have.
     """
-    return _lumped(B, level=k)
+    return _lumped(B, 1, k)
 
 
 def lump_pieces(pieces, n, i=None, level=None):
@@ -189,6 +175,8 @@ def lump_pieces(pieces, n, i=None, level=None):
     piece padded with zeros lumps to a principal submatrix of its lumped
     padded matrix, which keeps its definiteness.
     """
+    if (i is None) == (level is None):
+        raise ValueError('pass exactly one of i or level')
     lumped = [hierarchical_lump(B, level) if i is None
               else block_lumped_family(B, i) for B, _ in pieces]
     maps = [to_sys for _, to_sys in pieces]

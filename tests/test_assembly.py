@@ -582,6 +582,25 @@ def test_element_matrices_take_any_element_set(kw):
         assert got.tobytes() == want[::3].tobytes()
 
 
+@pytest.mark.parametrize('a, b, q', [((2, 4), (3, 1), (5, 2)),
+                                     ((3, 1, 2), (2, 4, 3), (2, 3, 4))],
+                         ids=['d2', 'd3'])
+def test_sum_factorize_matches_einsum(a, b, q):
+    # row and column sizes differ, which a swapped pair axis would not pass
+    rng = np.random.default_rng(8)
+    E, d = 3, len(q)
+    X = [rng.random((E, n, m)) for n, m in zip(a, q)]
+    Y = [rng.random((E, n, m)) for n, m in zip(b, q)]
+    c = rng.random((E,) + q)
+    qs, As, Bs = 'uvw'[:d], 'abc'[:d], 'ijk'[:d]
+    spec = ','.join(['z' + qs] + ['z' + x + y
+                                  for x, y in zip(As + Bs, 2 * qs)])
+    want = np.einsum(spec + '->z' + As + Bs, c, *X, *Y)
+    got = igalump.assembly._sum_factorize(c, X, Y)
+    np.testing.assert_allclose(got, want.reshape(E, np.prod(a), np.prod(b)),
+                               rtol=1e-13)
+
+
 def test_point_slices_leave_assembly_unchanged(monkeypatch):
     space, patch = _odd_plate_space(), plate_quarter_hole()
     rho = lambda x, y: 1.0 + 0.1 * x * y

@@ -169,7 +169,7 @@ def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
     # one-point quadrature leaves the p = 2 mass singular or indefinite
     ('convergence', 'subdivisions = 2\np = 2\nnquad = 1\nlevels = 3\n'
      'pencils = P1 M\n', ('numerical failure: reference level, subdivisions '
-                          '(32, 32), pencil M: smallest eigenvalue',
+                          '(16, 16), pencil M: smallest eigenvalue',
                           'is not positive')),
     ('spectrum', 'geometry = unit_square\nsubdivisions = 4\np = 2\n'
      'nquad = 1\n', ('numerical failure: pencil M: mass-side matrix is not '

@@ -126,6 +126,24 @@ def test_bandwidth_formula():
     assert H1.measured_bandwidth() <= 3
 
 
+def _block_sums(A, r):
+    """Each r x r block row of the dense A summed onto its diagonal block."""
+    out = np.zeros_like(A)
+    for k in range(0, len(A), r):
+        out[k:k + r, k:k + r] = A[k:k + r].reshape(r, -1, r).sum(axis=1)
+    return out
+
+
+def test_hier_level2_is_block_sums_of_level1():
+    B = random_structured_spd((3, 4, 3), (2, 2, 1), np.random.default_rng(13))
+    A = B.toarray()
+    H2 = hierarchical_lump(B, 2)
+    want = _block_sums(_block_sums(A, 12), 3)
+    np.testing.assert_allclose(H2.toarray(), want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(A)))
+    assert H2.bandwidths == (0, 0, 1)
+
+
 def test_hier_level_out_of_range():
     B = random_structured_spd((3, 3), (1, 1), np.random.default_rng(3))
     with pytest.raises(ValueError):
@@ -264,6 +282,14 @@ def test_rowsum_never_worsens_cfl():
 
 
 # ------------------------------------------------------------------ multipatch
+
+@pytest.mark.parametrize('kw', [{}, {'i': 1, 'level': 1}],
+                         ids=['neither', 'both'])
+def test_lump_pieces_takes_exactly_one_of_i_or_level(kw):
+    pair = mass_pair(4, 2)
+    with pytest.raises(ValueError, match='pass exactly one of i or level'):
+        lump_pieces(pair.pieces, pair.M.shape[0], **kw)
+
 
 def test_multipatch_single_patch_reduces():
     pair = mass_pair(5, 2)
