@@ -2,19 +2,33 @@
 """Run every study config in scripts/configs through the command line.
 
 Each study runs as `python -m igalump.cli` on the package in src/ next to
-this script, with no install needed. Each config sets its own out
-directory under results/ relative to the repository root, which is where
-the subprocesses run. Pass config names (without .cfg) to run a subset;
--n lists what would run. After each study it prints the wall time, the
-peak resident set of the study process (from os.wait4, in MB of 2^20
-bytes) and the exit code. A config that does not parse exits 2 with its
-config error.
+this script, with no install needed, or on the src tree that --src names.
+Each config sets its own out directory under results/ relative to the
+repository root, which is where the subprocesses run. Pass config names
+(without .cfg) to run a subset; -n lists what would run. After each study
+it prints the wall time, the peak resident set of the study process (from
+os.wait4, in MB of 2^20 bytes) and the exit code. A config that does not
+parse exits 2 with its config error.
+
+--bench FILE sends each study's output to a temporary directory instead,
+so results/ is left as it is, and writes FILE as JSON: per study its
+wall_s, peak_rss_mb and exit, plus the Python, numpy and scipy versions,
+the BLAS library and the BLAS thread count (OPENBLAS_NUM_THREADS, or the
+usable cores when it is unset). To time an old commit, export its tree
+(`git archive <commit> | tar -x -C DIR`) and pass its src:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/run_all.py --bench BENCH_<n>.json \
+        --src DIR/src
 """
 
 import argparse
+import contextlib
+import json
 import os
+import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -23,17 +37,37 @@ CONFIGS = ROOT / 'scripts' / 'configs'
 SRC = str(ROOT / 'src')
 
 
-def main():
-    sys.path.insert(0, SRC)
-    from igalump.experiments import ConfigError, parse_config
+def _platform():
+    import numpy
+    import scipy
+    blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']
+    threads = os.environ.get('OPENBLAS_NUM_THREADS')
+    return {'python': platform.python_version(),
+            'numpy': numpy.__version__, 'scipy': scipy.__version__,
+            'blas': '%s %s' % (blas.get('name'), blas.get('version')),
+            'blas_threads': (int(threads) if threads
+                             else len(os.sched_getaffinity(0)))}
 
+
+def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument('names', nargs='*', help='config names, default all')
     ap.add_argument('-n', '--dry-run', action='store_true',
                     help='print the commands without running')
     ap.add_argument('--seed', type=int, default=None,
                     help='override the seed of every run')
+    ap.add_argument('--bench', metavar='FILE',
+                    help='write timings to FILE, outputs to a temp dir')
+    ap.add_argument('--src', default=SRC, metavar='DIR',
+                    help='the igalump source tree to run (default: %s)'
+                    % os.path.relpath(SRC, ROOT))
     args = ap.parse_args()
+
+    src = os.path.abspath(args.src)
+    if not os.path.isdir(os.path.join(src, 'igalump')):
+        sys.exit('no igalump package in %s' % src)
+    sys.path.insert(0, src)
+    from igalump.experiments import ConfigError, parse_config
 
     cfgs = sorted(CONFIGS.glob('*.cfg'))
     if args.names:
@@ -45,30 +79,44 @@ def main():
 
     inherited = os.environ.get('PYTHONPATH')
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + ([inherited] if inherited else [])))
-    for cfg in cfgs:
-        try:
-            kind = parse_config(str(cfg)).kind
-        except ConfigError as exc:
-            print('config error: %s' % exc, file=sys.stderr)
-            sys.exit(2)
-        cmd = [sys.executable, '-m', 'igalump.cli', kind, '--config',
-               str(cfg.relative_to(ROOT))]
-        if args.seed is not None:
-            cmd += ['--seed', str(args.seed)]
-        print('+', ' '.join(cmd), flush=True)
-        if args.dry_run:
-            continue
-        t0 = time.perf_counter()
-        proc = subprocess.Popen(cmd, cwd=ROOT, env=env)
-        _pid, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = rc = os.waitstatus_to_exitcode(status)
-        # ru_maxrss is in KiB on Linux
-        print('  %.1fs peak RSS %.0f MB exit %d'
-              % (time.perf_counter() - t0, usage.ru_maxrss / 1024, rc),
-              flush=True)
-        if rc != 0:
-            sys.exit(rc)
+        [src] + ([inherited] if inherited else [])))
+    studies = {}
+    rc = 0
+    with (tempfile.TemporaryDirectory(prefix='igalump-bench-')
+          if args.bench else contextlib.nullcontext()) as tmp:
+        for cfg in cfgs:
+            try:
+                kind = parse_config(str(cfg)).kind
+            except ConfigError as exc:
+                print('config error: %s' % exc, file=sys.stderr)
+                sys.exit(2)
+            cmd = [sys.executable, '-m', 'igalump.cli', kind, '--config',
+                   str(cfg.relative_to(ROOT))]
+            if args.seed is not None:
+                cmd += ['--seed', str(args.seed)]
+            if tmp is not None:
+                cmd += ['--out', os.path.join(tmp, cfg.stem)]
+            print('+', ' '.join(cmd), flush=True)
+            if args.dry_run:
+                continue
+            t0 = time.perf_counter()
+            proc = subprocess.Popen(cmd, cwd=ROOT, env=env)
+            _pid, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = rc = os.waitstatus_to_exitcode(status)
+            wall = time.perf_counter() - t0
+            rss = usage.ru_maxrss / 1024    # ru_maxrss is in KiB on Linux
+            studies[cfg.stem] = {'wall_s': round(wall, 3),
+                                 'peak_rss_mb': round(rss, 1), 'exit': rc}
+            print('  %.1fs peak RSS %.0f MB exit %d' % (wall, rss, rc),
+                  flush=True)
+            if rc != 0:
+                break
+    if args.bench and not args.dry_run:
+        with open(args.bench, 'w') as f:
+            json.dump(dict(_platform(), studies=studies), f, indent=1)
+            f.write('\n')
+    if rc != 0:
+        sys.exit(rc)
 
 
 if __name__ == '__main__':

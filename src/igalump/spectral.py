@@ -3,7 +3,11 @@
 The eigensolver is a generalized Lanczos iteration working in the inner
 product of the SPD mass side: one stiffness apply and one mass solve per
 step, full reorthogonalization against the stored basis, thick restart
-keeping the leading Ritz vectors. Deflation then shaves the top r
+keeping the leading Ritz vectors. Reorthogonalization is one classical
+Gram-Schmidt pass, and a second only when the first cancelled more than
+half the B-norm^2 of the new vector (Daniel, Gragg, Kaufman and Stewart,
+"twice is enough"); the basis is stored column-major, so each pass reads
+two contiguous blocks. Deflation then shaves the top r
 eigenvalues down to lambda_cut by a rank-r update of either the stiffness
 or the mass, leaving eigenvectors and all other eigenvalues untouched.
 """
@@ -64,25 +68,33 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
     k = min(config.k, n)
     m = min(max(config.m, k + 1), n)
 
-    V = np.empty((n, m))
-    AV = np.empty((n, m))
-    BV = np.empty((n, m))
-    Y = np.empty((n, k))    # Ritz vectors, returned at the end
+    # column-major, so every column and every [:, :cnt] block is contiguous
+    V = np.empty((n, m), order='F')
+    AV = np.empty((n, m), order='F')
+    BV = np.empty((n, m), order='F')
+    Y = np.empty((n, k), order='F')     # Ritz vectors, returned at the end
     n_iter = 0
     n_matvec = 0
     b_scale = None  # B-norm^2 of a typical random vector, set on first append
 
     def append(w, cnt):
         """Column cnt of V, BV and AV from w made B-orthonormal to columns
-        :cnt. On breakdown a fresh random vector takes the place of w.
-        Returns the B-norm of w, or None if w was replaced."""
+        :cnt. A second Gram-Schmidt pass runs only if the first cut the
+        B-norm^2 of w below half its old value ("twice is enough"). On
+        breakdown a fresh random vector takes the place of w. Returns the
+        B-norm of w, or None if w was replaced."""
         nonlocal b_scale, n_matvec
         replaced = False
         while True:
             for _ in range(2):
-                w = w - V[:, :cnt] @ (BV[:, :cnt].T @ w)
-            bw = B_apply(w)
-            norm2 = w @ bw
+                h = BV[:, :cnt].T @ w
+                w = w - V[:, :cnt] @ h
+                bw = B_apply(w)
+                norm2 = w @ bw
+                # the pass took h @ h off the B-norm^2 of w; a second pass
+                # only if that was more than half, i.e. more than is left
+                if norm2 >= h @ h:
+                    break
             if b_scale is None:
                 b_scale = norm2
             if norm2 > 1e-24 * b_scale:

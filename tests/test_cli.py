@@ -326,22 +326,46 @@ def test_generated_configs_keep_the_exit_contract(generated):
                              r'angle |pencil )', err), (lines, err)
 
 
-def test_run_all_runs_a_study_without_an_install(tmp_path):
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run_all_bare(tmp_path, *args):
     # a bare copy of scripts/ and src/, with no igalump on any import path
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for name in ('scripts', 'src'):
-        shutil.copytree(os.path.join(root, name), tmp_path / name,
+        shutil.copytree(os.path.join(ROOT, name), tmp_path / name,
                         ignore=shutil.ignore_patterns('__pycache__'))
     env = {k: v for k, v in os.environ.items() if k != 'PYTHONPATH'}
     proc = subprocess.run(
-        [sys.executable, str(tmp_path / 'scripts' / 'run_all.py'),
-         'bandwidth_cube'], env=env, capture_output=True, text=True)
+        [sys.executable, str(tmp_path / 'scripts' / 'run_all.py')]
+        + list(args), env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_run_all_bench_records_without_touching_results(tmp_path):
+    bench = tmp_path / 'bench.json'
+    _run_all_bare(tmp_path, '--bench', str(bench), 'bandwidth_cube')
+    with open(bench) as f:
+        record = json.load(f)
+    assert set(record) == {'python', 'numpy', 'scipy', 'blas',
+                           'blas_threads', 'studies'}
+    assert record['blas_threads'] >= 1
+    study = record['studies']['bandwidth_cube']
+    assert set(record['studies']) == {'bandwidth_cube'}
+    assert set(study) == {'wall_s', 'peak_rss_mb', 'exit'}
+    assert study['exit'] == 0 and study['wall_s'] > 0
+    assert study['peak_rss_mb'] > 0
+    # the study wrote to a temporary directory, not under results/
+    assert not (tmp_path / 'results').exists()
+
+
+def test_run_all_runs_a_study_without_an_install(tmp_path):
+    proc = _run_all_bare(tmp_path, 'bandwidth_cube')
     # wall time, the study's peak resident set and its exit code
     assert re.search(r'^  \d+\.\ds peak RSS \d+ MB exit 0$', proc.stdout,
                      re.M), proc.stdout
     name = os.path.join('results', 'bandwidth_cube', 'bandwidth.csv')
-    with open(os.path.join(root, name), 'rb') as f:
+    with open(os.path.join(ROOT, name), 'rb') as f:
         assert (tmp_path / name).read_bytes() == f.read()
 
 
