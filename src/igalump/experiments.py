@@ -394,13 +394,10 @@ def _mass_variant(cfg, pair, label):
 
 # ------------------------------------------------------------ eigensolves
 
-def _top_pairs(cfg, K, Mvar, k, factor=None, tol=1e-3):
-    """Converged top k pairs of (K, Mvar)."""
+def _top_pairs(cfg, K, Mvar, k, factor):
+    """Converged top k pairs of (K, Mvar), with factor Mvar's Cholesky."""
     n = K.shape[0]
-    if factor is None:
-        factor = _mass_factor(Mvar)
-    res = lanczos(n, K, factor, Mvar, LanczosConfig(k=k, tol=tol),
-                  seed=cfg.seed)
+    res = lanczos(n, K, factor, Mvar, LanczosConfig(k=k), seed=cfg.seed)
     if not np.all(res.converged):
         raise ValueError('eigensolver failed to converge (n = %d, k = %d, '
                          'worst relative residual %.3g)'
@@ -408,38 +405,38 @@ def _top_pairs(cfg, K, Mvar, k, factor=None, tol=1e-3):
     return res
 
 
-def _extreme_eigenvalue(cfg, K, Mvar, which):
+def _extreme_eigenvalue(K, Mvar, which):
     """Smallest or largest generalized eigenvalue of (K, Mvar).
 
-    The largest: LAPACK below DENSE_CAP, Lanczos above. The smallest: eigsh
-    shift-inverted about 0 through K's banded Cholesky factor for n > 1
-    (ARPACK refuses n = 1, which LAPACK takes), with Mvar factored first
-    below the cap to refuse an indefinite mass. It must exceed 1e-8 max_i
-    K_ii / Mvar_ii, a Rayleigh quotient and so at most 1e-8 lambda_max,
-    which refuses the roundoff eigenvalue of a singular K.
+    A mass with a nonpositive diagonal entry is refused, naming it; at
+    n = 1 the answer is K_00 / Mvar_00. Above, Mvar's banded Cholesky
+    refuses an indefinite mass at every size, and one ARPACK call finds
+    the largest with that factor as Minv, or the smallest shift-inverted
+    about 0 through K's banded factor. The smallest must exceed 1e-8
+    max_i K_ii / Mvar_ii, a Rayleigh quotient and so at most 1e-8
+    lambda_max, which refuses the roundoff eigenvalue of a singular K.
     """
     n = K.shape[0]
-    if which == 'largest':
-        if n <= DENSE_CAP:
-            return float(_dense_eigenvalues(K, Mvar, n - 1)[0])
-        return float(_top_pairs(cfg, K, Mvar, 1, tol=1e-8).values[0])
     dK, dM = _as_csr(K).diagonal(), _as_csr(Mvar).diagonal()
     j = int(np.argmin(dM))
     if not dM[j] > 0:
         raise ValueError('mass-side matrix is not positive definite: '
                          'diagonal entry %d is %.3g' % (j, dM[j]))
     if n == 1:
-        lam = float(_dense_eigenvalues(K, Mvar, 0)[0])
+        lam = float(dK[0] / dM[0])
     else:
-        if n <= DENSE_CAP:
-            _mass_factor(Mvar)
-        K_inv = spla.LinearOperator((n, n), matvec=_mass_factor(K).solve,
-                                    dtype=float)
-        lam = float(spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar), sigma=0.0,
-                               OPinv=K_inv, v0=np.full(n, n ** -0.5),
-                               return_eigenvectors=False)[0])
+        solve = _mass_factor(Mvar).solve  # refuses an indefinite mass
+        if which == 'smallest':
+            del solve  # Mvar's band goes before K's is made
+            solve = _mass_factor(K).solve
+        inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+        opts = ({'which': 'LA', 'Minv': inv} if which == 'largest'
+                else {'sigma': 0.0, 'OPinv': inv})
+        lam = float(spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar),
+                               v0=np.full(n, n ** -0.5),
+                               return_eigenvectors=False, **opts)[0])
     floor = 1e-8 * np.max(dK / dM)
-    if not lam > floor:
+    if which == 'smallest' and not lam > floor:
         raise ValueError('smallest eigenvalue %.3g is not positive '
                          '(floor %.3g)' % (lam, floor))
     return lam
@@ -521,7 +518,8 @@ def run_spectrum(cfg):
         Mvar = _mass_variant(cfg, pair, label)
         with _located('pencil %s' % label):
             if cfg.k is not None:
-                vals = np.sort(_top_pairs(cfg, pair.K, Mvar, cfg.k).values)
+                vals = np.sort(_top_pairs(cfg, pair.K, Mvar, cfg.k,
+                                         _mass_factor(Mvar)).values)
             elif cfg.ranks and label == base:
                 vals, Ubase = dense_generalized_eig(pair.K, Mvar)
                 Mbase, w = Mvar, vals
@@ -556,7 +554,7 @@ def run_convergence(cfg):
     def omega1(pair, label, level):
         Mvar = _mass_variant(cfg, pair, label)
         with _located('%s, pencil %s' % (level, label)):
-            lam = _extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest')
+            lam = _extreme_eigenvalue(pair.K, Mvar, 'smallest')
         return math.sqrt(lam)
 
     hs, errors = [], {label: [] for label in cfg.pencils}
@@ -599,7 +597,7 @@ def run_simulate(cfg):
     with _located('pencil M'):
         prob = manufactured_wave_problem(space, patches[0], nquad=cfg.nquad)
         K = prob.pair.K
-        lam_M = _extreme_eigenvalue(cfg, K, prob.pair.M, 'largest')
+        lam_M = _extreme_eigenvalue(K, prob.pair.M, 'largest')
     dt_shared = cfg.safeguard * critical_timestep(lam_M)
 
     def error_table(traj):
@@ -620,7 +618,7 @@ def run_simulate(cfg):
         Mvar = _mass_variant(cfg, prob.pair, label)
         with _located('pencil %s' % label):
             lam = lam_M if label == 'M' else \
-                _extreme_eigenvalue(cfg, K, Mvar, 'largest')
+                _extreme_eigenvalue(K, Mvar, 'largest')
             factor = _mass_factor(Mvar)
             dt_own = cfg.safeguard * critical_timestep(lam)
             for tag, dt in (('shared', dt_shared), ('critical', dt_own)):

@@ -17,8 +17,8 @@ from igalump.experiments import (_KEYS, RUNNERS, ConfigError,
                                  run_bandwidth_report, run_convergence,
                                  run_deflate_ratio, run_simulate,
                                  run_spectrum, run_trimmed_sweep)
-from igalump.linalg import dense_generalized_eig
-from igalump.spectral import LanczosResult
+from igalump.linalg import _mass_factor, dense_generalized_eig
+from igalump.spectral import LanczosConfig, LanczosResult, lanczos
 from spectrum_csv import read_spectrum_csv
 
 
@@ -233,7 +233,8 @@ def test_unconverged_eigensolve_names_pencil_sizes_and_worst_residual(
                         lambda *args, **kwargs: res)
     K = sp.identity(50, format='csr')
     with pytest.raises(ValueError) as info, _located('pencil P1'):
-        _top_pairs(ExperimentConfig(kind='spectrum'), K, K, 3)
+        _top_pairs(ExperimentConfig(kind='spectrum'), K, K, 3,
+                   _mass_factor(K))
     msg = str(info.value)
     assert msg.startswith('pencil P1: eigensolver failed to converge ('), msg
     for part in ('pencil P1', 'n = 50', 'k = 3', 'residual 0.25'):
@@ -314,47 +315,67 @@ def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
     # eigsh looks splu up in its own module
     for module in (spla, sys.modules[spla.eigsh.__module__]):
         monkeypatch.setattr(module, 'splu', no_superlu)
-    got = _extreme_eigenvalue(cfg, pair.K, pair.M, 'smallest')
+    got = _extreme_eigenvalue(pair.K, pair.M, 'smallest')
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize('label', ['M', 'P1', 'H2'])
+@pytest.mark.parametrize('label, subdivisions',
+                         [('M', 32), ('P1', 32), ('H2', 32), ('P1', 64)],
+                         ids=['M', 'P1', 'H2', 'P1-above-cap'])
 def test_dense_extreme_eigenvalue_matches_oracle(tmp_path, monkeypatch,
-                                                 label):
-    cfg = square_cfg(tmp_path, 32)
+                                                 label, subdivisions):
+    cfg = square_cfg(tmp_path, subdivisions)
     pair = _assemble(cfg)
     Mvar = _mass_variant(cfg, pair, label)
-    w = dense_generalized_eig(pair.K, Mvar)[0]
-    got = _extreme_eigenvalue(cfg, pair.K, Mvar, 'largest')
-    assert got == pytest.approx(w[-1], rel=1e-12, abs=0)
+    n = pair.K.shape[0]
+    if n <= experiments.DENSE_CAP:
+        w = dense_generalized_eig(pair.K, Mvar)[0]
+        want = {'smallest': w[0], 'largest': w[-1]}
+    else:
+        # above the cap the oracle is the library Lanczos, run tight
+        res = lanczos(n, pair.K, _mass_factor(Mvar), Mvar,
+                      LanczosConfig(k=4, tol=1e-10), seed=0)
+        assert np.all(res.converged)
+        want = {'largest': res.values[0]}
 
-    # the smallest is shift-inverted below the cap too
-    def no_dense(*args, **kwargs):
-        raise AssertionError('dense eigensolve was called')
+    # both ends go through ARPACK at every size
+    def no_other_solver(*args, **kwargs):
+        raise AssertionError('another eigensolver was called')
 
-    monkeypatch.setattr(experiments, '_dense_eigenvalues', no_dense)
-    got = _extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest')
-    assert got == pytest.approx(w[0], rel=1e-12, abs=0)
+    for name in ('_dense_eigenvalues', 'lanczos'):
+        monkeypatch.setattr(experiments, name, no_other_solver)
+    for which, value in want.items():
+        got = _extreme_eigenvalue(pair.K, Mvar, which)
+        assert got == pytest.approx(value, rel=1e-12, abs=0), which
 
 
-def test_smallest_eigenvalue_of_one_dof(tmp_path):
-    # ARPACK refuses k >= n, so n = 1 goes to LAPACK
+@pytest.mark.parametrize('which', ['smallest', 'largest'])
+def test_both_ends_of_a_one_dof_pencil(tmp_path, which):
+    # ARPACK refuses k >= n; a 1 x 1 pencil has the one eigenvalue K00/M00
     cfg = parse_config(write_cfg(tmp_path, (
         'kind = convergence\ngeometry = unit_square\np = 2\nlevels = 3\n'
         'subdivisions = 1\npencils = M\n')))
     pair = _assemble(cfg)
     K, M = pair.K.mat.toarray(), pair.M.mat.toarray()
     assert K.shape == (1, 1)
-    got = _extreme_eigenvalue(cfg, pair.K, pair.M, 'smallest')
+    got = _extreme_eigenvalue(pair.K, pair.M, which)
     assert got == pytest.approx(K[0, 0] / M[0, 0], rel=1e-14, abs=0)
 
 
-def test_smallest_eigenvalue_refuses_an_indefinite_mass_below_the_cap(
-        tmp_path):
-    cfg = square_cfg(tmp_path, 8)
+@pytest.mark.parametrize('which', ['smallest', 'largest'])
+@pytest.mark.parametrize('subdivisions', [8, 64])
+def test_extreme_eigenvalue_refuses_an_indefinite_mass(tmp_path, which,
+                                                       subdivisions):
+    # a positive diagonal passes the diagonal check; the 2 x 2 minor on
+    # dofs 0 and 1 is M00 M11 - 4 M00 M11 < 0, which only a factor sees
+    cfg = square_cfg(tmp_path, subdivisions)
     pair = _assemble(cfg)
+    Mvar = pair.M.mat.tolil()
+    Mvar[0, 1] = Mvar[1, 0] = 2 * np.sqrt(Mvar[0, 0] * Mvar[1, 1])
+    Mvar = Mvar.tocsr()
+    assert np.all(Mvar.diagonal() > 0)
     with pytest.raises(ValueError, match='not positive definite'):
-        _extreme_eigenvalue(cfg, pair.K, -pair.M.mat, 'smallest')
+        _extreme_eigenvalue(pair.K, Mvar, which)
 
 
 def nquad_square(tmp_path, nquad):
@@ -371,7 +392,7 @@ def test_smallest_eigenvalue_refuses_a_singular_stiffness(tmp_path):
     # passes on roundoff pivots and shift-invert returns a roundoff value
     cfg, pair = nquad_square(tmp_path, 1)
     with pytest.raises(ValueError, match='is not positive'):
-        _extreme_eigenvalue(cfg, pair.K, pair.M, 'smallest')
+        _extreme_eigenvalue(pair.K, pair.M, 'smallest')
 
 
 def test_smallest_eigenvalue_refuses_a_zero_mass_diagonal(tmp_path):
@@ -381,7 +402,7 @@ def test_smallest_eigenvalue_refuses_a_zero_mass_diagonal(tmp_path):
     with np.errstate(all='raise'):
         with pytest.raises(ValueError, match='mass-side matrix is not '
                            'positive definite: diagonal entry 0 is 0'):
-            _extreme_eigenvalue(cfg, pair.K, Mvar, 'smallest')
+            _extreme_eigenvalue(pair.K, Mvar, 'smallest')
 
 
 # ------------------------------------------------------------------ simulate
