@@ -15,6 +15,9 @@ integrates any set of whole or cut elements (a whole element is one
 subcell with no region test) in consecutive slices of at most _POINTS
 quadrature points, its one memory bound. One batched kernel contracts
 pair tables one direction at a time (sum factorization, _tensor_apply).
+The pullback G is formed in closed form per dimension, and the Jacobi
+rescale scales a copy of each matrix's stored entries, so no stack of
+tiny matrices goes through LAPACK and no diagonal through a sparse product.
 """
 
 import itertools
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import _tensor_apply, classify_elements
 from .lumping import HierBandedMatrix, _as_csr, _csr, _scatter, _strides
@@ -117,11 +119,32 @@ def _require_regular(adet):
 
 
 def _coefficients(coords, J, adet, rho, kappa):
-    """c = rho |detJ| and G = kappa |detJ| (J^T J)^-1 on a pulled-back grid."""
+    """c = rho |detJ| and G = kappa |detJ| (J^T J)^-1 on a pulled-back grid.
+
+    G is formed in closed form as kappa adj(A) / |detJ| with A = J^T J,
+    since det A = detJ^2; A's entries are dot products of J's columns.
+    """
     c = np.asarray(rho(*coords), dtype=float) * adet
-    Ginv = np.linalg.inv(np.swapaxes(J, -1, -2) @ J)
-    kap = np.asarray(kappa(*coords), dtype=float)
-    G = kap[..., None, None] * adet[..., None, None] * Ginv
+    d = J.shape[-1]
+    pairs = list(itertools.combinations_with_replacement(range(d), 2))
+    A = {}
+    for l, m in pairs:
+        A[l, m] = A[m, l] = sum(J[..., k, l] * J[..., k, m]
+                                for k in range(d))
+    if d == 1:
+        adj = {(0, 0): 1.0}
+    elif d == 2:
+        adj = {(0, 0): A[1, 1], (0, 1): -A[0, 1], (1, 1): A[0, 0]}
+    else:
+        # cyclic cofactors of the symmetric 3 x 3 A
+        def a(i, j):
+            return A[i % 3, j % 3]
+        adj = {(l, m): a(l + 1, m + 1) * a(l + 2, m + 2)
+               - a(l + 1, m + 2) * a(l + 2, m + 1) for l, m in pairs}
+    scale = np.asarray(kappa(*coords), dtype=float) / adet
+    G = np.empty(J.shape)
+    for l, m in pairs:
+        G[..., l, m] = G[..., m, l] = scale * adj[l, m]
     return c, G
 
 
@@ -337,5 +360,13 @@ def jacobi_rescale(A, B):
     diag = Bc.diagonal()
     if np.any(diag <= 0):
         raise ValueError('nonpositive diagonal entry')
-    D = sp.diags(1.0 / np.sqrt(diag))
-    return (D @ Ac @ D).tocsr(), (D @ Bc @ D).tocsr()
+    s = 1.0 / np.sqrt(diag)
+
+    def scaled(C):
+        # a copy: C may be the caller's own matrix (_as_csr aliases CSR)
+        out = C.copy()
+        out.data *= s[np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))]
+        out.data *= s[C.indices]
+        return out
+
+    return scaled(Ac), scaled(Bc)

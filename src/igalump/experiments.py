@@ -406,7 +406,8 @@ def _top_pairs(cfg, K, Mvar, k, factor):
 
 
 def _extreme_eigenvalue(K, Mvar, which):
-    """Smallest or largest generalized eigenvalue of (K, Mvar).
+    """Smallest or largest generalized eigenvalue of (K, Mvar), and Mvar's
+    banded Cholesky factor where the largest kept one, else None.
 
     A mass with a nonpositive diagonal entry is refused, naming it; at
     n = 1 the answer is K_00 / Mvar_00. Above, Mvar's banded Cholesky
@@ -422,12 +423,15 @@ def _extreme_eigenvalue(K, Mvar, which):
     if not dM[j] > 0:
         raise ValueError('mass-side matrix is not positive definite: '
                          'diagonal entry %d is %.3g' % (j, dM[j]))
+    factor = None
     if n == 1:
         lam = float(dK[0] / dM[0])
     else:
-        solve = _mass_factor(Mvar).solve  # refuses an indefinite mass
-        if which == 'smallest':
-            del solve  # Mvar's band goes before K's is made
+        factor = _mass_factor(Mvar)  # refuses an indefinite mass
+        if which == 'largest':
+            solve = factor.solve
+        else:
+            factor = None  # Mvar's band goes before K's is made
             solve = _mass_factor(K).solve
         inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         opts = ({'which': 'LA', 'Minv': inv} if which == 'largest'
@@ -439,7 +443,7 @@ def _extreme_eigenvalue(K, Mvar, which):
     if which == 'smallest' and not lam > floor:
         raise ValueError('smallest eigenvalue %.3g is not positive '
                          '(floor %.3g)' % (lam, floor))
-    return lam
+    return lam, factor
 
 
 def _run_sweep(cfg, work, items):
@@ -554,7 +558,7 @@ def run_convergence(cfg):
     def omega1(pair, label, level):
         Mvar = _mass_variant(cfg, pair, label)
         with _located('%s, pencil %s' % (level, label)):
-            lam = _extreme_eigenvalue(pair.K, Mvar, 'smallest')
+            lam = _extreme_eigenvalue(pair.K, Mvar, 'smallest')[0]
         return math.sqrt(lam)
 
     hs, errors = [], {label: [] for label in cfg.pencils}
@@ -597,7 +601,7 @@ def run_simulate(cfg):
     with _located('pencil M'):
         prob = manufactured_wave_problem(space, patches[0], nquad=cfg.nquad)
         K = prob.pair.K
-        lam_M = _extreme_eigenvalue(K, prob.pair.M, 'largest')
+        lam_M, factor_M = _extreme_eigenvalue(K, prob.pair.M, 'largest')
     dt_shared = cfg.safeguard * critical_timestep(lam_M)
 
     def error_table(traj):
@@ -617,9 +621,11 @@ def run_simulate(cfg):
     for label in cfg.pencils:
         Mvar = _mass_variant(cfg, prob.pair, label)
         with _located('pencil %s' % label):
-            lam = lam_M if label == 'M' else \
+            # the factor behind lam also drives the stepping
+            lam, factor = (lam_M, factor_M) if label == 'M' else \
                 _extreme_eigenvalue(K, Mvar, 'largest')
-            factor = _mass_factor(Mvar)
+            if factor is None:  # n = 1 needed no factor for lam
+                factor = _mass_factor(Mvar)
             dt_own = cfg.safeguard * critical_timestep(lam)
             for tag, dt in (('shared', dt_shared), ('critical', dt_own)):
                 traj = central_difference(factor, K, prob.f, prob.u0,

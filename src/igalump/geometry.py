@@ -36,6 +36,8 @@ class Patch:
     def __init__(self, space, points, weights=None):
         points = np.asarray(points, dtype=float)
         d = space.ndim
+        if not 1 <= d <= 3:
+            raise ValueError('a patch has 1, 2 or 3 directions, got %d' % d)
         if points.shape != (space.numdofs, d):
             raise ValueError('control points must have shape %s, got %s'
                              % ((space.numdofs, d), points.shape))
@@ -87,10 +89,26 @@ class Patch:
             G = _tensor_apply(H[None], V[:l] + [D[l]] + V[l + 1:])
             cols.append((G[..., :-1] - F * G[..., -1:]) / T[..., -1:])
         J = np.stack(cols, axis=-1)
-        detJ = np.linalg.det(J)
+        detJ = _det(J)
         if np.ndim(pts[0]) == 1:
             return F[0], J[0], detJ[0]
         return F, J, detJ
+
+
+def _det(J):
+    """Determinants of a stack of d x d matrices, d <= 3, in closed form:
+    the entry, the 2 x 2 product difference or the triple product."""
+    d = J.shape[-1]
+    if d == 1:
+        return J[..., 0, 0].copy()
+    if d == 2:
+        return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    return (J[..., 0, 0] * (J[..., 1, 1] * J[..., 2, 2]
+                            - J[..., 1, 2] * J[..., 2, 1])
+            - J[..., 0, 1] * (J[..., 1, 0] * J[..., 2, 2]
+                              - J[..., 1, 2] * J[..., 2, 0])
+            + J[..., 0, 2] * (J[..., 1, 0] * J[..., 2, 1]
+                              - J[..., 1, 1] * J[..., 2, 0]))
 
 
 def _tensor_apply(T, mats):

@@ -22,7 +22,7 @@ from igalump.dynamics import l2_error
 from igalump.splines import KnotVector, SplineSpace, eval_basis, \
     make_open_uniform
 from pointwise_map import pullback_coeffs
-from test_geometry import active_dofs, loop_active
+from test_geometry import active_dofs, loop_active, mirrored
 
 ONE = lambda *xs: 1.0
 
@@ -373,6 +373,53 @@ def _nonseparable(*xs):
     return np.abs(np.sin(np.prod(xs, axis=0))) + np.sum(xs, axis=0) + 1.0
 
 
+@pytest.mark.parametrize('d', [1, 2, 3])
+def test_closed_form_pullback_matches_lapack(d):
+    rng = np.random.default_rng(10 + d)
+    J = np.eye(d) + 0.3 * rng.normal(size=(6, 5, d, d))
+    J[::2, ..., 0] *= -1.0   # det J < 0 on every other row
+    det = np.linalg.det(J)
+    assert np.any(det < 0) and np.any(det > 0)
+    coords = rng.random((d, 6, 5))
+    kappa = lambda *xs: 1.0 + xs[0] ** 2
+    c, G = igalump.assembly._coefficients(coords, J, np.abs(det),
+                                          _nonseparable, kappa)
+    want = ((kappa(*coords) * np.abs(det))[..., None, None]
+            * np.linalg.inv(np.swapaxes(J, -1, -2) @ J))
+    np.testing.assert_allclose(G, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(c, _nonseparable(*coords) * np.abs(det),
+                               rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize('patch', [plate_quarter_hole(),
+                                   mirrored(plate_quarter_hole()), magnet()],
+                         ids=['plate', 'mirrored-plate', 'magnet'])
+def test_coefficients_match_pointwise_pullback(patch):
+    rng = np.random.default_rng(4)
+    kappa = lambda *xs: 1.0 + xs[0] ** 2
+    pts = [np.sort(rng.uniform(0.05, 0.95, 3)) for _ in range(patch.ndim)]
+    F, J, det = patch.grid_eval(pts)
+    c, G = igalump.assembly._coefficients(
+        np.moveaxis(F, -1, 0), J, np.abs(det), _nonseparable, kappa)
+    for idx in np.ndindex(det.shape):
+        cq, Gq = pullback_coeffs(patch, _nonseparable, kappa,
+                                 [x[i] for x, i in zip(pts, idx)])
+        assert c[idx] == pytest.approx(cq, rel=1e-12)
+        np.testing.assert_allclose(G[idx], Gq, rtol=1e-12,
+                                   atol=1e-13 * np.abs(Gq).max())
+
+
+def test_mirrored_patch_assembles_the_same_pair():
+    # a reflection is an isometry: det J changes sign, |det J| and G do not
+    space = square_space(4, 2)
+    want = assemble_single_patch(space, plate_quarter_hole(), ONE, ONE)
+    got = assemble_single_patch(space, mirrored(plate_quarter_hole()),
+                                ONE, ONE)
+    for A, B in ((got.M, want.M), (got.K, want.K)):
+        np.testing.assert_allclose(A.toarray(), B.toarray(), rtol=0,
+                                   atol=1e-13 * abs(B.mat).max())
+
+
 def _kron_tables(Vs, Ds):
     Bv = functools.reduce(np.kron, Vs)
     Bg = [functools.reduce(np.kron, [Ds[l] if m == l else Vs[l]
@@ -656,6 +703,25 @@ def test_jacobi_rescale_preserves_eigenvalues():
     np.testing.assert_allclose(w1, w0, rtol=1e-10, atol=1e-12)
     wa = scipy.linalg.eigh(B, B, eigvals_only=True)
     np.testing.assert_allclose(wa, np.ones(6), atol=1e-12)
+
+
+@pytest.mark.parametrize('tagged', [False, True], ids=['csr', 'tagged'])
+def test_jacobi_rescale_matches_sparse_products_and_copies(tagged):
+    pair = assemble_single_patch(square_space(4, 2), quarter_annulus(),
+                                 _nonseparable, ONE)
+    K, M = (pair.K, pair.M) if tagged else (pair.K.mat, pair.M.mat)
+    csr = [X.mat if tagged else X for X in (K, M)]
+    before = [(X.data.copy(), X.indices.copy(), X.indptr.copy())
+              for X in csr]
+    D = sp.diags(1.0 / np.sqrt(csr[1].diagonal()))
+    want = [(D @ X @ D).toarray() for X in csr]
+    got = jacobi_rescale(K, M)
+    for G, W in zip(got, want):
+        np.testing.assert_array_equal(G.toarray(), W)
+    # the inputs, which the scaling must not touch in place
+    for X, arrays in zip(csr, before):
+        for a, b in zip((X.data, X.indices, X.indptr), arrays):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_jacobi_rescale_rejects_nonpositive_diagonal():

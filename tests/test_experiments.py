@@ -17,7 +17,8 @@ from igalump.experiments import (_KEYS, RUNNERS, ConfigError,
                                  run_bandwidth_report, run_convergence,
                                  run_deflate_ratio, run_simulate,
                                  run_spectrum, run_trimmed_sweep)
-from igalump.linalg import _mass_factor, dense_generalized_eig
+from igalump.linalg import (_mass_factor, banded_cholesky,
+                            dense_generalized_eig)
 from igalump.spectral import LanczosConfig, LanczosResult, lanczos
 from spectrum_csv import read_spectrum_csv
 
@@ -315,7 +316,7 @@ def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
     # eigsh looks splu up in its own module
     for module in (spla, sys.modules[spla.eigsh.__module__]):
         monkeypatch.setattr(module, 'splu', no_superlu)
-    got = _extreme_eigenvalue(pair.K, pair.M, 'smallest')
+    got = _extreme_eigenvalue(pair.K, pair.M, 'smallest')[0]
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -345,7 +346,7 @@ def test_dense_extreme_eigenvalue_matches_oracle(tmp_path, monkeypatch,
     for name in ('_dense_eigenvalues', 'lanczos'):
         monkeypatch.setattr(experiments, name, no_other_solver)
     for which, value in want.items():
-        got = _extreme_eigenvalue(pair.K, Mvar, which)
+        got, _ = _extreme_eigenvalue(pair.K, Mvar, which)
         assert got == pytest.approx(value, rel=1e-12, abs=0), which
 
 
@@ -358,7 +359,7 @@ def test_both_ends_of_a_one_dof_pencil(tmp_path, which):
     pair = _assemble(cfg)
     K, M = pair.K.mat.toarray(), pair.M.mat.toarray()
     assert K.shape == (1, 1)
-    got = _extreme_eigenvalue(pair.K, pair.M, which)
+    got, _ = _extreme_eigenvalue(pair.K, pair.M, which)
     assert got == pytest.approx(K[0, 0] / M[0, 0], rel=1e-14, abs=0)
 
 
@@ -426,6 +427,28 @@ def test_simulate_shared_and_critical_steps(tmp_path):
     assert crit_p['t'][1] >= shared_m['t'][1] - 1e-15
     assert np.all(np.isfinite(shared_p['l2_error']))
     assert shared_p['l2_error'].max() < 1.0
+
+
+@pytest.mark.parametrize('pencils', ['M P1 P2', 'P1 rowsum'])
+def test_simulate_factors_each_mass_once(tmp_path, monkeypatch, pencils):
+    # the factor behind a pencil's lambda_max also drives its stepping; the
+    # consistent mass is factored once more, to project the initial data
+    factored = []
+
+    def counted(A, bandwidth):
+        factored.append(A)
+        return banded_cholesky(A, bandwidth)
+
+    monkeypatch.setattr('igalump.linalg.banded_cholesky', counted)
+    cfg = parse_config(write_cfg(tmp_path, (
+        'kind = simulate\np = 2\nsubdivisions = 4\npencils = %s\n'
+        'tspan = 0.05\nout = %s\n' % (pencils, tmp_path / 'sim'))))
+    run_simulate(cfg)
+    # the projection's factor, then one per mass behind a lambda_max:
+    # the consistent one for the shared step and one per lumped pencil
+    masses = factored[1:]
+    assert len(factored) == 2 + sum(p != 'M' for p in cfg.pencils)
+    assert len({id(A) for A in masses}) == len(masses)
 
 
 # -------------------------------------------------------------- deflate-ratio

@@ -13,7 +13,7 @@ from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
                               plate_quarter_hole_2patch, quarter_annulus,
                               rotated_square_region, split_patch,
                               stretched_square, twisted_box, unit_cube,
-                              unit_square)
+                              unit_square, _det)
 from igalump.splines import SplineSpace, eval_basis, make_open_uniform
 from pointwise_map import jacobian, map_eval, pullback_coeffs
 
@@ -73,8 +73,26 @@ def test_quarter_annulus_is_exact():
         assert np.hypot(*outer) == pytest.approx(2.0, abs=1e-13)
 
 
-@pytest.mark.parametrize('patch', [plate_quarter_hole(), unit_cube()],
-                         ids=['plate', 'cube'])
+def mirrored(patch):
+    """patch reflected across x = 0, so that det J < 0."""
+    pts = patch.points.copy()
+    pts[:, 0] *= -1.0
+    return Patch(patch.space, pts, patch.weights)
+
+
+@pytest.mark.parametrize('d', [1, 2, 3])
+def test_closed_form_det_matches_lapack(d):
+    rng = np.random.default_rng(d)
+    J = rng.normal(size=(5, 7, d, d))
+    det = _det(J)
+    assert det.shape == J.shape[:-2]
+    assert np.any(det < 0) and np.any(det > 0)
+    np.testing.assert_allclose(det, np.linalg.det(J), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize('patch', [plate_quarter_hole(), unit_cube(),
+                                   magnet(), mirrored(plate_quarter_hole())],
+                         ids=['plate', 'cube', 'magnet', 'mirrored-plate'])
 def test_batched_grid_eval_matches_pointwise_map(patch):
     # each grid lies inside one random element of a 4-element mesh, so the
     # plate's grids sit on either side of its geometry knot at 0.5
