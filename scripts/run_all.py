@@ -13,9 +13,10 @@ parse exits 2 with its config error.
 --bench FILE sends each study's output to a temporary directory instead,
 so results/ is left as it is, and writes FILE as JSON: per study its
 wall_s, peak_rss_mb and exit, plus the Python, numpy and scipy versions,
-the BLAS library and the BLAS thread count (OPENBLAS_NUM_THREADS, or the
-usable cores when it is unset). To time an old commit, export its tree
-(`git archive <commit> | tar -x -C DIR`) and pass its src:
+the BLAS library, the BLAS thread count (OPENBLAS_NUM_THREADS, or the
+usable cores when it is unset) and src_lines, the total line count of the
+igalump/*.py modules of the source tree that ran. To time an old commit,
+export its tree (`git archive <commit> | tar -x -C DIR`) and pass its src:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/run_all.py --bench BENCH_<n>.json \
         --src DIR/src
@@ -47,6 +48,12 @@ def _platform():
             'blas': '%s %s' % (blas.get('name'), blas.get('version')),
             'blas_threads': (int(threads) if threads
                              else len(os.sched_getaffinity(0)))}
+
+
+def _src_lines(src):
+    """Total line count of src/igalump/*.py, as `wc -l` counts it."""
+    return sum(path.read_bytes().count(b'\n')
+               for path in Path(src, 'igalump').glob('*.py'))
 
 
 def main():
@@ -113,7 +120,8 @@ def main():
                 break
     if args.bench and not args.dry_run:
         with open(args.bench, 'w') as f:
-            json.dump(dict(_platform(), studies=studies), f, indent=1)
+            json.dump(dict(_platform(), src_lines=_src_lines(src),
+                           studies=studies), f, indent=1)
             f.write('\n')
     if rc != 0:
         sys.exit(rc)

@@ -18,9 +18,8 @@ from .lumping import (HierBandedMatrix, lump_rowsum, block_lumped_family,
                       hierarchical_lump, lump_pieces)
 from .linalg import (FactorizedOperator, banded_cholesky, woodbury_solve,
                      dense_generalized_eig)
-from .spectral import (LanczosConfig, LanczosResult, ScaledPencil, lanczos,
-                       deflate, scaled_mass_solve, critical_timestep,
-                       cfl_gain)
+from .spectral import (LanczosResult, ScaledPencil, lanczos, deflate,
+                       scaled_mass_solve, critical_timestep, cfl_gain)
 from .dynamics import (Trajectory, WaveProblem, central_difference,
                        manufactured_wave_problem, l2_error, l2_norm,
                        step_count)
@@ -37,7 +36,7 @@ __all__ = [
     'hierarchical_lump', 'lump_pieces',
     'FactorizedOperator', 'banded_cholesky', 'woodbury_solve',
     'dense_generalized_eig',
-    'LanczosConfig', 'LanczosResult', 'ScaledPencil', 'lanczos', 'deflate',
+    'LanczosResult', 'ScaledPencil', 'lanczos', 'deflate',
     'scaled_mass_solve', 'critical_timestep', 'cfl_gain',
     'Trajectory', 'WaveProblem', 'central_difference',
     'manufactured_wave_problem', 'l2_error', 'l2_norm', 'step_count',

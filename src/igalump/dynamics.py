@@ -1,9 +1,9 @@
 """Central-difference time stepping and the manufactured plate problem.
 
-The integrator works on operators only: a mass solve and a stiffness apply
-per step, so consistent, lumped and low-rank-scaled masses all run through
-the same loop. Instability is detected, recorded on the trajectory and
-never raised.
+The integrator takes one solve with M's FactorizedOperator and one apply
+K @ u per step, so consistent, lumped and low-rank-scaled masses all run
+through the same loop. Instability is detected, recorded on the trajectory
+and never raised.
 """
 
 import math
@@ -13,7 +13,7 @@ import numpy as np
 
 from .assembly import assemble_single_patch, load_vector, quadrature_grid
 from .geometry import _tensor_apply
-from .linalg import FactorizedOperator, _as_operator, _mass_factor
+from .linalg import FactorizedOperator, _mass_factor
 from .spectral import critical_timestep
 from .splines import SplineSpace
 
@@ -40,20 +40,19 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def central_difference(M_solve, K_apply, f, u0, v0, dt, T):
+def central_difference(M_solve, K, f, u0, v0, dt, T):
     """Integrate M u'' + K u = f from (u0, v0) with step dt up to T.
 
-    f maps a time to a load vector, or is None for a free problem. The
-    first step is the Taylor start u0 + dt v0 + dt^2/2 M^{-1}(f(0) - K u0);
-    afterwards the standard two-level recurrence runs with one mass solve
-    and one stiffness apply per step.
+    M_solve is M's FactorizedOperator and K is applied as K @ u. f maps a
+    time to a load vector, or is None for a free problem. The first step is
+    the Taylor start u0 + dt v0 + dt^2/2 M^{-1}(f(0) - K u0); afterwards
+    the standard two-level recurrence runs with one mass solve and one
+    stiffness apply per step.
     """
     if dt <= 0 or T <= 0:
         raise ValueError('step size and horizon must be positive')
-    if not (isinstance(M_solve, FactorizedOperator) or callable(M_solve)):
-        raise TypeError('mass solve must be a FactorizedOperator or callable')
-    solve = _as_operator(M_solve)
-    K = _as_operator(K_apply)
+    if not isinstance(M_solve, FactorizedOperator):
+        raise TypeError('mass solve must be a FactorizedOperator')
     load = (lambda t: None) if f is None else f
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -66,11 +65,11 @@ def central_difference(M_solve, K_apply, f, u0, v0, dt, T):
     scale = np.linalg.norm(u0)
 
     def accel(t, u):
-        r = -K(u)
+        r = -(K @ u)
         ft = load(t)
         if ft is not None:
             r = r + ft
-        return solve(r)
+        return M_solve.solve(r)
 
     with np.errstate(over='ignore', invalid='ignore'):
         if nsteps >= 1:
@@ -134,6 +133,7 @@ class WaveProblem:
     space: SplineSpace
     patch: object
     pair: object        # consistent AssembledPair with rho = kappa = 1
+    mass: object        # FactorizedOperator of pair.M
     grid: object        # QuadratureGrid of the loads and of l2_error
     f: object           # time -> load vector on the free dofs
     u0: np.ndarray
@@ -147,8 +147,9 @@ def manufactured_wave_problem(space, patch, nquad=None):
     The displacement is the plate deflection times 2 + sin(2 pi t); all
     five polynomial factors vanish on the plate boundary, so space must be
     clamped (homogeneous Dirichlet) on every side. The load comes from the
-    closed-form Laplacian; initial data are consistent-mass L2 projections.
-    The loads and the stored grid use the assembly's quadrature rule.
+    closed-form Laplacian; initial data are consistent-mass L2 projections,
+    through the factor of pair.M the problem keeps. The loads and the
+    stored grid use the assembly's quadrature rule.
     """
     one = lambda *xs: 1.0
     pair = assemble_single_patch(space, patch, one, one, nquad=nquad)
@@ -174,7 +175,7 @@ def manufactured_wave_problem(space, patch, nquad=None):
     def exact(x, y, t):
         return plate_deflection(x, y) * (2.0 + np.sin(two_pi * t))
 
-    return WaveProblem(space, patch, pair, grid, f, u0, v0, exact)
+    return WaveProblem(space, patch, pair, mass, grid, f, u0, v0, exact)
 
 
 # ------------------------------------------------------------ CFL utilities
@@ -184,20 +185,20 @@ def step_count(T, lam_max, safeguard=0.85):
     return int(math.floor(T / (safeguard * critical_timestep(lam_max))))
 
 
-def stability_boundary(M_solve, K_apply, n, dt_start, steps=1000, seed=0,
+def stability_boundary(M_solve, K, dt_start, steps=1000, seed=0,
                        rel_resolution=0.005):
     """Empirical largest stable step by bisection on blow-up detection.
 
-    Runs `steps` free steps from a seeded random start for each candidate.
-    Returns the largest step verified stable, resolved to rel_resolution.
+    Runs `steps` free steps of central_difference(M_solve, K, ...) from a
+    seeded random start for each candidate. Returns the largest step
+    verified stable, resolved to rel_resolution.
     """
     rng = np.random.default_rng(seed)
-    u0 = rng.normal(size=n)
-    v0 = np.zeros(n)
+    u0 = rng.normal(size=K.shape[0])
+    v0 = np.zeros_like(u0)
 
     def is_stable(dt):
-        traj = central_difference(M_solve, K_apply, None, u0, v0, dt,
-                                  steps * dt)
+        traj = central_difference(M_solve, K, None, u0, v0, dt, steps * dt)
         return traj.stable
 
     dt = float(dt_start)

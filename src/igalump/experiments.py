@@ -26,7 +26,7 @@ from .geometry import (MultipatchTopology, catalog, outer_faces,
 from .linalg import (DENSE_CAP, _dense_eigenvalues, _mass_factor,
                      dense_generalized_eig)
 from .lumping import _as_csr, lump_pieces, lump_rowsum
-from .spectral import LanczosConfig, critical_timestep, deflate, lanczos
+from .spectral import critical_timestep, deflate, lanczos
 from .splines import SplineSpace, make_open_uniform
 from .svgplot import LinePlot
 
@@ -397,7 +397,7 @@ def _mass_variant(cfg, pair, label):
 def _top_pairs(cfg, K, Mvar, k, factor):
     """Converged top k pairs of (K, Mvar), with factor Mvar's Cholesky."""
     n = K.shape[0]
-    res = lanczos(n, K, factor, Mvar, LanczosConfig(k=k), seed=cfg.seed)
+    res = lanczos(K, factor, Mvar, k, seed=cfg.seed)
     if not np.all(res.converged):
         raise ValueError('eigensolver failed to converge (n = %d, k = %d, '
                          'worst relative residual %.3g)'
@@ -405,9 +405,10 @@ def _top_pairs(cfg, K, Mvar, k, factor):
     return res
 
 
-def _extreme_eigenvalue(K, Mvar, which):
+def _extreme_eigenvalue(K, Mvar, which, factor=None):
     """Smallest or largest generalized eigenvalue of (K, Mvar), and Mvar's
-    banded Cholesky factor where the largest kept one, else None.
+    banded Cholesky factor where the largest kept one, else None. A factor
+    the caller already holds for Mvar is used instead of a new one.
 
     A mass with a nonpositive diagonal entry is refused, naming it; at
     n = 1 the answer is K_00 / Mvar_00. Above, Mvar's banded Cholesky
@@ -423,11 +424,11 @@ def _extreme_eigenvalue(K, Mvar, which):
     if not dM[j] > 0:
         raise ValueError('mass-side matrix is not positive definite: '
                          'diagonal entry %d is %.3g' % (j, dM[j]))
-    factor = None
     if n == 1:
         lam = float(dK[0] / dM[0])
     else:
-        factor = _mass_factor(Mvar)  # refuses an indefinite mass
+        if factor is None:
+            factor = _mass_factor(Mvar)  # refuses an indefinite mass
         if which == 'largest':
             solve = factor.solve
         else:
@@ -601,7 +602,8 @@ def run_simulate(cfg):
     with _located('pencil M'):
         prob = manufactured_wave_problem(space, patches[0], nquad=cfg.nquad)
         K = prob.pair.K
-        lam_M, factor_M = _extreme_eigenvalue(K, prob.pair.M, 'largest')
+        lam_M, factor_M = _extreme_eigenvalue(K, prob.pair.M, 'largest',
+                                              prob.mass)
     dt_shared = cfg.safeguard * critical_timestep(lam_M)
 
     def error_table(traj):

@@ -17,10 +17,10 @@ DENSE_CAP = 4000
 
 
 class FactorizedOperator:
-    """A factorized SPD matrix exposing solve(rhs).
+    """A factorized SPD matrix exposing solve(rhs), the one form of a mass
+    solve that lanczos and central_difference take.
 
-    payload holds the banded Cholesky factor, for inspection; solve() is
-    the interface.
+    payload holds the banded Cholesky factor, for inspection.
     """
 
     def __init__(self, n, apply_solve, payload=None):
@@ -34,19 +34,6 @@ class FactorizedOperator:
             raise ValueError('right-hand side has length %d, expected %d'
                              % (rhs.shape[0], self.n))
         return self._apply(rhs)
-
-
-def _as_operator(op):
-    """The function x -> op x, or x -> op^-1 x for a FactorizedOperator.
-
-    A callable without a shape is taken to be that function already; any
-    other operand is applied as op @ x.
-    """
-    if isinstance(op, FactorizedOperator):
-        return op.solve
-    if callable(op) and not hasattr(op, 'shape'):
-        return op
-    return lambda x: op @ x
 
 
 def _banded_storage(A, bandwidth):
@@ -210,12 +197,6 @@ def _dense_eigh(A, B, **opts):
         raise ValueError('problem of size %d too large for the dense oracle'
                          % n)
     try:
-        return sla.eigh(_to_dense(A), _to_dense(B), **opts)
+        return sla.eigh(_as_csr(A).toarray(), _as_csr(B).toarray(), **opts)
     except np.linalg.LinAlgError:
         raise ValueError('mass-side matrix is not positive definite')
-
-
-def _to_dense(A):
-    if hasattr(A, 'toarray'):
-        return A.toarray()
-    return np.asarray(A, dtype=float)

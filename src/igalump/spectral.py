@@ -18,26 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import _as_operator, _mass_factor, _to_dense, woodbury_solve
-
-
-@dataclass
-class LanczosConfig:
-    """Solver knobs. m defaults to 2k; tol is a relative residual."""
-    k: int
-    m: int = None
-    tol: float = 1e-3
-    max_restarts: int = 200
-
-    def __post_init__(self):
-        self.k = int(self.k)
-        if self.m is None:
-            self.m = 2 * self.k
-        self.m = int(self.m)
-        if not self.m >= self.k >= 1:
-            raise ValueError('need m >= k >= 1')
-        if self.tol <= 0:
-            raise ValueError('tolerance must be positive')
+from .linalg import FactorizedOperator, _mass_factor, woodbury_solve
+from .lumping import _as_csr
 
 
 @dataclass
@@ -51,22 +33,28 @@ class LanczosResult:
     n_restarts: int
 
 
-def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
+def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
     """Largest k eigenpairs of A u = lambda B u, B positive definite.
 
-    The three operator arguments may be callables, matrices, or a
-    FactorizedOperator for the solve. The starting vector is drawn from a
-    generator seeded with `seed`, so iteration counts are reproducible.
-    Returns a LanczosResult; pairs that failed to reach config.tol within
-    config.max_restarts come back flagged unconverged instead of raising.
+    A and B apply as A @ x (CSR, HierBandedMatrix, ndarray or any object
+    with shape and @); factor is B's FactorizedOperator. The basis holds m
+    vectors, 2k by default; tol is a relative residual. The start vector is
+    drawn with `seed`, so iteration counts are reproducible. Returns a
+    LanczosResult; pairs that miss tol within max_restarts are flagged
+    unconverged there, not raised.
     """
-    A_apply = _as_operator(A_apply)
-    B_solve = _as_operator(B_solve)
-    B_apply = _as_operator(B_apply)
+    k = int(k)
+    m = 2 * k if m is None else int(m)
+    if not m >= k >= 1:
+        raise ValueError('need m >= k >= 1')
+    if tol <= 0:
+        raise ValueError('tolerance must be positive')
+    if not isinstance(factor, FactorizedOperator):
+        raise TypeError('mass solve must be a FactorizedOperator')
     rng = np.random.default_rng(seed)
-    n = int(n)
-    k = min(config.k, n)
-    m = min(max(config.m, k + 1), n)
+    n = A.shape[0]
+    k = min(k, n)
+    m = min(max(m, k + 1), n)
 
     # column-major, so every column and every [:, :cnt] block is contiguous
     V = np.empty((n, m), order='F')
@@ -89,7 +77,7 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
             for _ in range(2):
                 h = BV[:, :cnt].T @ w
                 w = w - V[:, :cnt] @ h
-                bw = B_apply(w)
+                bw = B @ w
                 norm2 = w @ bw
                 # the pass took h @ h off the B-norm^2 of w; a second pass
                 # only if that was more than half, i.e. more than is left
@@ -105,7 +93,7 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
         s = 1.0 / beta
         V[:, cnt] = w * s
         BV[:, cnt] = bw * s
-        AV[:, cnt] = A_apply(V[:, cnt])
+        AV[:, cnt] = A @ V[:, cnt]
         n_matvec += 1
         return None if replaced else beta
 
@@ -117,7 +105,7 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
         while cnt < m:
             j = cnt - 1
             u = AV[:, j]
-            w = B_solve(u)
+            w = factor.solve(u)
             alpha = V[:, j] @ u
             w = w - alpha * V[:, j]
             if beta is not None:
@@ -145,10 +133,10 @@ def lanczos(n, A_apply, B_solve, B_apply, config, seed=0):
         for j in range(k):
             denom = max(abs(lam[j]), floor) * np.linalg.norm(BV[:, j])
             res[j] = np.linalg.norm(AV[:, j] - lam[j] * BV[:, j]) / denom
-        conv = res <= config.tol
+        conv = res <= tol
         np.matmul(V[:, :cnt], S, out=Y)
 
-        if np.all(conv) or restarts >= config.max_restarts or cnt >= n:
+        if np.all(conv) or restarts >= max_restarts or cnt >= n:
             return LanczosResult(lam, Y, res, conv, n_iter, n_matvec,
                                  restarts)
 
@@ -204,8 +192,7 @@ class ScaledPencil:
 
     def dense_pair(self):
         """Explicit (A_bar, B_bar); oracle use only."""
-        A = _to_dense(self.A).copy()
-        B = _to_dense(self.B).copy()
+        A, B = _as_csr(self.A).toarray(), _as_csr(self.B).toarray()
         if self.r:
             A += self.V @ np.diag(self.fD2) @ self.V.T
             B += self.V @ np.diag(self.gD2) @ self.V.T
@@ -215,18 +202,12 @@ class ScaledPencil:
 def deflate(A, B, r, mode, eigendata):
     """Build the ScaledPencil truncating the top r eigenvalues of (A, B).
 
-    eigendata supplies the top r+1 eigenpairs, either a LanczosResult or a
-    (values descending, vectors) tuple; the extra pair fixes
-    lam_cut = lambda_{n-r} so eigenvalue numbering survives. Rejects
-    unconverged data and ranks beyond n/4.
+    eigendata supplies the top r+1 eigenpairs as (values descending,
+    vectors); the extra pair fixes lam_cut = lambda_{n-r} so eigenvalue
+    numbering survives. Rejects ranks beyond n/4.
     """
     r = int(r)
-    if isinstance(eigendata, LanczosResult):
-        if not np.all(eigendata.converged[:r + 1]):
-            raise ValueError('eigendata contains unconverged pairs')
-        values, vectors = eigendata.values, eigendata.vectors
-    else:
-        values, vectors = eigendata
+    values, vectors = eigendata
     values = np.asarray(values, dtype=float)
     n = A.shape[0]
     if r >= max(n, 1):
@@ -269,10 +250,12 @@ def local_stiffness_scale(K_r, P_r, rank, tol=1e-3, seed=0,
     semidefinite so the scaled stiffness never exceeds the original in the
     Loewner order. Solver failures surface as the unconverged-data error.
     """
-    cfg = LanczosConfig(k=rank + 1, tol=tol, max_restarts=max_restarts)
-    result = lanczos(P_r.shape[0], K_r, _mass_factor(P_r), P_r, cfg,
-                     seed=seed)
-    return deflate(K_r, P_r, rank, 'scale-stiffness', result)
+    res = lanczos(K_r, _mass_factor(P_r), P_r, rank + 1, tol=tol,
+                  max_restarts=max_restarts, seed=seed)
+    if not np.all(res.converged):
+        raise ValueError('eigendata contains unconverged pairs')
+    return deflate(K_r, P_r, rank, 'scale-stiffness',
+                   (res.values, res.vectors))
 
 
 def critical_timestep(lam_max):

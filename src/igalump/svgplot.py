@@ -9,6 +9,7 @@ import math
 _PALETTE = ('#1f6fb2', '#d95f02', '#1b9e77', '#7570b3',
             '#e7298a', '#666666', '#a6761d', '#17becf')
 
+_WIDTH, _HEIGHT = 720, 460
 _MARGIN = (56, 16, 26, 46)  # left, right, top, bottom
 
 
@@ -54,14 +55,12 @@ class LinePlot:
     """Collects labeled series, writes one SVG figure."""
 
     def __init__(self, title='', xlabel='', ylabel='', xlog=False,
-                 ylog=False, width=720, height=460):
+                 ylog=False):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
         self.xlog = bool(xlog)
         self.ylog = bool(ylog)
-        self.width = int(width)
-        self.height = int(height)
         self.series = []
 
     def add(self, x, y, label=''):
@@ -81,7 +80,7 @@ class LinePlot:
         if not self.series:
             raise ValueError('nothing to plot')
         ml, mr, mt, mb = _MARGIN
-        pw, ph = self.width - ml - mr, self.height - mt - mb
+        pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
         ax = [v for s in self.series for v in self._tf(s[0], self.xlog)]
         ay = [v for s in self.series for v in self._tf(s[1], self.ylog)]
         x0, x1 = min(ax), max(ax)
@@ -102,7 +101,7 @@ class LinePlot:
 
         out = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" '
                'height="%d" viewBox="0 0 %d %d">'
-               % (self.width, self.height, self.width, self.height),
+               % (_WIDTH, _HEIGHT, _WIDTH, _HEIGHT),
                '<rect width="100%" height="100%" fill="white"/>',
                '<g font-family="sans-serif" font-size="11" fill="#333">']
         if self.title:
@@ -128,7 +127,7 @@ class LinePlot:
                    'stroke="#333"/>' % (ml, mt, pw, ph))
         if self.xlabel:
             out.append('<text x="%.1f" y="%d" text-anchor="middle">%s</text>'
-                       % (ml + pw / 2.0, self.height - 8, _esc(self.xlabel)))
+                       % (ml + pw / 2.0, _HEIGHT - 8, _esc(self.xlabel)))
         if self.ylabel:
             out.append('<text x="14" y="%.1f" text-anchor="middle" '
                        'transform="rotate(-90 14 %.1f)">%s</text>'

@@ -20,14 +20,13 @@ from igalump.geometry import (MultipatchTopology, magnet, outer_faces,
                               plate_quarter_hole, plate_quarter_hole_2patch,
                               rotated_square_region, stretched_square,
                               unit_cube, unit_square)
-from igalump.linalg import (banded_cholesky, dense_generalized_eig,
-                            schur_saddle_factor)
+from igalump.linalg import (FactorizedOperator, banded_cholesky,
+                            dense_generalized_eig, schur_saddle_factor)
 from igalump.lumping import (block_lumped_family, hier_bandwidth,
                              hierarchical_lump, lump_pieces, lump_rowsum,
                              _measured_bandwidth)
-from igalump.spectral import (LanczosConfig, cfl_gain, critical_timestep,
-                              deflate, lanczos, scaled_mass_solve,
-                              split_zero_modes)
+from igalump.spectral import (cfl_gain, critical_timestep, deflate, lanczos,
+                              scaled_mass_solve, split_zero_modes)
 from igalump.splines import SplineSpace, make_open_uniform
 
 ONE = lambda *xs: 1.0
@@ -157,12 +156,11 @@ def test_criterion_06_woodbury_matches_dense():
 
 def test_criterion_07_lanczos_oracle_agreement(plate):
     P1 = block_lumped_family(plate.M, 1)
-    n = P1.shape[0]
     dense_top = eigvals(plate.K, P1)[-10:]
     factor = banded_cholesky(P1, P1.scalar_bandwidth())
 
     def run():
-        return lanczos(n, plate.K, factor, P1, LanczosConfig(k=10), seed=0)
+        return lanczos(plate.K, factor, P1, 10, seed=0)
 
     first, second = run(), run()
     assert np.all(first.converged)
@@ -196,7 +194,7 @@ def test_criterion_09_stability_boundary_and_cfl_gain(plate):
         lam = eigvals(pair.K, Mvar)[-1]
         dtc = critical_timestep(lam)
         factor = banded_cholesky(Mvar, Mvar.scalar_bandwidth())
-        est = stability_boundary(factor, pair.K, Mvar.shape[0], dtc, seed=0)
+        est = stability_boundary(factor, pair.K, dtc, seed=0)
         assert abs(est - dtc) <= 0.03 * dtc
 
     P1 = block_lumped_family(plate.M, 1)
@@ -207,11 +205,12 @@ def test_criterion_09_stability_boundary_and_cfl_gain(plate):
     gain = cfl_gain(w[-1], pencil.lam_cut)
     assert gain == pytest.approx(math.sqrt(w[-1] / w[n - r - 1]), rel=1e-10)
     base = banded_cholesky(P1, P1.scalar_bandwidth())
-    dt_plain = stability_boundary(base, plate.K, n,
-                                  critical_timestep(w[-1]), seed=1)
-    dt_scaled = stability_boundary(
-        lambda rhs: scaled_mass_solve(pencil, base, rhs), plate.K, n,
-        critical_timestep(pencil.lam_cut), seed=1)
+    dt_plain = stability_boundary(base, plate.K, critical_timestep(w[-1]),
+                                  seed=1)
+    scaled = FactorizedOperator(
+        n, lambda rhs: scaled_mass_solve(pencil, base, rhs))
+    dt_scaled = stability_boundary(scaled, plate.K,
+                                   critical_timestep(pencil.lam_cut), seed=1)
     assert dt_scaled / dt_plain == pytest.approx(gain, rel=0.05)
 
 

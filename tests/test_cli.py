@@ -348,8 +348,12 @@ def test_run_all_bench_records_without_touching_results(tmp_path):
     with open(bench) as f:
         record = json.load(f)
     assert set(record) == {'python', 'numpy', 'scipy', 'blas',
-                           'blas_threads', 'studies'}
+                           'blas_threads', 'src_lines', 'studies'}
     assert record['blas_threads'] >= 1
+    # the line count of the copied tree's modules, as wc -l counts them
+    modules = glob.glob(str(tmp_path / 'src' / 'igalump' / '*.py'))
+    assert record['src_lines'] == sum(
+        open(path, 'rb').read().count(b'\n') for path in modules) > 0
     study = record['studies']['bandwidth_cube']
     assert set(record['studies']) == {'bandwidth_cube'}
     assert set(study) == {'wall_s', 'peak_rss_mb', 'exit'}

@@ -14,7 +14,8 @@ from igalump.dynamics import (Trajectory, central_difference, l2_error,
                               stability_boundary, step_count)
 from igalump.experiments import ExperimentConfig, _write_csv
 from igalump.geometry import plate_quarter_hole, quarter_annulus, unit_square
-from igalump.linalg import banded_cholesky, dense_generalized_eig
+from igalump.linalg import (FactorizedOperator, banded_cholesky,
+                            dense_generalized_eig)
 from igalump.spectral import critical_timestep
 from igalump.splines import SplineSpace, eval_basis, make_open_uniform
 
@@ -22,7 +23,7 @@ ONE = lambda *xs: 1.0
 
 
 def scalar_ops(m, k):
-    return (lambda r: r / m), np.array([[float(k)]])
+    return FactorizedOperator(1, lambda r: r / m), np.array([[float(k)]])
 
 
 # ---------------------------------------------------------------- integrator
@@ -104,8 +105,9 @@ def test_integrator_validates_steps():
     solve, K = scalar_ops(1.0, 1.0)
     with pytest.raises(ValueError):
         central_difference(solve, K, None, [1.0], [0.0], 0.0, 1.0)
-    with pytest.raises(TypeError):
-        central_difference(np.eye(1), K, None, [1.0], [0.0], 0.1, 1.0)
+    for not_a_factor in (np.eye(1), lambda r: r):
+        with pytest.raises(TypeError, match='FactorizedOperator'):
+            central_difference(not_a_factor, K, None, [1.0], [0.0], 0.1, 1.0)
 
 
 # ------------------------------------------------------------------ l2 error
@@ -275,7 +277,7 @@ def test_step_count_floor():
 def test_stability_boundary_scalar():
     omega = 5.0
     solve, K = scalar_ops(1.0, omega ** 2)
-    found = stability_boundary(solve, K, 1, 0.1, steps=1000, seed=3)
+    found = stability_boundary(solve, K, 0.1, steps=1000, seed=3)
     assert abs(found - 2.0 / omega) <= 0.03 * (2.0 / omega)
 
 
@@ -286,8 +288,7 @@ def test_stability_boundary_matches_eigenvalue_bound():
     w, _ = dense_generalized_eig(pair.K, pair.M)
     mass = banded_cholesky(pair.M, pair.M.scalar_bandwidth())
     dt_c = critical_timestep(w[-1])
-    found = stability_boundary(mass, pair.K, pair.M.shape[0], 0.8 * dt_c,
-                               steps=1000, seed=4)
+    found = stability_boundary(mass, pair.K, 0.8 * dt_c, steps=1000, seed=4)
     assert abs(found - dt_c) <= 0.03 * dt_c
 
 

@@ -19,7 +19,7 @@ from igalump.experiments import (_KEYS, RUNNERS, ConfigError,
                                  run_spectrum, run_trimmed_sweep)
 from igalump.linalg import (_mass_factor, banded_cholesky,
                             dense_generalized_eig)
-from igalump.spectral import LanczosConfig, LanczosResult, lanczos
+from igalump.spectral import LanczosResult, lanczos
 from spectrum_csv import read_spectrum_csv
 
 
@@ -334,8 +334,8 @@ def test_dense_extreme_eigenvalue_matches_oracle(tmp_path, monkeypatch,
         want = {'smallest': w[0], 'largest': w[-1]}
     else:
         # above the cap the oracle is the library Lanczos, run tight
-        res = lanczos(n, pair.K, _mass_factor(Mvar), Mvar,
-                      LanczosConfig(k=4, tol=1e-10), seed=0)
+        res = lanczos(pair.K, _mass_factor(Mvar), Mvar, 4, tol=1e-10,
+                      seed=0)
         assert np.all(res.converged)
         want = {'largest': res.values[0]}
 
@@ -432,7 +432,7 @@ def test_simulate_shared_and_critical_steps(tmp_path):
 @pytest.mark.parametrize('pencils', ['M P1 P2', 'P1 rowsum'])
 def test_simulate_factors_each_mass_once(tmp_path, monkeypatch, pencils):
     # the factor behind a pencil's lambda_max also drives its stepping; the
-    # consistent mass is factored once more, to project the initial data
+    # consistent mass's one factor also projects the initial data
     factored = []
 
     def counted(A, bandwidth):
@@ -444,11 +444,9 @@ def test_simulate_factors_each_mass_once(tmp_path, monkeypatch, pencils):
         'kind = simulate\np = 2\nsubdivisions = 4\npencils = %s\n'
         'tspan = 0.05\nout = %s\n' % (pencils, tmp_path / 'sim'))))
     run_simulate(cfg)
-    # the projection's factor, then one per mass behind a lambda_max:
-    # the consistent one for the shared step and one per lumped pencil
-    masses = factored[1:]
-    assert len(factored) == 2 + sum(p != 'M' for p in cfg.pencils)
-    assert len({id(A) for A in masses}) == len(masses)
+    # the consistent mass's, then one per lumped pencil's lambda_max
+    assert len(factored) == 1 + sum(p != 'M' for p in cfg.pencils)
+    assert len({id(A) for A in factored}) == len(factored)
 
 
 # -------------------------------------------------------------- deflate-ratio

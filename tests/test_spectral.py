@@ -7,12 +7,12 @@ import scipy.linalg
 from igalump.assembly import assemble_single_patch
 from igalump.experiments import ExperimentConfig, _spectrum_rows, _write_csv
 from igalump.geometry import plate_quarter_hole, quarter_annulus
-from igalump.linalg import banded_cholesky, dense_generalized_eig
+from igalump.linalg import (FactorizedOperator, banded_cholesky,
+                            dense_generalized_eig)
 from igalump.lumping import block_lumped_family
-from igalump.spectral import (LanczosConfig, LanczosResult, ScaledPencil,
-                              cfl_gain, critical_timestep, deflate, lanczos,
-                              local_stiffness_scale, scaled_mass_solve,
-                              split_zero_modes)
+from igalump.spectral import (ScaledPencil, cfl_gain, critical_timestep,
+                              deflate, lanczos, local_stiffness_scale,
+                              scaled_mass_solve, split_zero_modes)
 from igalump.splines import SplineSpace, make_open_uniform
 from spectrum_csv import read_spectrum_csv
 from structured_spd import random_structured_spd
@@ -36,25 +36,40 @@ def plate_pencil(nel=(8, 4), p=3):
     return pair.K, pair.M
 
 
+def identity_solve(n):
+    return FactorizedOperator(n, lambda rhs: rhs)
+
+
 # -------------------------------------------------------------------- config
 
 def test_config_defaults_and_validation():
-    cfg = LanczosConfig(k=5)
-    assert cfg.m == 10 and cfg.tol == 1e-3
+    A, B = random_pencil(40, seed=5)
+    base = banded_cholesky(B, 3)
+    # m defaults to 2k: the pass before the first restart fills 10 columns
+    res = lanczos(A, base, B, 5, max_restarts=0)
+    assert res.n_matvec == 10 and res.n_restarts == 0
+    # tol defaults to 1e-3
+    np.testing.assert_array_equal(res.converged, res.residuals <= 1e-3)
     with pytest.raises(ValueError):
-        LanczosConfig(k=0)
+        lanczos(A, base, B, 0)
     with pytest.raises(ValueError):
-        LanczosConfig(k=4, m=3)
+        lanczos(A, base, B, 4, m=3)
     with pytest.raises(ValueError):
-        LanczosConfig(k=2, tol=0.0)
+        lanczos(A, base, B, 2, tol=0.0)
 
 
 # ------------------------------------------------------------------- lanczos
 
+def test_lanczos_refuses_a_solve_that_is_not_a_factor():
+    A = np.diag(np.arange(1.0, 9.0))
+    for solve in (np.eye(8), lambda rhs: rhs):
+        with pytest.raises(TypeError, match='FactorizedOperator'):
+            lanczos(A, solve, np.eye(8), 2)
+
+
 def test_lanczos_diagonal_pencil():
     A = np.diag(np.arange(1.0, 11.0))
-    res = lanczos(10, A, np.eye(10), np.eye(10),
-                  LanczosConfig(k=2, tol=1e-10), seed=1)
+    res = lanczos(A, identity_solve(10), np.eye(10), 2, tol=1e-10, seed=1)
     np.testing.assert_allclose(res.values, [10.0, 9.0], atol=1e-8)
     assert res.converged.all()
 
@@ -65,11 +80,14 @@ def test_lanczos_equal_pencil_is_flat():
     base = banded_cholesky(B, 2)
     passes = []
 
-    def B_apply(x):
-        passes.append(1)
-        return B @ x
+    class CountedB:
+        shape = B.shape
 
-    res = lanczos(12, B, base, B_apply, LanczosConfig(k=3), seed=0)
+        def __matmul__(self, x):
+            passes.append(1)
+            return B @ x
+
+    res = lanczos(B, base, CountedB(), 3, seed=0)
     np.testing.assert_allclose(res.values, np.ones(3), atol=1e-10)
     assert res.converged.all()
     # with A = B each recurrence step breaks down (5 of them here) and a
@@ -88,7 +106,7 @@ def test_lanczos_equal_pencil_is_flat():
 def test_lanczos_matches_dense_oracle_random():
     A, B = random_pencil(60, seed=3)
     base = banded_cholesky(B, 3)
-    res = lanczos(60, A, base, B, LanczosConfig(k=6, tol=1e-8), seed=4)
+    res = lanczos(A, base, B, 6, tol=1e-8, seed=4)
     w, _ = dense_generalized_eig(A, B)
     assert res.converged.all()
     np.testing.assert_allclose(res.values, w[::-1][:6], rtol=1e-7)
@@ -101,7 +119,7 @@ def test_lanczos_plate_block_lumped_pencil():
     K, M = plate_pencil()
     P1 = block_lumped_family(M, 1)
     base = banded_cholesky(P1, P1.measured_bandwidth())
-    res = lanczos(K.shape[0], K, base, P1, LanczosConfig(k=10), seed=0)
+    res = lanczos(K, base, P1, 10, seed=0)
     w, _ = dense_generalized_eig(K, P1)
     assert res.converged.all()
     np.testing.assert_allclose(res.values, w[::-1][:10], rtol=1e-3)
@@ -115,7 +133,7 @@ def test_lanczos_thick_restart_keeps_ritz_vectors_b_orthonormal():
     # m = k + 2 restarts the basis 11 times before every pair converges
     A, B = random_pencil(60, seed=3)
     base = banded_cholesky(B, 3)
-    res = lanczos(60, A, base, B, LanczosConfig(k=6, m=8, tol=1e-8), seed=4)
+    res = lanczos(A, base, B, 6, m=8, tol=1e-8, seed=4)
     assert res.converged.all() and res.n_restarts == 11
     G = res.vectors.T @ (B @ res.vectors)
     assert np.max(np.abs(G - np.eye(6))) <= 1e-12
@@ -124,7 +142,7 @@ def test_lanczos_thick_restart_keeps_ritz_vectors_b_orthonormal():
 def test_lanczos_deterministic_per_seed():
     A, B = random_pencil(40, seed=5)
     base = banded_cholesky(B, 3)
-    runs = [lanczos(40, A, base, B, LanczosConfig(k=4), seed=11)
+    runs = [lanczos(A, base, B, 4, seed=11)
             for _ in range(2)]
     assert runs[0].n_iter == runs[1].n_iter
     assert runs[0].n_matvec == runs[1].n_matvec
@@ -134,8 +152,7 @@ def test_lanczos_deterministic_per_seed():
 def test_lanczos_reports_unconverged_instead_of_raising():
     A, B = random_pencil(50, seed=6)
     base = banded_cholesky(B, 3)
-    cfg = LanczosConfig(k=8, m=9, tol=1e-15, max_restarts=0)
-    res = lanczos(50, A, base, B, cfg, seed=0)
+    res = lanczos(A, base, B, 8, m=9, tol=1e-15, max_restarts=0, seed=0)
     assert not res.converged.all()
     assert len(res.values) == 8
     assert res.n_restarts == 0
@@ -149,7 +166,7 @@ def test_lanczos_converges_on_kernel_mode_with_k_equal_n():
                                  ONE, ONE)
     n = pair.K.shape[0]
     base = banded_cholesky(pair.M, pair.M.scalar_bandwidth())
-    res = lanczos(n, pair.K, base, pair.M, LanczosConfig(k=n), seed=0)
+    res = lanczos(pair.K, base, pair.M, n, seed=0)
     w, _ = dense_generalized_eig(pair.K, pair.M)
     assert res.converged.all()
     assert abs(res.values[-1]) <= 1e-8 * w[-1]
@@ -158,7 +175,7 @@ def test_lanczos_converges_on_kernel_mode_with_k_equal_n():
 
 def test_lanczos_counts_positive():
     A = np.diag(np.arange(1.0, 9.0))
-    res = lanczos(8, A, np.eye(8), np.eye(8), LanczosConfig(k=2), seed=0)
+    res = lanczos(A, identity_solve(8), np.eye(8), 2, seed=0)
     assert res.n_iter > 0 and res.n_matvec >= res.n_iter
 
 
@@ -205,13 +222,11 @@ def test_deflation_theorem_random_pencil(mode):
 
 
 def test_deflate_rejects_unconverged():
-    A, B = random_pencil(24, seed=9)
-    w, V = dense_generalized_eig(A, B)
-    res = LanczosResult(w[::-1][:4], V[:, ::-1][:, :4],
-                        np.full(4, 1.0), np.array([True, False, True, True]),
-                        1, 1, 0)
-    with pytest.raises(ValueError, match='unconverged'):
-        deflate(A, B, 3, 'scale-mass', res)
+    # local_stiffness_scale refuses the pairs its eigensolve left unconverged
+    K, P = quarter_annulus_pencil()
+    with pytest.raises(ValueError, match='eigendata contains unconverged '
+                       'pairs'):
+        local_stiffness_scale(K, P, 8, tol=1e-15, max_restarts=0)
 
 
 def test_deflate_rejects_large_rank():
