@@ -147,27 +147,29 @@ _TRUTH = {**dict.fromkeys(('true', 'yes', 'on', '1'), True),
 
 
 def _coerce(typ, raw, where):
-    """raw as a typ value; a tuple[t, ...] splits raw at commas and blanks."""
+    """raw as a typ value; a tuple[t, ...] splits raw at commas and blanks.
+    A float must be finite."""
     if getattr(typ, '__origin__', None) is tuple:
         return tuple(_coerce(typ.__args__[0], part, where)
                      for part in raw.replace(',', ' ').split())
     try:
-        return _TRUTH[raw.lower()] if typ is bool else typ(raw)
+        val = _TRUTH[raw.lower()] if typ is bool else typ(raw)
     except (KeyError, ValueError):
         raise ConfigError('%s: expected %s, got %r'
                           % (where, typ.__name__, raw)) from None
+    if typ is float and not math.isfinite(val):
+        raise ConfigError('%s: expected a finite number, got %r'
+                          % (where, raw))
+    return val
 
 
 def _num(raw, where):
+    """A geometry.* value: an int, or else a finite float."""
     try:
         return int(raw)
     except ValueError:
         pass
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError('%s: expected a number, got %r'
-                          % (where, raw)) from None
+    return _coerce(float, raw, where)
 
 
 def parse_config(path):

@@ -153,20 +153,20 @@ def schur_saddle_factor(P, split):
 
 
 def woodbury_solve(base, U2, gD2, rhs):
-    """Apply the inverse of B + (B U2) g(D2) (B U2)^T without forming it.
+    """Apply the inverse of B + (B U2) diag(gD2) (B U2)^T without forming it.
 
     base is a FactorizedOperator for B and U2 holds B-orthonormal
-    eigenvectors, which collapses the capacitance matrix to the diagonal
-    g(D2)^{-1} + I. Cost: one base solve plus O(r n).
+    eigenvectors, which collapses the capacitance matrix to a diagonal:
+    direction j is weighted by g_j / (1 + g_j), so g_j = 0 leaves it
+    untouched. The scaled mass is positive definite exactly when every
+    1 + g_j > 0; anything else is refused. Cost: one base solve plus O(r n).
     """
     gD2 = np.asarray(gD2, dtype=float)
-    if gD2.size == 0:
-        return base.solve(rhs)
-    if np.any(gD2 == 0.0):
-        raise ValueError('singular diagonal entry in g(D2)')
+    if not np.all(1.0 + gD2 > 0.0):
+        raise ValueError('scaled mass is singular or indefinite')
     U2 = np.asarray(U2, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    weight = 1.0 / (1.0 / gD2 + 1.0)
+    weight = gD2 / (1.0 + gD2)
     coeff = U2.T @ rhs
     coeff *= weight if coeff.ndim == 1 else weight[:, None]
     return base.solve(rhs) - U2 @ coeff

@@ -151,51 +151,25 @@ class ScaledPencil:
     """Pencil (A, B) with its top r eigenvalues deflated to lam_cut.
 
     U2 holds the B-orthonormal eigenvectors of the deflated eigenvalues
-    (ascending, matching D2) and V = B U2. Depending on mode the rank-r
-    perturbation V f(D2) V^T lands on the stiffness (f = lam_cut - lambda)
-    or V g(D2) V^T on the mass (g = lambda/lam_cut - 1); the other function
-    is zero. Neither scaled matrix is ever formed: applies and solves go
-    through the low-rank terms.
+    (ascending) and V = B U2. The scaled pencil is
+    (A + V diag(fD2) V^T, B + V diag(gD2) V^T): a stiffness update has
+    fD2 = lam_cut - lambda and gD2 = 0, a mass update fD2 = 0 and
+    gD2 = lambda/lam_cut - 1. Neither scaled matrix is ever formed: applies
+    and solves go through the low-rank terms.
     """
     A: object
     B: object
     U2: np.ndarray
     V: np.ndarray
-    D2: np.ndarray
     lam_cut: float
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in ('scale-stiffness', 'scale-mass'):
-            raise ValueError('unknown mode %r' % (self.mode,))
-        self.D2 = np.asarray(self.D2, dtype=float)
-        if self.r:
-            gram = self.U2.T @ self.V
-            if np.max(np.abs(gram - np.eye(self.r))) > 1e-8:
-                raise ValueError('eigenvectors are not B-orthonormal')
-
-    @property
-    def r(self):
-        return self.D2.shape[0]
-
-    @property
-    def fD2(self):
-        if self.mode == 'scale-stiffness':
-            return self.lam_cut - self.D2
-        return np.zeros(self.r)
-
-    @property
-    def gD2(self):
-        if self.mode == 'scale-mass':
-            return self.D2 / self.lam_cut - 1.0
-        return np.zeros(self.r)
+    fD2: np.ndarray
+    gD2: np.ndarray
 
     def dense_pair(self):
         """Explicit (A_bar, B_bar); oracle use only."""
         A, B = _as_csr(self.A).toarray(), _as_csr(self.B).toarray()
-        if self.r:
-            A += self.V @ np.diag(self.fD2) @ self.V.T
-            B += self.V @ np.diag(self.gD2) @ self.V.T
+        A += self.V @ np.diag(self.fD2) @ self.V.T
+        B += self.V @ np.diag(self.gD2) @ self.V.T
         return A, B
 
 
@@ -204,8 +178,12 @@ def deflate(A, B, r, mode, eigendata):
 
     eigendata supplies the top r+1 eigenpairs as (values descending,
     vectors); the extra pair fixes lam_cut = lambda_{n-r} so eigenvalue
-    numbering survives. Rejects ranks beyond n/4.
+    numbering survives. mode 'scale-stiffness' puts the rank-r update on A,
+    'scale-mass' on B; the other diagonal is zero. Rejects ranks beyond n/4
+    and eigenvectors that are not B-orthonormal.
     """
+    if mode not in ('scale-stiffness', 'scale-mass'):
+        raise ValueError('unknown mode %r' % (mode,))
     r = int(r)
     values, vectors = eigendata
     values = np.asarray(values, dtype=float)
@@ -221,24 +199,20 @@ def deflate(A, B, r, mode, eigendata):
         raise ValueError('cutoff eigenvalue must be positive')
     U2 = np.asarray(vectors[:, :r][:, ::-1], dtype=float)
     D2 = values[:r][::-1]
-    V = B @ U2 if r else np.zeros((n, 0))
-    return ScaledPencil(A, B, U2, np.asarray(V, dtype=float), D2,
-                        lam_cut, mode)
+    V = np.asarray(B @ U2 if r else np.zeros((n, 0)), dtype=float)
+    if np.max(np.abs(U2.T @ V - np.eye(r)), initial=0.0) > 1e-8:
+        raise ValueError('eigenvectors are not B-orthonormal')
+    zero = np.zeros(r)
+    if mode == 'scale-stiffness':
+        return ScaledPencil(A, B, U2, V, lam_cut, lam_cut - D2, zero)
+    return ScaledPencil(A, B, U2, V, lam_cut, zero, D2 / lam_cut - 1.0)
 
 
 def scaled_mass_solve(pencil, base, rhs):
-    """Solve with the scaled mass through the Woodbury identity.
-
-    base factorizes the unscaled mass B. Directions whose g(D2) entry is
-    zero are unperturbed and drop out of the correction.
-    """
-    if pencil.mode != 'scale-mass':
-        raise ValueError('pencil does not scale the mass')
-    g = pencil.gD2
-    live = g != 0.0
-    if not np.any(live):
-        return base.solve(rhs)
-    return woodbury_solve(base, pencil.U2[:, live], g[live], rhs)
+    """Solve with the pencil's mass B + V diag(gD2) V^T through the
+    Woodbury identity; base factorizes the unscaled mass B. A stiffness
+    pencil has gD2 = 0, so its mass solve is base.solve(rhs) itself."""
+    return woodbury_solve(base, pencil.U2, pencil.gD2, rhs)
 
 
 def local_stiffness_scale(K_r, P_r, rank, tol=1e-3, seed=0,

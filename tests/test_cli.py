@@ -198,6 +198,18 @@ def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
                           'out of range')),
     ('trimmed-sweep', 'subdivisions = 4\nnangles = 2\npencils = M P9\n',
      ('config error', 'exp.cfg:4: pencil P9: band index out of range')),
+    # a float key, each part of a float list and a geometry.* value must be
+    # finite
+    ('simulate', 'subdivisions = 2\ntspan = inf\n',
+     ('config error', "exp.cfg:3: expected a finite number, got 'inf'")),
+    ('deflate-ratio', 'subdivisions = 4 2\nranks = 1\nhorizons = 1 inf\n',
+     ('config error', "exp.cfg:4: expected a finite number, got 'inf'")),
+    ('spectrum', 'geometry = twisted_box\nsubdivisions = 1\n'
+     'geometry.total_angle = nan\n',
+     ('config error', "exp.cfg:4: expected a finite number, got 'nan'")),
+    ('trimmed-sweep', 'geometry = rotated_square\nsubdivisions = 4\n'
+     'nangles = 1\ngeometry.cx = nan\n',
+     ('config error', "exp.cfg:5: expected a finite number, got 'nan'")),
 ])
 def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
                                                   body, names):
@@ -244,7 +256,8 @@ _GEOMETRIES_2D = ('unit_square', 'stretched_square', 'quarter_annulus',
                   'plate_hole', 'plate_hole_2patch', 'rotated_square',
                   'nosuch')
 _TRIM_AND_MAP_PARAMS = (('half_side', '0.3'), ('half_side', '0.001'),
-                        ('cx', '0.4'), ('rin', '-1'), ('rout', '2'))
+                        ('cx', '0.4'), ('cx', 'nan'), ('rin', '-1'),
+                        ('rout', '2'))
 
 
 @st.composite
@@ -275,7 +288,7 @@ def generated_configs(draw):
         'levels': st.sampled_from(['2', '3']),
         'pencils': words(('M', 'rowsum', 'P1', 'P2', 'H1', 'H2', 'Q'), 3),
         'ranks': st.lists(ints(1, 10), min_size=1, max_size=3).map(' '.join),
-        'horizons': words(('1e-9', '1', '10'), 2),
+        'horizons': words(('1e-9', '1', '10', 'inf'), 2),
         'safeguard': st.sampled_from(['0.5', '1', '1.5']),
         'dirichlet': st.sampled_from(['true', 'false']),
         'threads': ints(1, 2),

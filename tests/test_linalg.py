@@ -255,9 +255,14 @@ def test_woodbury_matches_dense_oracle():
 
 
 def test_woodbury_rejects_singular_g():
+    # g = 0 is no update; 1 + g <= 0 (or NaN) leaves no SPD scaled mass
     base = banded_cholesky(np.eye(2), 0)
-    with pytest.raises(ValueError, match='singular'):
-        woodbury_solve(base, np.eye(2)[:, :1], np.array([0.0]), np.ones(2))
+    U2, rhs = np.eye(2)[:, :1], np.array([1.0, -3.0])
+    np.testing.assert_array_equal(
+        woodbury_solve(base, U2, np.array([0.0]), rhs), base.solve(rhs))
+    for g in (-1.0, -2.0, np.nan):
+        with pytest.raises(ValueError, match='singular or indefinite'):
+            woodbury_solve(base, U2, np.array([g]), rhs)
 
 
 def test_woodbury_two_dimensional_rhs():

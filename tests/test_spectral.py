@@ -287,6 +287,7 @@ def test_scaled_mass_solve_matches_dense():
     A, B = random_pencil(n, seed=15)
     w, V = dense_generalized_eig(A, B)
     pencil = deflate(A, B, r, 'scale-mass', (w[::-1], V[:, ::-1]))
+    np.testing.assert_array_equal(pencil.fD2, np.zeros(r))
     base = banded_cholesky(B, 3)
     _, Bbar = pencil.dense_pair()
     rng = np.random.default_rng(16)
@@ -309,13 +310,16 @@ def test_scaled_mass_solve_skips_unperturbed_directions():
                                np.linalg.solve(Bbar, rhs), atol=1e-12)
 
 
-def test_scaled_mass_solve_rejects_stiffness_mode():
+def test_scaled_mass_solve_of_stiffness_pencil_is_base_solve():
+    # a stiffness update leaves the mass alone: gD2 = 0, no correction
     A, B = random_pencil(12, seed=17)
     w, V = dense_generalized_eig(A, B)
     pencil = deflate(A, B, 1, 'scale-stiffness', (w[::-1], V[:, ::-1]))
+    np.testing.assert_array_equal(pencil.gD2, np.zeros(1))
     base = banded_cholesky(B, 3)
-    with pytest.raises(ValueError, match='mass'):
-        scaled_mass_solve(pencil, base, np.ones(12))
+    rhs = np.arange(12.0) - 4.0
+    np.testing.assert_array_equal(scaled_mass_solve(pencil, base, rhs),
+                                  base.solve(rhs))
 
 
 # ----------------------------------------------------- local stiffness scale
