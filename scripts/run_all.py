@@ -15,8 +15,13 @@ so results/ is left as it is, and writes FILE as JSON: per study its
 wall_s, peak_rss_mb and exit, plus the Python, numpy and scipy versions,
 the BLAS library, the BLAS thread count (OPENBLAS_NUM_THREADS, or the
 usable cores when it is unset) and src_lines, the total line count of the
-igalump/*.py modules of the source tree that ran. To time an old commit,
-export its tree (`git archive <commit> | tar -x -C DIR`) and pass its src:
+igalump/*.py modules of the source tree that ran. After the studies it runs
+the tier-1 command once in the tree that holds that src (its parent
+directory), `PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors`, and records its wall time tier1_s and
+the counts tier1_passed and tier1_failed (failures plus errors) from
+pytest's summary line. To time an old commit, export its tree
+(`git archive <commit> | tar -x -C DIR`) and pass its src:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/run_all.py --bench BENCH_<n>.json \
         --src DIR/src
@@ -27,6 +32,7 @@ import contextlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -54,6 +60,25 @@ def _src_lines(src):
     """Total line count of src/igalump/*.py, as `wc -l` counts it."""
     return sum(path.read_bytes().count(b'\n')
                for path in Path(src, 'igalump').glob('*.py'))
+
+
+def _tier1(src, env):
+    """Run the tier-1 suite in the tree of src; its wall time and counts."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, '-m', 'pytest', '-q',
+         '--continue-on-collection-errors'],
+        cwd=os.path.dirname(src), env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    summary = (proc.stdout.strip().splitlines() or [''])[-1]
+    counts = {word: int(n) for n, word in
+              re.findall(r'(\d+) (passed|failed|error)', summary)}
+    passed = counts.get('passed', 0)
+    failed = counts.get('failed', 0) + counts.get('error', 0)
+    print('tier-1: %d passed, %d failed in %.1fs' % (passed, failed, wall),
+          flush=True)
+    return {'tier1_s': round(wall, 3), 'tier1_passed': passed,
+            'tier1_failed': failed}
 
 
 def main():
@@ -119,9 +144,10 @@ def main():
             if rc != 0:
                 break
     if args.bench and not args.dry_run:
+        record = dict(_platform(), src_lines=_src_lines(src),
+                      studies=studies, **_tier1(src, env))
         with open(args.bench, 'w') as f:
-            json.dump(dict(_platform(), src_lines=_src_lines(src),
-                           studies=studies), f, indent=1)
+            json.dump(record, f, indent=1)
             f.write('\n')
     if rc != 0:
         sys.exit(rc)

@@ -87,28 +87,76 @@ def central_difference(M_solve, K, f, u0, v0, dt, T):
     return Trajectory(dt, times, samples, stable, blown_up_at)
 
 
-def l2_error(grid, coeffs, exact, t=None):
-    """Quadrature L2 distance between the spline field and exact.
+_SLICE_VALUES = 2 ** 13   # quadrature values per row slice of an L2 batch
 
-    coeffs lives on the free dofs of grid.space, and the QuadratureGrid
-    supplies the rule and the pullback. exact is called with physical
-    coordinate arrays, plus t when given.
+
+def l2_error(grid, coeffs, exact, t=None):
+    """Quadrature L2 distances between spline fields and exact.
+
+    coeffs is one sample, shape (num_free,), or a block of R samples, shape
+    (R, num_free), on the free dofs of grid.space; the QuadratureGrid
+    supplies the rule and the pullback. t is None, one time for every
+    sample, or one per sample, shape (R,). exact is called with physical
+    coordinate arrays, plus, when t is given, the times of a slice of rows
+    as an (rows, 1, ..., 1) array, so a spatial factor is evaluated once per
+    slice. Returns a float for one sample and an (R,) array for a block.
+
+    Raises:
+        ValueError: if coeffs's last axis is not num_free, or t's length is
+            not R.
     """
     space = grid.space
-    full = np.zeros(space.numdofs)
-    full[space.free_to_full()] = np.asarray(coeffs, dtype=float)
-    uh = _tensor_apply(full.reshape(space.dims)[None],
-                       [V.T[None] for V in grid.vals])[0]
-    return l2_norm(grid, lambda *args: uh - exact(*args), t)
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != space.num_free:
+        raise ValueError('l2_error: coefficients of shape %s on a space '
+                         'with %d free dofs' % (coeffs.shape, space.num_free))
+    rows = coeffs.reshape(-1, space.num_free)
+    if np.ndim(t) == 1 and len(t) != len(rows):
+        raise ValueError('l2_error: %d times for %d coefficient rows'
+                         % (len(t), len(rows)))
+    free = space.free_to_full()
+    vals = [V.T[None] for V in grid.vals]
+
+    def error(s, *args):
+        full = np.zeros((s.stop - s.start, space.numdofs))
+        full[:, free] = rows[s]
+        uh = _tensor_apply(full.reshape((-1,) + space.dims), vals)
+        uh -= exact(*args)
+        return uh
+
+    norms = _sliced_norms(grid, error, t, len(rows))
+    return norms if coeffs.ndim == 2 else float(norms[0])
 
 
 def l2_norm(grid, field, t=None):
     """Quadrature L2 norm of field on the patch of the QuadratureGrid.
 
-    field is called with physical coordinate arrays, plus t when given.
+    field is called as exact is in l2_error. Returns a float when t is None
+    or a scalar and an (R,) array, one norm per time, when t has shape (R,).
     """
-    f = field(*grid.coords) if t is None else field(*grid.coords, t)
-    return math.sqrt(float(np.sum(f ** 2 * grid.adet * grid.weights())))
+    batch = np.ndim(t) == 1
+    norms = _sliced_norms(grid, lambda s, *args: field(*args), t,
+                          len(t) if batch else 1)
+    return norms if batch else float(norms[0])
+
+
+def _sliced_norms(grid, field, t, nrows):
+    # field(s, *coords[, t[s]]) gives the values of rows s on the grid; the
+    # rows go in slices of at most _SLICE_VALUES quadrature values
+    shape = grid.adet.shape
+    if t is not None:
+        t = np.broadcast_to(t, (nrows,)).reshape((nrows,) + (1,) * len(shape))
+    w = grid.weights()
+    step = max(1, _SLICE_VALUES // grid.adet.size)
+    out = np.empty(nrows)
+    for lo in range(0, nrows, step):
+        s = slice(lo, min(lo + step, nrows))
+        args = grid.coords if t is None else (*grid.coords, t[s])
+        f2 = np.broadcast_to(field(s, *args), (s.stop - lo,) + shape) ** 2
+        f2 *= grid.adet
+        f2 *= w
+        out[s] = np.sum(f2.reshape(s.stop - lo, -1), axis=1)
+    return np.sqrt(out)
 
 
 # ----------------------------------------------------- manufactured problem
@@ -134,7 +182,8 @@ class WaveProblem:
     patch: object
     pair: object        # consistent AssembledPair with rho = kappa = 1
     mass: object        # FactorizedOperator of pair.M
-    grid: object        # QuadratureGrid of the loads and of l2_error
+    grid: object        # QuadratureGrid of the loads and of l2_error, which
+                        # takes a block of samples with one time each
     f: object           # time -> load vector on the free dofs
     u0: np.ndarray
     v0: np.ndarray

@@ -614,12 +614,10 @@ def run_simulate(cfg):
         idx = list(range(0, len(traj.times), stride))
         if idx[-1] != len(traj.times) - 1:
             idx.append(len(traj.times) - 1)
-        errs = [l2_error(prob.grid, traj.samples[i], prob.exact, t=t)
-                / l2_norm(prob.grid, prob.exact, t=t)
-                for i, t in zip(idx, traj.times[idx])]
-        return np.column_stack((traj.times[idx],
-                                np.linalg.norm(traj.samples[idx], axis=1),
-                                errs))
+        t, u = traj.times[idx], traj.samples[idx]
+        errs = l2_error(prob.grid, u, prob.exact, t=t) \
+            / l2_norm(prob.grid, prob.exact, t=t)
+        return np.column_stack((t, np.linalg.norm(u, axis=1), errs))
 
     tables, curves = [], []
     for label in cfg.pencils:

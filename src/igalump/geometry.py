@@ -112,8 +112,9 @@ def _det(J):
 
 
 def _tensor_apply(T, mats):
-    # contract axes 1..d of T, batch axis 0 of length E or 1, with mats[l]
-    # of shape (E, n_l, m_l) in turn, into (E, n_1, ..., n_d) + trailing axes
+    # contract axes 1..d of T with mats[l] of shape (E, n_l, m_l) in turn,
+    # into (E, n_1, ..., n_d) + trailing axes; the batch axis 0 of T or of
+    # every mats[l] may be 1 instead of E
     for l, M in enumerate(mats):
         T = np.moveaxis(T, l + 1, 1)
         rest = T.shape[2:]

@@ -361,7 +361,11 @@ def test_run_all_bench_records_without_touching_results(tmp_path):
     with open(bench) as f:
         record = json.load(f)
     assert set(record) == {'python', 'numpy', 'scipy', 'blas',
-                           'blas_threads', 'src_lines', 'studies'}
+                           'blas_threads', 'src_lines', 'studies',
+                           'tier1_s', 'tier1_passed', 'tier1_failed'}
+    # the tier-1 run is in the copied tree, which holds no tests
+    assert record['tier1_s'] > 0
+    assert record['tier1_passed'] == record['tier1_failed'] == 0
     assert record['blas_threads'] >= 1
     # the line count of the copied tree's modules, as wc -l counts them
     modules = glob.glob(str(tmp_path / 'src' / 'igalump' / '*.py'))

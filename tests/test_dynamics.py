@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+import igalump.dynamics as dynamics
 from igalump.assembly import (assemble_single_patch, load_vector,
                               quadrature_grid)
 from igalump.dynamics import (Trajectory, central_difference, l2_error,
@@ -218,6 +219,51 @@ def clamped_plate_problem(p, n):
     kv = make_open_uniform(n, p, p - 1)
     space = SplineSpace([kv, kv], dirichlet=((True, True), (True, True)))
     return manufactured_wave_problem(space, plate_quarter_hole())
+
+
+def _plate_batch_cases():
+    # (grid, coefficient rows, exact field, t), with R = 2 * rows + 1 rows so
+    # the batch spans two full slices and a partial third
+    prob = clamped_plate_problem(2, 4)
+    grid = quadrature_grid(prob.space, prob.patch, nquad=6)
+    rows = dynamics._SLICE_VALUES // grid.adet.size
+    R = 2 * rows + 1
+    rng = np.random.default_rng(5)
+    coeffs = prob.u0 + 0.1 * rng.normal(size=(R, len(prob.u0)))
+    return {'constant': (grid, coeffs, lambda x, y: 1.5, None),
+            'no-t': (grid, coeffs, plate_deflection, None),
+            'plate-t': (grid, coeffs, prob.exact, np.linspace(0.0, 2.0, R))}
+
+
+@pytest.mark.parametrize('case', ['constant', 'no-t', 'plate-t'])
+def test_l2_batch_matches_per_row_calls(case):
+    grid, coeffs, exact, t = _plate_batch_cases()[case]
+    ts = [None] * len(coeffs) if t is None else t
+    errs = l2_error(grid, coeffs, exact, t=t)
+    one = [l2_error(grid, c, exact, t=ti) for c, ti in zip(coeffs, ts)]
+    assert errs.shape == (len(coeffs),)
+    assert all(type(e) is float for e in one)
+    np.testing.assert_allclose(errs, one, rtol=1e-14, atol=0.0)
+    if t is not None:
+        norms = l2_norm(grid, exact, t=t)
+        one = [l2_norm(grid, exact, t=ti) for ti in t]
+        assert norms.shape == t.shape
+        assert all(type(n) is float for n in one)
+        np.testing.assert_allclose(norms, one, rtol=1e-14, atol=0.0)
+
+
+def test_l2_error_names_both_sizes_of_a_mismatch():
+    grid, coeffs, exact, t = _plate_batch_cases()['plate-t']
+    R, n = coeffs.shape
+    with pytest.raises(ValueError, match='%d times for %d coefficient rows'
+                       % (R - 1, R)):
+        l2_error(grid, coeffs, exact, t=t[1:])
+    with pytest.raises(ValueError, match=r'shape \(%d, %d\) on a space '
+                       'with %d free dofs' % (R, n - 1, n)):
+        l2_error(grid, coeffs[:, 1:], exact, t=t)
+    with pytest.raises(ValueError, match=r'shape \(%d,\) on a space '
+                       'with %d free dofs' % (n + 1, n)):
+        l2_error(grid, np.r_[coeffs[0], 0.0], exact, t=0.5)
 
 
 def test_manufactured_problem_fields():

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 
 import igalump.experiments as experiments
 from igalump.assembly import jacobi_rescale
+from igalump.dynamics import l2_error
 from igalump.experiments import (_KEYS, RUNNERS, ConfigError,
                                  ExperimentConfig, _assemble,
                                  _assemble_trimmed_at,
@@ -427,6 +428,26 @@ def test_simulate_shared_and_critical_steps(tmp_path):
     assert crit_p['t'][1] >= shared_m['t'][1] - 1e-15
     assert np.all(np.isfinite(shared_p['l2_error']))
     assert shared_p['l2_error'].max() < 1.0
+
+
+def test_simulate_measures_each_history_in_one_batch(tmp_path, monkeypatch):
+    # one l2_error call per written error history, not one per row
+    calls = []
+
+    def counted(grid, coeffs, exact, t=None):
+        calls.append(np.shape(coeffs))
+        return l2_error(grid, coeffs, exact, t=t)
+
+    monkeypatch.setattr(experiments, 'l2_error', counted)
+    cfg = parse_config(write_cfg(tmp_path, (
+        'kind = simulate\np = 2\nsubdivisions = 4\npencils = M P1\n'
+        'tspan = 1\nout = %s\n' % (tmp_path / 'sim'))))
+    files = run_simulate(cfg)
+    csvs = [f for f in files if f.rsplit('/', 1)[1].startswith('sim_')]
+    assert len(calls) == len(csvs) == 4
+    rows = [len(np.loadtxt(f, delimiter=',', skiprows=1, ndmin=2))
+            for f in csvs]
+    assert [shape[0] for shape in calls] == rows and min(rows) > 1
 
 
 @pytest.mark.parametrize('pencils', ['M P1 P2', 'P1 rowsum'])
