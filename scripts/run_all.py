@@ -10,8 +10,11 @@ it prints the wall time, the peak resident set of the study process (from
 os.wait4, in MB of 2^20 bytes) and the exit code. A config that does not
 parse exits 2 with its config error.
 
---bench FILE sends each study's output to a temporary directory instead,
-so results/ is left as it is, and writes FILE as JSON: per study its
+--bench FILE first compiles the igalump modules of the source tree that
+runs to bytecode (compileall), once, so that no study process compiles
+them and each peak_rss_mb measures the program rather than the compiler.
+It sends each study's output to a temporary directory instead, so
+results/ is left as it is, and writes FILE as JSON: per study its
 wall_s, peak_rss_mb and exit, plus the Python, numpy and scipy versions,
 the BLAS library, the BLAS thread count (OPENBLAS_NUM_THREADS, or the
 usable cores when it is unset) and src_lines, the total line count of the
@@ -28,6 +31,7 @@ pytest's summary line. To time an old commit, export its tree
 """
 
 import argparse
+import compileall
 import contextlib
 import json
 import os
@@ -112,6 +116,8 @@ def main():
     inherited = os.environ.get('PYTHONPATH')
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([inherited] if inherited else [])))
+    if args.bench and not args.dry_run:
+        compileall.compile_dir(os.path.join(src, 'igalump'), quiet=1)
     studies = {}
     rc = 0
     with (tempfile.TemporaryDirectory(prefix='igalump-bench-')

@@ -13,11 +13,15 @@ values and the pullback of one space on one patch for load vectors and L2
 errors, and lives only as long as its caller keeps it. The assembly
 integrates any set of whole or cut elements (a whole element is one
 subcell with no region test) in consecutive slices of at most _POINTS
-quadrature points, its one memory bound. One batched kernel contracts
-pair tables one direction at a time (sum factorization, _tensor_apply).
-The pullback G is formed in closed form per dimension, and the Jacobi
-rescale scales a copy of each matrix's stored entries, so no stack of
-tiny matrices goes through LAPACK and no diagonal through a sparse product.
+(2^13) quadrature points, its one memory bound. One batched kernel
+contracts pair tables one direction at a time (sum factorization,
+_tensor_apply). The CSR pattern of the system, C C^T for the
+dof-by-element incidence C, is built once, and each slice's local
+matrices add straight into its data, so no whole-mesh stack of local
+matrices or triplets is held. The pullback G is formed in closed form per
+dimension, and the Jacobi rescale scales a copy of each matrix's stored
+entries, so no stack of tiny matrices goes through LAPACK and no diagonal
+through a sparse product.
 """
 
 import itertools
@@ -27,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .geometry import _tensor_apply, classify_elements
-from .lumping import HierBandedMatrix, _as_csr, _csr, _scatter, _strides
+from .lumping import HierBandedMatrix, _as_csr, _scatter, _strides
 from .splines import _dense_tables, eval_basis
 
 
@@ -110,7 +114,7 @@ def _element_rule(kv, e, nsub, nq):
     return x.reshape(len(e), nsub * nq), w, a + 0.5 * h[:, None]
 
 
-_POINTS = 2 ** 15   # quadrature points per slice of an element batch
+_POINTS = 2 ** 13   # quadrature points per slice of an element batch
 
 
 def _require_regular(adet):
@@ -182,12 +186,14 @@ def _element_matrices(space, patch, rho, kappa, els, nquad, region=None,
                       nsub=1):
     """Local mass and stiffness of any element set els (E, d), in its order.
 
-    Each element is integrated on nsub subcells per direction of nq_l Gauss
-    points in direction l (default p_l+1), in consecutive slices of at most
-    _POINTS points (at least one element), which bounds the memory held at
-    once. With a region, a subcell whose centre lies outside it keeps its
-    points at weight 0, and only retained points enter c and G: a rejected
-    subcell may have a singular Jacobian.
+    Yields (s, Mloc, Kloc) for consecutive slices s of els of at most
+    _POINTS quadrature points (at least one element), Mloc and Kloc of
+    shape (len(els[s]), nloc, nloc), so only one slice's local matrices
+    are held at once. Each element is integrated on nsub subcells per
+    direction of nq_l Gauss points in direction l (default p_l+1). With a
+    region, a subcell whose centre lies outside it keeps its points at
+    weight 0, and only retained points enter c and G: a rejected subcell
+    may have a singular Jacobian.
     """
     pts, wts, centers, tables = [], [], [], []
     for kv, col in zip(space.kvs, els.T):
@@ -203,15 +209,12 @@ def _element_matrices(space, patch, rho, kappa, els, nquad, region=None,
         pts.append(x[at])
         wts.append(w[at])
         centers.append(mid[at])
-    nloc = int(np.prod([t.shape[2] for t in tables]))
-    Mloc, Kloc = np.empty((2, len(els), nloc, nloc))
     step = max(1, _POINTS // int(np.prod([x.shape[1] for x in pts])))
     for s in (slice(i, i + step) for i in range(0, len(els), step)):
         vals, ders = ([t[k, s] for t in tables] for k in (0, 1))
-        Mloc[s], Kloc[s] = _element_kernel(vals, ders, *_weighted_pullback(
+        yield (s,) + _element_kernel(vals, ders, *_weighted_pullback(
             patch, rho, kappa, region, nsub,
             *([x[s] for x in a] for a in (pts, wts, centers))))
-    return Mloc, Kloc
 
 
 def _weighted_pullback(patch, rho, kappa, region, nsub, pts, wts, centers):
@@ -241,36 +244,56 @@ def _weighted_pullback(patch, rho, kappa, region, nsub, pts, wts, centers):
     return c, G
 
 
-def _system_matrices(space, els, Mloc, Kloc):
-    """CSR mass and stiffness over the free dofs of space from the local
-    matrices of the elements with multi-indices els (E, d). Triplets follow
-    the element order, so duplicates sum in that order."""
-    to_free, n = space.full_to_free(), space.num_free
+def _element_dofs(space, els):
+    """Free dof of each local function of the elements els (E, d), in
+    lexicographic order, -1 where the dof is eliminated; shape (E, nloc)."""
     dofs = np.zeros((len(els), 1), dtype=np.int64)
     for l, (kv, r) in enumerate(zip(space.kvs, _strides(space.dims))):
         first = kv.find_span(kv.span_bounds()[0]) - kv.p
         d1 = (first[els[:, l], None] + np.arange(kv.p + 1)) * r
-        dofs = (dofs[:, :, None] + d1[:, None, :]).reshape(len(els), -1)
-    # the CSR merge wants 32-bit indices wherever they fit: cast once here,
-    # not once per matrix inside the merge, so fewer triplet copies coexist
-    dofs = to_free[dofs].astype(np.int32 if n < 2 ** 31 else np.int64)
-    keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
-    # with no dof dropped the local matrices enter the merge as flat views,
-    # not as copies, and the heap holds no second copy of each
-    if np.all(keep):
-        keep = Ellipsis
-    rows = np.broadcast_to(dofs[:, :, None], Mloc.shape)[keep].ravel()
-    cols = np.broadcast_to(dofs[:, None, :], Mloc.shape)[keep].ravel()
-    return (_csr(rows, cols, Mloc[keep].ravel(), n),
-            _csr(rows, cols, Kloc[keep].ravel(), n))
+        dofs = (dofs[:, :, None] + d1[:, None, :]).reshape(
+            len(els), dofs.shape[1] * (kv.p + 1))
+    return space.full_to_free()[dofs]
+
+
+def _system_matrices(space, batches):
+    """CSR mass and stiffness over the free dofs of space from batches,
+    pairs of an element set (E, d) and the (s, Mloc, Kloc) that
+    _element_matrices yields for it.
+
+    The pattern C C^T, C the free-dof-by-element incidence of every batch,
+    is built once with sorted indices. Each slice adds into its data at
+    positions from one searchsorted against the row-major keys row*n + col;
+    np.add.at sums in element order, whatever the slices.
+    """
+    import scipy.sparse as sp   # loaded with .lumping: no new import
+    n = space.num_free
+    dofs = [_element_dofs(space, els) for els, _ in batches]
+    every = np.concatenate(dofs)
+    live = every >= 0
+    Ct = sp.csr_matrix((np.ones(live.sum()), every[live], np.concatenate(
+        [[0], np.cumsum(live.sum(axis=1))])), shape=(len(every), n))
+    M = (Ct.T @ Ct).tocsr()
+    M.sort_indices()
+    M.data[:] = 0.0
+    K = M.copy()
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr)) * n
+    keys += M.indices
+    for d, (_, slices) in zip(dofs, batches):
+        for s, Mloc, Kloc in slices:
+            rows, cols = d[s, :, None], d[s, None, :]
+            keep = (rows >= 0) & (cols >= 0)
+            pos = np.searchsorted(keys, (rows * n + cols)[keep])
+            np.add.at(M.data, pos, Mloc[keep])
+            np.add.at(K.data, pos, Kloc[keep])
+    return M, K
 
 
 def assemble_single_patch(space, patch, rho, kappa, nquad=None):
     """Mass and stiffness of one patch, canonical element order."""
     els = np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
-    Mloc, Kloc = _element_matrices(space, patch, rho, kappa, els, nquad)
-    M, K = (_tagged(space, A)
-            for A in _system_matrices(space, els, Mloc, Kloc))
+    M, K = (_tagged(space, A) for A in _system_matrices(space, [
+        (els, _element_matrices(space, patch, rho, kappa, els, nquad))]))
     return AssembledPair(K, M, [(M, None)])
 
 
@@ -303,10 +326,11 @@ def assemble_trimmed(space, patch, region, rho, kappa, subdepth=3, nquad=None):
     inside elements on the standard rule, and one the cut elements on
     2^subdepth subcells per direction each, of which (with the same Gauss
     rule) only those whose centre lies inside the region count. Outside
-    elements are dropped, and the merge keeps canonical element order. The
-    active dofs, the free dofs whose mass diagonal exceeds 1e-12 of the
-    largest, keep the mass diagonal strictly positive; the others have no
-    retained subcell in their support, or meet one only near its corner.
+    elements are dropped; both batches add into one pattern, the inside
+    elements first, each batch in canonical element order. The active
+    dofs, the free dofs whose mass diagonal exceeds 1e-12 of the largest,
+    keep the mass diagonal strictly positive; the others have no retained
+    subcell in their support, or meet one only near its corner.
 
     Raises:
         ValueError: if no element or no subcell is retained, so that the
@@ -317,15 +341,12 @@ def assemble_trimmed(space, patch, region, rho, kappa, subdepth=3, nquad=None):
     if not np.any(element_class >= 0):
         raise ValueError('trim region excludes every element '
                          '(n_active = 0)')
-    # canonical element order, so that duplicates sum as in a whole mesh
     els = np.argwhere(element_class >= 0)
     cut = element_class[tuple(els.T)] == 0
-    nloc = int(np.prod([kv.p + 1 for kv in space.kvs]))
-    Mloc, Kloc = np.empty((2, len(els), nloc, nloc))
-    for sel, *rule in ((~cut,), (cut, region, 2 ** subdepth)):
-        Mloc[sel], Kloc[sel] = _element_matrices(space, patch, rho, kappa,
-                                                 els[sel], nquad, *rule)
-    M, K = _system_matrices(space, els, Mloc, Kloc)
+    M, K = _system_matrices(space, [
+        (els[sel], _element_matrices(space, patch, rho, kappa, els[sel],
+                                     nquad, *rule))
+        for sel, *rule in ((~cut,), (cut, region, 2 ** subdepth))])
     diag = M.diagonal()
     active = diag > 1e-12 * np.max(diag, initial=0.0)
     n = int(active.sum())

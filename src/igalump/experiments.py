@@ -415,10 +415,13 @@ def _extreme_eigenvalue(K, Mvar, which, factor=None):
     A mass with a nonpositive diagonal entry is refused, naming it; at
     n = 1 the answer is K_00 / Mvar_00. Above, Mvar's banded Cholesky
     refuses an indefinite mass at every size, and one ARPACK call finds
-    the largest with that factor as Minv, or the smallest shift-inverted
-    about 0 through K's banded factor. The smallest must exceed 1e-8
-    max_i K_ii / Mvar_ii, a Rayleigh quotient and so at most 1e-8
-    lambda_max, which refuses the roundoff eigenvalue of a singular K.
+    the largest with that factor as Minv, from a start vector drawn from
+    default_rng(0), or the smallest shift-inverted about 0 through K's
+    banded factor, from the constant vector. The largest is refused unless
+    an inertia count finds no eigenvalue above it (_require_top). The
+    smallest must exceed 1e-8 max_i K_ii / Mvar_ii, a Rayleigh quotient and
+    so at most 1e-8 lambda_max, which refuses the roundoff eigenvalue of a
+    singular K.
     """
     n = K.shape[0]
     dK, dM = _as_csr(K).diagonal(), _as_csr(Mvar).diagonal()
@@ -437,16 +440,44 @@ def _extreme_eigenvalue(K, Mvar, which, factor=None):
             factor = None  # Mvar's band goes before K's is made
             solve = _mass_factor(K).solve
         inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
-        opts = ({'which': 'LA', 'Minv': inv} if which == 'largest'
-                else {'sigma': 0.0, 'OPinv': inv})
+        # a constant start can be orthogonal to the top eigenspace of a
+        # symmetric mesh, and ARPACK then converges below it
+        opts = ({'which': 'LA', 'Minv': inv,
+                 'v0': np.random.default_rng(0).standard_normal(n)}
+                if which == 'largest' else
+                {'sigma': 0.0, 'OPinv': inv, 'v0': np.full(n, n ** -0.5)})
         lam = float(spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar),
-                               v0=np.full(n, n ** -0.5),
                                return_eigenvectors=False, **opts)[0])
+        if which == 'largest':
+            _require_top(K, Mvar, lam)
     floor = 1e-8 * np.max(dK / dM)
     if which == 'smallest' and not lam > floor:
         raise ValueError('smallest eigenvalue %.3g is not positive '
                          '(floor %.3g)' % (lam, floor))
     return lam, factor
+
+
+def _require_top(K, Mvar, lam):
+    """Refuse lam as lambda_max of (K, Mvar) if an eigenvalue lies above
+    sigma = lam (1 + 1e-9). By Sylvester's law of inertia the positive
+    pivots of an unpivoted LU of the symmetric K - sigma Mvar count the
+    eigenvalues above sigma; a factorization that pivots is refused."""
+    n, sigma = K.shape[0], lam * (1 + 1e-9)
+    try:
+        lu = spla.splu((_as_csr(K) - sigma * _as_csr(Mvar)).tocsc(),
+                       permc_spec='NATURAL', diag_pivot_thresh=0,
+                       options={'SymmetricMode': True})
+    except RuntimeError as exc:     # SuperLU: an exactly singular pivot
+        raise ValueError('inertia count at %.10g failed: %s'
+                         % (sigma, exc)) from None
+    if not np.array_equal(lu.perm_r, np.arange(n)):
+        raise ValueError('inertia count at %.10g needed row pivoting'
+                         % sigma)
+    above = int(np.sum(lu.U.diagonal() > 0))
+    if above:
+        raise ValueError('largest eigenvalue %.10g misses the top of the '
+                         'spectrum: %d eigenvalues lie above %.10g, '
+                         'expected 0' % (lam, above, sigma))
 
 
 def _run_sweep(cfg, work, items):

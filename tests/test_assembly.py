@@ -614,19 +614,78 @@ def _bytes(A):
     return A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes()
 
 
+def _local_stacks(slices):
+    """The (s, Mloc, Kloc) of _element_matrices joined back into one Mloc
+    and one Kloc stack, after checking that the slices run consecutively."""
+    slices = list(slices)
+    assert [s.start for s, _, _ in slices] == \
+        [0] + [s.stop for s, _, _ in slices[:-1]]
+    return [np.concatenate([part[k] for part in slices]) for k in (1, 2)]
+
+
 @pytest.mark.parametrize('kw', [{}, {'region': _plate_disc, 'nsub': 2},
                                 {'nsub': 3}], ids=['plain', 'region', 'nsub'])
 def test_element_matrices_take_any_element_set(kw):
     space, patch = _odd_plate_space(), plate_quarter_hole()
     rho = lambda x, y: 1.0 + 0.1 * x * y
     els = np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
-    whole = igalump.assembly._element_matrices(space, patch, rho, ONE, els,
-                                               None, **kw)
+    whole = _local_stacks(igalump.assembly._element_matrices(
+        space, patch, rho, ONE, els, None, **kw))
     # every third element: no tensor product of per-direction indices
-    part = igalump.assembly._element_matrices(space, patch, rho, ONE,
-                                              els[::3], None, **kw)
+    part = _local_stacks(igalump.assembly._element_matrices(
+        space, patch, rho, ONE, els[::3], None, **kw))
     for got, want in zip(part, whole):
         assert got.tobytes() == want[::3].tobytes()
+
+
+def _free_dofs(space, el):
+    """Free dofs of the local functions of element el, -1 if eliminated,
+    from the first function active at the element's midpoint."""
+    firsts = [int(eval_basis(kv, 0.5 * (lo[e] + hi[e]))[0])
+              for kv, (lo, hi), e in zip(
+                  space.kvs, (kv.span_bounds() for kv in space.kvs), el)]
+    full = np.ravel_multi_index(np.meshgrid(
+        *[f + np.arange(kv.p + 1) for f, kv in zip(firsts, space.kvs)],
+        indexing='ij'), space.dims).ravel()
+    return space.full_to_free()[full]
+
+
+@pytest.mark.parametrize('trimmed', [False, True],
+                         ids=['dirichlet', 'trimmed'])
+def test_pattern_matches_a_triplet_merge(trimmed):
+    # the pattern and the sums added into it, against scipy's COO merge of
+    # the same local matrices on the dofs of each element's midpoint
+    rho = lambda x, y: 1.0 + 0.1 * x * y
+    patch = plate_quarter_hole()
+    if trimmed:
+        space = _odd_plate_space()
+        cls = classify_elements(space, patch, _plate_disc, 2).element_class
+        els = np.argwhere(cls >= 0)
+        cut = cls[tuple(els.T)] == 0
+        assert np.any(cut) and not np.all(cut)
+        rules = [(els[~cut],), (els[cut], _plate_disc, 4)]
+    else:
+        space = square_space(5, 3, dirichlet=[(True, False), (False, True)])
+        rules = [(np.argwhere(np.ones((5, 5), bool)),)]
+    batches = [(e, list(igalump.assembly._element_matrices(
+        space, patch, rho, ONE, e, None, *rule))) for e, *rule in rules]
+    got = igalump.assembly._system_matrices(space, batches)
+    rows, cols, vals = [], [], ([], [])
+    for e, slices in batches:
+        for el, *local in zip(e, *_local_stacks(slices)):
+            dofs = _free_dofs(space, el)
+            keep = np.flatnonzero(dofs >= 0)
+            rows.append(np.repeat(dofs[keep], len(keep)))
+            cols.append(np.tile(dofs[keep], len(keep)))
+            for v, A in zip(vals, local):
+                v.append(A[np.ix_(keep, keep)].ravel())
+    n = space.num_free
+    for A, v in zip(got, vals):
+        want = sp.coo_matrix((np.concatenate(v), (np.concatenate(rows),
+                                                  np.concatenate(cols))),
+                             shape=(n, n)).tocsr()
+        _assert_same_matrix(A, want)
+        assert A.has_sorted_indices
 
 
 @pytest.mark.parametrize('a, b, q', [((2, 4), (3, 1), (5, 2)),
@@ -678,6 +737,22 @@ def test_assembly_memory_does_not_grow_with_the_rule():
     # nine times the points per element: one whole-mesh batch held 3x the
     # traced peak of the default rule
     assert peak(12) <= 1.25 * peak(4)
+
+
+def test_assembly_memory_stays_near_its_result():
+    # the local matrices add into the pattern one slice at a time, so no
+    # whole-mesh stack of local matrices or triplets is held
+    space = square_space(64, 3)
+    tracemalloc.start()
+    try:
+        pair = assemble_single_patch(space, unit_square(), _nonseparable,
+                                     ONE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = sum(a.nbytes for A in (pair.K.mat, pair.M.mat)
+                 for a in (A.data, A.indices, A.indptr))
+    assert peak <= 6 * result, peak / result
 
 
 # ------------------------------------------------------------ jacobi rescale

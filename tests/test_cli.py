@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import glob
+import importlib.util
 import io
 import json
 import os
@@ -71,6 +72,23 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
         'out = %s\n' % (tmp_path / 'r')))
     assert main(['deflate-ratio', '--config', cfg]) == 3
     assert 'numerical failure' in capsys.readouterr().err
+
+
+def test_missed_largest_eigenvalue_exits_three(tmp_path, capsys,
+                                               monkeypatch):
+    # an eigsh that stops below the top of the spectrum: the inertia count
+    # behind lambda_max refuses it, naming the pencil
+    real = experiments.spla.eigsh
+    monkeypatch.setattr(experiments.spla, 'eigsh',
+                        lambda *a, **kw: 0.5 * real(*a, **kw))
+    cfg = write_cfg(tmp_path, (
+        'kind = simulate\np = 2\nsubdivisions = 5\npencils = P1\n'
+        'tspan = 0.3\nout = %s\n' % (tmp_path / 'sim')))
+    assert main(['simulate', '--config', cfg]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r'numerical failure: pencil M: largest eigenvalue '
+                     r'\S+ misses the top of the spectrum: \d+ eigenvalues '
+                     r'lie above', err), err
 
 
 def test_out_and_seed_flags_override(tmp_path, capsys):
@@ -378,6 +396,10 @@ def test_run_all_bench_records_without_touching_results(tmp_path):
     assert study['peak_rss_mb'] > 0
     # the study wrote to a temporary directory, not under results/
     assert not (tmp_path / 'results').exists()
+    # every module was compiled before the studies: cli only runs as the
+    # -m main module, which is never cached on import
+    for path in modules:
+        assert os.path.exists(importlib.util.cache_from_source(path)), path
 
 
 def test_run_all_runs_a_study_without_an_install(tmp_path):

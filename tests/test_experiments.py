@@ -1,5 +1,7 @@
+import os
 import sys
-from dataclasses import MISSING
+from dataclasses import MISSING, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -378,6 +380,59 @@ def test_extreme_eigenvalue_refuses_an_indefinite_mass(tmp_path, which,
     assert np.all(Mvar.diagonal() > 0)
     with pytest.raises(ValueError, match='not positive definite'):
         _extreme_eigenvalue(pair.K, Mvar, which)
+
+
+def _trimmed_at_zero(label, subdivisions):
+    # a pencil of the trimmed sweep at angle 0, where the mesh has the
+    # square's symmetries. ARPACK started from the constant vector misses
+    # the top of P1 at 16 subdivisions, and of the committed config's
+    # rowsum pencil (20, a double top eigenvalue) when the assembly sums
+    # its cut and inside elements in canonical order
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                    'scripts', 'configs', 'trimmed_sweep.cfg'))
+    cfg = replace(cfg, subdivisions=(subdivisions,))
+    pair = _assemble_trimmed_at(cfg, 0.0)
+    return jacobi_rescale(pair.K, _mass_variant(cfg, pair, label))
+
+
+@pytest.mark.parametrize('label, subdivisions', [('rowsum', 20), ('P1', 16)])
+def test_largest_eigenvalue_of_a_symmetric_trimmed_pencil(label,
+                                                          subdivisions):
+    A, B = _trimmed_at_zero(label, subdivisions)
+    want = dense_generalized_eig(A, B)[0][-1]
+    got, _ = _extreme_eigenvalue(A, B, 'largest')
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_largest_eigenvalue_refuses_a_value_below_the_top(monkeypatch):
+    A, B = _trimmed_at_zero('rowsum', 20)
+    w = dense_generalized_eig(A, B)[0]
+    # ARPACK converging to the third-largest, below the double top
+    monkeypatch.setattr(spla, 'eigsh', lambda *a, **kw: w[-3:-2])
+    with pytest.raises(ValueError, match='2 eigenvalues lie above .*, '
+                       'expected 0'):
+        _extreme_eigenvalue(A, B, 'largest')
+
+
+def test_inertia_count_refuses_a_pivoted_or_failed_factor(tmp_path,
+                                                         monkeypatch):
+    cfg = square_cfg(tmp_path, 8)
+    pair = _assemble(cfg)
+    lam = dense_generalized_eig(pair.K, pair.M)[0][-1]
+    real = spla.splu
+
+    def pivoted(*args, **kwargs):
+        lu = real(*args, **kwargs)
+        return SimpleNamespace(perm_r=lu.perm_r[::-1], U=lu.U)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError('Factor is exactly singular')
+
+    for splu, match in ((pivoted, 'needed row pivoting'),
+                        (singular, 'failed: Factor is exactly singular')):
+        monkeypatch.setattr(spla, 'splu', splu)
+        with pytest.raises(ValueError, match=match):
+            experiments._require_top(pair.K, pair.M, lam)
 
 
 def nquad_square(tmp_path, nquad):
