@@ -229,8 +229,7 @@ def _weighted_pullback(patch, rho, kappa, region, nsub, pts, wts, centers):
                              for l, x in enumerate(wts)])
     kept = np.ones(w.shape, dtype=bool)
     if region is not None:
-        F, _, _ = patch.grid_eval(centers)
-        kept = region(*np.moveaxis(F, -1, 0)) > 0
+        kept = region(*np.moveaxis(patch.map_eval(centers), -1, 0)) > 0
         for l, x in enumerate(pts):
             kept = np.repeat(kept, x.shape[1] // nsub, axis=l + 1)
     F, J, det = patch.grid_eval(pts)

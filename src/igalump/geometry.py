@@ -63,6 +63,11 @@ class Patch:
         H = np.concatenate([self.points * w[:, None], w[:, None]], axis=1)
         return H.reshape(self.space.dims + (self.ndim + 1,))
 
+    def map_eval(self, pts):
+        """F of grid_eval alone, without building J and det J."""
+        F = self._map(pts)[0]
+        return F[0] if np.ndim(pts[0]) == 1 else F
+
     def grid_eval(self, pts):
         """Map, Jacobians and determinants on a batch of point grids.
 
@@ -75,6 +80,17 @@ class Patch:
             (F, J, detJ) of shapes grid+(d,), grid+(d,d) and grid, with grid
             (E, n_1, ..., n_d), or (n_1, ..., n_d) for one tensor grid.
         """
+        F, H, T, V, D = self._map(pts)
+        cols = []
+        for l in range(len(V)):
+            G = _tensor_apply(H[None], V[:l] + [D[l]] + V[l + 1:])
+            cols.append((G[..., :-1] - F * G[..., -1:]) / T[..., -1:])
+        J = np.stack(cols, axis=-1)
+        out = (F, J, _det(J))
+        return tuple(a[0] for a in out) if np.ndim(pts[0]) == 1 else out
+
+    def _map(self, pts):
+        # F, and the net H, its image T and the tables V, D that J needs
         H = self.homogeneous()
         V, D = [], []
         for kv, x in zip(self.space.kvs, pts):
@@ -83,16 +99,7 @@ class Patch:
             V.append(Vl.T.reshape(x.shape + (-1,)))
             D.append(Dl.T.reshape(x.shape + (-1,)))
         T = _tensor_apply(H[None], V)
-        F = T[..., :-1] / T[..., -1:]
-        cols = []
-        for l in range(len(V)):
-            G = _tensor_apply(H[None], V[:l] + [D[l]] + V[l + 1:])
-            cols.append((G[..., :-1] - F * G[..., -1:]) / T[..., -1:])
-        J = np.stack(cols, axis=-1)
-        detJ = _det(J)
-        if np.ndim(pts[0]) == 1:
-            return F[0], J[0], detJ[0]
-        return F, J, detJ
+        return T[..., :-1] / T[..., -1:], H, T, V, D
 
 
 def _det(J):
@@ -220,7 +227,7 @@ def classify_elements(space, patch, region, subdepth=3):
     # so that axis pair (2l, 2l+1) of the signs is (element, node)
     pts = [np.linspace(*kv.span_bounds(), m, axis=-1).ravel()
            for kv in space.kvs]
-    F, _, _ = patch.grid_eval(pts)
+    F = patch.map_eval(pts)
     signs = region(*np.moveaxis(F, -1, 0))
     signs = signs.reshape([s for kv in space.kvs for s in (kv.numspans, m)])
     nodes = tuple(range(1, 2 * d, 2))

@@ -110,14 +110,10 @@ def schur_saddle_factor(P, split):
     if len(stacked) != n or len(np.unique(stacked)) != n:
         raise ValueError('split does not partition the dof set')
 
-    factors = []
-    pos = 0
-    slices = []
-    for gids, _dims in boxes:
-        gids = np.asarray(gids, dtype=int)
-        factors.append(_mass_factor(A[np.ix_(gids, gids)]))
-        slices.append(slice(pos, pos + len(gids)))
-        pos += len(gids)
+    ends = np.cumsum([0] + [len(g) for g, _ in boxes])
+    slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    factors = [_mass_factor(A[np.ix_(idx_int[s], idx_int[s])])
+               for s in slices]
 
     def d_solve(f):
         out = np.empty_like(f)
@@ -126,7 +122,7 @@ def schur_saddle_factor(P, split):
         return out
 
     nG = len(iface)
-    C = A[np.ix_(idx_int, iface)].toarray() if nG else np.zeros((pos, 0))
+    C = A[np.ix_(idx_int, iface)].toarray()
     X = A[np.ix_(iface, iface)].toarray()
     DinvC = d_solve(C) if nG else C
     S = X - C.T @ DinvC
@@ -137,16 +133,13 @@ def schur_saddle_factor(P, split):
             raise ValueError('schur complement is not positive definite')
 
     def apply_solve(rhs):
-        f = rhs[idx_int]
-        g = rhs[iface]
-        dinv_f = d_solve(f)
+        dinv_f = d_solve(rhs[idx_int])
         out = np.empty_like(rhs)
+        out[idx_int] = dinv_f
         if nG:
-            y = sla.cho_solve(S_factor, g - C.T @ dinv_f)
+            y = sla.cho_solve(S_factor, rhs[iface] - C.T @ dinv_f)
             out[iface] = y
-            out[idx_int] = dinv_f - DinvC @ y
-        else:
-            out[idx_int] = dinv_f
+            out[idx_int] -= DinvC @ y
         return out
 
     return FactorizedOperator(n, apply_solve)

@@ -1,15 +1,16 @@
 """Largest eigenpairs of (K, M) pencils and spectral outlier deflation.
 
-The eigensolver is a generalized Lanczos iteration working in the inner
-product of the SPD mass side: one stiffness apply and one mass solve per
-step, full reorthogonalization against the stored basis, thick restart
-keeping the leading Ritz vectors. Reorthogonalization is one classical
-Gram-Schmidt pass, and a second only when the first cancelled more than
-half the B-norm^2 of the new vector (Daniel, Gragg, Kaufman and Stewart,
-"twice is enough"); the basis is stored column-major, so each pass reads
-two contiguous blocks. Deflation then shaves the top r
-eigenvalues down to lambda_cut by a rank-r update of either the stiffness
-or the mass, leaving eigenvectors and all other eigenvalues untouched.
+The eigensolver is a generalized Lanczos iteration in the inner product of
+the SPD mass side: one stiffness apply and one mass solve per step, full
+reorthogonalization, thick restart keeping the leading Ritz vectors. Its
+only arrays of n x k or more are the basis V and its stiffness image AV. A
+Gram-Schmidt pass applies the mass once and projects with V^T B w; a second
+runs only when the first cancelled more than half the B-norm^2 of w
+(Daniel, Gragg, Kaufman and Stewart, "twice is enough"). A restart rotates
+V and AV in place by row blocks, and the Ritz vectors return as a copy made
+once AV is freed. Deflation then shaves the top r eigenvalues down to
+lambda_cut by a rank-r update of either the stiffness or the mass, leaving
+eigenvectors and all other eigenvalues untouched.
 """
 
 import math
@@ -17,15 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.linalg import norm
 
 from .linalg import FactorizedOperator, _mass_factor, woodbury_solve
 from .lumping import _as_csr
+
+_ROWS = 1024    # rows per block of the in-place Ritz rotation
+_CHUNK = 16     # Ritz vectors per mass apply of the residual check
 
 
 @dataclass
 class LanczosResult:
     values: np.ndarray      # Ritz values, descending
-    vectors: np.ndarray     # B-orthonormal columns matching values
+    vectors: np.ndarray     # B-orthonormal columns matching values, n x k
     residuals: np.ndarray   # |Au - lam Bu| / (max(|lam|, floor) |Bu|)
     converged: np.ndarray   # per-pair flags
     n_iter: int             # recurrence steps over all restarts
@@ -59,30 +64,27 @@ def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
     # column-major, so every column and every [:, :cnt] block is contiguous
     V = np.empty((n, m), order='F')
     AV = np.empty((n, m), order='F')
-    BV = np.empty((n, m), order='F')
-    Y = np.empty((n, k), order='F')     # Ritz vectors, returned at the end
-    n_iter = 0
-    n_matvec = 0
+    n_iter = n_matvec = 0
     b_scale = None  # B-norm^2 of a typical random vector, set on first append
 
     def append(w, cnt):
-        """Column cnt of V, BV and AV from w made B-orthonormal to columns
-        :cnt. A second Gram-Schmidt pass runs only if the first cut the
-        B-norm^2 of w below half its old value ("twice is enough"). On
-        breakdown a fresh random vector takes the place of w. Returns the
-        B-norm of w, or None if w was replaced."""
+        """Column cnt of V and AV from w made B-orthonormal to columns :cnt.
+        A pass leaves w B w - h.h of the B-norm^2 (Pythagoras); if a second
+        pass cancels more than half again, w lies in span V (Kahan and
+        Parlett). On breakdown a fresh random vector takes the place of w.
+        Returns the B-norm of w, or None if w was replaced."""
         nonlocal b_scale, n_matvec
         replaced = False
         while True:
             for _ in range(2):
-                h = BV[:, :cnt].T @ w
-                w = w - V[:, :cnt] @ h
                 bw = B @ w
-                norm2 = w @ bw
-                # the pass took h @ h off the B-norm^2 of w; a second pass
-                # only if that was more than half, i.e. more than is left
+                h = V[:, :cnt].T @ bw
+                norm2 = w @ bw - h @ h
+                w = w - V[:, :cnt] @ h
                 if norm2 >= h @ h:
                     break
+            else:
+                norm2 = 0.0
             if b_scale is None:
                 b_scale = norm2
             if norm2 > 1e-24 * b_scale:
@@ -90,9 +92,7 @@ def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
             w = rng.normal(size=n)
             replaced = True
         beta = math.sqrt(norm2)
-        s = 1.0 / beta
-        V[:, cnt] = w * s
-        BV[:, cnt] = bw * s
+        V[:, cnt] = w * (1.0 / beta)
         AV[:, cnt] = A @ V[:, cnt]
         n_matvec += 1
         return None if replaced else beta
@@ -104,10 +104,8 @@ def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
         beta = None
         while cnt < m:
             j = cnt - 1
-            u = AV[:, j]
-            w = factor.solve(u)
-            alpha = V[:, j] @ u
-            w = w - alpha * V[:, j]
+            alpha = V[:, j] @ AV[:, j]
+            w = factor.solve(AV[:, j]) - alpha * V[:, j]
             if beta is not None:
                 w = w - beta * V[:, j - 1]
             beta = append(w, cnt)
@@ -118,30 +116,32 @@ def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
         H = 0.5 * (H + H.T)
         theta, S = sla.eigh(H)
         order = np.argsort(theta)[::-1][:k]
-        S = S[:, order]
-        lam = theta[order]
-        # B and A images of the Ritz vectors overwrite the leading columns
-        # of BV and AV through the one workspace Y, so a restart allocates
-        # nothing of length n; V keeps its columns until Y is formed last
-        for X in (BV, AV):
-            np.matmul(X[:, :cnt], S, out=Y)
-            X[:, :k] = Y
+        lam, S = theta[order], S[:, order]
+        # the Ritz vectors and their A images overwrite the leading columns
+        # of V and AV, one block of rows at a time read whole before written
+        for X in (V, AV):
+            for i in range(0, n, _ROWS):
+                X[i:i + _ROWS, :k] = X[i:i + _ROWS, :cnt] @ S
         # near-zero Ritz values are measured against the relative floor
         # split_zero_modes uses, so a kernel mode can converge too
         floor = max(1e-8 * np.max(np.abs(theta)), np.finfo(float).tiny)
         res = np.empty(k)
-        for j in range(k):
-            denom = max(abs(lam[j]), floor) * np.linalg.norm(BV[:, j])
-            res[j] = np.linalg.norm(AV[:, j] - lam[j] * BV[:, j]) / denom
+        for j0 in range(0, k, _CHUNK):
+            js = slice(j0, min(k, j0 + _CHUNK))
+            R = B @ V[:, js]
+            denom = np.maximum(np.abs(lam[js]), floor) * norm(R, axis=0)
+            R *= -lam[js]
+            R += AV[:, js]
+            res[js] = norm(R, axis=0) / denom
+            del R   # before the next chunk's apply
         conv = res <= tol
-        np.matmul(V[:, :cnt], S, out=Y)
 
         if np.all(conv) or restarts >= max_restarts or cnt >= n:
-            return LanczosResult(lam, Y, res, conv, n_iter, n_matvec,
-                                 restarts)
+            del AV, X   # X still names AV; both go before the copy
+            return LanczosResult(lam, V[:, :k].copy(order='F'), res, conv,
+                                 n_iter, n_matvec, restarts)
 
         # thick restart: keep the leading Ritz vectors, expand from the last
-        V[:, :k] = Y
         cnt = k
         restarts += 1
 

@@ -102,6 +102,11 @@ def test_batched_grid_eval_matches_pointwise_map(patch):
             + np.sort(rng.random((E, 2 + l)), axis=1)) / 4 for l in range(d)]
     F, J, det = patch.grid_eval(pts)
     assert det.shape == (E,) + tuple(2 + l for l in range(d))
+    # the map alone is grid_eval's F bit for bit, batched or on one grid
+    np.testing.assert_array_equal(patch.map_eval(pts), F)
+    one = [x[0] for x in pts]
+    np.testing.assert_array_equal(patch.map_eval(one),
+                                  patch.grid_eval(one)[0])
     for idx in np.ndindex(det.shape):
         xhat = [pts[l][idx[0], q] for l, q in enumerate(idx[1:])]
         Jq, dq = jacobian(patch, xhat)
