@@ -6,22 +6,16 @@ spline space, with entries
     M_ij = int c Bi Bj,    K_ij = int (grad Bi)^T G (grad Bj)
 
 in the parametric domain, where c and G carry density, diffusivity and the
-geometry pullback. Quadrature is Gauss-Legendre with p+1 points per
-direction per element, exact for the polynomial case. All Gauss points
-come from one composite rule builder. A QuadratureGrid holds the basis
-values and the pullback of one space on one patch for load vectors and L2
-errors, and lives only as long as its caller keeps it. The assembly
-integrates any set of whole or cut elements (a whole element is one
-subcell with no region test) in consecutive slices of at most _POINTS
-(2^13) quadrature points, its one memory bound. One batched kernel
-contracts pair tables one direction at a time (sum factorization,
-_tensor_apply). The CSR pattern of the system, C C^T for the
-dof-by-element incidence C, is built once, and each slice's local
-matrices add straight into its data, so no whole-mesh stack of local
-matrices or triplets is held. The pullback G is formed in closed form per
-dimension, and the Jacobi rescale scales a copy of each matrix's stored
-entries, so no stack of tiny matrices goes through LAPACK and no diagonal
-through a sparse product.
+geometry pullback, G in closed form per dimension. Quadrature is
+Gauss-Legendre with p+1 points per direction per element, from one
+composite rule builder. A QuadratureGrid holds the basis values and
+pullback of one space on one patch for load vectors and L2 errors. The
+assembly integrates whole or cut elements in slices of at most _POINTS
+quadrature points, its one memory bound, by sum factorization, K from the
+d(d+1)/2 distinct terms of the symmetric G. Each slice adds into the data
+of the CSR pattern C C^T (C the dof-by-element incidence) at positions
+read from a table over its rows and band offsets, so no whole-mesh stack
+of local matrices, triplets or keys is held.
 """
 
 import itertools
@@ -156,17 +150,21 @@ def _element_kernel(vals, ders, c, G):
     """Local mass and stiffness of a batch of E elements.
 
     vals[l] and ders[l] hold the values and derivatives of the p_l+1
-    functions of direction l active on each element, shape
-    (E, p_l+1, nq_l).
-    c and G carry the quadrature weights, with shapes (E, nq_1, ..., nq_d)
-    and (E, nq_1, ..., nq_d, d, d). Returns M and K of shape
+    functions of direction l active on each element, shape (E, p_l+1,
+    nq_l). c and G carry the quadrature weights, with shapes (E, nq_1, ...,
+    nq_d) and (E, nq_1, ..., nq_d, d, d). K sums the terms l <= m of the
+    symmetric G, each (m, l) term as the transpose of the (l, m) one right
+    after it, in the order of the full d x d sum. Returns M and K of shape
     (E, nloc, nloc), local functions in lexicographic order.
     """
-    d = len(vals)
-    grads = [[ders[k] if k == l else vals[k] for k in range(d)]
-             for l in range(d)]
-    K = sum(_sum_factorize(G[..., l, m], grads[l], grads[m])
-            for l, m in itertools.product(range(d), repeat=2))
+    grads = [vals[:l] + [ders[l]] + vals[l + 1:] for l in range(len(vals))]
+    K = 0.0
+    for l, m in itertools.combinations_with_replacement(range(len(vals)), 2):
+        T = _sum_factorize(G[..., l, m], grads[l], grads[m])
+        K += T
+        if l != m:
+            K += T.transpose(0, 2, 1)
+        del T   # before the next term is built
     return _sum_factorize(c, vals, vals), K
 
 
@@ -190,10 +188,8 @@ def _element_matrices(space, patch, rho, kappa, els, nquad, region=None,
     _POINTS quadrature points (at least one element), Mloc and Kloc of
     shape (len(els[s]), nloc, nloc), so only one slice's local matrices
     are held at once. Each element is integrated on nsub subcells per
-    direction of nq_l Gauss points in direction l (default p_l+1). With a
-    region, a subcell whose centre lies outside it keeps its points at
-    weight 0, and only retained points enter c and G: a rejected subcell
-    may have a singular Jacobian.
+    direction of nq_l Gauss points in direction l (default p_l+1); with a
+    region, the points of a subcell whose centre lies outside it weigh 0.
     """
     pts, wts, centers, tables = [], [], [], []
     for kv, col in zip(space.kvs, els.T):
@@ -221,26 +217,22 @@ def _weighted_pullback(patch, rho, kappa, region, nsub, pts, wts, centers):
     """c and G times the quadrature weights on a batch of element grids.
 
     Shapes (E, n_1, ..., n_d) and (E, n_1, ..., n_d, d, d); zero on the
-    points of a subcell whose centre lies outside the region.
+    points of a subcell whose centre lies outside the region, which take
+    |det J| := 1, as their Jacobian may be singular.
     """
-    d = len(pts)
-    w = reduce(np.multiply, [x.reshape((len(x),) + (1,) * l + (-1,)
-                                       + (1,) * (d - 1 - l))
-                             for l, x in enumerate(wts)])
-    kept = np.ones(w.shape, dtype=bool)
+    kept = True
     if region is not None:
         kept = region(*np.moveaxis(patch.map_eval(centers), -1, 0)) > 0
         for l, x in enumerate(pts):
             kept = np.repeat(kept, x.shape[1] // nsub, axis=l + 1)
+    w = reduce(np.multiply, [kept] + [
+        x.reshape((len(x),) + (1,) * l + (-1,) + (1,) * (len(wts) - 1 - l))
+        for l, x in enumerate(wts)])
     F, J, det = patch.grid_eval(pts)
-    adet = np.abs(det[kept])
+    adet = np.where(kept, np.abs(det), 1.0)
     _require_regular(adet)
-    ck, Gk = _coefficients(F[kept].T, J[kept], adet, rho, kappa)
-    c = np.zeros(w.shape)
-    c[kept] = ck * w[kept]
-    G = np.zeros(J.shape)
-    G[kept] = Gk * w[kept][:, None, None]
-    return c, G
+    c, G = _coefficients(np.moveaxis(F, -1, 0), J, adet, rho, kappa)
+    return c * w, G * w[..., None, None]
 
 
 def _element_dofs(space, els):
@@ -262,8 +254,8 @@ def _system_matrices(space, batches):
 
     The pattern C C^T, C the free-dof-by-element incidence of every batch,
     is built once with sorted indices. Each slice adds into its data at
-    positions from one searchsorted against the row-major keys row*n + col;
-    np.add.at sums in element order, whatever the slices.
+    positions read from a table over its rows r0..r1 and their band
+    offsets -bw..bw; np.add.at sums in element order, whatever the slices.
     """
     import scipy.sparse as sp   # loaded with .lumping: no new import
     n = space.num_free
@@ -276,15 +268,23 @@ def _system_matrices(space, batches):
     M.sort_indices()
     M.data[:] = 0.0
     K = M.copy()
-    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr)) * n
-    keys += M.indices
     for d, (_, slices) in zip(dofs, batches):
         for s, Mloc, Kloc in slices:
-            rows, cols = d[s, :, None], d[s, None, :]
-            keep = (rows >= 0) & (cols >= 0)
-            pos = np.searchsorted(keys, (rows * n + cols)[keep])
+            ds = d[s].astype(M.indptr.dtype)
+            r0 = ds.min(initial=n, where=ds >= 0)
+            ptr = M.indptr[r0:ds.max(initial=r0 - 1) + 2]
+            row = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+            off = M.indices[ptr[0]:ptr[-1]] - row - r0
+            bw = int(np.abs(off).max(initial=0))
+            table = np.empty((len(ptr) - 1, 2 * bw + 1), ptr.dtype)
+            table[row, off + bw] = np.arange(ptr[0], ptr[-1])
+            # (r, c) sits at table[r - r0, c - r + bw], flat 2bw(r-r0)+c-r0+bw
+            keep = (ds[:, :, None] >= 0) & (ds[:, None, :] >= 0)
+            pos = table.ravel()[(2 * bw * (ds - r0)[:, :, None]
+                                 + (ds - r0 + bw)[:, None, :])[keep]]
             np.add.at(M.data, pos, Mloc[keep])
             np.add.at(K.data, pos, Kloc[keep])
+            del Mloc, Kloc, table   # before the next slice is built
     return M, K
 
 

@@ -71,8 +71,10 @@ def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
         """Column cnt of V and AV from w made B-orthonormal to columns :cnt.
         A pass leaves w B w - h.h of the B-norm^2 (Pythagoras); if a second
         pass cancels more than half again, w lies in span V (Kahan and
-        Parlett). On breakdown a fresh random vector takes the place of w.
-        Returns the B-norm of w, or None if w was replaced."""
+        Parlett). On breakdown a fresh random vector takes the place of w;
+        past column 0 a first pass that leaves the B-norm^2 at the breakdown
+        level is not repeated, as a pass never raises it. Returns the B-norm
+        of w, or None if w was replaced."""
         nonlocal b_scale, n_matvec
         replaced = False
         while True:
@@ -81,7 +83,7 @@ def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
                 h = V[:, :cnt].T @ bw
                 norm2 = w @ bw - h @ h
                 w = w - V[:, :cnt] @ h
-                if norm2 >= h @ h:
+                if norm2 >= h @ h or cnt and norm2 <= 1e-24 * b_scale:
                     break
             else:
                 norm2 = 0.0

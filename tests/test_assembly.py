@@ -650,23 +650,29 @@ def _free_dofs(space, el):
     return space.full_to_free()[full]
 
 
-@pytest.mark.parametrize('trimmed', [False, True],
-                         ids=['dirichlet', 'trimmed'])
-def test_pattern_matches_a_triplet_merge(trimmed):
+@pytest.mark.parametrize('case', ['dirichlet', 'trimmed', 'dirichlet-3d'])
+def test_pattern_matches_a_triplet_merge(case):
     # the pattern and the sums added into it, against scipy's COO merge of
-    # the same local matrices on the dofs of each element's midpoint
-    rho = lambda x, y: 1.0 + 0.1 * x * y
+    # the same local matrices on the dofs of each element's midpoint; in 3-D
+    # an element's band spans three levels of the dof numbering
+    rho = lambda *xs: 1.0 + 0.1 * xs[0] * xs[1]
     patch = plate_quarter_hole()
-    if trimmed:
+    if case == 'trimmed':
         space = _odd_plate_space()
         cls = classify_elements(space, patch, _plate_disc, 2).element_class
         els = np.argwhere(cls >= 0)
         cut = cls[tuple(els.T)] == 0
         assert np.any(cut) and not np.all(cut)
         rules = [(els[~cut],), (els[cut], _plate_disc, 4)]
-    else:
+    elif case == 'dirichlet':
         space = square_space(5, 3, dirichlet=[(True, False), (False, True)])
         rules = [(np.argwhere(np.ones((5, 5), bool)),)]
+    else:
+        patch = magnet()
+        space = SplineSpace([make_open_uniform(n, 2, 1) for n in (3, 4, 2)],
+                            dirichlet=[(True, False), (False, True),
+                                       (True, True)])
+        rules = [(np.argwhere(np.ones((3, 4, 2), bool)),)]
     batches = [(e, list(igalump.assembly._element_matrices(
         space, patch, rho, ONE, e, None, *rule))) for e, *rule in rules]
     got = igalump.assembly._system_matrices(space, batches)
@@ -705,6 +711,31 @@ def test_sum_factorize_matches_einsum(a, b, q):
     got = igalump.assembly._sum_factorize(c, X, Y)
     np.testing.assert_allclose(got, want.reshape(E, np.prod(a), np.prod(b)),
                                rtol=1e-13)
+
+
+@pytest.mark.parametrize('d', [2, 3])
+def test_stiffness_from_distinct_metric_terms(d):
+    # K takes the d(d+1)/2 terms l <= m of the symmetric G, each mirror as a
+    # transpose, against the full d x d sum: the same sums in 2-D, summed in
+    # another order in 3-D
+    rng = np.random.default_rng(12)
+    E, nq = 5, (3, 4, 2)[:d]
+    vals = [rng.normal(size=(E, n + 1, n)) for n in nq]
+    ders = [rng.normal(size=(E, n + 1, n)) for n in nq]
+    c = rng.random((E,) + nq)
+    G = rng.normal(size=(E,) + nq + (d, d))
+    G = G + np.swapaxes(G, -1, -2)
+    grads = [vals[:l] + [ders[l]] + vals[l + 1:] for l in range(d)]
+    want = sum(igalump.assembly._sum_factorize(G[..., l, m], grads[l],
+                                               grads[m])
+               for l, m in itertools.product(range(d), repeat=2))
+    M, K = igalump.assembly._element_kernel(vals, ders, c, G)
+    assert M.tobytes() == igalump.assembly._sum_factorize(
+        c, vals, vals).tobytes()
+    if d == 2:
+        assert K.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(K - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_point_slices_leave_assembly_unchanged(monkeypatch):
