@@ -154,30 +154,53 @@ def _element_kernel(vals, ders, c, G):
     nq_l). c and G carry the quadrature weights, with shapes (E, nq_1, ...,
     nq_d) and (E, nq_1, ..., nq_d, d, d). K sums the terms l <= m of the
     symmetric G, each (m, l) term as the transpose of the (l, m) one right
-    after it, in the order of the full d x d sum. Returns M and K of shape
-    (E, nloc, nloc), local functions in lexicographic order.
+    after it, in the order of the full d x d sum. Sums run in pair order,
+    permuted to rows and columns once per matrix; the mass reuses the
+    stiffness terms' pair tables. Returns M and K of shape (E, nloc,
+    nloc), local functions in lexicographic order.
     """
-    grads = [vals[:l] + [ders[l]] + vals[l + 1:] for l in range(len(vals))]
+    d = len(vals)
+    grads = [vals[:l] + [ders[l]] + vals[l + 1:] for l in range(d)]
+    swap = [0] + [a for l in range(d) for a in (2 * l + 2, 2 * l + 1)]
+    tables = {}
     K = 0.0
-    for l, m in itertools.combinations_with_replacement(range(len(vals)), 2):
-        T = _sum_factorize(G[..., l, m], grads[l], grads[m])
+    for l, m in itertools.combinations_with_replacement(range(d), 2):
+        T = _paired(G[..., l, m], grads[l], grads[m], tables)
         K += T
-        if l != m:
-            K += T.transpose(0, 2, 1)
+        if l != m:   # the transpose swaps the two axes of every pair
+            K += T.transpose(swap)
         del T   # before the next term is built
-    return _sum_factorize(c, vals, vals), K
+    M = _paired(c, vals, vals, tables)
+    tables.clear()  # so each permuting copy holds one matrix extra
+    M = _by_rows(M)
+    return M, _by_rows(K)
+
+
+def _paired(w, X, Y, tables):
+    """sum_q w[e, q] prod_l X[l][e, a_l, q_l] Y[l][e, b_l, q_l], shape
+    (E, a_1, b_1, ..., a_d, b_d), contracting the pair tables X[l] (x) Y[l]
+    in turn; tables keeps them by the ids of their factors."""
+    for x, y in zip(X, Y):
+        if (id(x), id(y)) not in tables:
+            tables[id(x), id(y)] = (x[:, :, None] * y[:, None]).reshape(
+                len(x), -1, x.shape[2])
+    T = _tensor_apply(w, [tables[id(x), id(y)] for x, y in zip(X, Y)])
+    return T.reshape([len(T)] + [n for x, y in zip(X, Y)
+                                 for n in (x.shape[1], y.shape[1])])
+
+
+def _by_rows(T):
+    """T in pair order (E, a_1, b_1, ..., a_d, b_d) as rows a and columns
+    b: a copy of shape (E, prod a, prod b)."""
+    rows, cols = list(range(1, T.ndim, 2)), list(range(2, T.ndim, 2))
+    return T.transpose([0] + rows + cols).reshape(
+        len(T), int(np.prod(T.shape[1::2])), int(np.prod(T.shape[2::2])))
 
 
 def _sum_factorize(c, X, Y):
     """sum_q c[e, q] prod_l X[l][e, a_l, q_l] Y[l][e, b_l, q_l], shaped
     (E, nloc, nloc), contracting the pair tables X[l] (x) Y[l] in turn."""
-    E, d = len(c), len(X)
-    T = _tensor_apply(c, [(Xl[:, :, None] * Yl[:, None]).reshape(
-        E, -1, Xl.shape[2]) for Xl, Yl in zip(X, Y)])
-    sizes = [s for Xl, Yl in zip(X, Y) for s in (Xl.shape[1], Yl.shape[1])]
-    T = T.reshape([E] + sizes).transpose(
-        [0] + list(range(1, 2 * d, 2)) + list(range(2, 2 * d + 1, 2)))
-    return T.reshape(E, int(np.prod(sizes[::2])), int(np.prod(sizes[1::2])))
+    return _by_rows(_paired(c, X, Y, {}))
 
 
 def _element_matrices(space, patch, rho, kappa, els, nquad, region=None,

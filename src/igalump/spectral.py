@@ -2,15 +2,18 @@
 
 The eigensolver is a generalized Lanczos iteration in the inner product of
 the SPD mass side: one stiffness apply and one mass solve per step, full
-reorthogonalization, thick restart keeping the leading Ritz vectors. Its
-only arrays of n x k or more are the basis V and its stiffness image AV. A
-Gram-Schmidt pass applies the mass once and projects with V^T B w; a second
-runs only when the first cancelled more than half the B-norm^2 of w
-(Daniel, Gragg, Kaufman and Stewart, "twice is enough"). A restart rotates
-V and AV in place by row blocks, and the Ritz vectors return as a copy made
-once AV is freed. Deflation then shaves the top r eigenvalues down to
-lambda_cut by a rank-r update of either the stiffness or the mass, leaving
-eigenvectors and all other eigenvalues untouched.
+reorthogonalization, thick restart keeping the leading Ritz vectors (the
+Krylov-Schur form of Wu and Simon, and of Stewart). Its only array of n x k
+or more is the basis V. A Gram-Schmidt pass applies the mass once and
+projects with V^T B w; a second runs only when the first cancelled more than
+half the B-norm^2 of w (Daniel, Gragg, Kaufman and Stewart, "twice is
+enough"). V^T A V is built from the recurrence and Gram-Schmidt
+coefficients and the residuals come from the Lanczos relation, so no
+stiffness image of the basis is held. A restart rotates V in place by row
+blocks; the Ritz vectors return as V shrunk to its leading columns.
+Deflation then shaves the top r eigenvalues down to lambda_cut by a rank-r
+update of either the stiffness or the mass, leaving eigenvectors and all
+other eigenvalues untouched.
 """
 
 import math
@@ -23,15 +26,16 @@ from numpy.linalg import norm
 from .linalg import FactorizedOperator, _mass_factor, woodbury_solve
 from .lumping import _as_csr
 
-_ROWS = 1024    # rows per block of the in-place Ritz rotation
-_CHUNK = 16     # Ritz vectors per mass apply of the residual check
+_ROWS = 256     # rows per block of the in-place Ritz rotation
+_CHUNK = 4      # Ritz vectors per mass apply of the residual check
 
 
 @dataclass
 class LanczosResult:
     values: np.ndarray      # Ritz values, descending
     vectors: np.ndarray     # B-orthonormal columns matching values, n x k
-    residuals: np.ndarray   # |Au - lam Bu| / (max(|lam|, floor) |Bu|)
+    residuals: np.ndarray   # |Au - lam Bu| / (max(|lam|, floor) |Bu|), with
+                            # Au - lam Bu from the Lanczos relation
     converged: np.ndarray   # per-pair flags
     n_iter: int             # recurrence steps over all restarts
     n_matvec: int           # stiffness applies (one mass solve each)
@@ -63,19 +67,22 @@ def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
 
     # column-major, so every column and every [:, :cnt] block is contiguous
     V = np.empty((n, m), order='F')
-    AV = np.empty((n, m), order='F')
-    n_iter = n_matvec = 0
+    H = np.zeros((m, m))    # V^T A V: upper triangle, column j from step j
+    n_matvec = 0
     b_scale = None  # B-norm^2 of a typical random vector, set on first append
+    av = None       # stiffness image of the newest column, set by append
 
     def append(w, cnt):
-        """Column cnt of V and AV from w made B-orthonormal to columns :cnt.
-        A pass leaves w B w - h.h of the B-norm^2 (Pythagoras); if a second
-        pass cancels more than half again, w lies in span V (Kahan and
-        Parlett). On breakdown a fresh random vector takes the place of w;
-        past column 0 a first pass that leaves the B-norm^2 at the breakdown
-        level is not repeated, as a pass never raises it. Returns the B-norm
-        of w, or None if w was replaced."""
-        nonlocal b_scale, n_matvec
+        """Column cnt of V from w made B-orthonormal to columns :cnt, and its
+        stiffness image av. A pass leaves w B w - h.h of the B-norm^2
+        (Pythagoras); if a second pass cancels more than half again, w lies
+        in span V (Kahan and Parlett). On breakdown a fresh random vector
+        takes the place of w; past column 0 a first pass that leaves the
+        B-norm^2 at the breakdown level is not repeated, as a pass never
+        raises it. Returns the B-norm of w, or None if w was replaced, and
+        the coefficients g of w on columns :cnt summed over its passes."""
+        nonlocal b_scale, n_matvec, av
+        g = np.zeros(cnt)
         replaced = False
         while True:
             for _ in range(2):
@@ -83,6 +90,8 @@ def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
                 h = V[:, :cnt].T @ bw
                 norm2 = w @ bw - h @ h
                 w = w - V[:, :cnt] @ h
+                if not replaced:
+                    g += h
                 if norm2 >= h @ h or cnt and norm2 <= 1e-24 * b_scale:
                     break
             else:
@@ -95,55 +104,54 @@ def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
             replaced = True
         beta = math.sqrt(norm2)
         V[:, cnt] = w * (1.0 / beta)
-        AV[:, cnt] = A @ V[:, cnt]
+        av = A @ V[:, cnt]
         n_matvec += 1
-        return None if replaced else beta
+        return None if replaced else beta, g
 
-    append(rng.normal(size=n), 0)
-    cnt = 1
-    restarts = 0
+    w = rng.normal(size=n)  # the start vector; after a restart, B^-1 r
+    cnt = restarts = 0
     while True:
+        append(w, cnt)
+        cnt += 1
         beta = None
         while cnt < m:
             j = cnt - 1
-            alpha = V[:, j] @ AV[:, j]
-            w = factor.solve(AV[:, j]) - alpha * V[:, j]
+            H[j, j] = alpha = V[:, j] @ av
+            w = factor.solve(av) - alpha * V[:, j]
             if beta is not None:
+                H[j - 1, j] = beta
                 w = w - beta * V[:, j - 1]
-            beta = append(w, cnt)
+            beta, g = append(w, cnt)
+            H[:cnt, j] += g
             cnt += 1
-            n_iter += 1
 
-        H = V[:, :cnt].T @ AV[:, :cnt]
-        H = 0.5 * (H + H.T)
-        theta, S = sla.eigh(H)
+        H[:, -1] = V.T @ av
+        theta, S = sla.eigh(H, lower=False)
         order = np.argsort(theta)[::-1][:k]
         lam, S = theta[order], S[:, order]
-        # the Ritz vectors and their A images overwrite the leading columns
-        # of V and AV, one block of rows at a time read whole before written
-        for X in (V, AV):
-            for i in range(0, n, _ROWS):
-                X[i:i + _ROWS, :k] = X[i:i + _ROWS, :cnt] @ S
+        # Lanczos relation A y_i - theta_i B y_i = S[-1, i] r, before V rotates
+        r = av - B @ (V @ H[:, -1])
+        # the Ritz vectors overwrite the leading columns of V, one block of
+        # rows at a time read whole before written
+        for i in range(0, n, _ROWS):
+            V[i:i + _ROWS, :k] = V[i:i + _ROWS] @ S
         # near-zero Ritz values are measured against the relative floor
         # split_zero_modes uses, so a kernel mode can converge too
         floor = max(1e-8 * np.max(np.abs(theta)), np.finfo(float).tiny)
-        res = np.empty(k)
-        for j0 in range(0, k, _CHUNK):
-            js = slice(j0, min(k, j0 + _CHUNK))
-            R = B @ V[:, js]
-            denom = np.maximum(np.abs(lam[js]), floor) * norm(R, axis=0)
-            R *= -lam[js]
-            R += AV[:, js]
-            res[js] = norm(R, axis=0) / denom
-            del R   # before the next chunk's apply
+        bnorm = np.concatenate([norm(B @ V[:, i:min(k, i + _CHUNK)], axis=0)
+                                for i in range(0, k, _CHUNK)])
+        res = (norm(r) * np.abs(S[-1])
+               / (np.maximum(np.abs(lam), floor) * bnorm))
         conv = res <= tol
 
         if np.all(conv) or restarts >= max_restarts or cnt >= n:
-            del AV, X   # X still names AV; both go before the copy
-            return LanczosResult(lam, V[:, :k].copy(order='F'), res, conv,
-                                 n_iter, n_matvec, restarts)
+            V.resize((n, k))    # Fortran order: the leading k columns
+            return LanczosResult(lam, V, res, conv, n_matvec - 1, n_matvec,
+                                 restarts)
 
-        # thick restart: keep the leading Ritz vectors, expand from the last
+        # thick restart: keep the leading Ritz vectors, continue from B^-1 r
+        H = np.diag(np.pad(lam, (0, m - k)))
+        w = factor.solve(r)
         cnt = k
         restarts += 1
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from numpy.linalg import norm
 
 from igalump.assembly import assemble_single_patch
 from igalump.experiments import ExperimentConfig, _spectrum_rows, _write_csv
@@ -77,9 +78,24 @@ def test_lanczos_diagonal_pencil():
     assert res.converged.all()
 
 
-def test_lanczos_equal_pencil_is_flat():
+def equal_pencil():
+    """A = B: every recurrence step breaks down."""
     rng = np.random.default_rng(2)
     B = random_structured_spd((12,), (2,), rng)
+    return B, B
+
+
+def explicit_residuals(A, B, res):
+    """|A y - lam B y| / (max(|lam|, floor) |B y|), floor 1e-8 max |lam|."""
+    Y, lam = res.vectors, res.values
+    BY = B @ Y
+    floor = 1e-8 * np.max(np.abs(lam))
+    return (norm(A @ Y - BY * lam, axis=0)
+            / (np.maximum(np.abs(lam), floor) * norm(BY, axis=0)))
+
+
+def test_lanczos_equal_pencil_is_flat():
+    A, B = equal_pencil()
     base = banded_cholesky(B, 2)
     applies = []
 
@@ -90,21 +106,41 @@ def test_lanczos_equal_pencil_is_flat():
             applies.append(np.ndim(x))
             return B @ x
 
-    res = lanczos(B, base, CountedB(), 3, seed=0)
+    res = lanczos(A, base, CountedB(), 3, seed=0)
     np.testing.assert_allclose(res.values, np.ones(3), atol=1e-10)
     assert res.converged.all()
     # with A = B each recurrence step breaks down (5 of them here) and a
     # fresh random vector takes its place; the run is pinned bit for bit
     assert (res.n_iter, res.n_matvec, res.n_restarts) == (5, 6, 0)
-    want = np.array([1.0000000000000004, 1.0, 0.9999999999999999])
+    want = np.array([1.0000000000000002, 1.0000000000000002, 1.0])
     assert res.values.tobytes() == want.tobytes()
     # one B apply per Gram-Schmidt pass: 6 columns and 5 replaced
     # breakdowns take 11 first passes, and the 2 cancelling steps whose first
     # pass leaves more than the breakdown level a second; the residual check
-    # applies B once more, to the 3 Ritz vectors at once
-    assert applies == [1] * 13 + [2]
+    # applies B once to the projected last column, for the Lanczos
+    # relation, and once to the 3 Ritz vectors at once, for their norms
+    assert applies == [1] * 13 + [1, 2]
     G = res.vectors.T @ (B @ res.vectors)
     assert np.max(np.abs(G - np.eye(3))) <= 1e-12
+
+
+@pytest.mark.parametrize('case', ['restarted', 'breakdowns'])
+def test_lanczos_relation_residuals_match_explicit(case):
+    # the residuals come from A y - lam B y = S[m-1, i] r, not from applying
+    # A and B to the Ritz vectors; they must agree with the explicit ones
+    if case == 'restarted':
+        A, B = random_pencil(60, seed=3)
+        res = lanczos(A, banded_cholesky(B, 3), B, 6, m=8, tol=1e-8,
+                      max_restarts=3, seed=4)
+        assert res.n_restarts == 3
+    else:
+        A, B = equal_pencil()
+        res = lanczos(A, banded_cholesky(B, 2), B, 3, seed=0)
+    explicit = explicit_residuals(A, B, res)
+    seen = explicit > 1e-10
+    np.testing.assert_allclose(res.residuals[seen], explicit[seen], rtol=1e-6)
+    # below that the explicit value is rounding, and the relation's is less
+    assert np.all(res.residuals[~seen] <= 1e-10)
 
 
 def test_lanczos_matches_dense_oracle_random():
@@ -143,9 +179,10 @@ def test_lanczos_thick_restart_keeps_ritz_vectors_b_orthonormal():
     assert np.max(np.abs(G - np.eye(6))) <= 1e-12
 
 
-def test_lanczos_working_set_is_two_bases():
-    # V and AV are n x m each; the parent's BV and Ritz workspace Y made
-    # 3.5 n m, while two bases and the chunked temporaries stay near 2.3 n m
+def test_lanczos_working_set_is_one_basis():
+    # V is n x m and the only array of that size: the projected matrix comes
+    # from the Gram-Schmidt coefficients and the residuals from the Lanczos
+    # relation, so no stiffness image AV (2.3 n m with it) is held
     n, k, m = 3000, 80, 160
     rng = np.random.default_rng(8)
     off = [rng.random(n - j) for j in (1, 2, 3)]
@@ -162,9 +199,24 @@ def test_lanczos_working_set_is_two_bases():
     finally:
         tracemalloc.stop()
     assert res.n_restarts == 1
-    assert peak < 2.5 * n * m * 8, peak / (n * m * 8)
-    # the Ritz vectors own an n x k buffer, not a view of the basis
-    assert res.vectors.flags.owndata and res.vectors.shape == (n, k)
+    assert peak < 1.5 * n * m * 8, peak / (n * m * 8)
+    # the Ritz vectors own an n x k buffer: the basis, shrunk in place
+    assert res.vectors.flags.owndata and res.vectors.base is None
+    assert res.vectors.shape == (n, k) and res.vectors.flags.f_contiguous
+
+
+@pytest.mark.parametrize('n, seed, k, m, start, counts', [
+    (80, 1, 5, 10, 0, (79, 80, 14)),
+    (100, 2, 6, 12, 1, (35, 36, 4)),
+])
+def test_lanczos_counts_survive_the_restart(n, seed, k, m, start, counts):
+    # after a thick restart the basis continues from B^-1 r, the direction
+    # the first step used to rebuild from the k-th Ritz vector, so the
+    # Krylov space and the counts are those of the explicit-projection solver
+    A, B = random_pencil(n, seed)
+    res = lanczos(A, banded_cholesky(B, 3), B, k, m=m, tol=1e-10, seed=start)
+    assert res.converged.all()
+    assert (res.n_iter, res.n_matvec, res.n_restarts) == counts
 
 
 def test_lanczos_deterministic_per_seed():
