@@ -197,12 +197,6 @@ def _by_rows(T):
         len(T), int(np.prod(T.shape[1::2])), int(np.prod(T.shape[2::2])))
 
 
-def _sum_factorize(c, X, Y):
-    """sum_q c[e, q] prod_l X[l][e, a_l, q_l] Y[l][e, b_l, q_l], shaped
-    (E, nloc, nloc), contracting the pair tables X[l] (x) Y[l] in turn."""
-    return _by_rows(_paired(c, X, Y, {}))
-
-
 def _element_matrices(space, patch, rho, kappa, els, nquad, region=None,
                       nsub=1):
     """Local mass and stiffness of any element set els (E, d), in its order.

@@ -407,21 +407,34 @@ def _top_pairs(cfg, K, Mvar, k, factor):
     return res
 
 
-def _extreme_eigenvalue(K, Mvar, which, factor=None):
-    """Smallest or largest generalized eigenvalue of (K, Mvar), and Mvar's
-    banded Cholesky factor where the largest kept one, else None. A factor
-    the caller already holds for Mvar is used instead of a new one.
+def _lambda_max(K, Mvar, factor):
+    """Largest generalized eigenvalue of (K, Mvar), with factor the caller's
+    Cholesky of Mvar: K_00 / Mvar_00 at n = 1, above that one ARPACK call
+    with factor as Minv, from a start vector drawn from default_rng(0),
+    refused unless an inertia count finds none above it (_require_top)."""
+    n = K.shape[0]
+    if n == 1:
+        return float(_as_csr(K)[0, 0] / _as_csr(Mvar)[0, 0])
+    inv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float)
+    # a constant start can be orthogonal to the top eigenspace of a
+    # symmetric mesh, and ARPACK then converges below it
+    lam = float(spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar), which='LA',
+                           Minv=inv, return_eigenvectors=False,
+                           v0=np.random.default_rng(0).standard_normal(n))[0])
+    _require_top(K, Mvar, lam)
+    return lam
+
+
+def _lambda_min(K, Mvar):
+    """Smallest generalized eigenvalue of (K, Mvar).
 
     A mass with a nonpositive diagonal entry is refused, naming it; at
     n = 1 the answer is K_00 / Mvar_00. Above, Mvar's banded Cholesky
     refuses an indefinite mass at every size, and one ARPACK call finds
-    the largest with that factor as Minv, from a start vector drawn from
-    default_rng(0), or the smallest shift-inverted about 0 through K's
-    banded factor, from the constant vector. The largest is refused unless
-    an inertia count finds no eigenvalue above it (_require_top). The
-    smallest must exceed 1e-8 max_i K_ii / Mvar_ii, a Rayleigh quotient and
-    so at most 1e-8 lambda_max, which refuses the roundoff eigenvalue of a
-    singular K.
+    the smallest shift-inverted about 0 through K's banded factor, from
+    the constant vector. It must exceed 1e-8 max_i K_ii / Mvar_ii, a
+    Rayleigh quotient and so at most 1e-8 lambda_max, which refuses the
+    roundoff eigenvalue of a singular K.
     """
     n = K.shape[0]
     dK, dM = _as_csr(K).diagonal(), _as_csr(Mvar).diagonal()
@@ -432,29 +445,17 @@ def _extreme_eigenvalue(K, Mvar, which, factor=None):
     if n == 1:
         lam = float(dK[0] / dM[0])
     else:
-        if factor is None:
-            factor = _mass_factor(Mvar)  # refuses an indefinite mass
-        if which == 'largest':
-            solve = factor.solve
-        else:
-            factor = None  # Mvar's band goes before K's is made
-            solve = _mass_factor(K).solve
-        inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
-        # a constant start can be orthogonal to the top eigenspace of a
-        # symmetric mesh, and ARPACK then converges below it
-        opts = ({'which': 'LA', 'Minv': inv,
-                 'v0': np.random.default_rng(0).standard_normal(n)}
-                if which == 'largest' else
-                {'sigma': 0.0, 'OPinv': inv, 'v0': np.full(n, n ** -0.5)})
-        lam = float(spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar),
-                               return_eigenvectors=False, **opts)[0])
-        if which == 'largest':
-            _require_top(K, Mvar, lam)
+        _mass_factor(Mvar)  # refuses an indefinite mass; dropped before K's
+        inv = spla.LinearOperator((n, n), matvec=_mass_factor(K).solve,
+                                  dtype=float)
+        lam = float(spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar), sigma=0.0,
+                               OPinv=inv, v0=np.full(n, n ** -0.5),
+                               return_eigenvectors=False)[0])
     floor = 1e-8 * np.max(dK / dM)
-    if which == 'smallest' and not lam > floor:
+    if not lam > floor:
         raise ValueError('smallest eigenvalue %.3g is not positive '
                          '(floor %.3g)' % (lam, floor))
-    return lam, factor
+    return lam
 
 
 def _require_top(K, Mvar, lam):
@@ -592,7 +593,7 @@ def run_convergence(cfg):
     def omega1(pair, label, level):
         Mvar = _mass_variant(cfg, pair, label)
         with _located('%s, pencil %s' % (level, label)):
-            lam = _extreme_eigenvalue(pair.K, Mvar, 'smallest')[0]
+            lam = _lambda_min(pair.K, Mvar)
         return math.sqrt(lam)
 
     hs, errors = [], {label: [] for label in cfg.pencils}
@@ -635,8 +636,7 @@ def run_simulate(cfg):
     with _located('pencil M'):
         prob = manufactured_wave_problem(space, patches[0], nquad=cfg.nquad)
         K = prob.pair.K
-        lam_M, factor_M = _extreme_eigenvalue(K, prob.pair.M, 'largest',
-                                              prob.mass)
+        lam_M = _lambda_max(K, prob.pair.M, prob.mass)
     dt_shared = cfg.safeguard * critical_timestep(lam_M)
 
     def error_table(traj):
@@ -655,10 +655,8 @@ def run_simulate(cfg):
         Mvar = _mass_variant(cfg, prob.pair, label)
         with _located('pencil %s' % label):
             # the factor behind lam also drives the stepping
-            lam, factor = (lam_M, factor_M) if label == 'M' else \
-                _extreme_eigenvalue(K, Mvar, 'largest')
-            if factor is None:  # n = 1 needed no factor for lam
-                factor = _mass_factor(Mvar)
+            factor = prob.mass if label == 'M' else _mass_factor(Mvar)
+            lam = lam_M if label == 'M' else _lambda_max(K, Mvar, factor)
             dt_own = cfg.safeguard * critical_timestep(lam)
             for tag, dt in (('shared', dt_shared), ('critical', dt_own)):
                 traj = central_difference(factor, K, prob.f, prob.u0,

@@ -145,7 +145,9 @@ def lanczos(A, factor, B, k, m=None, tol=1e-3, max_restarts=200, seed=0):
         conv = res <= tol
 
         if np.all(conv) or restarts >= max_restarts or cnt >= n:
-            V.resize((n, k))    # Fortran order: the leading k columns
+            # Fortran order: the leading k columns. No view of V outlives
+            # the loop; a profiler's bound V.resize is one more reference
+            V.resize((n, k), refcheck=False)
             return LanczosResult(lam, V, res, conv, n_matvec - 1, n_matvec,
                                  restarts)
 

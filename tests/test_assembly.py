@@ -12,9 +12,9 @@ import scipy.sparse as sp
 
 import igalump.assembly
 import igalump.splines
-from igalump.assembly import (assemble_multipatch, assemble_single_patch,
-                              assemble_trimmed, jacobi_rescale, load_vector,
-                              quadrature_grid)
+from igalump.assembly import (_by_rows, _paired, assemble_multipatch,
+                              assemble_single_patch, assemble_trimmed,
+                              jacobi_rescale, load_vector, quadrature_grid)
 from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
                               plate_quarter_hole, quarter_annulus, magnet,
                               rotated_square_region, unit_cube, unit_square)
@@ -708,7 +708,7 @@ def test_sum_factorize_matches_einsum(a, b, q):
     spec = ','.join(['z' + qs] + ['z' + x + y
                                   for x, y in zip(As + Bs, 2 * qs)])
     want = np.einsum(spec + '->z' + As + Bs, c, *X, *Y)
-    got = igalump.assembly._sum_factorize(c, X, Y)
+    got = _by_rows(_paired(c, X, Y, {}))
     np.testing.assert_allclose(got, want.reshape(E, np.prod(a), np.prod(b)),
                                rtol=1e-13)
 
@@ -726,12 +726,10 @@ def test_stiffness_from_distinct_metric_terms(d):
     G = rng.normal(size=(E,) + nq + (d, d))
     G = G + np.swapaxes(G, -1, -2)
     grads = [vals[:l] + [ders[l]] + vals[l + 1:] for l in range(d)]
-    want = sum(igalump.assembly._sum_factorize(G[..., l, m], grads[l],
-                                               grads[m])
+    want = sum(_by_rows(_paired(G[..., l, m], grads[l], grads[m], {}))
                for l, m in itertools.product(range(d), repeat=2))
     M, K = igalump.assembly._element_kernel(vals, ders, c, G)
-    assert M.tobytes() == igalump.assembly._sum_factorize(
-        c, vals, vals).tobytes()
+    assert M.tobytes() == _by_rows(_paired(c, vals, vals, {})).tobytes()
     if d == 2:
         assert K.tobytes() == want.tobytes()
     else:

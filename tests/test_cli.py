@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -89,6 +90,46 @@ def test_missed_largest_eigenvalue_exits_three(tmp_path, capsys,
     assert re.search(r'numerical failure: pencil M: largest eigenvalue '
                      r'\S+ misses the top of the spectrum: \d+ eigenvalues '
                      r'lie above', err), err
+
+
+# every runner kind at a toy size, spectrum on both of its routes and the
+# trimmed sweep on a thread pool
+_TOY_RUNS = [
+    ('spectrum', 'geometry = unit_square\np = 2\nsubdivisions = 4\n'
+     'pencils = M P1\n'),
+    ('spectrum', 'geometry = unit_square\np = 2\nsubdivisions = 4\nk = 3\n'),
+    ('convergence', 'p = 2\nsubdivisions = 1\nlevels = 3\npencils = M P1\n'),
+    ('simulate', 'p = 2\nsubdivisions = 4\npencils = M P1\ntspan = 0.05\n'),
+    ('deflate-ratio', 'subdivisions = 8 4\np = 2\nranks = 4\n'),
+    ('trimmed-sweep', 'subdivisions = 6\np = 2\nnangles = 2\npencils = P1\n'
+     'threads = 2\n'),
+    ('bandwidth-report', 'subdivisions = 3\np = 2\n'),
+]
+
+
+def test_every_runner_kind_exits_zero_under_a_profiler(tmp_path, capsys):
+    # a profiler holds references that a plain run does not, such as the
+    # bound method of each C call, so no runner may depend on a refcount
+    threads = set()
+
+    def profile(frame, event, arg):
+        if event == 'call':
+            threads.add(threading.get_ident())
+
+    assert {kind for kind, _ in _TOY_RUNS} == set(RUNNERS)
+    for i, (kind, body) in enumerate(_TOY_RUNS):
+        cfg = write_cfg(tmp_path, 'kind = %s\n%sout = %s\n'
+                        % (kind, body, tmp_path / str(i)), '%d.cfg' % i)
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            code = main([kind, '--config', cfg])
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+        assert code == 0, (kind, body, capsys.readouterr().err)
+    # the sweep's workers ran under the profiler too
+    assert len(threads) > 1
 
 
 def test_out_and_seed_flags_override(tmp_path, capsys):

@@ -14,14 +14,14 @@ from igalump.dynamics import l2_error
 from igalump.experiments import (_KEYS, RUNNERS, ConfigError,
                                  ExperimentConfig, _assemble,
                                  _assemble_trimmed_at,
-                                 _extreme_eigenvalue, _located,
+                                 _lambda_max, _lambda_min, _located,
                                  _mass_variant, _spectrum_rows, _top_pairs,
                                  _write_csv, apply_overrides, parse_config,
                                  run_bandwidth_report, run_convergence,
                                  run_deflate_ratio, run_simulate,
                                  run_spectrum, run_trimmed_sweep)
-from igalump.linalg import (_mass_factor, banded_cholesky,
-                            dense_generalized_eig)
+from igalump.linalg import (FactorizedOperator, _mass_factor,
+                            banded_cholesky, dense_generalized_eig)
 from igalump.spectral import LanczosResult, lanczos
 from spectrum_csv import read_spectrum_csv
 
@@ -304,6 +304,13 @@ def square_cfg(tmp_path, subdivisions):
         'subdivisions = %d\npencils = M P1 H2\n' % subdivisions)))
 
 
+def eigenvalue_at(end, K, Mvar):
+    """end(K, Mvar): _lambda_max steps with a factor its caller makes."""
+    if end is _lambda_max:
+        return _lambda_max(K, Mvar, _mass_factor(Mvar))
+    return _lambda_min(K, Mvar)
+
+
 def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
                                                           monkeypatch):
     cfg = square_cfg(tmp_path, 64)
@@ -319,7 +326,7 @@ def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
     # eigsh looks splu up in its own module
     for module in (spla, sys.modules[spla.eigsh.__module__]):
         monkeypatch.setattr(module, 'splu', no_superlu)
-    got = _extreme_eigenvalue(pair.K, pair.M, 'smallest')[0]
+    got = _lambda_min(pair.K, pair.M)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -334,13 +341,13 @@ def test_dense_extreme_eigenvalue_matches_oracle(tmp_path, monkeypatch,
     n = pair.K.shape[0]
     if n <= experiments.DENSE_CAP:
         w = dense_generalized_eig(pair.K, Mvar)[0]
-        want = {'smallest': w[0], 'largest': w[-1]}
+        want = {_lambda_min: w[0], _lambda_max: w[-1]}
     else:
         # above the cap the oracle is the library Lanczos, run tight
         res = lanczos(pair.K, _mass_factor(Mvar), Mvar, 4, tol=1e-10,
                       seed=0)
         assert np.all(res.converged)
-        want = {'largest': res.values[0]}
+        want = {_lambda_max: res.values[0]}
 
     # both ends go through ARPACK at every size
     def no_other_solver(*args, **kwargs):
@@ -348,13 +355,14 @@ def test_dense_extreme_eigenvalue_matches_oracle(tmp_path, monkeypatch,
 
     for name in ('_dense_eigenvalues', 'lanczos'):
         monkeypatch.setattr(experiments, name, no_other_solver)
-    for which, value in want.items():
-        got, _ = _extreme_eigenvalue(pair.K, Mvar, which)
-        assert got == pytest.approx(value, rel=1e-12, abs=0), which
+    for end, value in want.items():
+        got = eigenvalue_at(end, pair.K, Mvar)
+        assert got == pytest.approx(value, rel=1e-12, abs=0), end.__name__
 
 
-@pytest.mark.parametrize('which', ['smallest', 'largest'])
-def test_both_ends_of_a_one_dof_pencil(tmp_path, which):
+@pytest.mark.parametrize('end', [_lambda_min, _lambda_max],
+                         ids=['smallest', 'largest'])
+def test_both_ends_of_a_one_dof_pencil(tmp_path, end):
     # ARPACK refuses k >= n; a 1 x 1 pencil has the one eigenvalue K00/M00
     cfg = parse_config(write_cfg(tmp_path, (
         'kind = convergence\ngeometry = unit_square\np = 2\nlevels = 3\n'
@@ -362,16 +370,18 @@ def test_both_ends_of_a_one_dof_pencil(tmp_path, which):
     pair = _assemble(cfg)
     K, M = pair.K.mat.toarray(), pair.M.mat.toarray()
     assert K.shape == (1, 1)
-    got, _ = _extreme_eigenvalue(pair.K, pair.M, which)
+    got = eigenvalue_at(end, pair.K, pair.M)
     assert got == pytest.approx(K[0, 0] / M[0, 0], rel=1e-14, abs=0)
 
 
-@pytest.mark.parametrize('which', ['smallest', 'largest'])
+@pytest.mark.parametrize('end', [_lambda_min, _lambda_max],
+                         ids=['smallest', 'largest'])
 @pytest.mark.parametrize('subdivisions', [8, 64])
-def test_extreme_eigenvalue_refuses_an_indefinite_mass(tmp_path, which,
+def test_extreme_eigenvalue_refuses_an_indefinite_mass(tmp_path, end,
                                                        subdivisions):
     # a positive diagonal passes the diagonal check; the 2 x 2 minor on
-    # dofs 0 and 1 is M00 M11 - 4 M00 M11 < 0, which only a factor sees
+    # dofs 0 and 1 is M00 M11 - 4 M00 M11 < 0, which only a factor sees:
+    # _lambda_min's own, or for _lambda_max the one its caller makes
     cfg = square_cfg(tmp_path, subdivisions)
     pair = _assemble(cfg)
     Mvar = pair.M.mat.tolil()
@@ -379,7 +389,7 @@ def test_extreme_eigenvalue_refuses_an_indefinite_mass(tmp_path, which,
     Mvar = Mvar.tocsr()
     assert np.all(Mvar.diagonal() > 0)
     with pytest.raises(ValueError, match='not positive definite'):
-        _extreme_eigenvalue(pair.K, Mvar, which)
+        eigenvalue_at(end, pair.K, Mvar)
 
 
 def _trimmed_at_zero(label, subdivisions):
@@ -400,7 +410,7 @@ def test_largest_eigenvalue_of_a_symmetric_trimmed_pencil(label,
                                                           subdivisions):
     A, B = _trimmed_at_zero(label, subdivisions)
     want = dense_generalized_eig(A, B)[0][-1]
-    got, _ = _extreme_eigenvalue(A, B, 'largest')
+    got = _lambda_max(A, B, _mass_factor(B))
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -411,7 +421,28 @@ def test_largest_eigenvalue_refuses_a_value_below_the_top(monkeypatch):
     monkeypatch.setattr(spla, 'eigsh', lambda *a, **kw: w[-3:-2])
     with pytest.raises(ValueError, match='2 eigenvalues lie above .*, '
                        'expected 0'):
-        _extreme_eigenvalue(A, B, 'largest')
+        _lambda_max(A, B, _mass_factor(B))
+
+
+def test_largest_eigenvalue_solves_with_the_callers_factor(tmp_path,
+                                                          monkeypatch):
+    cfg = square_cfg(tmp_path, 8)
+    pair = _assemble(cfg)
+    Mvar = _mass_variant(cfg, pair, 'P1')
+    want = dense_generalized_eig(pair.K, Mvar)[0][-1]
+    base, solves = _mass_factor(Mvar), []
+
+    def counted(rhs):
+        solves.append(rhs)
+        return base.solve(rhs)
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError('a mass factor was made')
+
+    monkeypatch.setattr('igalump.linalg.banded_cholesky', no_factor)
+    got = _lambda_max(pair.K, Mvar, FactorizedOperator(base.n, counted))
+    assert solves
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_inertia_count_refuses_a_pivoted_or_failed_factor(tmp_path,
@@ -449,7 +480,7 @@ def test_smallest_eigenvalue_refuses_a_singular_stiffness(tmp_path):
     # passes on roundoff pivots and shift-invert returns a roundoff value
     cfg, pair = nquad_square(tmp_path, 1)
     with pytest.raises(ValueError, match='is not positive'):
-        _extreme_eigenvalue(pair.K, pair.M, 'smallest')
+        _lambda_min(pair.K, pair.M)
 
 
 def test_smallest_eigenvalue_refuses_a_zero_mass_diagonal(tmp_path):
@@ -459,7 +490,7 @@ def test_smallest_eigenvalue_refuses_a_zero_mass_diagonal(tmp_path):
     with np.errstate(all='raise'):
         with pytest.raises(ValueError, match='mass-side matrix is not '
                            'positive definite: diagonal entry 0 is 0'):
-            _extreme_eigenvalue(pair.K, Mvar, 'smallest')
+            _lambda_min(pair.K, Mvar)
 
 
 # ------------------------------------------------------------------ simulate

@@ -1,5 +1,7 @@
 """Eigensolver and deflation checks against the dense oracle."""
 
+import cProfile
+import sys
 import tracemalloc
 
 import numpy as np
@@ -227,6 +229,29 @@ def test_lanczos_deterministic_per_seed():
     assert runs[0].n_iter == runs[1].n_iter
     assert runs[0].n_matvec == runs[1].n_matvec
     np.testing.assert_array_equal(runs[0].values, runs[1].values)
+
+
+def test_lanczos_runs_the_same_under_a_profiler():
+    # a profiler takes a bound method of each C call, one more reference to
+    # the basis while it is shrunk in place to the Ritz vectors
+    A, B = random_pencil(80, seed=1)
+    base = banded_cholesky(B, 3)
+
+    def run():
+        res = lanczos(A, base, B, 5, m=10, tol=1e-10, seed=0)
+        return res.values, (res.n_iter, res.n_matvec, res.n_restarts)
+
+    want = run()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        got = [run()]
+    finally:
+        sys.setprofile(None)
+    prof = cProfile.Profile()
+    got.append(prof.runcall(run))
+    for values, counts in got:
+        assert values.tobytes() == want[0].tobytes()
+        assert counts == want[1]
 
 
 def test_lanczos_reports_unconverged_instead_of_raising():
