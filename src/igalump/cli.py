@@ -1,7 +1,8 @@
 """Command line driver: one subcommand per experiment kind.
 
-Exit codes: 0 on success, 2 when the config (or command line) is bad,
-3 when the numerics fail (non-convergence, loss of definiteness, blow-up).
+Exit codes: 0 on success, 2 when the config, the command line or the output
+directory is bad, 3 when the numerics fail (non-convergence, loss of
+definiteness, blow-up).
 """
 
 import argparse

@@ -410,8 +410,10 @@ def _top_pairs(cfg, K, Mvar, k, factor):
 def _lambda_max(K, Mvar, factor):
     """Largest generalized eigenvalue of (K, Mvar), with factor the caller's
     Cholesky of Mvar: K_00 / Mvar_00 at n = 1, above that one ARPACK call
-    with factor as Minv, from a start vector drawn from default_rng(0),
-    refused unless an inertia count finds none above it (_require_top)."""
+    with factor as Minv, from a start vector drawn from default_rng(0).
+    By Sylvester's law of inertia no eigenvalue lies at or above
+    sigma = lam (1 + 1e-9) exactly when sigma Mvar - K is positive
+    definite: lam is refused if that matrix has no banded Cholesky."""
     n = K.shape[0]
     if n == 1:
         return float(_as_csr(K)[0, 0] / _as_csr(Mvar)[0, 0])
@@ -421,7 +423,13 @@ def _lambda_max(K, Mvar, factor):
     lam = float(spla.eigsh(_as_csr(K), k=1, M=_as_csr(Mvar), which='LA',
                            Minv=inv, return_eigenvectors=False,
                            v0=np.random.default_rng(0).standard_normal(n))[0])
-    _require_top(K, Mvar, lam)
+    sigma = lam * (1 + 1e-9)
+    try:
+        _mass_factor(sigma * _as_csr(Mvar) - _as_csr(K))
+    except ValueError:
+        raise ValueError('largest eigenvalue %.10g misses the top of the '
+                         'spectrum: an eigenvalue lies at or above %.10g'
+                         % (lam, sigma)) from None
     return lam
 
 
@@ -458,29 +466,6 @@ def _lambda_min(K, Mvar):
     return lam
 
 
-def _require_top(K, Mvar, lam):
-    """Refuse lam as lambda_max of (K, Mvar) if an eigenvalue lies above
-    sigma = lam (1 + 1e-9). By Sylvester's law of inertia the positive
-    pivots of an unpivoted LU of the symmetric K - sigma Mvar count the
-    eigenvalues above sigma; a factorization that pivots is refused."""
-    n, sigma = K.shape[0], lam * (1 + 1e-9)
-    try:
-        lu = spla.splu((_as_csr(K) - sigma * _as_csr(Mvar)).tocsc(),
-                       permc_spec='NATURAL', diag_pivot_thresh=0,
-                       options={'SymmetricMode': True})
-    except RuntimeError as exc:     # SuperLU: an exactly singular pivot
-        raise ValueError('inertia count at %.10g failed: %s'
-                         % (sigma, exc)) from None
-    if not np.array_equal(lu.perm_r, np.arange(n)):
-        raise ValueError('inertia count at %.10g needed row pivoting'
-                         % sigma)
-    above = int(np.sum(lu.U.diagonal() > 0))
-    if above:
-        raise ValueError('largest eigenvalue %.10g misses the top of the '
-                         'spectrum: %d eigenvalues lie above %.10g, '
-                         'expected 0' % (lam, above, sigma))
-
-
 def _run_sweep(cfg, work, items):
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
@@ -496,12 +481,22 @@ def _cell(v):
     return '%d' % v if isinstance(v, (int, np.integer)) else '%.17g' % v
 
 
+@contextlib.contextmanager
+def _output(cfg, name):
+    """The path of name under cfg.out, made first. An OSError making the
+    directory or writing the file is a ConfigError naming the directory."""
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+        yield os.path.join(cfg.out, name)
+    except OSError as exc:
+        raise ConfigError('cannot write output directory %s: %s'
+                          % (cfg.out, exc.strerror or exc)) from None
+
+
 def _write_csv(cfg, name, header, rows):
     """Write a table under cfg.out and return its path: ints as %d, floats
     as %.17g (they read back exactly), strings as they are."""
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, name)
-    with open(path, 'w') as f:
+    with _output(cfg, name) as path, open(path, 'w') as f:
         f.write(header + '\n')
         for row in rows:
             f.write(','.join(_cell(v) for v in row) + '\n')
@@ -513,8 +508,8 @@ def _save_plot(cfg, name, series, **axes):
     plot = LinePlot(**axes)
     for x, y, label in series:
         plot.add(x, y, label)
-    path = os.path.join(cfg.out, name)
-    plot.save(path)
+    with _output(cfg, name) as path:
+        plot.save(path)
     return path
 
 

@@ -77,8 +77,8 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
 
 def test_missed_largest_eigenvalue_exits_three(tmp_path, capsys,
                                                monkeypatch):
-    # an eigsh that stops below the top of the spectrum: the inertia count
-    # behind lambda_max refuses it, naming the pencil
+    # an eigsh that stops below the top of the spectrum: the Cholesky
+    # certificate behind lambda_max refuses it, naming the pencil
     real = experiments.spla.eigsh
     monkeypatch.setattr(experiments.spla, 'eigsh',
                         lambda *a, **kw: 0.5 * real(*a, **kw))
@@ -88,8 +88,24 @@ def test_missed_largest_eigenvalue_exits_three(tmp_path, capsys,
     assert main(['simulate', '--config', cfg]) == 3
     err = capsys.readouterr().err
     assert re.search(r'numerical failure: pencil M: largest eigenvalue '
-                     r'\S+ misses the top of the spectrum: \d+ eigenvalues '
-                     r'lie above', err), err
+                     r'\S+ misses the top of the spectrum: an eigenvalue '
+                     r'lies at or above \S+\n', err), err
+
+
+@pytest.mark.parametrize('via', ['config', 'flag'])
+@pytest.mark.parametrize('under', [False, True], ids=['file', 'under-file'])
+def test_unwritable_output_directory_exits_two(tmp_path, capsys, via, under):
+    # out names an existing file, or a path under one: neither can be made
+    blocker = tmp_path / 'taken'
+    blocker.write_text('')
+    out = str(blocker / 'sub' if under else blocker)
+    cfg = write_cfg(tmp_path, 'kind = bandwidth-report\nsubdivisions = 3\n'
+                    'p = 2\n' + ('out = %s\n' % out if via == 'config' else ''))
+    argv = ['bandwidth-report', '--config', cfg]
+    assert main(argv + (['--out', out] if via == 'flag' else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('config error: ') and out in err, err
+    assert 'Traceback' not in err
 
 
 # every runner kind at a toy size, spectrum on both of its routes and the

@@ -1,7 +1,8 @@
 import os
+import re
 import sys
+import traceback
 from dataclasses import MISSING, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,14 +312,21 @@ def eigenvalue_at(end, K, Mvar):
     return _lambda_min(K, Mvar)
 
 
-def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
-                                                          monkeypatch):
+def eigenvalue_without_superlu(tmp_path, monkeypatch, end):
+    """end on the 4,225-dof square, with SuperLU patched to fail."""
     cfg = square_cfg(tmp_path, 64)
     pair = _assemble(cfg)
     n = pair.K.shape[0]
     assert n == 4225
-    want = spla.eigsh(pair.K.mat, k=1, M=pair.M.mat, sigma=0.0,
-                      v0=np.full(n, n ** -0.5), return_eigenvectors=False)[0]
+    # the references factor through SuperLU, before it is patched out
+    if end is _lambda_min:
+        want = spla.eigsh(pair.K.mat, k=1, M=pair.M.mat, sigma=0.0,
+                          v0=np.full(n, n ** -0.5),
+                          return_eigenvectors=False)[0]
+    else:
+        want = spla.eigsh(pair.K.mat, k=1, M=pair.M.mat, which='LA',
+                          v0=np.random.default_rng(0).standard_normal(n),
+                          return_eigenvectors=False)[0]
 
     def no_superlu(*args, **kwargs):
         raise AssertionError('SuperLU was called')
@@ -326,8 +334,18 @@ def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
     # eigsh looks splu up in its own module
     for module in (spla, sys.modules[spla.eigsh.__module__]):
         monkeypatch.setattr(module, 'splu', no_superlu)
-    got = _lambda_min(pair.K, pair.M)
+    got = eigenvalue_at(end, pair.K, pair.M)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_smallest_eigenvalue_shift_inverts_without_superlu(tmp_path,
+                                                          monkeypatch):
+    eigenvalue_without_superlu(tmp_path, monkeypatch, _lambda_min)
+
+
+def test_largest_eigenvalue_is_certified_without_superlu(tmp_path,
+                                                        monkeypatch):
+    eigenvalue_without_superlu(tmp_path, monkeypatch, _lambda_max)
 
 
 @pytest.mark.parametrize('label, subdivisions',
@@ -419,8 +437,10 @@ def test_largest_eigenvalue_refuses_a_value_below_the_top(monkeypatch):
     w = dense_generalized_eig(A, B)[0]
     # ARPACK converging to the third-largest, below the double top
     monkeypatch.setattr(spla, 'eigsh', lambda *a, **kw: w[-3:-2])
-    with pytest.raises(ValueError, match='2 eigenvalues lie above .*, '
-                       'expected 0'):
+    lam, sigma = ('%.10g' % v for v in (w[-3], w[-3] * (1 + 1e-9)))
+    with pytest.raises(ValueError, match='largest eigenvalue %s misses the '
+                       'top of the spectrum: an eigenvalue lies at or above '
+                       '%s$' % (re.escape(lam), re.escape(sigma))):
         _lambda_max(A, B, _mass_factor(B))
 
 
@@ -436,34 +456,14 @@ def test_largest_eigenvalue_solves_with_the_callers_factor(tmp_path,
         solves.append(rhs)
         return base.solve(rhs)
 
-    def no_factor(*args, **kwargs):
-        raise AssertionError('a mass factor was made')
+    def no_mass_factor(A, bandwidth):
+        assert A is not Mvar, 'a factor of Mvar was made'
+        return banded_cholesky(A, bandwidth)
 
-    monkeypatch.setattr('igalump.linalg.banded_cholesky', no_factor)
+    monkeypatch.setattr('igalump.linalg.banded_cholesky', no_mass_factor)
     got = _lambda_max(pair.K, Mvar, FactorizedOperator(base.n, counted))
     assert solves
     assert got == pytest.approx(want, rel=1e-12, abs=0)
-
-
-def test_inertia_count_refuses_a_pivoted_or_failed_factor(tmp_path,
-                                                         monkeypatch):
-    cfg = square_cfg(tmp_path, 8)
-    pair = _assemble(cfg)
-    lam = dense_generalized_eig(pair.K, pair.M)[0][-1]
-    real = spla.splu
-
-    def pivoted(*args, **kwargs):
-        lu = real(*args, **kwargs)
-        return SimpleNamespace(perm_r=lu.perm_r[::-1], U=lu.U)
-
-    def singular(*args, **kwargs):
-        raise RuntimeError('Factor is exactly singular')
-
-    for splu, match in ((pivoted, 'needed row pivoting'),
-                        (singular, 'failed: Factor is exactly singular')):
-        monkeypatch.setattr(spla, 'splu', splu)
-        with pytest.raises(ValueError, match=match):
-            experiments._require_top(pair.K, pair.M, lam)
 
 
 def nquad_square(tmp_path, nquad):
@@ -539,11 +539,14 @@ def test_simulate_measures_each_history_in_one_batch(tmp_path, monkeypatch):
 @pytest.mark.parametrize('pencils', ['M P1 P2', 'P1 rowsum'])
 def test_simulate_factors_each_mass_once(tmp_path, monkeypatch, pencils):
     # the factor behind a pencil's lambda_max also drives its stepping; the
-    # consistent mass's one factor also projects the initial data
+    # consistent mass's one factor also projects the initial data. Each
+    # lambda_max also factors its certificate sigma Mvar - K
     factored = []
 
     def counted(A, bandwidth):
-        factored.append(A)
+        certificate = any(f.name == '_lambda_max'
+                          for f in traceback.extract_stack())
+        factored.append((A, certificate))
         return banded_cholesky(A, bandwidth)
 
     monkeypatch.setattr('igalump.linalg.banded_cholesky', counted)
@@ -551,9 +554,13 @@ def test_simulate_factors_each_mass_once(tmp_path, monkeypatch, pencils):
         'kind = simulate\np = 2\nsubdivisions = 4\npencils = %s\n'
         'tspan = 0.05\nout = %s\n' % (pencils, tmp_path / 'sim'))))
     run_simulate(cfg)
-    # the consistent mass's, then one per lumped pencil's lambda_max
-    assert len(factored) == 1 + sum(p != 'M' for p in cfg.pencils)
-    assert len({id(A) for A in factored}) == len(factored)
+    # the consistent mass's, then one per lumped pencil's lambda_max, and
+    # one certificate per lambda_max: M's and each lumped pencil's
+    lumped = sum(p != 'M' for p in cfg.pencils)
+    masses = [A for A, certificate in factored if not certificate]
+    assert len(masses) == 1 + lumped
+    assert len(factored) - len(masses) == 1 + lumped
+    assert len({id(A) for A, _ in factored}) == len(factored)
 
 
 # -------------------------------------------------------------- deflate-ratio
