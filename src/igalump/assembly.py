@@ -25,7 +25,7 @@ from functools import reduce
 import numpy as np
 
 from .geometry import _tensor_apply, classify_elements
-from .lumping import HierBandedMatrix, _as_csr, _scatter, _strides
+from .lumping import HierBandedMatrix, _as_csr, _scatter
 from .splines import _dense_tables, eval_basis
 
 
@@ -254,14 +254,13 @@ def _weighted_pullback(patch, rho, kappa, region, nsub, pts, wts, centers):
 
 def _element_dofs(space, els):
     """Free dof of each local function of the elements els (E, d), in
-    lexicographic order, -1 where the dof is eliminated; shape (E, nloc)."""
-    dofs = np.zeros((len(els), 1), dtype=np.int64)
-    for l, (kv, r) in enumerate(zip(space.kvs, _strides(space.dims))):
-        first = kv.find_span(kv.span_bounds()[0]) - kv.p
-        d1 = (first[els[:, l], None] + np.arange(kv.p + 1)) * r
-        dofs = (dofs[:, :, None] + d1[:, None, :]).reshape(
-            len(els), dofs.shape[1] * (kv.p + 1))
-    return space.full_to_free()[dofs]
+    lexicographic order, -1 where the dof is eliminated; shape (E, nloc):
+    each element's (p+1)^d window of the dof grid, at its first functions."""
+    window = [p + 1 for p in space.degrees]
+    wins = np.lib.stride_tricks.sliding_window_view(space.dof_grid(), window)
+    at = tuple(kv.find_span(kv.span_bounds()[0])[e] - kv.p
+               for kv, e in zip(space.kvs, els.T))
+    return wins[at].reshape(len(els), int(np.prod(window)))
 
 
 def _system_matrices(space, batches):

@@ -2,13 +2,12 @@
 
 Exit codes: 0 on success, 2 when the config, the command line or the output
 directory is bad, 3 when the numerics fail (non-convergence, loss of
-definiteness, blow-up).
+definiteness, blow-up) or an array does not fit in memory.
 """
 
 import argparse
 import sys
 
-import numpy as np
 from scipy.sparse.linalg import ArpackError
 
 from .experiments import RUNNERS, ConfigError, apply_overrides, parse_config
@@ -55,9 +54,11 @@ def main(argv=None):
     except ConfigError as exc:
         print('config error: %s' % exc, file=sys.stderr)
         return 2
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError,
-            ArpackError) as exc:
+    except (ValueError, FloatingPointError, ArpackError) as exc:
         print('numerical failure: %s' % exc, file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print('numerical failure: out of memory: %s' % exc, file=sys.stderr)
         return 3
     for path in written:
         print('wrote %s' % path)

@@ -181,7 +181,7 @@ def parse_config(path):
     try:
         with open(path, 'r', encoding='utf-8') as fh:
             raw_lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError('cannot read config %s: %s' % (path, exc)) from None
 
     entries = {}

@@ -440,23 +440,15 @@ def outer_faces(patches, interfaces):
 
 # -------------------------------------------------------- multipatch topology
 
-def _face_layer(dims, face):
-    """Full-tensor indices of the dof layer on a face, shaped as the face grid.
+def _face_layer(space, face):
+    """Free ids of the dof layer on a face, -1 where constrained, shaped as
+    the face grid.
 
     face = (direction, side). The returned array is indexed by the tangential
     multi-index (remaining directions in increasing order).
     """
     direction, side = face
-    idx = []
-    for l, n in enumerate(dims):
-        if l == direction:
-            idx.append([n - 1] if side else [0])
-        else:
-            idx.append(range(n))
-    grids = np.meshgrid(*idx, indexing='ij')
-    lin = np.ravel_multi_index([g.ravel() for g in grids], dims)
-    shape = tuple(n for l, n in enumerate(dims) if l != direction)
-    return lin.reshape(shape if shape else (1,))
+    return np.atleast_1d(np.take(space.dof_grid(), -side, axis=direction))
 
 
 def _orient_layer(layer, orientation):
@@ -501,14 +493,13 @@ class MultipatchTopology:
         pairs = [np.zeros((2, 0), dtype=int)]
         for (a, face_a, b, face_b, orientation) in self.interfaces:
             sa, sb = self.spaces[a], self.spaces[b]
-            la = _face_layer(sa.dims, face_a)
-            lb = _orient_layer(_face_layer(sb.dims, face_b), orientation)
+            la = _face_layer(sa, face_a)
+            lb = _orient_layer(_face_layer(sb, face_b), orientation)
             if la.shape != lb.shape:
                 raise ValueError('nonconforming interface between patches '
                                  '%d and %d: %s vs %s'
                                  % (a, b, la.shape, lb.shape))
-            fa, fb = sa.full_to_free(), sb.full_to_free()
-            qa, qb = fa[la.ravel()], fb[lb.ravel()]
+            qa, qb = la.ravel(), lb.ravel()
             if np.any((qa < 0) != (qb < 0)):
                 raise ValueError('interface dof constrained on one side '
                                  'only (patches %d/%d)' % (a, b))
@@ -549,18 +540,9 @@ class MultipatchTopology:
             glued[b].add(fb)
         out = []
         for r, sp in enumerate(self.spaces):
-            ranges = []
-            for l in range(sp.ndim):
-                free = sp.free_indices_1d(l)
-                lo, hi = 0, len(free)
-                if (l, 0) in glued[r] and free[0] == 0:
-                    lo += 1
-                if (l, 1) in glued[r] and free[-1] == sp.dims[l] - 1:
-                    hi -= 1
-                ranges.append(np.arange(lo, hi))
-            grids = np.meshgrid(*ranges, indexing='ij')
-            local_free = np.ravel_multi_index(
-                [g.ravel() for g in grids], sp.free_dims)
-            gids = self.l2g[r][local_free]
-            out.append((gids, tuple(len(rg) for rg in ranges)))
+            box = sp.dof_grid()
+            for l, sides in enumerate(sp.dirichlet):
+                box = np.delete(box, [-side for side in (0, 1) if sides[side]
+                                      or (l, side) in glued[r]], axis=l)
+            out.append((self.l2g[r][box.ravel()], box.shape))
         return out, self.interface_globals()

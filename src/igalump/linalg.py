@@ -1,7 +1,8 @@
 """Direct solvers for the structured matrices: banded Cholesky, the
 Schur-complement saddle solve for multipatch systems, Woodbury application
-of low-rank mass updates, and the dense generalized eigensolver used as a
-reference oracle throughout the test suite.
+of low-rank mass updates, and the dense generalized eigensolver: the
+runners' whole spectra and the trimmed sweep's largest eigenvalue come from
+it, and the test suite uses it as a reference oracle.
 
 Factorizations are immutable once constructed; solve() may be called from
 several threads on distinct right-hand sides.

@@ -1,7 +1,8 @@
 """Univariate and tensor-product B-spline spaces.
 
 Knot vectors, basis evaluation by the Cox-de Boor recursion, and dimension
-bookkeeping for tensor-product spaces with per-face Dirichlet constraints.
+bookkeeping for tensor-product spaces with per-face Dirichlet constraints,
+whose dof grid numbers the free basis functions.
 """
 
 import numpy as np
@@ -222,18 +223,11 @@ class SplineSpace:
     def degrees(self):
         return tuple(kv.p for kv in self.kvs)
 
-    def free_indices_1d(self, direction):
-        """Indices of unconstrained basis functions along one direction."""
-        n = self.kvs[direction].numdofs
-        left, right = self.dirichlet[direction]
-        lo = 1 if left else 0
-        hi = n - 1 if right else n
-        return np.arange(lo, hi)
-
     @property
     def free_dims(self):
         """Constrained dimensions per direction."""
-        return tuple(len(self.free_indices_1d(l)) for l in range(self.ndim))
+        return tuple(max(n - a - b, 0)
+                     for n, (a, b) in zip(self.dims, self.dirichlet))
 
     @property
     def numdofs(self):
@@ -243,19 +237,19 @@ class SplineSpace:
     def num_free(self):
         return int(np.prod(self.free_dims))
 
-    def free_to_full(self):
-        """Map free (constrained) linear indices to full tensor indices.
+    def dof_grid(self):
+        """Free id of every basis function, an int64 array of shape dims.
 
-        Returns an int array of length num_free; entry q is the full-space
-        lexicographic index of the q-th free dof (free dofs ordered
-        lexicographically themselves).
+        Entries are -1 on the functions a Dirichlet face drops; the free
+        ids 0..num_free-1 run in lexicographic order, the first direction
+        slowest. This is the one map between tensor and system indices.
         """
-        grids = np.meshgrid(*[self.free_indices_1d(l) for l in range(self.ndim)],
-                            indexing='ij')
-        return np.ravel_multi_index([g.ravel() for g in grids], self.dims)
+        grid = np.full(self.dims, -1, dtype=np.int64)
+        grid[tuple(slice(int(a), n - int(b)) for n, (a, b)
+                   in zip(self.dims, self.dirichlet))] = np.arange(
+                       self.num_free).reshape(self.free_dims)
+        return grid
 
-    def full_to_free(self):
-        """Inverse of free_to_full; -1 marks constrained dofs."""
-        out = np.full(self.numdofs, -1, dtype=np.int64)
-        out[self.free_to_full()] = np.arange(self.num_free)
-        return out
+    def free_to_full(self):
+        """Full-space lexicographic index of each free dof, in free order."""
+        return np.flatnonzero(self.dof_grid().ravel() >= 0)

@@ -483,7 +483,7 @@ def loop_assemble(space, patch, rho, kappa, nquad=None, mask=None,
     empty-mass rows pruned, as assemble_trimmed does."""
     d = space.ndim
     nqs = [nquad or kv.p + 1 for kv in space.kvs]
-    f2f = space.full_to_free()
+    f2f = space.dof_grid().ravel()
     live = np.ones(space.num_free, dtype=bool)
     if mask is not None:
         live = loop_active(space, mask.element_class).ravel()[
@@ -647,7 +647,43 @@ def _free_dofs(space, el):
     full = np.ravel_multi_index(np.meshgrid(
         *[f + np.arange(kv.p + 1) for f, kv in zip(firsts, space.kvs)],
         indexing='ij'), space.dims).ravel()
-    return space.full_to_free()[full]
+    return space.dof_grid().ravel()[full]
+
+
+@pytest.mark.parametrize('case', ['subset', 'dirichlet-3d', 'empty'])
+def test_element_dofs_match_a_per_element_loop(case):
+    # each element's local functions, first direction slowest, numbered by
+    # their place among the free functions: a random element subset of a
+    # C^0 square, every element of a 3-D space with mixed Dirichlet faces,
+    # and no element at all
+    if case == 'dirichlet-3d':
+        space = SplineSpace([make_open_uniform(n, 2, 1) for n in (3, 4, 2)],
+                            dirichlet=[(True, False), (False, True),
+                                       (True, True)])
+        els = np.argwhere(np.ones((3, 4, 2), bool))
+    else:
+        space = SplineSpace([make_open_uniform(5, 2, 0),
+                             make_open_uniform(4, 3, 2)],
+                            dirichlet=[(False, True), (True, False)])
+        els = np.argwhere(np.ones((5, 4), bool))
+        els = (els[np.random.default_rng(1).permutation(len(els))[:7]]
+               if case == 'subset' else els[:0])
+    got = igalump.assembly._element_dofs(space, els)
+    nloc = int(np.prod([p + 1 for p in space.degrees]))
+    assert got.shape == (len(els), nloc) and got.dtype == np.int64
+    lo = [int(a) for a, _ in space.dirichlet]
+    for el, row in zip(els, got):
+        firsts = [int(eval_basis(kv, 0.5 * (kv.span_bounds()[0][e]
+                                            + kv.span_bounds()[1][e]))[0])
+                  for kv, e in zip(space.kvs, el)]
+        want = []
+        for idx in itertools.product(*[range(f, f + p + 1) for f, p
+                                       in zip(firsts, space.degrees)]):
+            free = [i - a for i, a in zip(idx, lo)]
+            want.append(np.ravel_multi_index(free, space.free_dims)
+                        if all(0 <= q < n for q, n
+                               in zip(free, space.free_dims)) else -1)
+        assert row.tolist() == want
 
 
 @pytest.mark.parametrize('case', ['dirichlet', 'trimmed', 'dirichlet-3d'])

@@ -108,19 +108,62 @@ def test_unwritable_output_directory_exits_two(tmp_path, capsys, via, under):
     assert 'Traceback' not in err
 
 
-# every runner kind at a toy size, spectrum on both of its routes and the
-# trimmed sweep on a thread pool
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    # a Latin-1 comment: the file cannot be read as a config, which is not a
+    # numerical failure
+    path = tmp_path / 'latin1.cfg'
+    path.write_bytes(b'kind = bandwidth-report\n# caf\xe9\n')
+    assert main(['bandwidth-report', '--config', str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('config error: cannot read config %s: ' % path), err
+    assert 'Traceback' not in err
+
+
+def test_memory_error_exits_three(tmp_path, capsys, monkeypatch):
+    # a runner whose arrays do not fit; no real allocation is attempted, as
+    # an overcommitting system may grant it
+    def exhausted(cfg):
+        raise MemoryError('Unable to allocate 16.0 TiB for an array')
+
+    monkeypatch.setitem(RUNNERS, 'spectrum', exhausted)
+    cfg = write_cfg(tmp_path, 'kind = spectrum\nout = %s\n' % (tmp_path / 'o'))
+    assert main(['spectrum', '--config', cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == ('numerical failure: out of memory: Unable to allocate '
+                   '16.0 TiB for an array\n'), err
+
+
+# every runner kind at a toy size, spectrum on both of its routes (the dense
+# one with a deflated curve), the simulation over a few steps and the trimmed
+# sweep on a thread pool
 _TOY_RUNS = [
-    ('spectrum', 'geometry = unit_square\np = 2\nsubdivisions = 4\n'
-     'pencils = M P1\n'),
+    ('spectrum', 'geometry = stretched_square\np = 2\nsubdivisions = 4\n'
+     'pencils = M P1 rowsum\nranks = 1\n'),
     ('spectrum', 'geometry = unit_square\np = 2\nsubdivisions = 4\nk = 3\n'),
     ('convergence', 'p = 2\nsubdivisions = 1\nlevels = 3\npencils = M P1\n'),
-    ('simulate', 'p = 2\nsubdivisions = 4\npencils = M P1\ntspan = 0.05\n'),
+    ('simulate', 'p = 2\nsubdivisions = 4\npencils = M P1\ntspan = 0.3\n'),
     ('deflate-ratio', 'subdivisions = 8 4\np = 2\nranks = 4\n'),
     ('trimmed-sweep', 'subdivisions = 6\np = 2\nnangles = 2\npencils = P1\n'
      'threads = 2\n'),
     ('bandwidth-report', 'subdivisions = 3\np = 2\n'),
 ]
+
+
+def _profiled_main(tmp_path, runs, profile):
+    """Exit code of each (kind, body) config run through main with profile
+    set, in the threads that the run starts too."""
+    codes = []
+    for i, (kind, body) in enumerate(runs):
+        cfg = write_cfg(tmp_path, 'kind = %s\n%sout = %s\n'
+                        % (kind, body, tmp_path / str(i)), '%d.cfg' % i)
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            codes.append(main([kind, '--config', cfg]))
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+    return codes
 
 
 def test_every_runner_kind_exits_zero_under_a_profiler(tmp_path, capsys):
@@ -133,19 +176,76 @@ def test_every_runner_kind_exits_zero_under_a_profiler(tmp_path, capsys):
             threads.add(threading.get_ident())
 
     assert {kind for kind, _ in _TOY_RUNS} == set(RUNNERS)
-    for i, (kind, body) in enumerate(_TOY_RUNS):
-        cfg = write_cfg(tmp_path, 'kind = %s\n%sout = %s\n'
-                        % (kind, body, tmp_path / str(i)), '%d.cfg' % i)
-        threading.setprofile(profile)
-        sys.setprofile(profile)
-        try:
-            code = main([kind, '--config', cfg])
-        finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
-        assert code == 0, (kind, body, capsys.readouterr().err)
+    codes = _profiled_main(tmp_path, _TOY_RUNS, profile)
+    err = capsys.readouterr().err
+    assert codes == [0] * len(_TOY_RUNS), (codes, err)
     # the sweep's workers ran under the profiler too
     assert len(threads) > 1
+
+
+# src functions that neither the toy runs nor the faulty configs reach, each
+# with the acceptance criterion that pins it or what else reaches it
+_UNREACHED = {
+    'dynamics.stability_boundary': 'criterion 09',
+    'dynamics.stability_boundary.<locals>.is_stable': 'criterion 09',
+    'experiments._key': 'runs at import time, building the config fields',
+    'experiments._below': 'runs at import time, building the config fields',
+    'geometry.MultipatchTopology.interior_split': 'criterion 11',
+    'geometry.MultipatchTopology.interface_globals':
+        'criterion 11, through interior_split',
+    'geometry.patch_grid': 'catalog geometry grid_4x4, which the glue tests '
+                           'of test_geometry build',
+    'geometry.patch_grid.<locals>.pid': 'catalog geometry grid_4x4',
+    'linalg.schur_saddle_factor': 'criterion 11',
+    'linalg.schur_saddle_factor.<locals>.apply_solve': 'criterion 11',
+    'linalg.schur_saddle_factor.<locals>.d_solve': 'criterion 11',
+    'linalg.woodbury_solve': 'criterion 06, through scaled_mass_solve',
+    'lumping.HierBandedMatrix.toarray': 'criteria 03 and 11',
+    'spectral.cfl_gain': 'criterion 09',
+    'spectral.local_stiffness_scale': 'criterion 11',
+    'spectral.scaled_mass_solve': 'criteria 06 and 09',
+    'spectral.split_zero_modes': 'criterion 12',
+}
+
+
+def _defined(node, prefix):
+    """Qualified names of the functions and methods under an ast node, as
+    their code objects' co_qualname spells them."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name
+            yield from _defined(child, prefix + child.name + '.<locals>.')
+        elif isinstance(child, ast.ClassDef):
+            yield from _defined(child, prefix + child.name + '.')
+        else:
+            yield from _defined(child, prefix)
+
+
+def test_every_src_function_is_reached_or_listed(tmp_path, capsys):
+    # code that no run reaches goes away unless a criterion pins it: every
+    # function of src/igalump is called by a toy run or a faulty config, or
+    # is listed in _UNREACHED with its reason
+    src = os.path.dirname(igalump.__file__)
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == 'call' and os.path.dirname(code.co_filename) == src:
+            called.add('%s.%s' % (os.path.basename(code.co_filename)[:-3],
+                                  code.co_qualname))
+
+    faulty = [(kind, body) for kind, body, _ in _FAULTY_ROWS]
+    codes = _profiled_main(tmp_path, _TOY_RUNS + faulty, profile)
+    capsys.readouterr()
+    assert codes[:len(_TOY_RUNS)] == [0] * len(_TOY_RUNS)
+    assert set(codes[len(_TOY_RUNS):]) <= {2, 3}
+    defined = set()
+    for path in glob.glob(os.path.join(src, '*.py')):
+        with open(path, encoding='utf-8') as fh:
+            defined.update(_defined(ast.parse(fh.read()), '%s.' % os.path
+                                    .basename(path)[:-3]))
+    unreached = defined - called
+    assert unreached == set(_UNREACHED), sorted(unreached ^ set(_UNREACHED))
 
 
 def test_out_and_seed_flags_override(tmp_path, capsys):
@@ -195,7 +295,9 @@ def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
     assert rows['l2_error'].max() < 1.0
 
 
-@pytest.mark.parametrize('kind, body, names', [
+# configs that each fail with a message naming the fault: a config error
+# (exit 2) or a numerical failure (exit 3)
+_FAULTY_ROWS = [
     ('trimmed-sweep', 'geometry = rotated_square\ngeometry.half_side = 0.001'
      '\nsubdivisions = 4\nnangles = 3\n',
      ('exp.cfg:2:', 'angle 0,', 'half_side 0.001', 'n_active = 0')),
@@ -285,7 +387,10 @@ def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
     ('trimmed-sweep', 'geometry = rotated_square\nsubdivisions = 4\n'
      'nangles = 1\ngeometry.cx = nan\n',
      ('config error', "exp.cfg:5: expected a finite number, got 'nan'")),
-])
+]
+
+
+@pytest.mark.parametrize('kind, body, names', _FAULTY_ROWS)
 def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
                                                   body, names):
     cfg = write_cfg(tmp_path, 'kind = %s\n%sout = %s\n'

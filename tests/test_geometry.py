@@ -543,7 +543,8 @@ def loop_numbering(spaces, interfaces):
     for a, face_a, b, face_b, orientation in interfaces:
         dofs_a, shape = _face_dofs(spaces[a].dims, face_a)
         dofs_b, _ = _face_dofs(spaces[b].dims, face_b)
-        free_a, free_b = spaces[a].full_to_free(), spaces[b].full_to_free()
+        free_a, free_b = (spaces[a].dof_grid().ravel(),
+                          spaces[b].dof_grid().ravel())
         for t, ia in dofs_a.items():
             qa = free_a[ia]
             qb = free_b[dofs_b[_matched(t, shape, orientation)]]

@@ -1,5 +1,6 @@
 """Tests for knot vectors, basis evaluation and tensor spline spaces."""
 
+import itertools
 import math
 
 import numpy as np
@@ -258,12 +259,32 @@ def test_spline_space_validation_does_not_rest_on_assert(rejections):
 
 # ------------------------------------------------------------- tensor indexing
 
-def test_free_index_maps_are_consistent():
-    sp = SplineSpace([make_open_uniform(4, 2, 1)] * 2,
-                     dirichlet=[(True, True), (True, False)])
-    f2f = sp.free_to_full()
-    inv = sp.full_to_free()
-    assert len(f2f) == sp.num_free
-    assert np.array_equal(inv[f2f], np.arange(sp.num_free))
-    constrained = np.setdiff1d(np.arange(sp.numdofs), f2f)
-    assert np.all(inv[constrained] == -1)
+_FLAG_SETS = {
+    'none': [(False, False)] * 3,
+    'all': [(True, True)] * 3,
+    'mixed': [(True, False), (False, True), (True, True)],
+    'one-face': [(False, True), (False, False), (False, False)],
+}
+
+
+@pytest.mark.parametrize('flags', sorted(_FLAG_SETS))
+@pytest.mark.parametrize('d', [1, 2, 3])
+def test_free_index_maps_are_consistent(d, flags):
+    # the dof grid against a per-multi-index loop: -1 exactly on the
+    # constrained faces, free ids in lexicographic order, first direction
+    # slowest, and free_to_full its inverse
+    kvs = [make_open_uniform(3, 2, 1), make_open_uniform(2, 3, 0),
+           make_open_uniform(4, 1, 0)][:d]
+    sp = SplineSpace(kvs, dirichlet=_FLAG_SETS[flags][:d])
+    grid = sp.dof_grid()
+    assert grid.dtype == np.int64 and grid.shape == sp.dims
+    want, full_of_free = np.empty(sp.dims, dtype=np.int64), []
+    for full, idx in enumerate(itertools.product(*map(range, sp.dims))):
+        dropped = any((i == 0 and lo) or (i == n - 1 and hi) for i, n, (lo, hi)
+                      in zip(idx, sp.dims, sp.dirichlet))
+        want[idx] = -1 if dropped else len(full_of_free)
+        if not dropped:
+            full_of_free.append(full)
+    assert np.array_equal(grid, want)
+    assert len(full_of_free) == sp.num_free
+    assert sp.free_to_full().tolist() == full_of_free
