@@ -5,17 +5,16 @@ spline space, with entries
 
     M_ij = int c Bi Bj,    K_ij = int (grad Bi)^T G (grad Bj)
 
-in the parametric domain, where c and G carry density, diffusivity and the
-geometry pullback, G in closed form per dimension. Quadrature is
-Gauss-Legendre with p+1 points per direction per element, from one
-composite rule builder. A QuadratureGrid holds the basis values and
-pullback of one space on one patch for load vectors and L2 errors. The
-assembly integrates whole or cut elements in slices of at most _POINTS
-quadrature points, its one memory bound, by sum factorization, K from the
-d(d+1)/2 distinct terms of the symmetric G. Each slice adds into the data
-of the CSR pattern C C^T (C the dof-by-element incidence) at positions
-read from a table over its rows and band offsets, so no whole-mesh stack
-of local matrices, triplets or keys is held.
+in the parametric domain, where c = rho |det J| and G = |det J| J^-1 J^-T
+from the cofactors of J. Quadrature is Gauss-Legendre with p+1 points per
+direction per element, from one composite rule builder. A QuadratureGrid
+holds the basis values and pullback of one space on one patch for load
+vectors and L2 errors. The assembly integrates whole or cut elements in
+slices of at most _POINTS quadrature points, its one memory bound, by sum
+factorization, K from the d(d+1)/2 distinct terms of the symmetric G. Each
+slice adds into the data of the CSR pattern C C^T (C the dof-by-element
+incidence) at positions read from a table over its rows and band offsets,
+so no whole-mesh stack of local matrices, triplets or keys is held.
 """
 
 import itertools
@@ -24,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import _tensor_apply, classify_elements
+from .geometry import _cofactors, _tensor_apply, classify_elements
 from .lumping import HierBandedMatrix, _as_csr, _scatter
 from .splines import _dense_tables, eval_basis
 
@@ -86,10 +85,8 @@ def quadrature_grid(space, patch, nquad=None):
         pts.append(x)
         wts.append(w)
         vals.append(_dense_tables(kv, x)[1])
-    F, _, det = patch.grid_eval(pts)
-    adet = np.abs(det)
-    _require_regular(adet)
-    return QuadratureGrid(space, pts, wts, vals, np.moveaxis(F, -1, 0), adet)
+    coords, _, adet = _pullback(patch, pts)
+    return QuadratureGrid(space, pts, wts, vals, coords, adet)
 
 
 def _element_rule(kv, e, nsub, nq):
@@ -111,38 +108,27 @@ def _element_rule(kv, e, nsub, nq):
 _POINTS = 2 ** 13   # quadrature points per slice of an element batch
 
 
-def _require_regular(adet):
+def _pullback(patch, pts, kept=True):
+    """Coordinates (d,) + grid, J and |det J| of patch on the point grids
+    pts; |det J| := 1 where kept is False, as J may be singular there. A
+    singular J at a kept point raises a ValueError."""
+    F, J, det = patch.grid_eval(pts)
+    adet = np.where(kept, np.abs(det), 1.0)
     if np.min(adet, initial=np.inf) < 1e-14:
         raise ValueError('singular jacobian on the quadrature grid')
+    return np.moveaxis(F, -1, 0), J, adet
 
 
-def _coefficients(coords, J, adet, rho, kappa):
-    """c = rho |detJ| and G = kappa |detJ| (J^T J)^-1 on a pulled-back grid.
-
-    G is formed in closed form as kappa adj(A) / |detJ| with A = J^T J,
-    since det A = detJ^2; A's entries are dot products of J's columns.
-    """
+def _coefficients(coords, J, adet, rho):
+    """c = rho |detJ| and G = |detJ| (J^T J)^-1 on a pulled-back grid, G
+    as C^T C / |detJ| from the cofactors C of J, since J^-1 = C^T / detJ."""
     c = np.asarray(rho(*coords), dtype=float) * adet
-    d = J.shape[-1]
-    pairs = list(itertools.combinations_with_replacement(range(d), 2))
-    A = {}
-    for l, m in pairs:
-        A[l, m] = A[m, l] = sum(J[..., k, l] * J[..., k, m]
-                                for k in range(d))
-    if d == 1:
-        adj = {(0, 0): 1.0}
-    elif d == 2:
-        adj = {(0, 0): A[1, 1], (0, 1): -A[0, 1], (1, 1): A[0, 0]}
-    else:
-        # cyclic cofactors of the symmetric 3 x 3 A
-        def a(i, j):
-            return A[i % 3, j % 3]
-        adj = {(l, m): a(l + 1, m + 1) * a(l + 2, m + 2)
-               - a(l + 1, m + 2) * a(l + 2, m + 1) for l, m in pairs}
-    scale = np.asarray(kappa(*coords), dtype=float) / adet
+    C = _cofactors(J)
+    scale = 1.0 / adet
     G = np.empty(J.shape)
-    for l, m in pairs:
-        G[..., l, m] = G[..., m, l] = scale * adj[l, m]
+    for l, m in itertools.combinations_with_replacement(range(len(C)), 2):
+        G[..., l, m] = G[..., m, l] = scale * sum(
+            C[k][l] * C[k][m] for k in range(len(C)))
     return c, G
 
 
@@ -197,8 +183,7 @@ def _by_rows(T):
         len(T), int(np.prod(T.shape[1::2])), int(np.prod(T.shape[2::2])))
 
 
-def _element_matrices(space, patch, rho, kappa, els, nquad, region=None,
-                      nsub=1):
+def _element_matrices(space, patch, rho, els, nquad, region=None, nsub=1):
     """Local mass and stiffness of any element set els (E, d), in its order.
 
     Yields (s, Mloc, Kloc) for consecutive slices s of els of at most
@@ -226,16 +211,15 @@ def _element_matrices(space, patch, rho, kappa, els, nquad, region=None,
     for s in (slice(i, i + step) for i in range(0, len(els), step)):
         vals, ders = ([t[k, s] for t in tables] for k in (0, 1))
         yield (s,) + _element_kernel(vals, ders, *_weighted_pullback(
-            patch, rho, kappa, region, nsub,
+            patch, rho, region, nsub,
             *([x[s] for x in a] for a in (pts, wts, centers))))
 
 
-def _weighted_pullback(patch, rho, kappa, region, nsub, pts, wts, centers):
+def _weighted_pullback(patch, rho, region, nsub, pts, wts, centers):
     """c and G times the quadrature weights on a batch of element grids.
 
     Shapes (E, n_1, ..., n_d) and (E, n_1, ..., n_d, d, d); zero on the
-    points of a subcell whose centre lies outside the region, which take
-    |det J| := 1, as their Jacobian may be singular.
+    points of a subcell whose centre lies outside the region.
     """
     kept = True
     if region is not None:
@@ -245,10 +229,7 @@ def _weighted_pullback(patch, rho, kappa, region, nsub, pts, wts, centers):
     w = reduce(np.multiply, [kept] + [
         x.reshape((len(x),) + (1,) * l + (-1,) + (1,) * (len(wts) - 1 - l))
         for l, x in enumerate(wts)])
-    F, J, det = patch.grid_eval(pts)
-    adet = np.where(kept, np.abs(det), 1.0)
-    _require_regular(adet)
-    c, G = _coefficients(np.moveaxis(F, -1, 0), J, adet, rho, kappa)
+    c, G = _coefficients(*_pullback(patch, pts, kept), rho)
     return c * w, G * w[..., None, None]
 
 
@@ -304,11 +285,11 @@ def _system_matrices(space, batches):
     return M, K
 
 
-def assemble_single_patch(space, patch, rho, kappa, nquad=None):
+def assemble_single_patch(space, patch, rho, nquad=None):
     """Mass and stiffness of one patch, canonical element order."""
     els = np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
     M, K = (_tagged(space, A) for A in _system_matrices(space, [
-        (els, _element_matrices(space, patch, rho, kappa, els, nquad))]))
+        (els, _element_matrices(space, patch, rho, els, nquad))]))
     return AssembledPair(K, M, [(M, None)])
 
 
@@ -318,13 +299,13 @@ def _tagged(space, A):
     return HierBandedMatrix(A, space.free_dims, bw)
 
 
-def assemble_multipatch(topology, patches, rho, kappa, nquad=None):
+def assemble_multipatch(topology, patches, rho, nquad=None):
     """Global pair over the glued dof numbering, plus the per-patch pairs.
 
     The local matrices are retained: patchwise lumping and local stiffness
     scaling both need them.
     """
-    local_pairs = [assemble_single_patch(space, patch, rho, kappa, nquad)
+    local_pairs = [assemble_single_patch(space, patch, rho, nquad)
                    for space, patch in zip(topology.spaces, patches)]
     glued = topology.l2g, topology.n_global
     glob = AssembledPair(_scatter([p.K for p in local_pairs], *glued),
@@ -333,7 +314,7 @@ def assemble_multipatch(topology, patches, rho, kappa, nquad=None):
     return glob, local_pairs
 
 
-def assemble_trimmed(space, patch, region, rho, kappa, subdepth=3, nquad=None):
+def assemble_trimmed(space, patch, region, rho, subdepth=3, nquad=None):
     """Assemble over the active dofs of a patch trimmed to region.
 
     classify_elements sorts the elements against the region on a lattice
@@ -359,8 +340,8 @@ def assemble_trimmed(space, patch, region, rho, kappa, subdepth=3, nquad=None):
     els = np.argwhere(element_class >= 0)
     cut = element_class[tuple(els.T)] == 0
     M, K = _system_matrices(space, [
-        (els[sel], _element_matrices(space, patch, rho, kappa, els[sel],
-                                     nquad, *rule))
+        (els[sel], _element_matrices(space, patch, rho, els[sel], nquad,
+                                     *rule))
         for sel, *rule in ((~cut,), (cut, region, 2 ** subdepth))])
     diag = M.diagonal()
     active = diag > 1e-12 * np.max(diag, initial=0.0)

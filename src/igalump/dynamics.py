@@ -180,7 +180,7 @@ class WaveProblem:
     """Everything a run needs: discretization, operators and exact field."""
     space: SplineSpace
     patch: object
-    pair: object        # consistent AssembledPair with rho = kappa = 1
+    pair: object        # consistent AssembledPair with rho = 1
     mass: object        # FactorizedOperator of pair.M
     grid: object        # QuadratureGrid of the loads and of l2_error, which
                         # takes a block of samples with one time each
@@ -200,8 +200,7 @@ def manufactured_wave_problem(space, patch, nquad=None):
     through the factor of pair.M the problem keeps. The loads and the
     stored grid use the assembly's quadrature rule.
     """
-    one = lambda *xs: 1.0
-    pair = assemble_single_patch(space, patch, one, one, nquad=nquad)
+    pair = assemble_single_patch(space, patch, lambda *xs: 1.0, nquad=nquad)
     mass = _mass_factor(pair.M)
 
     grid = quadrature_grid(space, patch, nquad)

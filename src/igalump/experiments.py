@@ -31,7 +31,6 @@ from .splines import SplineSpace, make_open_uniform
 from .svgplot import LinePlot
 
 _PENCIL_RE = re.compile(r'^(M|rowsum|P[1-9][0-9]*|H[1-9][0-9]*)$')
-_ONE = lambda *xs: 1.0
 
 
 class ConfigError(Exception):
@@ -108,8 +107,10 @@ class ExperimentConfig:
         and 'subdivisions must be positive')
     ranks: tuple[int, ...] = _key(
         (), {'deflate-ratio': (10, 20, 40)}, {'spectrum', 'deflate-ratio'},
-        lambda v, kind: not all(r >= 1 for r in v)
-        and 'deflation ranks must be positive')
+        lambda v, kind: (not all(r >= 1 for r in v)
+                         and 'deflation ranks must be positive')
+        or (kind == 'deflate-ratio' and not v
+            and 'deflate-ratio needs at least one rank'))
     # time spans of the ratio study
     horizons: tuple[float, ...] = _key(
         (), reads={'deflate-ratio'}, fault=lambda v, kind: not all(
@@ -319,7 +320,7 @@ def _density_field(cfg):
     """rho of cfg.density. A value <= 0 at a quadrature point is a config
     error: the mass matrix would not be positive definite."""
     if cfg.density == 'one':
-        return _ONE
+        return lambda *xs: 1.0
 
     def rho(*xs):
         xs = [np.asarray(x, dtype=float) for x in xs]
@@ -363,10 +364,10 @@ def _assemble(cfg, subs=None):
     rho = _density_field(cfg)
     spaces = _build_spaces(cfg, patches, interfaces, cfg.dirichlet, subs)
     if len(patches) == 1:
-        return assemble_single_patch(spaces[0], patches[0], rho, _ONE,
+        return assemble_single_patch(spaces[0], patches[0], rho,
                                      nquad=cfg.nquad)
     topo = MultipatchTopology(spaces, interfaces)
-    return assemble_multipatch(topo, patches, rho, _ONE, nquad=cfg.nquad)[0]
+    return assemble_multipatch(topo, patches, rho, nquad=cfg.nquad)[0]
 
 
 def _assemble_trimmed_at(cfg, angle):
@@ -379,8 +380,7 @@ def _assemble_trimmed_at(cfg, angle):
     with _located('angle %.6g, half_side %g' % (angle, trim['half_side']),
                   cfg, 'geometry'):
         return assemble_trimmed(space, patches[0], region,
-                                _density_field(cfg), _ONE,
-                                nquad=cfg.nquad)
+                                _density_field(cfg), nquad=cfg.nquad)
 
 
 def _mass_variant(cfg, pair, label):
@@ -698,12 +698,19 @@ def run_deflate_ratio(cfg):
 
     horizons = cfg.horizons
     if not horizons:
-        # center the grid on the break-even horizon of each rank
+        # center the grid on the break-even horizon of each rank that
+        # lengthens the step
         stars = []
         for r, lam_n, lam_cut, n_iter, _nm in per_rank:
             rate_w = 1.0 / (cfg.safeguard * critical_timestep(lam_n))
             rate_s = 1.0 / (cfg.safeguard * critical_timestep(lam_cut))
-            stars.append(n_iter / (rate_w - rate_s))
+            if rate_w > rate_s:
+                stars.append(n_iter / (rate_w - rate_s))
+        if not stars:
+            raise ConfigError('%s: ranks %s keep lambda_cut = lambda_n = %.10g'
+                              ', so no horizon breaks even; set horizons'
+                              % (cfg.where('horizons'), ' '.join(
+                                  map(str, cfg.ranks)), per_rank[0][1]))
         center = math.exp(np.mean(np.log(stars)))
         horizons = tuple(center * 2.0 ** e for e in range(-3, 4))
 
@@ -737,8 +744,8 @@ def _trimmed_sweep(cfg, eigenvalues):
     """Angles and, per angle, (n_active, [(label, eigenvalues(A, B))]).
 
     A, B is the Jacobi-rescaled pair of each pencil, and eigenvalues returns
-    the ascending values the caller reads. A lumped mass also passes the
-    banded Cholesky check; the consistent mass, only the solve's own.
+    the ascending values the caller reads; its dense solve's Cholesky
+    factorization of B refuses an indefinite pencil.
     """
     angles = [2.0 * math.pi * i / cfg.nangles for i in range(cfg.nangles)]
 
@@ -748,10 +755,8 @@ def _trimmed_sweep(cfg, eigenvalues):
         for label in cfg.pencils:
             Mvar = _mass_variant(cfg, pair, label)
             with _located('angle %.6g, pencil %s' % (angle, label)):
-                A, B = jacobi_rescale(pair.K, Mvar)
-                if label != 'M':
-                    _mass_factor(B)
-                spectra.append((label, eigenvalues(A, B)))
+                spectra.append((label, eigenvalues(
+                    *jacobi_rescale(pair.K, Mvar))))
         return pair.K.shape[0], spectra
 
     return angles, _run_sweep(cfg, one, angles)

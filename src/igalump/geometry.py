@@ -102,20 +102,24 @@ class Patch:
         return T[..., :-1] / T[..., -1:], H, T, V, D
 
 
-def _det(J):
-    """Determinants of a stack of d x d matrices, d <= 3, in closed form:
-    the entry, the 2 x 2 product difference or the triple product."""
+def _cofactors(J):
+    """Cofactors C[i][k] of a stack of d x d matrices J, d <= 3, in closed
+    form: det J = sum_k J[0, k] C[0][k] and J^-1 = C^T / det J."""
     d = J.shape[-1]
     if d == 1:
-        return J[..., 0, 0].copy()
+        return [[np.ones(J.shape[:-2])]]
     if d == 2:
-        return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    return (J[..., 0, 0] * (J[..., 1, 1] * J[..., 2, 2]
-                            - J[..., 1, 2] * J[..., 2, 1])
-            - J[..., 0, 1] * (J[..., 1, 0] * J[..., 2, 2]
-                              - J[..., 1, 2] * J[..., 2, 0])
-            + J[..., 0, 2] * (J[..., 1, 0] * J[..., 2, 1]
-                              - J[..., 1, 1] * J[..., 2, 0]))
+        return [[J[..., 1, 1], -J[..., 1, 0]], [-J[..., 0, 1], J[..., 0, 0]]]
+    o = [(1, 2), (2, 0), (0, 1)]   # the other two rows or columns, cyclic
+    return [[J[..., o[i][0], o[k][0]] * J[..., o[i][1], o[k][1]]
+             - J[..., o[i][0], o[k][1]] * J[..., o[i][1], o[k][0]]
+             for k in range(3)] for i in range(3)]
+
+
+def _det(J):
+    """Determinants of a stack of d x d matrices, d <= 3, expanded along
+    the first row of the cofactors."""
+    return sum(J[..., 0, k] * c for k, c in enumerate(_cofactors(J)[0]))
 
 
 def _tensor_apply(T, mats):

@@ -55,10 +55,10 @@ def jacobian(patch, xhat):
     return J, float(np.linalg.det(J))
 
 
-def pullback_coeffs(patch, rho, kappa, xhat):
+def pullback_coeffs(patch, rho, xhat):
     """Mass and stiffness pullback data at one parametric point.
 
-    Returns (c, G) with c = rho(F)|detJ| and G = kappa(F)|detJ|(J^T J)^-1.
+    Returns (c, G) with c = rho(F)|detJ| and G = |detJ|(J^T J)^-1.
 
     Raises:
         ValueError: if the Jacobian is (numerically) singular.
@@ -69,5 +69,5 @@ def pullback_coeffs(patch, rho, kappa, xhat):
         raise ValueError('singular jacobian at %s (det=%g)' % (xhat, detJ))
     x = map_eval(patch, xhat)
     c = rho(*x) * abs(detJ)
-    G = kappa(*x) * abs(detJ) * np.linalg.inv(J.T @ J)
+    G = abs(detJ) * np.linalg.inv(J.T @ J)
     return c, G

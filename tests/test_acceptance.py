@@ -36,7 +36,7 @@ def tensor_pair(patch, p, subs, dirichlet):
     kvs = [make_open_uniform(n, p, p - 1) for n in subs]
     flags = ((dirichlet, dirichlet),) * len(subs)
     space = SplineSpace(kvs, dirichlet=flags)
-    return assemble_single_patch(space, patch, ONE, ONE)
+    return assemble_single_patch(space, patch, ONE)
 
 
 def eigvals(A, B):
@@ -110,7 +110,7 @@ def test_criterion_04_bandwidth_formula():
     cube = unit_cube()
     for p, N in ((2, 6), (3, 4)):
         kvs = [make_open_uniform(N, p, p - 1) for _ in range(3)]
-        pair = assemble_single_patch(SplineSpace(kvs), cube, ONE, ONE)
+        pair = assemble_single_patch(SplineSpace(kvs), cube, ONE)
         mats = [pair.M] + [hierarchical_lump(pair.M, k) for k in (1, 2, 3)]
         for A in mats:
             assert A.measured_bandwidth() == hier_bandwidth(A.bandwidths,
@@ -238,7 +238,7 @@ def test_criterion_11_multipatch_plate():
                       for l in range(2))
         spaces.append(SplineSpace(kvs, dirichlet=flags))
     topo = MultipatchTopology(spaces, interfaces)
-    glob, locs = assemble_multipatch(topo, patches, ONE, ONE)
+    glob, locs = assemble_multipatch(topo, patches, ONE)
     K = glob.K
     Ps = {i: lump_pieces(glob.pieces, topo.n_global, i=i) for i in (1, 2, 3)}
 
@@ -280,7 +280,7 @@ def test_criterion_12_trimmed_rotated_square():
         space = SplineSpace(kvs)
         region = rotated_square_region(center=(0.5, 0.5), angle=0.3,
                                        half_side=0.35)
-        pair = assemble_trimmed(space, square, region, ONE, ONE)
+        pair = assemble_trimmed(space, square, region, ONE)
 
         def rescaled_eigvals(Mvar):
             A, B = jacobi_rescale(pair.K, Mvar)

@@ -41,7 +41,7 @@ def square_space(n, p, k=None, dirichlet=None):
 
 def test_1d_linear_mass_and_stiffness():
     space = SplineSpace([KnotVector([0.0, 0.0, 1.0, 1.0], 1)])
-    pair = assemble_single_patch(space, interval_patch(), ONE, ONE)
+    pair = assemble_single_patch(space, interval_patch(), ONE)
     np.testing.assert_allclose(pair.M.toarray(),
                                [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
     np.testing.assert_allclose(pair.K.toarray(),
@@ -51,7 +51,7 @@ def test_1d_linear_mass_and_stiffness():
 def test_1d_dirichlet_elimination():
     kv = make_open_uniform(2, 1, 0)
     space = SplineSpace([kv], dirichlet=[(True, True)])
-    pair = assemble_single_patch(space, interval_patch(), ONE, ONE)
+    pair = assemble_single_patch(space, interval_patch(), ONE)
     assert pair.M.shape == (1, 1)
     assert pair.M.toarray()[0, 0] == pytest.approx(1 / 3, abs=1e-15)
     assert pair.K.toarray()[0, 0] == pytest.approx(4.0, abs=1e-13)
@@ -62,9 +62,9 @@ def test_mass_is_kronecker_on_identity_geometry():
     kvx = make_open_uniform(3, 2, 1)
     kvy = make_open_uniform(2, 3, 2)
     space = SplineSpace([kvx, kvy])
-    pair = assemble_single_patch(space, unit_square(), ONE, ONE)
-    mx = assemble_single_patch(SplineSpace([kvx]), interval_patch(), ONE, ONE)
-    my = assemble_single_patch(SplineSpace([kvy]), interval_patch(), ONE, ONE)
+    pair = assemble_single_patch(space, unit_square(), ONE)
+    mx = assemble_single_patch(SplineSpace([kvx]), interval_patch(), ONE)
+    my = assemble_single_patch(SplineSpace([kvy]), interval_patch(), ONE)
     kron = np.kron(mx.M.toarray(), my.M.toarray())
     np.testing.assert_allclose(pair.M.toarray(), kron, atol=1e-13)
     # stiffness splits as K1 x M2 + M1 x K2
@@ -75,7 +75,7 @@ def test_mass_is_kronecker_on_identity_geometry():
 
 def test_total_mass_is_domain_measure_identity():
     # default rule is exact on the polynomial patch
-    pair = assemble_single_patch(square_space(4, 2), unit_square(), ONE, ONE)
+    pair = assemble_single_patch(square_space(4, 2), unit_square(), ONE)
     e = np.ones(pair.M.shape[0])
     assert e @ (pair.M @ e) == pytest.approx(1.0, rel=1e-13)
 
@@ -88,7 +88,7 @@ def test_total_mass_is_domain_measure_identity():
 def test_total_mass_is_domain_measure_rational(patch, measure):
     # rational integrand: raise the rule until quadrature error is noise
     kvs = [make_open_uniform(4, 2, 1) for _ in range(patch.ndim)]
-    pair = assemble_single_patch(SplineSpace(kvs), patch, ONE, ONE, nquad=10)
+    pair = assemble_single_patch(SplineSpace(kvs), patch, ONE, nquad=10)
     e = np.ones(pair.M.shape[0])
     assert e @ (pair.M @ e) == pytest.approx(measure, rel=1e-10)
 
@@ -99,14 +99,14 @@ def test_entry_against_adaptive_quadrature():
     kv = make_open_uniform(2, 2, 1)
     space = SplineSpace([kv, kv])
     rho = lambda x, y: 1.0 + x * y
-    pair = assemble_single_patch(space, patch, rho, ONE, nquad=12)
+    pair = assemble_single_patch(space, patch, rho, nquad=12)
 
     def bval(i, x):
         f, table = eval_basis(kv, x)
         return table[0][i - f] if f <= i <= f + kv.p else 0.0
 
     def integrand(eta, xi):
-        c, _ = pullback_coeffs(patch, rho, ONE, (xi, eta))
+        c, _ = pullback_coeffs(patch, rho, (xi, eta))
         return c * bval(1, xi) * bval(1, eta) * bval(1, xi) * bval(2, eta)
 
     want, err = scipy.integrate.dblquad(integrand, 0, 1, 0, 1,
@@ -139,7 +139,7 @@ def _structured_blocks_ok(A, dims):
 @pytest.mark.parametrize('n,p', [(10, 2), (6, 3)])
 def test_mass_recursive_block_structure(n, p):
     space = square_space(n, p)
-    pair = assemble_single_patch(space, unit_square(), ONE, ONE)
+    pair = assemble_single_patch(space, unit_square(), ONE)
     M = pair.M.toarray()
     assert np.all(M >= -1e-16)
     assert _structured_blocks_ok(M, pair.M.dims)
@@ -148,7 +148,7 @@ def test_mass_recursive_block_structure(n, p):
 def test_mass_level_bandedness():
     space = square_space(5, 2)
     pair = assemble_single_patch(space, plate_quarter_hole(),
-                                 lambda x, y: 1.0 + 0.1 * x * x, ONE)
+                                 lambda x, y: 1.0 + 0.1 * x * x)
     M = pair.M.mat.tocoo()
     n2 = pair.M.dims[1]
     for r, c, v in zip(M.row, M.col, M.data):
@@ -160,8 +160,8 @@ def test_mass_level_bandedness():
 
 def test_mass_and_parametric_mass_share_sparsity():
     space = square_space(4, 2)
-    curved = assemble_single_patch(space, quarter_annulus(), ONE, ONE)
-    flat = assemble_single_patch(space, unit_square(), ONE, ONE)
+    curved = assemble_single_patch(space, quarter_annulus(), ONE)
+    flat = assemble_single_patch(space, unit_square(), ONE)
     a = curved.M.mat.copy()
     b = flat.M.mat.copy()
     a.data = (np.abs(a.data) > 1e-14).astype(float)
@@ -172,14 +172,14 @@ def test_mass_and_parametric_mass_share_sparsity():
 def test_symmetry():
     space = square_space(6, 3, dirichlet=[(True, False), (False, True)])
     pair = assemble_single_patch(space, plate_quarter_hole(),
-                                 lambda x, y: 1.0 + 0.5 * np.abs(y), ONE)
+                                 lambda x, y: 1.0 + 0.5 * np.abs(y))
     for A in (pair.M.toarray(), pair.K.toarray()):
         assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
 
 
 def test_stiffness_spd_with_dirichlet():
     space = square_space(5, 2, dirichlet=[(True, True), (True, True)])
-    pair = assemble_single_patch(space, quarter_annulus(), ONE, ONE)
+    pair = assemble_single_patch(space, quarter_annulus(), ONE)
     np.linalg.cholesky(pair.K.toarray())
     e = np.ones(pair.K.shape[0])
     # without constraints K annihilates constants; here the boundary rows
@@ -190,7 +190,7 @@ def test_stiffness_spd_with_dirichlet():
 
 def test_stiffness_kernel_without_dirichlet():
     space = square_space(4, 2)
-    pair = assemble_single_patch(space, quarter_annulus(), ONE, ONE)
+    pair = assemble_single_patch(space, quarter_annulus(), ONE)
     e = np.ones(pair.K.shape[0])
     assert np.max(np.abs(pair.K @ e)) <= 1e-12
 
@@ -202,7 +202,7 @@ def test_two_interval_patches():
     spaces = [SplineSpace([kv]), SplineSpace([kv])]
     topo = MultipatchTopology(spaces, [(0, (0, 1), 1, (0, 0), ())])
     patches = [interval_patch(0, 1), interval_patch(1, 2)]
-    glob, locs = assemble_multipatch(topo, patches, ONE, ONE)
+    glob, locs = assemble_multipatch(topo, patches, ONE)
     M = glob.M.toarray()
     assert M.shape == (3, 3)
     assert M[1, 1] == pytest.approx(2 / 3, abs=1e-15)
@@ -215,8 +215,8 @@ def test_single_patch_topology_matches_direct():
     kv = make_open_uniform(3, 2, 1)
     space = SplineSpace([kv, kv])
     topo = MultipatchTopology([space], [])
-    glob, locs = assemble_multipatch(topo, [quarter_annulus()], ONE, ONE)
-    direct = assemble_single_patch(space, quarter_annulus(), ONE, ONE)
+    glob, locs = assemble_multipatch(topo, [quarter_annulus()], ONE)
+    direct = assemble_single_patch(space, quarter_annulus(), ONE)
     np.testing.assert_allclose(glob.M.toarray(), direct.M.toarray(),
                                atol=1e-15)
     np.testing.assert_allclose(glob.K.toarray(), direct.K.toarray(),
@@ -229,7 +229,7 @@ def test_two_patch_plate_measure_and_symmetry():
     kv = make_open_uniform(4, 2, 1)
     spaces = [SplineSpace([kv, kv]) for _ in patches]
     topo = MultipatchTopology(spaces, interfaces)
-    glob, _ = assemble_multipatch(topo, patches, ONE, ONE, nquad=10)
+    glob, _ = assemble_multipatch(topo, patches, ONE, nquad=10)
     e = np.ones(topo.n_global)
     assert e @ (glob.M @ e) == pytest.approx(16 - np.pi / 4, rel=1e-9)
     A = glob.M.toarray()
@@ -242,8 +242,8 @@ def test_trimmed_all_inside_matches_untrimmed():
     space = square_space(4, 2)
     patch = unit_square()
     trimmed = assemble_trimmed(space, patch, lambda x, y: np.ones_like(x),
-                               ONE, ONE)
-    direct = assemble_single_patch(space, patch, ONE, ONE)
+                               ONE)
+    direct = assemble_single_patch(space, patch, ONE)
     np.testing.assert_allclose(trimmed.M.toarray(), direct.M.toarray(),
                                atol=1e-14)
     np.testing.assert_allclose(trimmed.K.toarray(), direct.K.toarray(),
@@ -256,7 +256,7 @@ def test_half_plane_trim_matches_subrectangle(p):
     n = 4
     space = square_space(n, p)
     patch = unit_square()
-    trimmed = assemble_trimmed(space, patch, lambda x, y: 0.5 - x, ONE, ONE,
+    trimmed = assemble_trimmed(space, patch, lambda x, y: 0.5 - x, ONE,
                                subdepth=2)
 
     # same mesh on [0, 0.5] x [0, 1]
@@ -265,7 +265,7 @@ def test_half_plane_trim_matches_subrectangle(p):
     sub_space = SplineSpace([kvx, kvy])
     pts = np.array([(0.5 * i, j) for i in (0, 1) for j in (0, 1)], float)
     sub_patch = Patch(unit_square().space, pts)
-    sub = assemble_single_patch(sub_space, sub_patch, ONE, ONE)
+    sub = assemble_single_patch(sub_space, sub_patch, ONE)
 
     # dofs whose x-function lives entirely left of the cut are identical
     # in both spaces
@@ -288,7 +288,7 @@ def test_trimmed_rotated_square_system():
     region = rotated_square_region(center=(0.5, 0.5), angle=0.3,
                                    half_side=0.31)
     mask = classify_elements(space, patch, region)
-    pair = assemble_trimmed(space, patch, region, ONE, ONE)
+    pair = assemble_trimmed(space, patch, region, ONE)
     n = pair.M.shape[0]
     active = loop_active(space, mask.element_class)
     assert n == len(active_dofs(pair)) == int(active.sum()) < space.numdofs
@@ -306,8 +306,7 @@ def test_trimmed_all_outside_raises():
     space = square_space(4, 2)
     patch = unit_square()
     with pytest.raises(ValueError):
-        assemble_trimmed(space, patch, lambda x, y: -np.ones_like(x), ONE,
-                         ONE)
+        assemble_trimmed(space, patch, lambda x, y: -np.ones_like(x), ONE)
 
 
 def test_trimmed_without_retained_subcell_raises():
@@ -318,7 +317,7 @@ def test_trimmed_without_retained_subcell_raises():
     mask = classify_elements(space, patch, region)
     assert np.any(mask.element_class == 0)
     with pytest.raises(ValueError, match='n_active = 0'):
-        assemble_trimmed(space, patch, region, ONE, ONE)
+        assemble_trimmed(space, patch, region, ONE)
 
 
 # n, nnz, trace, Frobenius norm and x^T A x with x_i = cos(1.3 i) of the
@@ -336,7 +335,7 @@ def test_trimmed_rotated_square_reproduces_recorded_pair():
     space = square_space(20, 2)
     patch = unit_square()
     region = rotated_square_region(angle=2 * np.pi / 3, half_side=0.35)
-    pair = assemble_trimmed(space, patch, region, ONE, ONE)
+    pair = assemble_trimmed(space, patch, region, ONE)
     embedding = active_dofs(pair)
     assert int(embedding.sum()) == 75348
     assert int((embedding ** 2).sum()) == 22073632
@@ -361,7 +360,7 @@ def test_singular_jacobian_on_rejected_subcell_is_ignored():
     region = lambda x, y: x - 0.6
     mask = classify_elements(space, patch, region)
     assert mask.element_class[1].tolist() == [0, 0]
-    pair = assemble_trimmed(space, patch, region, ONE, ONE)
+    pair = assemble_trimmed(space, patch, region, ONE)
     e = np.ones(pair.M.shape[0])
     # the retained part is x > 0.6 of the unit square
     assert e @ (pair.M @ e) == pytest.approx(0.4, rel=0.05)
@@ -381,10 +380,9 @@ def test_closed_form_pullback_matches_lapack(d):
     det = np.linalg.det(J)
     assert np.any(det < 0) and np.any(det > 0)
     coords = rng.random((d, 6, 5))
-    kappa = lambda *xs: 1.0 + xs[0] ** 2
     c, G = igalump.assembly._coefficients(coords, J, np.abs(det),
-                                          _nonseparable, kappa)
-    want = ((kappa(*coords) * np.abs(det))[..., None, None]
+                                          _nonseparable)
+    want = (np.abs(det)[..., None, None]
             * np.linalg.inv(np.swapaxes(J, -1, -2) @ J))
     np.testing.assert_allclose(G, want, rtol=1e-12, atol=0)
     np.testing.assert_allclose(c, _nonseparable(*coords) * np.abs(det),
@@ -396,13 +394,12 @@ def test_closed_form_pullback_matches_lapack(d):
                          ids=['plate', 'mirrored-plate', 'magnet'])
 def test_coefficients_match_pointwise_pullback(patch):
     rng = np.random.default_rng(4)
-    kappa = lambda *xs: 1.0 + xs[0] ** 2
     pts = [np.sort(rng.uniform(0.05, 0.95, 3)) for _ in range(patch.ndim)]
     F, J, det = patch.grid_eval(pts)
     c, G = igalump.assembly._coefficients(
-        np.moveaxis(F, -1, 0), J, np.abs(det), _nonseparable, kappa)
+        np.moveaxis(F, -1, 0), J, np.abs(det), _nonseparable)
     for idx in np.ndindex(det.shape):
-        cq, Gq = pullback_coeffs(patch, _nonseparable, kappa,
+        cq, Gq = pullback_coeffs(patch, _nonseparable,
                                  [x[i] for x, i in zip(pts, idx)])
         assert c[idx] == pytest.approx(cq, rel=1e-12)
         np.testing.assert_allclose(G[idx], Gq, rtol=1e-12,
@@ -412,9 +409,9 @@ def test_coefficients_match_pointwise_pullback(patch):
 def test_mirrored_patch_assembles_the_same_pair():
     # a reflection is an isometry: det J changes sign, |det J| and G do not
     space = square_space(4, 2)
-    want = assemble_single_patch(space, plate_quarter_hole(), ONE, ONE)
+    want = assemble_single_patch(space, plate_quarter_hole(), ONE)
     got = assemble_single_patch(space, mirrored(plate_quarter_hole()),
-                                ONE, ONE)
+                                ONE)
     for A, B in ((got.M, want.M), (got.K, want.K)):
         np.testing.assert_allclose(A.toarray(), B.toarray(), rtol=0,
                                    atol=1e-13 * abs(B.mat).max())
@@ -436,7 +433,7 @@ def _loop_local(Bv, Bg, wq, c, G):
     return Mloc, Kloc
 
 
-def loop_cut_element(space, patch, region, rho, kappa, el, nsub, nqs):
+def loop_cut_element(space, patch, region, rho, el, nsub, nqs):
     """Local pair of one element on its own composite subcell rule, and the
     first active function of each direction. With region None every
     subcell is kept, so nsub = 1 gives the whole-element rule."""
@@ -457,13 +454,11 @@ def loop_cut_element(space, patch, region, rho, kappa, el, nsub, nqs):
         kept = region(*np.moveaxis(F, -1, 0)) > 0
     for l in range(d):
         kept = np.repeat(kept, nqs[l], axis=l)
+    coords, J, adet = igalump.assembly._pullback(patch, pts, kept)
     kept = kept.ravel()
-    F, J, det = patch.grid_eval(pts)
-    adet = np.abs(det).ravel()[kept]
-    igalump.assembly._require_regular(adet)
     c, G = igalump.assembly._coefficients(
-        F.reshape(-1, d)[kept].T, J.reshape(-1, d, d)[kept], adet, rho,
-        kappa)
+        coords.reshape(d, -1)[:, kept], J.reshape(-1, d, d)[kept],
+        adet.ravel()[kept], rho)
     tables = [eval_basis(kv, x, deriv_order=1)
               for kv, x in zip(space.kvs, pts)]
     # every point lies inside the element, so each has its first function
@@ -475,8 +470,7 @@ def loop_cut_element(space, patch, region, rho, kappa, el, nsub, nqs):
     return Mloc, Kloc, firsts
 
 
-def loop_assemble(space, patch, rho, kappa, nquad=None, mask=None,
-                  subdepth=3):
+def loop_assemble(space, patch, rho, nquad=None, mask=None, subdepth=3):
     """CSR mass and stiffness by one local pair per element, in canonical
     element order: over the free dofs, or with mask over the free dofs
     whose support holds a non-outside element (loop_active) with the
@@ -497,11 +491,10 @@ def loop_assemble(space, patch, rho, kappa, nquad=None, mask=None,
             continue
         if cls > 0:
             Mloc, Kloc, firsts = loop_cut_element(space, patch, None, rho,
-                                                  kappa, el, 1, nqs)
+                                                  el, 1, nqs)
         else:
             Mloc, Kloc, firsts = loop_cut_element(
-                space, patch, mask.region, rho, kappa, el, 2 ** subdepth,
-                nqs)
+                space, patch, mask.region, rho, el, 2 ** subdepth, nqs)
         dofs = np.ravel_multi_index(np.meshgrid(
             *[firsts[l] + np.arange(space.kvs[l].p + 1) for l in range(d)],
             indexing='ij'), space.dims).ravel()
@@ -542,7 +535,6 @@ def _assert_same_matrix(got, want):
     'square-p2-dirichlet', 'square-p3-dirichlet', 'plate-hole',
     'cube-p2', 'annulus-nquad', 'plate-c0', 'annulus-mixed'])
 def test_kernel_matches_element_loop(case):
-    kappa = lambda *xs: 1.0 + xs[0] ** 2
     nquad = None
     if case.startswith('square'):
         p = int(case[8])
@@ -564,8 +556,8 @@ def test_kernel_matches_element_loop(case):
         kvu = KnotVector([0, 0, 0, 0, 0.3, 0.5, 0.5, 1, 1, 1, 1], 3)
         space = SplineSpace([kvu, make_open_uniform(4, 2, 0)])
         patch, nquad = quarter_annulus(), 5
-    pair = assemble_single_patch(space, patch, _nonseparable, kappa, nquad)
-    M, K = loop_assemble(space, patch, _nonseparable, kappa, nquad)
+    pair = assemble_single_patch(space, patch, _nonseparable, nquad)
+    M, K = loop_assemble(space, patch, _nonseparable, nquad)
     _assert_same_matrix(pair.M.mat, M)
     _assert_same_matrix(pair.K.mat, K)
 
@@ -589,9 +581,9 @@ def _assert_trimmed_matches_loop(space, patch, region, subdepth, nquad):
     mask = classify_elements(space, patch, region, subdepth=subdepth)
     assert np.any(mask.element_class == 0)
     assert np.any(mask.element_class == 1)
-    pair = assemble_trimmed(space, patch, region, _nonseparable, ONE,
+    pair = assemble_trimmed(space, patch, region, _nonseparable,
                             subdepth=subdepth, nquad=nquad)
-    M, K = loop_assemble(space, patch, _nonseparable, ONE, nquad=nquad,
+    M, K = loop_assemble(space, patch, _nonseparable, nquad=nquad,
                          mask=mask, subdepth=subdepth)
     _assert_same_matrix(pair.M, M)
     _assert_same_matrix(pair.K, K)
@@ -630,10 +622,10 @@ def test_element_matrices_take_any_element_set(kw):
     rho = lambda x, y: 1.0 + 0.1 * x * y
     els = np.argwhere(np.ones([kv.numspans for kv in space.kvs], bool))
     whole = _local_stacks(igalump.assembly._element_matrices(
-        space, patch, rho, ONE, els, None, **kw))
+        space, patch, rho, els, None, **kw))
     # every third element: no tensor product of per-direction indices
     part = _local_stacks(igalump.assembly._element_matrices(
-        space, patch, rho, ONE, els[::3], None, **kw))
+        space, patch, rho, els[::3], None, **kw))
     for got, want in zip(part, whole):
         assert got.tobytes() == want[::3].tobytes()
 
@@ -710,7 +702,7 @@ def test_pattern_matches_a_triplet_merge(case):
                                        (True, True)])
         rules = [(np.argwhere(np.ones((3, 4, 2), bool)),)]
     batches = [(e, list(igalump.assembly._element_matrices(
-        space, patch, rho, ONE, e, None, *rule))) for e, *rule in rules]
+        space, patch, rho, e, None, *rule))) for e, *rule in rules]
     got = igalump.assembly._system_matrices(space, batches)
     rows, cols, vals = [], [], ([], [])
     for e, slices in batches:
@@ -777,8 +769,8 @@ def test_point_slices_leave_assembly_unchanged(monkeypatch):
     rho = lambda x, y: 1.0 + 0.1 * x * y
 
     def pairs():
-        return [assemble_single_patch(space, patch, rho, ONE),
-                assemble_trimmed(space, patch, _plate_disc, rho, ONE,
+        return [assemble_single_patch(space, patch, rho),
+                assemble_trimmed(space, patch, _plate_disc, rho,
                                  subdepth=2)]
     want = pairs()
     # 6 whole elements of 16 points per slice, so slices end mid-set; each
@@ -795,7 +787,7 @@ def test_assembly_memory_does_not_grow_with_the_rule():
     def peak(nquad):
         tracemalloc.start()
         try:
-            assemble_single_patch(space, patch, ONE, ONE, nquad=nquad)
+            assemble_single_patch(space, patch, ONE, nquad=nquad)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -810,8 +802,7 @@ def test_assembly_memory_stays_near_its_result():
     space = square_space(64, 3)
     tracemalloc.start()
     try:
-        pair = assemble_single_patch(space, unit_square(), _nonseparable,
-                                     ONE)
+        pair = assemble_single_patch(space, unit_square(), _nonseparable)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -848,7 +839,7 @@ def test_jacobi_rescale_preserves_eigenvalues():
 @pytest.mark.parametrize('tagged', [False, True], ids=['csr', 'tagged'])
 def test_jacobi_rescale_matches_sparse_products_and_copies(tagged):
     pair = assemble_single_patch(square_space(4, 2), quarter_annulus(),
-                                 _nonseparable, ONE)
+                                 _nonseparable)
     K, M = (pair.K, pair.M) if tagged else (pair.K.mat, pair.M.mat)
     csr = [X.mat if tagged else X for X in (K, M)]
     before = [(X.data.copy(), X.indices.copy(), X.indptr.copy())
@@ -873,7 +864,7 @@ def test_jacobi_rescale_rejects_nonpositive_diagonal():
 
 def test_load_vector_of_one_is_mass_row_sum():
     space = square_space(3, 2)
-    pair = assemble_single_patch(space, unit_square(), ONE, ONE)
+    pair = assemble_single_patch(space, unit_square(), ONE)
     b = load_vector(quadrature_grid(space, unit_square()), ONE)
     np.testing.assert_allclose(b, pair.M @ np.ones(space.num_free),
                                atol=1e-14)

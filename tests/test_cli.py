@@ -353,11 +353,11 @@ _FAULTY_ROWS = [
                      'positive definite',)),
     ('deflate-ratio', 'subdivisions = 4\np = 2\nnquad = 1\n',
      ('numerical failure: pencil P1: matrix is not positive definite',)),
+    # the one-eigenvalue solve's own Cholesky factorization refuses a lumped
+    # and the consistent mass alike
     ('trimmed-sweep', 'subdivisions = 6\np = 2\nnquad = 1\nnangles = 2\n'
-     'pencils = P1\n', ('numerical failure: angle 0, pencil P1: matrix is '
-                        'not positive definite',)),
-    # the consistent mass skips the banded check: the one-eigenvalue solve's
-    # own Cholesky factorization refuses it
+     'pencils = P1\n', ('numerical failure: angle 0, pencil P1: mass-side '
+                        'matrix is not positive definite',)),
     ('trimmed-sweep', 'subdivisions = 6\np = 2\nnquad = 1\nnangles = 2\n'
      'pencils = M\n', ('numerical failure: angle 0, pencil M: mass-side '
                        'matrix is not positive definite',)),
@@ -387,6 +387,13 @@ _FAULTY_ROWS = [
     ('trimmed-sweep', 'geometry = rotated_square\nsubdivisions = 4\n'
      'nangles = 1\ngeometry.cx = nan\n',
      ('config error', "exp.cfg:5: expected a finite number, got 'nan'")),
+    # lambda_cut = lambda_n: no rank breaks even, so no default horizons
+    ('deflate-ratio', 'geometry = unit_square\np = 1\nsubdivisions = 1\n'
+     'pencils = rowsum\nranks = 1\n',
+     ('config error', 'exp.cfg (default horizons):', 'ranks 1',
+      'lambda_cut = lambda_n = 4', 'set horizons')),
+    ('deflate-ratio', 'ranks = ,\n',
+     ('config error', 'exp.cfg:2: deflate-ratio needs at least one rank')),
 ]
 
 
@@ -467,8 +474,10 @@ def generated_configs(draw):
         'k': ints(1, 40),
         'levels': st.sampled_from(['2', '3']),
         'pencils': words(('M', 'rowsum', 'P1', 'P2', 'H1', 'H2', 'Q'), 3),
-        'ranks': st.lists(ints(1, 10), min_size=1, max_size=3).map(' '.join),
-        'horizons': words(('1e-9', '1', '10', 'inf'), 2),
+        # ',' is an empty list
+        'ranks': st.lists(ints(1, 10), max_size=3).map(
+            lambda v: ' '.join(v) or ','),
+        'horizons': words(('1e-9', '1', '10', 'inf'), 2) | st.just(','),
         'safeguard': st.sampled_from(['0.5', '1', '1.5']),
         'dirichlet': st.sampled_from(['true', 'false']),
         'threads': ints(1, 2),
@@ -609,13 +618,15 @@ def test_benchmark_tracer_counts_trimmed_layers(tmp_path):
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         stats = json.loads(report.read_text())['stats']
-        assert stats['linalg.banded_cholesky']['flops_computed'] > 0, kind
         assert stats['geometry.grid_eval']['points'] > 0, kind
         assert stats['svgplot.save']['calls'] > 0, kind
         # lump_pieces reaches the block lumps by their traced module names
         assert stats['lumping.block_lumped_family']['calls'] > 0, kind
         if kind == 'spectrum':
+            assert stats['linalg.banded_cholesky']['flops_computed'] > 0
             assert stats['linalg.solve']['calls'] > 0
         else:
+            # the dense solve's own Cholesky checks each trimmed pencil
+            assert stats['linalg.banded_cholesky']['calls'] == 0
             assert stats['geometry.classify_elements']['cut_elements'] > 0
             assert stats['assembly.assemble_trimmed']['dofs'] > 0

@@ -330,7 +330,7 @@ def test_stability_boundary_scalar():
 def test_stability_boundary_matches_eigenvalue_bound():
     kv = make_open_uniform(4, 2, 1)
     space = SplineSpace([kv, kv], dirichlet=((True, True), (True, True)))
-    pair = assemble_single_patch(space, unit_square(), ONE, ONE)
+    pair = assemble_single_patch(space, unit_square(), ONE)
     w, _ = dense_generalized_eig(pair.K, pair.M)
     mass = banded_cholesky(pair.M, pair.M.scalar_bandwidth())
     dt_c = critical_timestep(w[-1])

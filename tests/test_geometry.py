@@ -13,7 +13,7 @@ from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
                               plate_quarter_hole_2patch, quarter_annulus,
                               rotated_square_region, split_patch,
                               stretched_square, twisted_box, unit_cube,
-                              unit_square, _det)
+                              unit_square, _cofactors, _det)
 from igalump.splines import SplineSpace, eval_basis, make_open_uniform
 from pointwise_map import jacobian, map_eval, pullback_coeffs
 
@@ -90,6 +90,20 @@ def test_closed_form_det_matches_lapack(d):
     np.testing.assert_allclose(det, np.linalg.det(J), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize('d', [1, 2, 3])
+def test_cofactors_give_det_and_inverse(d):
+    # det J = sum_k J[0, k] C[0][k] and J^-1 = C^T / det J
+    rng = np.random.default_rng(20 + d)
+    J = rng.normal(size=(5, 7, d, d))
+    C = np.moveaxis(np.array(_cofactors(J)), (0, 1), (-2, -1))
+    assert C.shape == J.shape
+    det = np.linalg.det(J)
+    np.testing.assert_allclose(np.sum(J[..., 0, :] * C[..., 0, :], axis=-1),
+                               det, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.swapaxes(C, -1, -2) / det[..., None, None],
+                               np.linalg.inv(J), rtol=1e-10, atol=1e-12)
+
+
 @pytest.mark.parametrize('patch', [plate_quarter_hole(), unit_cube(),
                                    magnet(), mirrored(plate_quarter_hole())],
                          ids=['plate', 'cube', 'magnet', 'mirrored-plate'])
@@ -119,22 +133,20 @@ def test_batched_grid_eval_matches_pointwise_map(patch):
 # ------------------------------------------------------------------- pullback
 
 def test_pullback_identity():
-    c, G = pullback_coeffs(unit_square(), lambda x, y: 1.0, lambda x, y: 1.0,
-                           (0.4, 0.6))
+    c, G = pullback_coeffs(unit_square(), lambda x, y: 1.0, (0.4, 0.6))
     assert c == pytest.approx(1.0, abs=1e-14)
     np.testing.assert_allclose(G, np.eye(2), atol=1e-14)
 
 
 def test_pullback_affine_stretch():
-    c, G = pullback_coeffs(affine_stretch(), lambda x, y: 1.0,
-                           lambda x, y: 1.0, (0.25, 0.5))
+    c, G = pullback_coeffs(affine_stretch(), lambda x, y: 1.0, (0.25, 0.5))
     assert c == pytest.approx(2.0, abs=1e-13)
     np.testing.assert_allclose(G, np.diag([0.5, 2.0]), atol=1e-13)
 
 
 def test_pullback_nonseparable_density_at_origin():
     rho = lambda x, y: abs(math.sin(x * y)) + x + y + 1.0
-    c, _ = pullback_coeffs(unit_square(), rho, lambda x, y: 1.0, (0.0, 0.0))
+    c, _ = pullback_coeffs(unit_square(), rho, (0.0, 0.0))
     assert c == pytest.approx(1.0, abs=1e-14)
 
 
@@ -143,8 +155,7 @@ def test_pullback_symmetry_and_spd():
     for patch in (stretched_square(), quarter_annulus(), plate_quarter_hole()):
         for _ in range(5):
             xhat = rng.uniform(0.05, 0.95, size=2)
-            _, G = pullback_coeffs(patch, lambda x, y: 1.0,
-                                   lambda x, y: 1.0, xhat)
+            _, G = pullback_coeffs(patch, lambda x, y: 1.0, xhat)
             assert np.linalg.norm(G - G.T) <= 1e-13 * np.linalg.norm(G)
             assert G[0, 0] > 0 and np.linalg.det(G) > 0
 
@@ -260,13 +271,13 @@ def test_classify_whole_and_empty():
     whole = lambda x, y: np.ones_like(x)
     mask = classify_elements(space, patch, whole)
     assert np.all(mask.element_class == 1)
-    pair = assemble_trimmed(space, patch, whole, ONE, ONE)
+    pair = assemble_trimmed(space, patch, whole, ONE)
     assert np.array_equal(active_dofs(pair), np.arange(space.numdofs))
     empty = lambda x, y: -np.ones_like(x)
     mask = classify_elements(space, patch, empty)
     assert np.all(mask.element_class == -1)
     with pytest.raises(ValueError, match='n_active = 0'):
-        assemble_trimmed(space, patch, empty, ONE, ONE)
+        assemble_trimmed(space, patch, empty, ONE)
 
 
 def test_classify_half_plane_on_knot_line():
@@ -281,7 +292,7 @@ def test_classify_half_plane_on_knot_line():
 def test_degenerate_rotated_square_keeps_all_dofs():
     space = _square_space(6, 2)
     patch = unit_square()
-    pair = assemble_trimmed(space, patch, rotated_square_region(), ONE, ONE)
+    pair = assemble_trimmed(space, patch, rotated_square_region(), ONE)
     assert len(active_dofs(pair)) == space.numdofs
 
 
@@ -293,7 +304,7 @@ def test_rotated_square_cuts():
     mask = classify_elements(space, patch, region)
     assert np.any(mask.element_class == 0)
     assert np.any(mask.element_class == -1)
-    pair = assemble_trimmed(space, patch, region, ONE, ONE)
+    pair = assemble_trimmed(space, patch, region, ONE)
     assert 0 < len(active_dofs(pair)) < space.numdofs
 
 
@@ -314,7 +325,7 @@ def test_classify_reproduces_recorded_classes_on_knot_lines():
     symbol = {-1: '-', 0: '0', 1: '+'}
     rows = [''.join(symbol[c] for c in row) for row in mask.element_class]
     assert rows == RECORDED_CLASSES
-    pair = assemble_trimmed(space, unit_square(), region, ONE, ONE)
+    pair = assemble_trimmed(space, unit_square(), region, ONE)
     assert len(active_dofs(pair)) == 256
 
 
@@ -390,14 +401,14 @@ def test_classify_activity_matches_support_loop(p, k, geometry, center):
                                           mask.element_class)
                 want = loop_active(space, mask.element_class) \
                     & (diag > 1e-12 * diag.max(initial=0.0))
-                pair = assemble_trimmed(space, patch, region, ONE, ONE)
+                pair = assemble_trimmed(space, patch, region, ONE)
                 assert np.array_equal(active_dofs(pair), np.flatnonzero(want)), \
                     (nel, a, half_side)
                 nontrivial += 0 < want.sum() < want.size
     assert nontrivial > 0
     outside = rotated_square_region(center=(9.0, 9.0), half_side=0.05)
     with pytest.raises(ValueError, match='n_active = 0'):
-        assemble_trimmed(space, patch, outside, ONE, ONE)
+        assemble_trimmed(space, patch, outside, ONE)
 
 
 def test_knot_insert_validation_does_not_rest_on_assert(rejections):

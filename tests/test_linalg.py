@@ -63,7 +63,7 @@ def test_banded_scalar():
 def test_banded_pentadiagonal_mass_residual():
     kv = make_open_uniform(8, 2, 1)
     space = SplineSpace([kv])
-    pair = assemble_single_patch(space, interval_patch(), ONE, ONE)
+    pair = assemble_single_patch(space, interval_patch(), ONE)
     assert pair.M.shape == (10, 10)
     op = banded_cholesky(pair.M, 2)
     rng = np.random.default_rng(0)
@@ -152,7 +152,7 @@ def test_schur_zero_coupling_decouples():
 def test_schur_single_patch_reduces_to_banded():
     kv = make_open_uniform(6, 2, 1)
     space = SplineSpace([kv])
-    pair = assemble_single_patch(space, interval_patch(), ONE, ONE)
+    pair = assemble_single_patch(space, interval_patch(), ONE)
     n = pair.M.shape[0]
     split = ([(np.arange(n), (n,))], np.array([], dtype=int))
     op = schur_saddle_factor(pair.M, split)
@@ -166,7 +166,7 @@ def _two_interval_lumped(i):
     spaces = [SplineSpace([kv]), SplineSpace([kv])]
     topo = MultipatchTopology(spaces, [(0, (0, 1), 1, (0, 0), ())])
     patches = [interval_patch(0, 1), interval_patch(1, 2)]
-    glob, _locs = assemble_multipatch(topo, patches, ONE, ONE)
+    glob, _locs = assemble_multipatch(topo, patches, ONE)
     P = lump_pieces(glob.pieces, topo.n_global, i=i)
     return P, topo
 
@@ -188,7 +188,7 @@ def test_schur_two_patch_2d_matches_dense():
     kv = make_open_uniform(4, 2, 1)
     spaces = [SplineSpace([kv, kv]) for _ in patches]
     topo = MultipatchTopology(spaces, interfaces)
-    glob, _locs = assemble_multipatch(topo, patches, ONE, ONE)
+    glob, _locs = assemble_multipatch(topo, patches, ONE)
     P = lump_pieces(glob.pieces, topo.n_global, i=2)
     op = schur_saddle_factor(P, topo.interior_split())
     dense = P.toarray()

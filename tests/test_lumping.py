@@ -24,7 +24,7 @@ def mass_pair(n, p, d=2, dirichlet=None, patch=None):
     kv = make_open_uniform(n, p, p - 1)
     space = SplineSpace([kv] * d, dirichlet=dirichlet)
     patch = patch or (unit_square() if d == 2 else unit_cube())
-    return assemble_single_patch(space, patch, ONE, ONE)
+    return assemble_single_patch(space, patch, ONE)
 
 
 # ------------------------------------------------------------------- row sums
@@ -62,7 +62,7 @@ def test_block_lump_is_kron_of_factor_lump():
     pair = mass_pair(2, 1)
     geom = SplineSpace([KnotVector([0.0, 0.0, 1.0, 1.0], 1)])
     line = Patch(geom, np.array([[0.0], [1.0]]))
-    m1 = assemble_single_patch(SplineSpace([kv]), line, ONE, ONE)
+    m1 = assemble_single_patch(SplineSpace([kv]), line, ONE)
     L1 = lump_rowsum(m1.M).toarray()
     want = np.kron(L1, m1.M.toarray())
     np.testing.assert_allclose(block_lumped_family(pair.M, 1).toarray(), want,
@@ -305,7 +305,7 @@ def test_multipatch_full_band_is_consistent_mass():
     kv = make_open_uniform(4, 2, 1)
     spaces = [SplineSpace([kv, kv]) for _ in patches]
     topo = MultipatchTopology(spaces, interfaces)
-    glob, locs = assemble_multipatch(topo, patches, ONE, ONE)
+    glob, locs = assemble_multipatch(topo, patches, ONE)
     n1 = locs[0].M.dims[0]
     P = lump_pieces(glob.pieces, topo.n_global, i=n1)
     np.testing.assert_allclose(P.toarray(), glob.M.toarray(), atol=1e-15)
@@ -316,7 +316,7 @@ def test_multipatch_eigenvalue_order():
     kv = make_open_uniform(5, 2, 1)
     spaces = [SplineSpace([kv, kv]) for _ in patches]
     topo = MultipatchTopology(spaces, interfaces)
-    glob, locs = assemble_multipatch(topo, patches, ONE, ONE)
+    glob, locs = assemble_multipatch(topo, patches, ONE)
     K = glob.K.toarray()
     w1 = _eigs(K, lump_pieces(glob.pieces, topo.n_global, i=1))
     w2 = _eigs(K, lump_pieces(glob.pieces, topo.n_global, i=2))
@@ -335,7 +335,7 @@ def test_multipatch_extreme_eigs_bounded_by_locals():
     kv = make_open_uniform(5, 2, 1)
     spaces = [SplineSpace([kv, kv]) for _ in patches]
     topo = MultipatchTopology(spaces, interfaces)
-    glob, locs = assemble_multipatch(topo, patches, ONE, ONE)
+    glob, locs = assemble_multipatch(topo, patches, ONE)
     w = _eigs(glob.K.toarray(), glob.M.toarray())
     lo, hi = [], []
     for q in locs:
@@ -395,7 +395,7 @@ def test_pad_lump_trim_matches_dense_route(kind):
     space = SplineSpace([kv, kv])
     region = rotated_square_region(center=(0.51, 0.5), angle=0.35,
                                    half_side=0.3)
-    pair = assemble_trimmed(space, unit_square(), region, ONE, ONE)
+    pair = assemble_trimmed(space, unit_square(), region, ONE)
     (Bpad, to_sys), = pair.pieces
     active = np.flatnonzero(to_sys >= 0)
     assert len(active) < space.num_free
@@ -411,7 +411,7 @@ def test_pad_lump_trim_rotated_square_spd():
     space = SplineSpace([kv, kv])
     region = rotated_square_region(center=(0.51, 0.5), angle=0.35,
                                    half_side=0.3)
-    pair = assemble_trimmed(space, unit_square(), region, ONE, ONE)
+    pair = assemble_trimmed(space, unit_square(), region, ONE)
     for i in (1, 2):
         P = lump_pieces(pair.pieces, pair.M.shape[0], i=i)
         np.linalg.cholesky(P.toarray())

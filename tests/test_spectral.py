@@ -38,7 +38,7 @@ def plate_pencil(nel=(8, 4), p=3):
     kvx = make_open_uniform(nel[0], p, p - 1)
     kvy = make_open_uniform(nel[1], p, p - 1)
     space = SplineSpace([kvx, kvy])
-    pair = assemble_single_patch(space, plate_quarter_hole(), ONE, ONE)
+    pair = assemble_single_patch(space, plate_quarter_hole(), ONE)
     return pair.K, pair.M
 
 
@@ -268,7 +268,7 @@ def test_lanczos_converges_on_kernel_mode_with_k_equal_n():
     kv = make_open_uniform(4, 2, 1)
     from igalump.geometry import unit_square
     pair = assemble_single_patch(SplineSpace([kv, kv]), unit_square(),
-                                 ONE, ONE)
+                                 ONE)
     n = pair.K.shape[0]
     base = banded_cholesky(pair.M, pair.M.scalar_bandwidth())
     res = lanczos(pair.K, base, pair.M, n, seed=0)
@@ -432,7 +432,7 @@ def test_scaled_mass_solve_of_stiffness_pencil_is_base_solve():
 def quarter_annulus_pencil(p=2, nel=6):
     kv = make_open_uniform(nel, p, p - 1)
     space = SplineSpace([kv, kv])
-    pair = assemble_single_patch(space, quarter_annulus(), ONE, ONE)
+    pair = assemble_single_patch(space, quarter_annulus(), ONE)
     return pair.K, block_lumped_family(pair.M, 1)
 
 
@@ -504,7 +504,7 @@ def test_split_zero_modes_neumann_pencil():
     kv = make_open_uniform(5, 2, 1)
     space = SplineSpace([kv, kv])
     from igalump.geometry import unit_square
-    pair = assemble_single_patch(space, unit_square(), ONE, ONE)
+    pair = assemble_single_patch(space, unit_square(), ONE)
     w, _ = dense_generalized_eig(pair.K, pair.M)
     kept, dropped = split_zero_modes(w)
     assert dropped == 1
