@@ -111,8 +111,12 @@ _POINTS = 2 ** 13   # quadrature points per slice of an element batch
 def _pullback(patch, pts, kept=True):
     """Coordinates (d,) + grid, J and |det J| of patch on the point grids
     pts; |det J| := 1 where kept is False, as J may be singular there. A
-    singular J at a kept point raises a ValueError."""
-    F, J, det = patch.grid_eval(pts)
+    non-finite det J, which any non-finite entry of J makes, or a singular
+    J at a kept point raises."""
+    with np.errstate(over='ignore', invalid='ignore'):
+        F, J, det = patch.grid_eval(pts)
+    if not np.all(np.isfinite(det)):
+        raise ValueError('non-finite jacobian on the quadrature grid')
     adet = np.where(kept, np.abs(det), 1.0)
     if np.min(adet, initial=np.inf) < 1e-14:
         raise ValueError('singular jacobian on the quadrature grid')

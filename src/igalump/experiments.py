@@ -130,7 +130,11 @@ class ExperimentConfig:
     lines: dict = field(default_factory=dict, repr=False, compare=False)
 
     def where(self, key):
-        """Config location of key, or the defaulted key, for messages."""
+        """Config location of key, or the defaulted key, for messages. An
+        unset geometry is located at its first geometry.* line, if any."""
+        if key == 'geometry' and key not in self.lines:
+            key = min((k for k in self.lines if k.startswith('geometry.')),
+                      key=self.lines.get, default=key)
         if key in self.lines:
             return '%s:%d' % (self.source, self.lines[key])
         return '%s (default %s)' % (self.source or '<config>', key)
@@ -358,16 +362,24 @@ def _build_spaces(cfg, patches, interfaces, dirichlet, subs=None):
     return spaces
 
 
+def _params(params):
+    """', name value' for each of params, in name order, for messages."""
+    return ''.join(', %s %g' % kv for kv in sorted(params.items()))
+
+
 def _assemble(cfg, subs=None):
-    """The pair on the geometry, at subs if given."""
+    """The pair on the geometry, at subs if given; a fault of the map, such
+    as a singular jacobian, is a config error at the geometry."""
     patches, interfaces = catalog(cfg.geometry, **cfg.geometry_params)
     rho = _density_field(cfg)
     spaces = _build_spaces(cfg, patches, interfaces, cfg.dirichlet, subs)
-    if len(patches) == 1:
-        return assemble_single_patch(spaces[0], patches[0], rho,
-                                     nquad=cfg.nquad)
-    topo = MultipatchTopology(spaces, interfaces)
-    return assemble_multipatch(topo, patches, rho, nquad=cfg.nquad)[0]
+    with _located('geometry ' + cfg.geometry + _params(cfg.geometry_params),
+                  cfg, 'geometry'):
+        if len(patches) == 1:
+            return assemble_single_patch(spaces[0], patches[0], rho,
+                                         nquad=cfg.nquad)
+        topo = MultipatchTopology(spaces, interfaces)
+        return assemble_multipatch(topo, patches, rho, nquad=cfg.nquad)[0]
 
 
 def _assemble_trimmed_at(cfg, angle):
@@ -377,8 +389,7 @@ def _assemble_trimmed_at(cfg, angle):
     region = rotated_square_region(center=(trim['cx'], trim['cy']),
                                    angle=angle, half_side=trim['half_side'])
     # on the unit square only an empty trimmed system raises here
-    with _located('angle %.6g, half_side %g' % (angle, trim['half_side']),
-                  cfg, 'geometry'):
+    with _located('angle %.6g%s' % (angle, _params(trim)), cfg, 'geometry'):
         return assemble_trimmed(space, patches[0], region,
                                 _density_field(cfg), nquad=cfg.nquad)
 

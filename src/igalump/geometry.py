@@ -458,22 +458,14 @@ def _face_layer(space, face):
 def _orient_layer(layer, orientation):
     """Reorder patch-b face dofs to match patch a's tangential ordering.
 
-    2D orientation: (reverse,). 3D: (swap, flip0, flip1) applied as
-    transpose-then-flip of the 2D face grid. 1D faces are single dofs and
-    take the empty orientation.
+    orientation is (reverse,) on 2D patches' edges, (swap, flip0, flip1) on
+    3D patches' faces and () on 1D patches' end points: a swap flag
+    transposes the face grid, then the last layer.ndim flags flip its axes.
     """
-    if len(orientation) == 0:
-        return layer
-    if layer.ndim == 1:
-        (rev,) = orientation
-        return layer[::-1] if rev else layer
-    swap, f0, f1 = orientation
-    out = layer.T if swap else layer
-    if f0:
-        out = out[::-1, :]
-    if f1:
-        out = out[:, ::-1]
-    return out
+    if len(orientation) > layer.ndim and orientation[0]:
+        layer = layer.T
+    flips = orientation[len(orientation) - layer.ndim:]
+    return np.flip(layer, [l for l, f in enumerate(flips) if f])
 
 
 class MultipatchTopology:
@@ -491,11 +483,10 @@ class MultipatchTopology:
 
     def __init__(self, spaces, interfaces):
         self.spaces = list(spaces)
-        self.interfaces = list(interfaces)
         offsets = np.cumsum([0] + [sp.num_free for sp in self.spaces])
         total = offsets[-1]
         pairs = [np.zeros((2, 0), dtype=int)]
-        for (a, face_a, b, face_b, orientation) in self.interfaces:
+        for (a, face_a, b, face_b, orientation) in interfaces:
             sa, sb = self.spaces[a], self.spaces[b]
             la = _face_layer(sa, face_a)
             lb = _orient_layer(_face_layer(sb, face_b), orientation)
@@ -531,22 +522,3 @@ class MultipatchTopology:
         """Global ids shared by at least two patches."""
         return np.nonzero(self.share_count > 1)[0]
 
-    def interior_split(self):
-        """Per-patch interior boxes for block-structured solves.
-
-        Returns a list of (global_ids, dims) and the array of interface
-        global ids. Interior dofs of a patch are its free dofs excluding any
-        glued face layer; they form a tensor box listed lexicographically.
-        """
-        glued = [set() for _ in self.spaces]
-        for (a, fa, b, fb, _o) in self.interfaces:
-            glued[a].add(fa)
-            glued[b].add(fb)
-        out = []
-        for r, sp in enumerate(self.spaces):
-            box = sp.dof_grid()
-            for l, sides in enumerate(sp.dirichlet):
-                box = np.delete(box, [-side for side in (0, 1) if sides[side]
-                                      or (l, side) in glued[r]], axis=l)
-            out.append((self.l2g[r][box.ravel()], box.shape))
-        return out, self.interface_globals()

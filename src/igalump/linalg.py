@@ -84,63 +84,46 @@ def _mass_factor(B):
     return banded_cholesky(B, _measured_bandwidth(B))
 
 
-def schur_saddle_factor(P, split):
+def schur_saddle_factor(P, iface):
     """Factor a multipatch lumped matrix through its saddle structure.
 
-    Ordering the dofs as (patch interiors, interface layer) exposes the
-    block form [[D, C], [C^T, X]] with D block diagonal over patches. Each
-    interior block is factored banded, the Schur complement
+    Ordering the dofs as (interior, interface) exposes the block form
+    [[D, C], [C^T, X]]. The interior is every dof outside iface, in global
+    order: the glue numbers each patch's unshared dofs contiguously in the
+    patch's own lexicographic order, so D is block diagonal over patches and
+    banded, and it is factored banded once. The Schur complement
     S = X - C^T D^{-1} C is formed explicitly and factored dense.
 
     Args:
         P: global lumped matrix (csr or HierBandedMatrix).
-        split: (interior_boxes, interface_ids) as returned by
-            MultipatchTopology.interior_split(); each box is (global_ids,
-            box_dims).
+        iface: interface global ids, as MultipatchTopology.interface_globals()
+            returns them.
 
     solve runs the forward elimination g~ = g - C^T D^{-1} f followed by
     back substitution. Raises on an indefinite Schur complement.
     """
     A = _as_csr(P)
     n = A.shape[0]
-    boxes, iface = split
     iface = np.asarray(iface, dtype=int)
-    idx_int = (np.concatenate([np.asarray(g, dtype=int) for g, _ in boxes])
-               if boxes else np.empty(0, dtype=int))
-    stacked = np.concatenate([idx_int, iface])
-    if len(stacked) != n or len(np.unique(stacked)) != n:
-        raise ValueError('split does not partition the dof set')
-
-    ends = np.cumsum([0] + [len(g) for g, _ in boxes])
-    slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    factors = [_mass_factor(A[np.ix_(idx_int[s], idx_int[s])])
-               for s in slices]
-
-    def d_solve(f):
-        out = np.empty_like(f)
-        for op, sl in zip(factors, slices):
-            out[sl] = op.solve(f[sl])
-        return out
-
-    nG = len(iface)
+    idx_int = np.setdiff1d(np.arange(n), iface)
+    # a repeated or out-of-range id leaves more than n ids in all
+    if len(idx_int) + len(iface) != n:
+        raise ValueError('interface ids do not partition the dof set')
+    D = _mass_factor(A[np.ix_(idx_int, idx_int)])
     C = A[np.ix_(idx_int, iface)].toarray()
-    X = A[np.ix_(iface, iface)].toarray()
-    DinvC = d_solve(C) if nG else C
-    S = X - C.T @ DinvC
-    if nG:
-        try:
-            S_factor = sla.cho_factor(0.5 * (S + S.T))
-        except np.linalg.LinAlgError:
-            raise ValueError('schur complement is not positive definite')
+    DinvC = D.solve(C)
+    S = A[np.ix_(iface, iface)].toarray() - C.T @ DinvC
+    try:
+        S_factor = sla.cho_factor(0.5 * (S + S.T))
+    except np.linalg.LinAlgError:
+        raise ValueError('schur complement is not positive definite')
 
     def apply_solve(rhs):
-        dinv_f = d_solve(rhs[idx_int])
+        dinv_f = D.solve(rhs[idx_int])
+        y = sla.cho_solve(S_factor, rhs[iface] - C.T @ dinv_f)
         out = np.empty_like(rhs)
-        out[idx_int] = dinv_f
-        if nG:
-            y = sla.cho_solve(S_factor, rhs[iface] - C.T @ dinv_f)
-            out[iface] = y
-            out[idx_int] -= DinvC @ y
+        out[iface] = y
+        out[idx_int] = dinv_f - DinvC @ y
         return out
 
     return FactorizedOperator(n, apply_solve)

@@ -252,7 +252,7 @@ def test_criterion_11_multipatch_plate():
     lam_local = max(eigvals(loc.K, loc.M)[-1] for loc in locs)
     assert wM[-1] <= lam_local + 1e-9
 
-    op = schur_saddle_factor(Ps[2], topo.interior_split())
+    op = schur_saddle_factor(Ps[2], topo.interface_globals())
     dense = Ps[2].toarray()
     rng = np.random.default_rng(3)
     for _ in range(20):

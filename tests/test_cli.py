@@ -190,15 +190,12 @@ _UNREACHED = {
     'dynamics.stability_boundary.<locals>.is_stable': 'criterion 09',
     'experiments._key': 'runs at import time, building the config fields',
     'experiments._below': 'runs at import time, building the config fields',
-    'geometry.MultipatchTopology.interior_split': 'criterion 11',
-    'geometry.MultipatchTopology.interface_globals':
-        'criterion 11, through interior_split',
+    'geometry.MultipatchTopology.interface_globals': 'criterion 11',
     'geometry.patch_grid': 'catalog geometry grid_4x4, which the glue tests '
                            'of test_geometry build',
     'geometry.patch_grid.<locals>.pid': 'catalog geometry grid_4x4',
     'linalg.schur_saddle_factor': 'criterion 11',
     'linalg.schur_saddle_factor.<locals>.apply_solve': 'criterion 11',
-    'linalg.schur_saddle_factor.<locals>.d_solve': 'criterion 11',
     'linalg.woodbury_solve': 'criterion 06, through scaled_mass_solve',
     'lumping.HierBandedMatrix.toarray': 'criteria 03 and 11',
     'spectral.cfl_gain': 'criterion 09',
@@ -234,7 +231,7 @@ def test_every_src_function_is_reached_or_listed(tmp_path, capsys):
             called.add('%s.%s' % (os.path.basename(code.co_filename)[:-3],
                                   code.co_qualname))
 
-    faulty = [(kind, body) for kind, body, _ in _FAULTY_ROWS]
+    faulty = [(kind, body) for _, kind, body, _ in _FAULTY_ROWS]
     codes = _profiled_main(tmp_path, _TOY_RUNS + faulty, profile)
     capsys.readouterr()
     assert codes[:len(_TOY_RUNS)] == [0] * len(_TOY_RUNS)
@@ -296,110 +293,138 @@ def test_simulate_runs_on_an_anisotropic_mesh(tmp_path, capsys):
 
 
 # configs that each fail with a message naming the fault: a config error
-# (exit 2) or a numerical failure (exit 3)
+# (exit 2) or a numerical failure (exit 3). Each row opens with a slug; its
+# test id is kind-body-slug, so adding a row renames no other. The slugs
+# names0 to names34 are the index suffixes pytest once generated, kept so
+# that the rows' ids stay what earlier runs recorded.
 _FAULTY_ROWS = [
-    ('trimmed-sweep', 'geometry = rotated_square\ngeometry.half_side = 0.001'
-     '\nsubdivisions = 4\nnangles = 3\n',
+    ('names0', 'trimmed-sweep', 'geometry = rotated_square\n'
+     'geometry.half_side = 0.001\nsubdivisions = 4\nnangles = 3\n',
      ('exp.cfg:2:', 'angle 0,', 'half_side 0.001', 'n_active = 0')),
-    ('spectrum', 'geometry = quarter_annulus\ngeometry.rin = -1\n',
+    # the centre of the trim square, named beside its half side, at the
+    # first geometry.* line when the file leaves geometry at its default
+    ('off-square-centre', 'trimmed-sweep',
+     'geometry.cx = 2\nsubdivisions = 4\nnangles = 1\n',
+     ('config error', 'exp.cfg:2:', 'angle 0, cx 2, cy 0.5, half_side 0.35',
+      'n_active = 0')),
+    ('names1', 'spectrum', 'geometry = quarter_annulus\ngeometry.rin = -1\n',
      ('exp.cfg:2:', 'geometry', 'rin=-1')),
-    ('spectrum', 'geometry = quarter_annulus\ngeometry.rin = 3\n'
+    ('names2', 'spectrum', 'geometry = quarter_annulus\ngeometry.rin = 3\n'
      'geometry.rout = 1\n', ('exp.cfg:2:', 'geometry', 'rin=3', 'rout=1')),
-    ('spectrum', 'geometry = magnet\ngeometry.thickness = 0\n',
+    # |det J| overflows: a non-finite jacobian is refused before the solve
+    ('overflowing-jacobian', 'spectrum', 'geometry = quarter_annulus\n'
+     'geometry.rout = 1e300\np = 1\nsubdivisions = 1\n',
+     ('config error', 'exp.cfg:2: geometry quarter_annulus, rout 1e+300: '
+      'non-finite jacobian on the quadrature grid',)),
+    ('names3', 'spectrum', 'geometry = magnet\ngeometry.thickness = 0\n',
      ('exp.cfg:2:', 'geometry', 'thickness')),
-    ('spectrum', 'geometry = twisted_box\ngeometry.npatches = 0\n',
+    # a valid but vanishing thickness leaves det J below the cut-off
+    ('vanishing-thickness', 'spectrum',
+     'geometry = magnet\ngeometry.thickness = 1e-300\n',
+     ('config error', 'exp.cfg:2: geometry magnet, thickness 1e-300: '
+      'singular jacobian on the quadrature grid',)),
+    ('names4', 'spectrum', 'geometry = twisted_box\ngeometry.npatches = 0\n',
      ('exp.cfg:2:', 'geometry', 'npatches')),
-    ('convergence', 'dirichlet = false\n',
+    ('names5', 'convergence', 'dirichlet = false\n',
      ('exp.cfg:2:', 'dirichlet = false', 'Dirichlet conditions')),
-    ('spectrum', 'subdivisions = 4\nk = 1000\n',
+    ('names6', 'spectrum', 'subdivisions = 4\nk = 1000\n',
      ('config error', 'exp.cfg:3:', 'k = 1000', 'n = 36')),
     # a key the run does not read
-    ('spectrum', 'horizons = 5\ntspan = 3\nlevels = 9\n',
+    ('names7', 'spectrum', 'horizons = 5\ntspan = 3\nlevels = 9\n',
      ('config error', "exp.cfg:2: key 'horizons'")),
-    ('convergence', 'k = 3\n', ('config error', "exp.cfg:2: key 'k'")),
-    ('simulate', 'density = nonseparable\ndirichlet = true\n',
+    ('names8', 'convergence', 'k = 3\n',
+     ('config error', "exp.cfg:2: key 'k'")),
+    ('names9', 'simulate', 'density = nonseparable\ndirichlet = true\n',
      ('config error', "exp.cfg:2: key 'density'")),
-    ('deflate-ratio', 'k = 3\n', ('config error', "exp.cfg:2: key 'k'")),
-    ('trimmed-sweep', 'dirichlet = true\n',
+    ('names10', 'deflate-ratio', 'k = 3\n',
+     ('config error', "exp.cfg:2: key 'k'")),
+    ('names11', 'trimmed-sweep', 'dirichlet = true\n',
      ('config error', "exp.cfg:2: key 'dirichlet'")),
-    ('bandwidth-report', 'safeguard = 0.5\n',
+    ('names12', 'bandwidth-report', 'safeguard = 0.5\n',
      ('config error', "exp.cfg:2: key 'safeguard'")),
-    ('spectrum', 'geometry = rotated_square\nk = 3\n',
+    ('names13', 'spectrum', 'geometry = rotated_square\nk = 3\n',
      ('config error', "exp.cfg:3: key 'k'")),
-    ('spectrum', 'geometry = rotated_square\ndirichlet = true\n',
+    ('names14', 'spectrum', 'geometry = rotated_square\ndirichlet = true\n',
      ('config error', "exp.cfg:3: key 'dirichlet'")),
-    ('spectrum', 'nangles = 3\n',
+    ('names15', 'spectrum', 'nangles = 3\n',
      ('config error', "exp.cfg:2: key 'nangles'")),
-    ('deflate-ratio', 'pencils = P1 P2\n',
+    ('names16', 'deflate-ratio', 'pencils = P1 P2\n',
      ('config error', 'exp.cfg:2: deflate-ratio reads one pencil')),
-    ('deflate-ratio', 'subdivisions = 8 4\np = 2\nranks = 4\n'
+    ('names17', 'deflate-ratio', 'subdivisions = 8 4\np = 2\nranks = 4\n'
      'horizons = 1e-9\n',
      ('config error', 'exp.cfg:5:', 'rank 4', 'T = 1e-09', 'dt = ')),
     # |sin(xy)| + x + y + 1 turns negative on the plate (x in [-4, 0])
-    ('convergence', 'geometry = plate_hole\nsubdivisions = 3 4\np = 3\n'
-     'pencils = M\n', ('config error', 'exp.cfg (default density):',
-                       'density nonseparable is', '<= 0 at (',
-                       'geometry plate_hole')),
-    ('spectrum', 'geometry = plate_hole\ndensity = nonseparable\n',
+    ('names18', 'convergence', 'geometry = plate_hole\nsubdivisions = 3 4\n'
+     'p = 3\npencils = M\n',
+     ('config error', 'exp.cfg (default density):', 'density nonseparable is',
+      '<= 0 at (', 'geometry plate_hole')),
+    ('names19', 'spectrum', 'geometry = plate_hole\ndensity = nonseparable\n',
      ('config error', 'exp.cfg:3:', 'density nonseparable is', '<= 0 at (',
       'geometry plate_hole')),
     # one-point quadrature leaves the p = 2 mass singular or indefinite
-    ('convergence', 'subdivisions = 2\np = 2\nnquad = 1\nlevels = 3\n'
-     'pencils = P1 M\n', ('numerical failure: reference level, subdivisions '
-                          '(16, 16), pencil M: smallest eigenvalue',
-                          'is not positive')),
-    ('spectrum', 'geometry = unit_square\nsubdivisions = 4\np = 2\n'
-     'nquad = 1\n', ('numerical failure: pencil M: mass-side matrix is not '
-                     'positive definite',)),
-    ('deflate-ratio', 'subdivisions = 4\np = 2\nnquad = 1\n',
+    ('names20', 'convergence', 'subdivisions = 2\np = 2\nnquad = 1\n'
+     'levels = 3\npencils = P1 M\n',
+     ('numerical failure: reference level, subdivisions (16, 16), pencil M: '
+      'smallest eigenvalue', 'is not positive')),
+    ('names21', 'spectrum', 'geometry = unit_square\nsubdivisions = 4\n'
+     'p = 2\nnquad = 1\n',
+     ('numerical failure: pencil M: mass-side matrix is not positive '
+      'definite',)),
+    ('names22', 'deflate-ratio', 'subdivisions = 4\np = 2\nnquad = 1\n',
      ('numerical failure: pencil P1: matrix is not positive definite',)),
     # the one-eigenvalue solve's own Cholesky factorization refuses a lumped
     # and the consistent mass alike
-    ('trimmed-sweep', 'subdivisions = 6\np = 2\nnquad = 1\nnangles = 2\n'
-     'pencils = P1\n', ('numerical failure: angle 0, pencil P1: mass-side '
-                        'matrix is not positive definite',)),
-    ('trimmed-sweep', 'subdivisions = 6\np = 2\nnquad = 1\nnangles = 2\n'
-     'pencils = M\n', ('numerical failure: angle 0, pencil M: mass-side '
-                       'matrix is not positive definite',)),
+    ('names23', 'trimmed-sweep', 'subdivisions = 6\np = 2\nnquad = 1\n'
+     'nangles = 2\npencils = P1\n',
+     ('numerical failure: angle 0, pencil P1: mass-side matrix is not '
+      'positive definite',)),
+    ('names24', 'trimmed-sweep', 'subdivisions = 6\np = 2\nnquad = 1\n'
+     'nangles = 2\npencils = M\n',
+     ('numerical failure: angle 0, pencil M: mass-side matrix is not '
+      'positive definite',)),
     # the Lanczos route of spectrum
-    ('spectrum', 'geometry = unit_square\nsubdivisions = 4\np = 2\n'
-     'nquad = 1\nk = 3\n', ('numerical failure: pencil M: matrix is not '
-                             'positive definite',)),
+    ('names25', 'spectrum', 'geometry = unit_square\nsubdivisions = 4\n'
+     'p = 2\nnquad = 1\nk = 3\n',
+     ('numerical failure: pencil M: matrix is not positive definite',)),
     # the consistent mass projects the initial data before the pencil loop
-    ('simulate', 'p = 3\nsubdivisions = 4\nnquad = 1\npencils = M P1\n'
-     'tspan = 0.5\n', ('numerical failure: pencil M: matrix is not positive '
-                       'definite',)),
+    ('names26', 'simulate', 'p = 3\nsubdivisions = 4\nnquad = 1\n'
+     'pencils = M P1\ntspan = 0.5\n',
+     ('numerical failure: pencil M: matrix is not positive definite',)),
     # a band index past a piece's block count, on a glued and a trimmed pair
-    ('spectrum', 'geometry = plate_hole_2patch\np = 2\nsubdivisions = 2\n'
-     'pencils = M P9\n', ('config error', 'exp.cfg:5: pencil P9: band index '
-                          'out of range')),
-    ('trimmed-sweep', 'subdivisions = 4\nnangles = 2\npencils = M P9\n',
+    ('names27', 'spectrum', 'geometry = plate_hole_2patch\np = 2\n'
+     'subdivisions = 2\npencils = M P9\n',
+     ('config error', 'exp.cfg:5: pencil P9: band index out of range')),
+    ('names28', 'trimmed-sweep', 'subdivisions = 4\nnangles = 2\n'
+     'pencils = M P9\n',
      ('config error', 'exp.cfg:4: pencil P9: band index out of range')),
     # a float key, each part of a float list and a geometry.* value must be
     # finite
-    ('simulate', 'subdivisions = 2\ntspan = inf\n',
+    ('names29', 'simulate', 'subdivisions = 2\ntspan = inf\n',
      ('config error', "exp.cfg:3: expected a finite number, got 'inf'")),
-    ('deflate-ratio', 'subdivisions = 4 2\nranks = 1\nhorizons = 1 inf\n',
+    ('names30', 'deflate-ratio', 'subdivisions = 4 2\nranks = 1\n'
+     'horizons = 1 inf\n',
      ('config error', "exp.cfg:4: expected a finite number, got 'inf'")),
-    ('spectrum', 'geometry = twisted_box\nsubdivisions = 1\n'
+    ('names31', 'spectrum', 'geometry = twisted_box\nsubdivisions = 1\n'
      'geometry.total_angle = nan\n',
      ('config error', "exp.cfg:4: expected a finite number, got 'nan'")),
-    ('trimmed-sweep', 'geometry = rotated_square\nsubdivisions = 4\n'
-     'nangles = 1\ngeometry.cx = nan\n',
+    ('names32', 'trimmed-sweep', 'geometry = rotated_square\n'
+     'subdivisions = 4\nnangles = 1\ngeometry.cx = nan\n',
      ('config error', "exp.cfg:5: expected a finite number, got 'nan'")),
     # lambda_cut = lambda_n: no rank breaks even, so no default horizons
-    ('deflate-ratio', 'geometry = unit_square\np = 1\nsubdivisions = 1\n'
-     'pencils = rowsum\nranks = 1\n',
+    ('names33', 'deflate-ratio', 'geometry = unit_square\np = 1\n'
+     'subdivisions = 1\npencils = rowsum\nranks = 1\n',
      ('config error', 'exp.cfg (default horizons):', 'ranks 1',
       'lambda_cut = lambda_n = 4', 'set horizons')),
-    ('deflate-ratio', 'ranks = ,\n',
+    ('names34', 'deflate-ratio', 'ranks = ,\n',
      ('config error', 'exp.cfg:2: deflate-ratio needs at least one rank')),
 ]
 
 
-@pytest.mark.parametrize('kind, body, names', _FAULTY_ROWS)
-def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
-                                                  body, names):
+@pytest.mark.parametrize('kind, body, names', [
+    pytest.param(kind, body, names, id='%s-%s-%s' % (kind, body, slug))
+    for slug, kind, body, names in _FAULTY_ROWS])
+def test_faulty_config_exits_with_located_message(tmp_path, capsys, recwarn,
+                                                  kind, body, names):
     cfg = write_cfg(tmp_path, 'kind = %s\n%sout = %s\n'
                     % (kind, body, tmp_path / 'o'))
     assert main([kind, '--config', cfg]) in (2, 3)
@@ -410,6 +435,8 @@ def test_faulty_config_exits_with_located_message(tmp_path, capsys, kind,
         assert name in err, (name, err)
     # the runner names a pencil once, the helpers below it not again
     assert not re.search(r'(pencil \w+)\b.*\1\b', err), err
+    # the fault is refused before numpy warns about it
+    assert not [str(w.message) for w in recwarn]
 
 
 @pytest.mark.parametrize('kind, body, names', [

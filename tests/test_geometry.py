@@ -492,23 +492,16 @@ def test_outer_faces():
     assert len(faces) == 6
 
 
-def test_interior_split_boxes():
+def test_interface_globals_count():
     patches, interfaces = patch_grid(2, 1)
     kv = make_open_uniform(4, 2, 1)
-    spaces = [SplineSpace([kv, kv], dirichlet=[(True, True), (True, True)])
-              for _ in patches]
     # interface faces must stay free of Dirichlet flags
-    spaces[0] = SplineSpace([kv, kv], dirichlet=[(True, False), (True, True)])
-    spaces[1] = SplineSpace([kv, kv], dirichlet=[(False, True), (True, True)])
+    spaces = [SplineSpace([kv, kv], dirichlet=[(True, False), (True, True)]),
+              SplineSpace([kv, kv], dirichlet=[(False, True), (True, True)])]
     topo = MultipatchTopology(spaces, interfaces)
-    boxes, iface = topo.interior_split()
-    n = kv.numdofs
-    assert len(iface) == n - 2
-    sizes = [len(g) for g, _ in boxes]
-    assert sum(sizes) + len(iface) == topo.n_global
-    for gids, dims in boxes:
-        assert len(gids) == int(np.prod(dims))
-        assert len(np.intersect1d(gids, iface)) == 0
+    iface = topo.interface_globals()
+    assert len(iface) == kv.numdofs - 2
+    assert np.array_equal(topo.share_count[iface], [2] * len(iface))
 
 
 def _face_dofs(dims, face):

@@ -6,12 +6,13 @@ import scipy.sparse as sp
 import sympy
 
 from igalump.assembly import assemble_multipatch, assemble_single_patch
-from igalump.geometry import MultipatchTopology, Patch, patch_grid
+from igalump.geometry import (MultipatchTopology, Patch, catalog,
+                              outer_faces, patch_grid)
 from igalump.linalg import (FactorizedOperator, banded_cholesky,
                             dense_generalized_eig, schur_saddle_factor,
                             woodbury_solve)
-from igalump.lumping import (HierBandedMatrix, block_lumped_family,
-                             hier_bandwidth, lump_pieces)
+from igalump.lumping import (HierBandedMatrix, _measured_bandwidth,
+                             block_lumped_family, hier_bandwidth, lump_pieces)
 from igalump.splines import KnotVector, SplineSpace, make_open_uniform
 from structured_spd import random_structured_spd
 
@@ -136,9 +137,7 @@ def test_schur_zero_coupling_decouples():
     A[np.ix_([0, 1], [0, 1])] = [[2.0, 0.3], [0.3, 2.0]]
     A[np.ix_([4, 5], [4, 5])] = [[1.5, 0.0], [0.0, 1.0]]
     A[np.ix_([2, 3], [2, 3])] = [[3.0, 0.1], [0.1, 3.0]]
-    split = ([(np.array([0, 1]), (2,)), (np.array([4, 5]), (2,))],
-             np.array([2, 3]))
-    op = schur_saddle_factor(sp.csr_matrix(A), split)
+    op = schur_saddle_factor(sp.csr_matrix(A), np.array([2, 3]))
     rng = np.random.default_rng(4)
     b = rng.normal(size=n)
     x = op.solve(b)
@@ -153,12 +152,20 @@ def test_schur_single_patch_reduces_to_banded():
     kv = make_open_uniform(6, 2, 1)
     space = SplineSpace([kv])
     pair = assemble_single_patch(space, interval_patch(), ONE)
-    n = pair.M.shape[0]
-    split = ([(np.arange(n), (n,))], np.array([], dtype=int))
-    op = schur_saddle_factor(pair.M, split)
+    op = schur_saddle_factor(pair.M, [])
     direct = banded_cholesky(pair.M, 2)
-    b = np.random.default_rng(5).normal(size=n)
+    b = np.random.default_rng(5).normal(size=pair.M.shape[0])
     np.testing.assert_allclose(op.solve(b), direct.solve(b), atol=1e-13)
+
+
+def test_schur_all_interface_matches_dense():
+    # an empty interior leaves the whole solve to the dense Schur factor
+    A = random_structured_spd((3, 4), (1, 2), np.random.default_rng(9))
+    n = A.shape[0]
+    op = schur_saddle_factor(A, np.arange(n))
+    dense = A.toarray()
+    b = np.random.default_rng(10).normal(size=(n, 2))
+    assert rel_residual(dense, op.solve(b), b) <= 1e-12
 
 
 def _two_interval_lumped(i):
@@ -173,7 +180,7 @@ def _two_interval_lumped(i):
 
 def test_schur_two_patch_1d_matches_dense():
     P, topo = _two_interval_lumped(i=2)
-    op = schur_saddle_factor(P, topo.interior_split())
+    op = schur_saddle_factor(P, topo.interface_globals())
     rng = np.random.default_rng(6)
     dense = P.toarray()
     for _ in range(5):
@@ -190,7 +197,7 @@ def test_schur_two_patch_2d_matches_dense():
     topo = MultipatchTopology(spaces, interfaces)
     glob, _locs = assemble_multipatch(topo, patches, ONE)
     P = lump_pieces(glob.pieces, topo.n_global, i=2)
-    op = schur_saddle_factor(P, topo.interior_split())
+    op = schur_saddle_factor(P, topo.interface_globals())
     dense = P.toarray()
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -199,20 +206,48 @@ def test_schur_two_patch_2d_matches_dense():
         assert rel_residual(dense, x, b) <= 1e-10
 
 
+@pytest.mark.parametrize('dirichlet', [False, True])
+@pytest.mark.parametrize('geometry', ['plate_hole_2patch', 'twisted_box',
+                                      'grid_4x4', 'grid_1x16'])
+def test_schur_interior_is_one_banded_block(geometry, dirichlet):
+    # the glue numbers each patch's unshared dofs contiguously, so the
+    # interior block of the complement of the interface ids is as narrow as
+    # the widest patch interior, and one banded factor solves it
+    patches, interfaces = catalog(geometry)
+    outer = set(outer_faces(patches, interfaces)) if dirichlet else set()
+    kv = make_open_uniform(2, 2, 1)
+    spaces = [SplineSpace([kv] * patch.ndim,
+                          dirichlet=[[(ip, l, s) in outer for s in (0, 1)]
+                                     for l in range(patch.ndim)])
+              for ip, patch in enumerate(patches)]
+    topo = MultipatchTopology(spaces, interfaces)
+    glob, _locs = assemble_multipatch(topo, patches, ONE)
+    iface = topo.interface_globals()
+    interior = np.setdiff1d(np.arange(topo.n_global), iface)
+    per_patch = [np.setdiff1d(l2g, iface) for l2g in topo.l2g]
+    rng = np.random.default_rng(11)
+    for A in (lump_pieces(glob.pieces, topo.n_global, i=1), glob.M):
+        A = sp.csr_matrix(A)
+        assert _measured_bandwidth(A[np.ix_(interior, interior)]) == max(
+            _measured_bandwidth(A[np.ix_(ids, ids)]) for ids in per_patch)
+        b = rng.normal(size=topo.n_global)
+        x = schur_saddle_factor(A, iface).solve(b)
+        assert rel_residual(A.toarray(), x, b) <= 1e-10
+
+
 def test_schur_rejects_bad_partition():
-    A = sp.eye(4, format='csr')
-    split = ([(np.array([0, 1]), (2,))], np.array([2]))
-    with pytest.raises(ValueError, match='partition'):
-        schur_saddle_factor(A, split)
+    # duplicate or out-of-range interface ids do not split the dofs in two
+    for iface in ([2, 2], [1, 4], [-1]):
+        with pytest.raises(ValueError, match='partition'):
+            schur_saddle_factor(sp.eye(4, format='csr'), iface)
 
 
 def test_schur_rejects_indefinite_complement():
     A = np.array([[1.0, 0.0, 2.0],
                   [0.0, 1.0, 2.0],
                   [2.0, 2.0, 1.0]])
-    split = ([(np.array([0, 1]), (2,))], np.array([2]))
     with pytest.raises(ValueError, match='[Ss]chur'):
-        schur_saddle_factor(sp.csr_matrix(A), split)
+        schur_saddle_factor(sp.csr_matrix(A), [2])
 
 
 # ------------------------------------------------------------------ woodbury
