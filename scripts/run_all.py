@@ -18,7 +18,11 @@ results/ is left as it is, and writes FILE as JSON: per study its
 wall_s, peak_rss_mb and exit, plus the Python, numpy and scipy versions,
 the BLAS library, the BLAS thread count (OPENBLAS_NUM_THREADS, or the
 usable cores when it is unset) and src_lines, the total line count of the
-igalump/*.py modules of the source tree that ran. After the studies it runs
+igalump/*.py modules of the source tree that ran. It runs the studies
+round-robin _REPEAT (5) times: wall_s and peak_rss_mb are the medians of
+the n runs, beside wall_s_min, wall_s_max, peak_rss_mb_min and
+peak_rss_mb_max, since one run per study cannot tell a change from the
+host's run-to-run spread. After the studies it runs
 the tier-1 command once in the tree that holds that src (its parent
 directory), `PYTHONPATH=src python -m pytest -q
 --continue-on-collection-errors`, and records its wall time tier1_s and
@@ -37,6 +41,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -46,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / 'scripts' / 'configs'
 SRC = str(ROOT / 'src')
+_REPEAT = 5     # runs per study under --bench, recorded as median and range
 
 
 def _platform():
@@ -64,6 +70,19 @@ def _src_lines(src):
     """Total line count of src/igalump/*.py, as `wc -l` counts it."""
     return sum(path.read_bytes().count(b'\n')
                for path in Path(src, 'igalump').glob('*.py'))
+
+
+def _summary(runs):
+    """A study's record from its (wall, rss, exit) runs: the medians, the
+    extremes and the count, and the exit code of the last run."""
+    walls, rsss, exits = zip(*runs)
+    record = {'exit': exits[-1], 'n': len(runs)}
+    for key, values, digits in (('wall_s', walls, 3),
+                                ('peak_rss_mb', rsss, 1)):
+        for suffix, stat in (('', statistics.median), ('_min', min),
+                             ('_max', max)):
+            record[key + suffix] = round(stat(values), digits)
+    return record
 
 
 def _tier1(src, env):
@@ -93,7 +112,8 @@ def main():
     ap.add_argument('--seed', type=int, default=None,
                     help='override the seed of every run')
     ap.add_argument('--bench', metavar='FILE',
-                    help='write timings to FILE, outputs to a temp dir')
+                    help='write timings (medians of %d runs) to FILE, '
+                    'outputs to a temp dir' % _REPEAT)
     ap.add_argument('--src', default=SRC, metavar='DIR',
                     help='the igalump source tree to run (default: %s)'
                     % os.path.relpath(SRC, ROOT))
@@ -118,22 +138,26 @@ def main():
         [src] + ([inherited] if inherited else [])))
     if args.bench and not args.dry_run:
         compileall.compile_dir(os.path.join(src, 'igalump'), quiet=1)
-    studies = {}
+    cmds = {}
+    for cfg in cfgs:
+        try:
+            kind = parse_config(str(cfg)).kind
+        except ConfigError as exc:
+            print('config error: %s' % exc, file=sys.stderr)
+            sys.exit(2)
+        cmds[cfg.stem] = [sys.executable, '-m', 'igalump.cli', kind,
+                          '--config', str(cfg.relative_to(ROOT))]
+        if args.seed is not None:
+            cmds[cfg.stem] += ['--seed', str(args.seed)]
+    runs = {name: [] for name in cmds}
     rc = 0
     with (tempfile.TemporaryDirectory(prefix='igalump-bench-')
           if args.bench else contextlib.nullcontext()) as tmp:
-        for cfg in cfgs:
-            try:
-                kind = parse_config(str(cfg)).kind
-            except ConfigError as exc:
-                print('config error: %s' % exc, file=sys.stderr)
-                sys.exit(2)
-            cmd = [sys.executable, '-m', 'igalump.cli', kind, '--config',
-                   str(cfg.relative_to(ROOT))]
-            if args.seed is not None:
-                cmd += ['--seed', str(args.seed)]
+        for name in [name for _ in range(_REPEAT if args.bench else 1)
+                     for name in cmds]:
+            cmd = cmds[name]
             if tmp is not None:
-                cmd += ['--out', os.path.join(tmp, cfg.stem)]
+                cmd = cmd + ['--out', os.path.join(tmp, name)]
             print('+', ' '.join(cmd), flush=True)
             if args.dry_run:
                 continue
@@ -143,13 +167,13 @@ def main():
             proc.returncode = rc = os.waitstatus_to_exitcode(status)
             wall = time.perf_counter() - t0
             rss = usage.ru_maxrss / 1024    # ru_maxrss is in KiB on Linux
-            studies[cfg.stem] = {'wall_s': round(wall, 3),
-                                 'peak_rss_mb': round(rss, 1), 'exit': rc}
+            runs[name].append((wall, rss, rc))
             print('  %.1fs peak RSS %.0f MB exit %d' % (wall, rss, rc),
                   flush=True)
             if rc != 0:
                 break
     if args.bench and not args.dry_run:
+        studies = {name: _summary(got) for name, got in runs.items() if got}
         record = dict(_platform(), src_lines=_src_lines(src),
                       studies=studies, **_tier1(src, env))
         with open(args.bench, 'w') as f:

@@ -125,12 +125,13 @@ def _det(J):
 def _tensor_apply(T, mats):
     # contract axes 1..d of T with mats[l] of shape (E, n_l, m_l) in turn,
     # into (E, n_1, ..., n_d) + trailing axes; the batch axis 0 of T or of
-    # every mats[l] may be 1 instead of E
+    # every mats[l] may be 1 instead of E. swapaxes views, not np.moveaxis,
+    # whose Python-side axis handling outlasts a small gemm
     for l, M in enumerate(mats):
-        T = np.moveaxis(T, l + 1, 1)
+        T = T.swapaxes(1, l + 1)
         rest = T.shape[2:]
         T = M @ T.reshape(len(T), M.shape[2], -1)
-        T = np.moveaxis(T.reshape((len(T), M.shape[1]) + rest), 1, l + 1)
+        T = T.reshape((len(T), M.shape[1]) + rest).swapaxes(1, l + 1)
     return T
 
 

@@ -69,9 +69,15 @@ def banded_cholesky(A, bandwidth):
                                  check_finite=False)
     except np.linalg.LinAlgError:
         raise ValueError('matrix is not positive definite')
+    pbtrs, = sla.get_lapack_funcs(('pbtrs',), (cb,))
 
     def apply_solve(rhs):
-        return sla.cho_solve_banded((cb, False), rhs, check_finite=False)
+        if rhs.size == 0:   # LAPACK refuses a leading dimension of 0
+            return np.zeros_like(rhs)
+        x, info = pbtrs(cb, rhs)
+        if info != 0:
+            raise ValueError('banded solve: LAPACK pbtrs info %d' % info)
+        return x
 
     return FactorizedOperator(ab.shape[1], apply_solve, payload=cb)
 

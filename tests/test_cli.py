@@ -589,9 +589,14 @@ def test_run_all_bench_records_without_touching_results(tmp_path):
         open(path, 'rb').read().count(b'\n') for path in modules) > 0
     study = record['studies']['bandwidth_cube']
     assert set(record['studies']) == {'bandwidth_cube'}
-    assert set(study) == {'wall_s', 'peak_rss_mb', 'exit'}
-    assert study['exit'] == 0 and study['wall_s'] > 0
-    assert study['peak_rss_mb'] > 0
+    assert set(study) == {'wall_s', 'wall_s_min', 'wall_s_max',
+                          'peak_rss_mb', 'peak_rss_mb_min',
+                          'peak_rss_mb_max', 'exit', 'n'}
+    # every study runs five times; the record is the median and the range
+    assert study['exit'] == 0 and study['n'] == 5
+    assert 0 < study['wall_s_min'] <= study['wall_s'] <= study['wall_s_max']
+    assert 0 < study['peak_rss_mb_min'] <= study['peak_rss_mb'] \
+        <= study['peak_rss_mb_max']
     # the study wrote to a temporary directory, not under results/
     assert not (tmp_path / 'results').exists()
     # every module was compiled before the studies: cli only runs as the

@@ -102,6 +102,43 @@ def test_forced_scalar_matches_closed_form():
     assert abs(traj.samples[-1, 0] - exact) <= 1e-3 * abs(exact)
 
 
+def textbook_central_difference(solve, K, f, u0, v0, dt, nsteps):
+    """The recurrence as written on paper, one fresh array per operation;
+    from the first row whose norm passes 1e6 times the initial scale, that
+    row repeats. Returns the rows and the index of the blow-up, or None."""
+    def accel(t, u):
+        return solve(-(K @ u) + f(t))
+
+    rows = [u0, u0 + dt * v0 + 0.5 * dt * dt * accel(0.0, u0)]
+    scale = max(np.linalg.norm(rows[0]), np.linalg.norm(rows[1]))
+    for k in range(1, nsteps):
+        rows.append(2.0 * rows[k] - rows[k - 1]
+                    + dt * dt * accel(dt * k, rows[k]))
+        if not np.linalg.norm(rows[-1]) <= 1e6 * scale:
+            return np.array(rows + [rows[-1]] * (nsteps - k - 1)), k + 1
+    return np.array(rows), None
+
+
+@pytest.mark.parametrize('factor', [0.85, 1.2])
+def test_central_difference_matches_textbook_loop(factor):
+    # the in-place step rounds exactly as the textbook expression does,
+    # below the critical step and above it, where both blow up at one row
+    prob = clamped_plate_problem(2, 4)
+    K = prob.pair.K
+    w, _ = dense_generalized_eig(K, prob.pair.M)
+    dt = factor * critical_timestep(w[-1])
+    nsteps = 400
+    traj = central_difference(prob.mass, K, prob.f, prob.u0, prob.v0, dt,
+                              (nsteps + 0.5) * dt)
+    with np.errstate(over='ignore', invalid='ignore'):
+        rows, blown = textbook_central_difference(
+            prob.mass.solve, K, prob.f, prob.u0, prob.v0, dt, nsteps)
+    assert traj.nsteps == nsteps
+    assert traj.blown_up_at == blown
+    assert traj.stable == (blown is None) == (factor < 1.0)
+    np.testing.assert_array_equal(traj.samples, rows)
+
+
 def test_integrator_validates_steps():
     solve, K = scalar_ops(1.0, 1.0)
     with pytest.raises(ValueError):
@@ -264,6 +301,17 @@ def test_l2_error_names_both_sizes_of_a_mismatch():
     with pytest.raises(ValueError, match=r'shape \(%d,\) on a space '
                        'with %d free dofs' % (n + 1, n)):
         l2_error(grid, np.r_[coeffs[0], 0.0], exact, t=0.5)
+
+
+@pytest.mark.parametrize('shape', [(29, 1), (1, 29)])
+def test_l2_times_of_two_axes_name_their_shape(shape):
+    grid, coeffs, exact, _ = _plate_batch_cases()['plate-t']
+    t = np.linspace(0.0, 2.0, 29).reshape(shape)
+    message = r'times of shape \(%d, %d\)' % shape
+    with pytest.raises(ValueError, match=message):
+        l2_error(grid, coeffs[:29], exact, t=t)
+    with pytest.raises(ValueError, match=message):
+        l2_norm(grid, exact, t=t)
 
 
 def test_manufactured_problem_fields():

@@ -13,7 +13,8 @@ from igalump.geometry import (MultipatchTopology, Patch, classify_elements,
                               plate_quarter_hole_2patch, quarter_annulus,
                               rotated_square_region, split_patch,
                               stretched_square, twisted_box, unit_cube,
-                              unit_square, _cofactors, _det)
+                              unit_square, _cofactors, _det,
+                              _tensor_apply)
 from igalump.splines import SplineSpace, eval_basis, make_open_uniform
 from pointwise_map import jacobian, map_eval, pullback_coeffs
 
@@ -102,6 +103,29 @@ def test_cofactors_give_det_and_inverse(d):
                                det, rtol=1e-12, atol=0)
     np.testing.assert_allclose(np.swapaxes(C, -1, -2) / det[..., None, None],
                                np.linalg.inv(J), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize('trailing', [(), (2,)])
+@pytest.mark.parametrize('batch', ['both', 'T-1', 'mats-1'])
+@pytest.mark.parametrize('d', [1, 2, 3])
+def test_tensor_apply_matches_einsum(d, batch, trailing):
+    # axis l + 1 of T contracts with the last axis of mats[l]; a batch of 1
+    # on either side broadcasts. einsum sums in its own order, so equality
+    # is to rounding
+    E, m, n = 3, (2, 4, 3)[:d], (3, 2, 5)[:d]
+    rng = np.random.default_rng(d)
+    T = rng.normal(size=(1 if batch == 'T-1' else E,) + m + trailing)
+    mats = [rng.normal(size=(1 if batch == 'mats-1' else E, nl, ml))
+            for nl, ml in zip(n, m)]
+    out = _tensor_apply(T, mats)
+    ins, outs, rest = 'abc'[:d], 'ABC'[:d], 'xy'[:len(trailing)]
+    expr = ','.join(['e' + ins + rest] + ['e' + o + i
+                                          for o, i in zip(outs, ins)])
+    ref = np.einsum(expr + '->e' + outs + rest,
+                    np.broadcast_to(T, (E,) + T.shape[1:]),
+                    *[np.broadcast_to(M, (E,) + M.shape[1:]) for M in mats])
+    assert out.shape == (E,) + n + trailing
+    np.testing.assert_allclose(out, ref, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize('patch', [plate_quarter_hole(), unit_cube(),

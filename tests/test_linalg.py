@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import sympy
 
@@ -121,6 +122,19 @@ def test_banded_multiple_rhs():
     rhs = rng.normal(size=(12, 3))
     cols = np.stack([op.solve(rhs[:, j]) for j in range(3)], axis=1)
     np.testing.assert_allclose(op.solve(rhs), cols, atol=1e-14)
+
+
+@pytest.mark.parametrize('shape', [(30,), (30, 4)])
+def test_banded_solve_matches_scipy_bitwise(shape):
+    # the factor's own pbtrs call is scipy's cho_solve_banded without the
+    # per-call checks; a 2-D right-hand side is the Schur solve's D^-1 C
+    rng = np.random.default_rng(13)
+    op = banded_cholesky(random_structured_spd((30,), (4,), rng), 4)
+    rhs = rng.normal(size=shape)
+    x = op.solve(rhs)
+    assert x.shape == shape
+    np.testing.assert_array_equal(
+        x, sla.cho_solve_banded((op.payload, False), rhs))
 
 
 def test_operator_rejects_wrong_length():
