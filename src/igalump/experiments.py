@@ -755,8 +755,8 @@ def _trimmed_sweep(cfg, eigenvalues):
     """Angles and, per angle, (n_active, [(label, eigenvalues(A, B))]).
 
     A, B is the Jacobi-rescaled pair of each pencil, and eigenvalues returns
-    the ascending values the caller reads; its dense solve's Cholesky
-    factorization of B refuses an indefinite pencil.
+    ascending values whose last is the largest; it refuses an indefinite
+    pencil with 'mass-side matrix is not positive definite'.
     """
     angles = [2.0 * math.pi * i / cfg.nangles for i in range(cfg.nangles)]
 
@@ -783,10 +783,19 @@ def _plot_lambda_max(cfg, angles, results, name):
         xlabel='rotation angle', ylabel='lambda_max', ylog=True)
 
 
+def _sweep_lambda_max(A, B):
+    """[lambda_max] of (A, B) through _lambda_max, with B's banded Cholesky
+    as the pencil's one definiteness check."""
+    try:
+        factor = _mass_factor(B)
+    except ValueError as exc:
+        raise ValueError('mass-side %s' % exc) from None
+    return [_lambda_max(A, B, factor)]
+
+
 def run_trimmed_sweep(cfg):
     """lambda_max of each pencil over a sweep of trim rotation angles."""
-    angles, results = _trimmed_sweep(
-        cfg, lambda A, B: _dense_eigenvalues(A, B, A.shape[0] - 1))
+    angles, results = _trimmed_sweep(cfg, _sweep_lambda_max)
     csv = _write_csv(cfg, 'trimmed_sweep.csv',
                      'angle,n_active,label,lambda_max,spd',
                      [(angle, n, label, vals[-1], 1)

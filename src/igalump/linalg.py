@@ -1,8 +1,8 @@
 """Direct solvers for the structured matrices: banded Cholesky, the
 Schur-complement saddle solve for multipatch systems, Woodbury application
 of low-rank mass updates, and the dense generalized eigensolver: the
-runners' whole spectra and the trimmed sweep's largest eigenvalue come from
-it, and the test suite uses it as a reference oracle.
+runners' whole spectra come from it, and the test suite uses it as a
+reference oracle.
 
 Factorizations are immutable once constructed; solve() may be called from
 several threads on distinct right-hand sides.
@@ -165,11 +165,10 @@ def dense_generalized_eig(A, B):
     return _dense_eigh(A, B)
 
 
-def _dense_eigenvalues(A, B, i=None):
-    """Ascending eigenvalues of A u = lambda B u without eigenvectors: all
-    of them, or the i-th alone; refuses n > DENSE_CAP."""
-    return _dense_eigh(A, B, eigvals_only=True,
-                       subset_by_index=None if i is None else [i, i])
+def _dense_eigenvalues(A, B):
+    """All ascending eigenvalues of A u = lambda B u, without eigenvectors;
+    refuses n > DENSE_CAP."""
+    return _dense_eigh(A, B, eigvals_only=True)
 
 
 def _dense_eigh(A, B, **opts):

@@ -653,6 +653,26 @@ def test_trimmed_sweep_never_computes_a_full_spectrum(tmp_path, monkeypatch):
     assert len(rows) == 2 * 4 and np.all(np.isfinite(rows['lambda_max']))
 
 
+def test_trimmed_sweep_densifies_no_pencil(tmp_path, monkeypatch):
+    cfg = parse_config(write_cfg(tmp_path, (
+        'kind = trimmed-sweep\nsubdivisions = 8\nnangles = 2\nout = %s\n'
+        % (tmp_path / 'trim'))))
+
+    def dense(*args, **kwargs):
+        raise AssertionError('a pencil was densified')
+
+    monkeypatch.setattr('igalump.linalg._dense_eigh', dense)
+    rows = np.genfromtxt(run_trimmed_sweep(cfg)[0], delimiter=',',
+                         names=True, dtype=None, encoding='utf-8')
+    monkeypatch.undo()
+    assert len(rows) == 2 * len(cfg.pencils)
+    for row in rows:
+        pair = _assemble_trimmed_at(cfg, row['angle'])
+        Mvar = _mass_variant(cfg, pair, row['label'])
+        want = dense_generalized_eig(*jacobi_rescale(pair.K, Mvar))[0][-1]
+        assert row['lambda_max'] == pytest.approx(want, rel=1e-12, abs=0)
+
+
 # ----------------------------------------------------------- bandwidth report
 
 def test_bandwidth_report_predictions_match(tmp_path):
