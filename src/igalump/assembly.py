@@ -78,24 +78,24 @@ def quadrature_grid(space, patch, nquad=None):
     Raises:
         ValueError: if the Jacobian is singular at a quadrature point.
     """
-    pts, wts, vals = [], [], []
-    for kv in space.kvs:
-        x, w, _ = (a.ravel() for a in _element_rule(
-            kv, np.arange(kv.numspans), 1, nquad or kv.p + 1))
-        pts.append(x)
-        wts.append(w)
-        vals.append(_dense_tables(kv, x)[1])
+    rules = [_element_rule(kv, np.arange(kv.numspans), 1, nquad)
+             for kv in space.kvs]
+    pts, wts = ([rule[i].ravel() for rule in rules] for i in (0, 1))
+    vals = [_dense_tables(kv, x)[1] for kv, x in zip(space.kvs, pts)]
     coords, _, adet = _pullback(patch, pts)
     return QuadratureGrid(space, pts, wts, vals, coords, adet)
 
 
-def _element_rule(kv, e, nsub, nq):
+def _element_rule(kv, e, nsub, nquad):
     """Composite Gauss rule on the elements e of one direction.
 
-    Each element is split into nsub equal subcells of nq points each.
-    Returns the points and weights, shape (len(e), nsub*nq), and the
-    subcell centres, shape (len(e), nsub), one row per element.
+    Each element is split into nsub equal subcells of nq points each, nq
+    being nquad or, if None, kv.p + 1. Returns the points and weights,
+    shape (len(e), nsub*nq), and the subcell centres, shape (len(e), nsub).
     """
+    nq = kv.p + 1 if nquad is None else nquad
+    if nq < 1:
+        raise ValueError('nquad must be at least 1, got %d' % nq)
     lo, hi = (b[e] for b in kv.span_bounds())
     h = (hi - lo) / nsub
     a = lo[:, None] + np.arange(nsub) * h[:, None]
@@ -202,7 +202,7 @@ def _element_matrices(space, patch, rho, els, nquad, region=None, nsub=1):
         # rules and tables are built once per element index of the
         # direction and gathered by element
         e, at = np.unique(col, return_inverse=True)
-        x, w, mid = _element_rule(kv, e, nsub, nquad or kv.p + 1)
+        x, w, mid = _element_rule(kv, e, nsub, nquad)
         # subcell points stay inside their element, so the active window
         # is the element's own
         t = eval_basis(kv, x.ravel(), deriv_order=1)[1]

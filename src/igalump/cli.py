@@ -36,8 +36,6 @@ def _build_parser():
                         help='override the output directory')
         sp.add_argument('--seed', type=int, metavar='N',
                         help='override the RNG seed')
-        sp.add_argument('--threads', type=int, metavar='N',
-                        help='worker threads for sweep points')
     return parser
 
 
@@ -48,8 +46,7 @@ def main(argv=None):
         if cfg.kind != args.command:
             raise ConfigError('%s declares kind %r but %r was invoked'
                               % (args.config, cfg.kind, args.command))
-        cfg = apply_overrides(cfg, out=args.out, seed=args.seed,
-                              threads=args.threads)
+        cfg = apply_overrides(cfg, out=args.out, seed=args.seed)
         written = RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print('config error: %s' % exc, file=sys.stderr)

@@ -11,7 +11,6 @@ import contextlib
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -95,7 +94,9 @@ class ExperimentConfig:
     nangles: int = _key(1, {'trimmed-sweep': 40},
                         {'spectrum', 'trimmed-sweep'},
                         _below(1, 'nangles must be at least 1'))
-    threads: int = _key(1, fault=_below(1, 'threads must be at least 1'))
+    # kept only because the benchmark's workload files set threads = 1
+    threads: int = _key(1, fault=lambda v, kind: v != 1 and (
+        'threads must be 1: sweep angles run in order on one thread'))
     seed: int = _key(0, fault=_below(0, 'seed must be nonnegative'))
     nquad: int = _key(None, fault=_below(1, 'nquad must be at least 1'))
     # elements per direction; a single count broadcasts
@@ -282,15 +283,14 @@ def _validate(cfg):
                 'set geometry = plate_hole')
 
 
-def apply_overrides(cfg, out=None, seed=None, threads=None):
+def apply_overrides(cfg, out=None, seed=None):
     """Fold command-line flag values over the parsed config."""
-    updates = {key: value for key, value in
-               (('out', out), ('seed', seed), ('threads', threads))
+    updates = {key: value for key, value in (('out', out), ('seed', seed))
                if value is not None}
     for key, value in updates.items():
         fault = _KEYS[key].metadata['fault'](value, cfg.kind)
         if fault:
-            # seed's and threads' messages open with the key: --seed ...
+            # seed's message opens with the key: --seed ...
             raise ConfigError('--' + fault)
     return replace(cfg, **updates) if updates else cfg
 
@@ -475,13 +475,6 @@ def _lambda_min(K, Mvar):
         raise ValueError('smallest eigenvalue %.3g is not positive '
                          '(floor %.3g)' % (lam, floor))
     return lam
-
-
-def _run_sweep(cfg, work, items):
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            return list(ex.map(work, items))
-    return [work(it) for it in items]
 
 
 # ------------------------------------------------------------------ output
@@ -770,7 +763,7 @@ def _trimmed_sweep(cfg, eigenvalues):
                     *jacobi_rescale(pair.K, Mvar))))
         return pair.K.shape[0], spectra
 
-    return angles, _run_sweep(cfg, one, angles)
+    return angles, [one(angle) for angle in angles]
 
 
 def _plot_lambda_max(cfg, angles, results, name):

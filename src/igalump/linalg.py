@@ -3,9 +3,6 @@ Schur-complement saddle solve for multipatch systems, Woodbury application
 of low-rank mass updates, and the dense generalized eigensolver: the
 runners' whole spectra come from it, and the test suite uses it as a
 reference oracle.
-
-Factorizations are immutable once constructed; solve() may be called from
-several threads on distinct right-hand sides.
 """
 
 import numpy as np

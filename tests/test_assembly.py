@@ -320,6 +320,19 @@ def test_trimmed_without_retained_subcell_raises():
         assemble_trimmed(space, patch, region, ONE)
 
 
+@pytest.mark.parametrize('build', [
+    lambda space, patch, nquad: assemble_single_patch(space, patch, ONE,
+                                                      nquad=nquad),
+    lambda space, patch, nquad: quadrature_grid(space, patch, nquad=nquad)],
+    ids=['assemble_single_patch', 'quadrature_grid'])
+@pytest.mark.parametrize('nquad', [0, -1])
+def test_rule_without_points_is_refused(build, nquad):
+    # a rule without points is refused, not replaced by the default p + 1
+    with pytest.raises(ValueError, match='nquad must be at least 1, got %d'
+                       % nquad):
+        build(square_space(2, 2), unit_square(), nquad)
+
+
 # n, nnz, trace, Frobenius norm and x^T A x with x_i = cos(1.3 i) of the
 # trimmed pair on the p = 2, 20 x 20 mesh at angle 2 pi / 3, recorded when
 # each subcell of a cut element was integrated on its own

@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 
 import numpy as np
 import pytest
@@ -135,7 +134,7 @@ def test_memory_error_exits_three(tmp_path, capsys, monkeypatch):
 
 # every runner kind at a toy size, spectrum on both of its routes (the dense
 # one with a deflated curve), the simulation over a few steps and the trimmed
-# sweep on a thread pool
+# sweep
 _TOY_RUNS = [
     ('spectrum', 'geometry = stretched_square\np = 2\nsubdivisions = 4\n'
      'pencils = M P1 rowsum\nranks = 1\n'),
@@ -143,44 +142,36 @@ _TOY_RUNS = [
     ('convergence', 'p = 2\nsubdivisions = 1\nlevels = 3\npencils = M P1\n'),
     ('simulate', 'p = 2\nsubdivisions = 4\npencils = M P1\ntspan = 0.3\n'),
     ('deflate-ratio', 'subdivisions = 8 4\np = 2\nranks = 4\n'),
-    ('trimmed-sweep', 'subdivisions = 6\np = 2\nnangles = 2\npencils = P1\n'
-     'threads = 2\n'),
+    ('trimmed-sweep', 'subdivisions = 6\np = 2\nnangles = 2\npencils = P1\n'),
     ('bandwidth-report', 'subdivisions = 3\np = 2\n'),
 ]
 
 
 def _profiled_main(tmp_path, runs, profile):
     """Exit code of each (kind, body) config run through main with profile
-    set, in the threads that the run starts too."""
+    set."""
     codes = []
     for i, (kind, body) in enumerate(runs):
         cfg = write_cfg(tmp_path, 'kind = %s\n%sout = %s\n'
                         % (kind, body, tmp_path / str(i)), '%d.cfg' % i)
-        threading.setprofile(profile)
         sys.setprofile(profile)
         try:
             codes.append(main([kind, '--config', cfg]))
         finally:
             sys.setprofile(None)
-            threading.setprofile(None)
     return codes
 
 
 def test_every_runner_kind_exits_zero_under_a_profiler(tmp_path, capsys):
     # a profiler holds references that a plain run does not, such as the
     # bound method of each C call, so no runner may depend on a refcount
-    threads = set()
-
     def profile(frame, event, arg):
-        if event == 'call':
-            threads.add(threading.get_ident())
+        pass
 
     assert {kind for kind, _ in _TOY_RUNS} == set(RUNNERS)
     codes = _profiled_main(tmp_path, _TOY_RUNS, profile)
     err = capsys.readouterr().err
     assert codes == [0] * len(_TOY_RUNS), (codes, err)
-    # the sweep's workers ran under the profiler too
-    assert len(threads) > 1
 
 
 # src functions that neither the toy runs nor the faulty configs reach, each
@@ -255,6 +246,18 @@ def test_out_and_seed_flags_override(tmp_path, capsys):
     capsys.readouterr()
     assert (other / 'spectrum.csv').exists()
     assert not (tmp_path / 'ignored').exists()
+
+
+def test_threads_flag_is_a_command_line_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, 'kind = trimmed-sweep\nout = %s\n'
+                    % (tmp_path / 'o'))
+    with pytest.raises(SystemExit) as exc:
+        main(['trimmed-sweep', '--config', cfg, '--threads', '2'])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert 'unrecognized arguments: --threads 2' in err, err
+    assert 'Traceback' not in err
+    assert not (tmp_path / 'o').exists()
 
 
 def test_rerun_byte_identical_through_cli(tmp_path, capsys):
@@ -436,6 +439,9 @@ _FAULTY_ROWS = [
       'lambda_cut = lambda_n = 4', 'set horizons')),
     ('names34', 'deflate-ratio', 'ranks = ,\n',
      ('config error', 'exp.cfg:2: deflate-ratio needs at least one rank')),
+    # the benchmark's workload files set threads = 1; no other value runs
+    ('one-thread', 'trimmed-sweep', 'threads = 2\nsubdivisions = 4\n'
+     'nangles = 1\n', ('config error', 'exp.cfg:2: threads must be 1')),
 ]
 
 
@@ -526,7 +532,6 @@ def generated_configs(draw):
         'horizons': words(('1e-9', '1', '10', 'inf'), 2) | st.just(','),
         'safeguard': st.sampled_from(['0.5', '1', '1.5']),
         'dirichlet': st.sampled_from(['true', 'false']),
-        'threads': ints(1, 2),
         'seed': ints(0, 3),
     }
     lines = ['kind = %s' % kind,
@@ -575,6 +580,20 @@ def test_generated_configs_keep_the_exit_contract(generated):
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize('path', sorted(
+    os.path.relpath(path, ROOT) for pattern in (
+        'scripts/configs/*.cfg', 'perfbench/workloads/*.cfg')
+    for path in glob.glob(os.path.join(ROOT, pattern))))
+def test_shipped_config_parses_and_takes_overrides(tmp_path, path):
+    # the study configs and the benchmark's workload files, read as the
+    # benchmark's child process reads them
+    cfg = experiments.apply_overrides(
+        experiments.parse_config(os.path.join(ROOT, path)),
+        out=str(tmp_path / 'o'), seed=0)
+    assert cfg.out == str(tmp_path / 'o') and cfg.seed == 0
+    assert not (tmp_path / 'o').exists()
 
 
 def _run_all_bare(tmp_path, *args):

@@ -110,8 +110,8 @@ def test_missing_file_is_config_error():
 
 def test_overrides(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, 'kind = spectrum\nseed = 1\n'))
-    cfg2 = apply_overrides(cfg, out='elsewhere', seed=9, threads=2)
-    assert (cfg2.out, cfg2.seed, cfg2.threads) == ('elsewhere', 9, 2)
+    cfg2 = apply_overrides(cfg, out='elsewhere', seed=9)
+    assert (cfg2.out, cfg2.seed) == ('elsewhere', 9)
     assert cfg.seed == 1  # original untouched
     with pytest.raises(ConfigError, match='--seed'):
         apply_overrides(cfg, seed=-1)
@@ -602,18 +602,6 @@ def test_trimmed_sweep_rowsum_best_for_cfl(tmp_path):
     for angle in {r['angle'] for r in rows}:
         assert by[(angle, 'rowsum')] <= by[(angle, 'P1')] + 1e-9
         assert by[(angle, 'P1')] <= by[(angle, 'M')] + 1e-9
-
-
-def test_trimmed_sweep_threads_do_not_change_output(tmp_path):
-    text = ('kind = trimmed-sweep\nnangles = 2\nsubdivisions = 6\np = 2\n'
-            'pencils = M P1\nout = %s\n')
-    cfg1 = parse_config(write_cfg(tmp_path, text % (tmp_path / 'a'), 'a.cfg'))
-    cfg2 = apply_overrides(
-        parse_config(write_cfg(tmp_path, text % (tmp_path / 'b'), 'b.cfg')),
-        threads=2)
-    out1 = [open(f, 'rb').read() for f in run_trimmed_sweep(cfg1)]
-    out2 = [open(f, 'rb').read() for f in run_trimmed_sweep(cfg2)]
-    assert out1 == out2
 
 
 SWEEP = 'nangles = 2\nsubdivisions = 6\np = 2\npencils = M P1 P2 rowsum\n'
